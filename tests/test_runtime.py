@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -124,6 +125,54 @@ def test_rules_exercised_across_corpus():
         "up_sl", "up_sl2", "down_sl", "down_sl2",
     }
     assert required <= seen, sorted(required - seen)
+
+
+# SHA-256 (first 16 hex digits) of the trace bytes of a 300-step monitored
+# run followed by "<status> <steps>"; computed once and never edited, so
+# any change to the rule set, the order of records within a trace line or
+# the order of fresh names shows up here
+PINNED_TRACES = {
+    ("auction", "seed0"): "57a05f80462ac01b",  # max_steps 300
+    ("auction", "seed5"): "fdddc2ede40d6bee",  # max_steps 300
+    ("auction", "fifo"): "88d13481b9673b46",  # max_steps 300
+    ("basics", "seed0"): "1076afb76e19b60a",  # all_poised 21
+    ("basics", "seed5"): "ab0e62786db55b03",  # all_poised 21
+    ("basics", "fifo"): "4239630d7c067365",  # all_poised 21
+    ("dd", "seed0"): "dcd8728b400eb621",  # max_steps 300
+    ("dd", "seed5"): "c7378153cecc2db0",  # max_steps 300
+    ("dd", "fifo"): "d4da6735584f80a3",  # max_steps 300
+    ("handoff", "seed0"): "6a3a73ca5593abb4",  # max_steps 300
+    ("handoff", "seed5"): "676fc30fb6eb1c0f",  # max_steps 300
+    ("handoff", "fifo"): "1cf520b27de50a57",  # max_steps 300
+    ("ignore", "seed0"): "80ca852486a2fcff",  # all_poised 7
+    ("ignore", "seed5"): "a26051fe60025451",  # all_poised 7
+    ("ignore", "fifo"): "a26051fe60025451",  # all_poised 7
+    ("queue", "seed0"): "df4b36b26576fec4",  # all_poised 16
+    ("queue", "seed5"): "8c5d90f5b42fab33",  # all_poised 16
+    ("queue", "fifo"): "0b347fe2194e497a",  # all_poised 16
+    ("stuck", "seed0"): "59697272ada08138",  # stuck_acquire 1
+    ("stuck", "seed5"): "59697272ada08138",  # stuck_acquire 1
+    ("stuck", "fifo"): "59697272ada08138",  # stuck_acquire 1
+    ("spawn_ls", "seed0"): "ff764d149870b407",  # all_poised 6
+    ("spawn_ls", "seed5"): "ff764d149870b407",  # all_poised 6
+    ("spawn_ls", "fifo"): "ff764d149870b407",  # all_poised 6
+}
+
+
+def test_trace_bytes_pinned():
+    progs = {stem: by_stem(stem) for stem in sorted(EXPECTED_STATUS)}
+    diags, progs["spawn_ls"] = check_program(parse_program(SPAWN_LS))
+    assert diags == []
+    got = {}
+    for name, prog in progs.items():
+        for label, kw in (("seed0", {"seed": 0}), ("seed5", {"seed": 5}),
+                          ("fifo", {"policy": "fifo"})):
+            buf = io.StringIO()
+            r = run(prog, max_steps=300, trace=buf, **kw)
+            h = hashlib.sha256(buf.getvalue().encode())
+            h.update(f"{r.status.value} {r.steps}".encode())
+            got[name, label] = h.hexdigest()[:16]
+    assert got == PINNED_TRACES
 
 
 def test_gamma_only_tightens():
