@@ -2,7 +2,9 @@
 
 Subcommands: ``check``, ``sub``, ``ssync``, ``esync``, ``meet``, ``run``,
 ``fmt``. Exit codes: 0 for success / a positive verdict, 1 for a negative
-verdict or diagnostics, 2 for usage and syntax errors.
+verdict, diagnostics, a monitor violation or a run that halts without
+progress, 2 for usage and syntax errors and for programs too deep to
+process.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .printer import format_program, format_type
 from .subtype import is_subtype
 from .synchro import is_ssync, is_esync, meet_types, SsyncPreconditionError
 from .typecheck import check_program
-from .runtime import run, RunStatus
+from .runtime import run, RunStatus, ProgressError
 
 
 def _load(path: str) -> Program:
@@ -121,6 +123,11 @@ def cmd_run(args) -> int:
     try:
         res = run(prog, seed=args.seed, max_steps=args.steps,
                   monitor=args.monitor, policy=args.policy, trace=trace)
+    except ProgressError as e:
+        # a well-typed configuration always steps or halts classified;
+        # this one is an unchecked ill-typed program run unmonitored
+        print(f"progress: {e}", file=sys.stderr)
+        return 1
     finally:
         if trace is not None:
             trace.close()
@@ -197,6 +204,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as e:
         print(str(e), file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"{args.file}: program too deep to process", file=sys.stderr)
         return 2
 
 

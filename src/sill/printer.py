@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, Ref, SessionType, TypeDefEnv,
+    ValIn, ValOut, Ref, SessionType,
 )
 from .procast import (
     Fwd, FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
-    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature,
+    SendVal, RecvVal, ProcessTerm, ProcDef,
 )
-from .parser import Program, SystemDecl
+from .parser import Program
 
 # precedence levels: lolli 0, tensor 1, prefix 2, atom 3
 _LOLLI, _TENSOR, _PREFIX, _ATOM = 0, 1, 2, 3

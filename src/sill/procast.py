@@ -10,7 +10,7 @@ plain immutable tree at every stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .types import SessionType
 
@@ -196,10 +196,6 @@ ProcessTerm = (
     | SendVal | RecvVal
 )
 
-# constructors that bind a fresh name for their continuation
-_BINDING = (Spawn, RecvChan, Acquire, AcquireL, Accept, AcceptL,
-            Release, ReleaseL, Detach, DetachL, RecvVal)
-
 
 # --------------------------------------------------------------------------- #
 # Signatures
@@ -246,11 +242,6 @@ class ProcSignature:
 # --------------------------------------------------------------------------- #
 # Substitution and alpha normalization
 # --------------------------------------------------------------------------- #
-
-def _rebuild(p: ProcessTerm, **kw) -> ProcessTerm:
-    from dataclasses import replace
-    return replace(p, **kw)
-
 
 def substitute(p: ProcessTerm, renaming: dict[str, str]) -> ProcessTerm:
     """Simultaneous renaming of free channel and value names. Binders

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .types import (
-    One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, SessionType, TypeDefEnv,
-    ConstraintType, SharedC, BOT, TOP, unfold,
+    UpLL, SessionType, TypeDefEnv, ConstraintType, SharedC, BOT, TOP, unfold,
 )
 from .subtype import is_subtype
 from .synchro import is_ssync, meet, SsyncPreconditionError
@@ -122,6 +120,28 @@ def _oneline(t: ProcessTerm) -> str:
     return " ".join(format_proc(t).split())
 
 
+def _record(e: Proc | Connect) -> dict:
+    """The trace record of a process or alias predicate."""
+    if isinstance(e, Connect):
+        return {"kind": "connect", "chan": e.chan, "target": e.target}
+    kind = "procS" if e.shared else "procL"
+    return {"kind": kind, "chan": e.chan, "term": _oneline(e.term)}
+
+
+def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
+    """Install a fresh linear name standing for the shared channel target:
+    the alias predicate, its unavailability marker and a never-available
+    constraint."""
+    alias = cfg.fresh()
+    rec.fresh.append(alias)
+    conn = Connect(alias, target)
+    cfg.theta.append(conn)
+    cfg.unavail.add(alias)
+    cfg.gamma[alias] = BOT
+    rec.produced += [_record(conn), {"kind": "unavail", "chan": alias}]
+    return alias
+
+
 def _instantiate_body(cfg: Config, d: ProcDef, chan: str,
                       actuals: dict[str, str]) -> ProcessTerm:
     body = freshen(d.body, cfg.fresh)
@@ -130,27 +150,22 @@ def _instantiate_body(cfg: Config, d: ProcDef, chan: str,
     return substitute(body, ren)
 
 
-def _spawn_linear(cfg: Config, spawner: Proc, d: ProcDef, chan: str,
-                  args: tuple[str, ...], kinds: tuple[str, ...],
-                  rec: StepRecord) -> Proc:
+def _spawn_linear(cfg: Config, spawner_uses: dict[str, SessionType],
+                  d: ProcDef, chan: str, args: tuple[str, ...],
+                  kinds: tuple[str, ...], rec: StepRecord) -> None:
     """Shared machinery of the spawn rules for a linear target: builds the
-    new process record, routes each argument by its kind, and installs the
-    alias/unavailability predicates for shared-as-linear arguments."""
+    new process record, routes each argument by its kind (a linear one
+    moves out of spawner_uses, a shared one passed as linear gets an
+    alias) and marks the new channel unavailable."""
     uses: dict[str, SessionType] = {}
     actuals: dict[str, str] = {}
     for arg, prm, kind in zip(args, d.params, kinds):
         if kind == "lin":
-            spawner.uses.pop(arg, None)
+            spawner_uses.pop(arg, None)
             uses[arg] = prm.ty
             actuals[prm.chan] = arg
         elif kind == "sl":
-            alias = cfg.fresh()
-            rec.fresh.append(alias)
-            cfg.theta.append(Connect(alias, arg))
-            cfg.unavail.add(alias)
-            cfg.gamma[alias] = BOT
-            rec.produced.append({"kind": "connect", "chan": alias, "target": arg})
-            rec.produced.append({"kind": "unavail", "chan": alias})
+            alias = _alias(cfg, arg, rec)
             uses[alias] = prm.ty
             actuals[prm.chan] = alias
         else:
@@ -160,25 +175,17 @@ def _spawn_linear(cfg: Config, spawner: Proc, d: ProcDef, chan: str,
     cfg.theta.append(p)
     cfg.unavail.add(chan)
     cfg.gamma[chan] = BOT
-    rec.produced.append({"kind": "procL", "chan": chan, "term": _oneline(body)})
-    rec.produced.append({"kind": "unavail", "chan": chan})
-    return p
+    rec.produced += [_record(p), {"kind": "unavail", "chan": chan}]
 
 
 def _spawn_shared(cfg: Config, d: ProcDef, chan: str,
-                  args: tuple[str, ...], rec: StepRecord) -> Proc:
+                  args: tuple[str, ...], rec: StepRecord) -> None:
     actuals = {prm.chan: arg for prm, arg in zip(d.params, args)}
     body = _instantiate_body(cfg, d, chan, actuals)
     p = Proc(chan, body, d.offer_ty, {}, shared=True)
     cfg.lam[chan] = p
     cfg.gamma[chan] = SharedC(d.offer_ty)
-    rec.produced.append({"kind": "procS", "chan": chan, "term": _oneline(body)})
-    return p
-
-
-def _arg_kinds(cfg: Config, d: ProcDef) -> tuple[str, ...]:
-    # manifest arguments are always shared channels
-    return tuple("sh" if prm.shared else "sl" for prm in d.params)
+    rec.produced.append(_record(p))
 
 
 def initial_config(prog: Program) -> Config:
@@ -193,27 +200,10 @@ def initial_config(prog: Program) -> Config:
         _spawn_shared(cfg, d, binder, args, rec)
     mname, margs = prog.system.main
     d = prog.procs.lookup(mname)
-    root = cfg.fresh()
-    main = Proc(root, None, d.offer_ty, {}, shared=False)  # placeholder
-    cfg.theta.append(main)
-    cfg.unavail.add(root)
-    cfg.gamma[root] = BOT
-    kinds = _arg_kinds(cfg, d)
-    # route the main arguments exactly as a spawn would
-    uses: dict[str, SessionType] = {}
-    actuals: dict[str, str] = {}
-    for arg, prm, kind in zip(margs, d.params, kinds):
-        if kind == "sl":
-            alias = cfg.fresh()
-            cfg.theta.append(Connect(alias, arg))
-            cfg.unavail.add(alias)
-            cfg.gamma[alias] = BOT
-            uses[alias] = prm.ty
-            actuals[prm.chan] = alias
-        else:
-            actuals[prm.chan] = arg
-    main.term = _instantiate_body(cfg, d, root, actuals)
-    main.uses = uses
+    # manifest arguments are always shared channels; main takes each one
+    # as declared, exactly as a spawn would
+    kinds = tuple("sh" if prm.shared else "sl" for prm in d.params)
+    _spawn_linear(cfg, {}, d, cfg.fresh(), margs, kinds, rec)
     _retopo(cfg)
     return cfg
 
@@ -256,31 +246,37 @@ def _retopo(cfg: Config) -> None:
 # --------------------------------------------------------------------------- #
 
 def _subject(p: Proc):
-    """(channel, action) pair of the next action, or None for spawns and
-    forwards which act on their own."""
+    """(channel, action) pair of the next action; the channel is None for
+    spawns and forwards, which act on their own."""
     t = p.term
     match t:
-        case Close(c) | Wait(c, _):
-            return c, t
-        case SendChan(c, _, _) | SendChanS(c, _, _) | RecvChan(c, _, _) \
-                | SendLabel(c, _, _) | CaseRecv(c, _) \
-                | SendVal(c, _, _) | RecvVal(c, _, _):
-            return c, t
-        case Acquire(_, c, _) | AcquireL(_, c, _) | Accept(_, c, _) \
-                | AcceptL(_, c, _) | Release(_, c, _) | ReleaseL(_, c, _) \
-                | Detach(_, c, _) | DetachL(_, c, _):
+        case Close(c) | Wait(c, _) | SendChan(c, _, _) | SendChanS(c, _, _) \
+                | RecvChan(c, _, _) | SendLabel(c, _, _) | CaseRecv(c, _) \
+                | SendVal(c, _, _) | RecvVal(c, _, _) | Acquire(_, c, _) \
+                | AcquireL(_, c, _) | Accept(_, c, _) | AcceptL(_, c, _) \
+                | Release(_, c, _) | ReleaseL(_, c, _) | Detach(_, c, _) \
+                | DetachL(_, c, _):
             return c, t
     return None, t
 
 
-def _user_action(cfg: Config, chan: str):
-    u = cfg.user_of(chan)
-    if u is None:
-        return None, None
-    c, t = _subject(u)
-    if c != chan:
-        return u, None
-    return u, t
+# (provider action, client action) on the provider's channel -> the rule
+# by which the two synchronize
+_PAIRS = {
+    (Close, Wait): "one",
+    (SendChan, RecvChan): "tensor",
+    (SendChanS, RecvChan): "tensor_s",
+    (RecvChan, SendChan): "lolli",
+    (RecvChan, SendChanS): "lolli_s",
+    (SendLabel, CaseRecv): "plus",
+    (CaseRecv, SendLabel): "with",
+    (SendVal, RecvVal): "val_out",
+    (RecvVal, SendVal): "val_in",
+    (AcceptL, AcquireL): "up_ll",
+    (DetachL, ReleaseL): "down_ll",
+    (Detach, Release): "down_sl",
+    (Detach, ReleaseL): "down_sl2",
+}
 
 
 def enumerate_steps(cfg: Config) -> list[Step]:
@@ -305,38 +301,15 @@ def enumerate_steps(cfg: Config) -> list[Step]:
         c, _ = _subject(e)
         if c != a:
             continue  # user-side action; the matching provider drives it
-        u, ut = _user_action(cfg, a)
-        if ut is None:
+        u = cfg.user_of(a)
+        uc, ut = _subject(u) if u is not None else (None, None)
+        rule = _PAIRS.get((type(t), type(ut))) if uc == a else None
+        if rule is None:
             continue
-        match (t, ut):
-            case (Close(_), Wait(_, _)):
-                steps.append(Step("one", a, u.chan))
-            case (SendChan(_, _, _), RecvChan(_, _, _)):
-                steps.append(Step("tensor", a, u.chan))
-            case (SendChanS(_, _, _), RecvChan(_, _, _)):
-                steps.append(Step("tensor_s", a, u.chan))
-            case (RecvChan(_, _, _), SendChan(_, _, _)):
-                steps.append(Step("lolli", a, u.chan))
-            case (RecvChan(_, _, _), SendChanS(_, _, _)):
-                steps.append(Step("lolli_s", a, u.chan))
-            case (SendLabel(_, lbl, _), CaseRecv(_, bs)) \
-                    if lbl in dict(bs):
-                steps.append(Step("plus", a, u.chan))
-            case (CaseRecv(_, bs), SendLabel(_, lbl, _)) \
-                    if lbl in dict(bs):
-                steps.append(Step("with", a, u.chan))
-            case (SendVal(_, _, _), RecvVal(_, _, _)):
-                steps.append(Step("val_out", a, u.chan))
-            case (RecvVal(_, _, _), SendVal(_, _, _)):
-                steps.append(Step("val_in", a, u.chan))
-            case (AcceptL(_, _, _), AcquireL(_, _, _)):
-                steps.append(Step("up_ll", a, u.chan))
-            case (DetachL(_, _, _), ReleaseL(_, _, _)):
-                steps.append(Step("down_ll", a, u.chan))
-            case (Detach(_, _, _), Release(_, _, _)):
-                steps.append(Step("down_sl", a, u.chan))
-            case (Detach(_, _, _), ReleaseL(_, _, _)):
-                steps.append(Step("down_sl2", a, u.chan))
+        if rule == "plus" and t.label not in ut.labels() \
+                or rule == "with" and ut.label not in t.labels():
+            continue  # the case has no branch for the sent label
+        steps.append(Step(rule, a, u.chan))
     for a in sorted(cfg.lam):
         p = cfg.lam[a]
         match p.term:
@@ -364,11 +337,6 @@ def enumerate_steps(cfg: Config) -> list[Step]:
 # --------------------------------------------------------------------------- #
 # Applying a step
 # --------------------------------------------------------------------------- #
-
-def _pl(p: Proc) -> dict:
-    kind = "procS" if p.shared else "procL"
-    return {"kind": kind, "chan": p.chan, "term": _oneline(p.term)}
-
 
 def _rename_all(cfg: Config, old: str, new: str) -> None:
     ren = {old: new}
@@ -403,287 +371,165 @@ def _rename_all(cfg: Config, old: str, new: str) -> None:
             cfg.gamma[new] = c_old
 
 
-def _remove_theta(cfg: Config, entry) -> None:
-    cfg.theta.remove(entry)
+_SENDS = (SendChan, SendChanS, SendLabel, SendVal)
+
+
+def _resume(t: ProcessTerm, msg: str) -> ProcessTerm:
+    """The continuation of a synchronizing action: a case takes the branch
+    of label msg, an action with a binder binds it to msg."""
+    if isinstance(t, CaseRecv):
+        return t.branch(msg)
+    if isinstance(t, (Wait,) + _SENDS):
+        return t.cont
+    return substitute(t.cont, {t.binder: msg})
+
+
+def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
+    """fwd_ll, fwd_ss: the forwarder at a leaves and b is renamed to a.
+    fwd_ls: a stays behind as a linear alias of the shared b."""
+    a, b = p.term.offer, p.term.used
+    rec.consumed.append(_record(p))
+    rec.touched |= {a, b}
+    if p.shared:
+        del cfg.lam[a]
+    else:
+        cfg.theta.remove(p)
+    if isinstance(p.term, FwdLS):
+        conn = Connect(a, b)
+        cfg.theta.append(conn)
+        rec.produced.append(_record(conn))
+        return
+    if isinstance(p.term, FwdLL):
+        tgt = cfg.provider(b)
+        if isinstance(tgt, Proc):
+            rec.consumed.append(_record(tgt))
+    _rename_all(cfg, b, a)
+    rec.renames[b] = a
+    tgt = cfg.provider(a)
+    if tgt is not None:
+        rec.produced.append(_record(tgt))
+
+
+def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
+    """spawn_ll, spawn_ls, spawn_ss: s spawns a process at a fresh channel
+    and continues with its binder bound to it."""
+    rec.consumed.append(_record(s))
+    sp: Spawn = s.term
+    d = cfg.sig.lookup(sp.proc)
+    c = cfg.fresh()
+    rec.fresh.append(c)
+    if d.offer_shared:
+        _spawn_shared(cfg, d, c, sp.args, rec)
+    else:
+        _spawn_linear(cfg, s.uses, d, c, sp.args, sp.kinds, rec)
+        s.uses[c] = d.offer_ty
+    s.term = substitute(sp.cont, {sp.binder: c})
+    rec.produced.append(_record(s))
+    rec.touched |= {s.chan, c} | set(sp.args)
+
+
+def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
+    """The binary linear rules between the provider p of a and its client
+    u. Mirrored rules share this body: whichever side sends carries the
+    channel, label or value, and the other side receives it. Both terms,
+    the offer and the client's view of a advance together."""
+    a = p.chan
+    rec.consumed += [_record(p), _record(u)]
+    rec.touched |= {a, u.chan}
+    if isinstance(p.term, Close):
+        cfg.theta.remove(p)
+        u.term = u.term.cont
+        u.uses.pop(a, None)
+        rec.produced.append(_record(u))
+        return
+    offer, view = cfg.unf(p.offer), cfg.unf(u.uses[a])
+    # the sender, the receiver and the receiver's type of a
+    s, r, rty = (u, p, offer) if isinstance(u.term, _SENDS) \
+        else (p, u, view)
+    match s.term:
+        case SendChan(_, y, _) | SendChanS(_, y, _):
+            if isinstance(s.term, SendChan):
+                s.uses.pop(y, None)
+                msg = y
+            else:
+                msg = _alias(cfg, y, rec)
+            r.uses[msg] = rty.payload
+            rec.touched.add(y)
+        case SendLabel(_, msg, _) | SendVal(_, msg, _):
+            pass
+        case _:
+            msg = a  # linear shifts: both sides bind a itself
+    if isinstance(s.term, SendLabel):
+        p.offer, u.uses[a] = offer.branch(msg), view.branch(msg)
+    else:
+        p.offer, u.uses[a] = offer.cont, view.cont
+    p.term, u.term = _resume(p.term, msg), _resume(u.term, msg)
+    rec.produced += [_record(p), _record(u)]
+
+
+def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
+    """up_sl, up_sl2: u acquires the available shared session p, directly
+    or through a linear alias (which the acquire consumes); the session
+    moves to the linear part at its unfolded type."""
+    b = p.chan
+    rec.consumed += [_record(p), _record(u)]
+    rec.touched |= {b, u.chan}
+    if isinstance(u.term, AcquireL):
+        alias = cfg.provider(u.term.chan)
+        rec.consumed.append(_record(alias))
+        cfg.theta.remove(alias)
+        u.uses.pop(alias.chan, None)
+        rec.touched.add(alias.chan)
+    del cfg.lam[b]
+    body = cfg.unf(p.offer).cont
+    newp = Proc(b, _resume(p.term, b), body, {}, shared=False)
+    cfg.theta.append(newp)
+    cfg.unavail.add(b)
+    u.term = _resume(u.term, b)
+    u.uses[b] = body
+    rec.produced += [_record(newp), {"kind": "unavail", "chan": b},
+                     _record(u)]
+
+
+def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
+    """down_sl, down_sl2: the session at c returns to the shared part and
+    u lets go of it; a client releasing at a linear shift (down_sl2) keeps
+    a fresh linear alias of c."""
+    c = p.chan
+    rec.consumed += [_record(p), _record(u), {"kind": "unavail", "chan": c}]
+    cfg.theta.remove(p)
+    cfg.unavail.discard(c)
+    shared_ty = cfg.unf(p.offer).cont
+    newp = Proc(c, _resume(p.term, c), shared_ty, {}, shared=True)
+    cfg.lam[c] = newp
+    cfg.gamma[c] = SharedC(shared_ty)
+    rec.produced.append(_record(newp))
+    u.uses.pop(c, None)
+    name = c
+    if isinstance(u.term, ReleaseL):
+        name = _alias(cfg, c, rec)
+        u.uses[name] = UpLL(cfg.unf(shared_ty).cont)
+    u.term = _resume(u.term, name)
+    rec.produced.append(_record(u))
+    rec.touched |= {c, name, u.chan}
+
+
+_HANDLERS = {
+    **dict.fromkeys(("fwd_ll", "fwd_ss", "fwd_ls"), _forward),
+    **dict.fromkeys(("spawn_ll", "spawn_ls", "spawn_ss"), _spawn),
+    **dict.fromkeys(("one", "tensor", "tensor_s", "lolli", "lolli_s",
+                     "plus", "with", "val_out", "val_in", "up_ll",
+                     "down_ll"), _exchange),
+    **dict.fromkeys(("up_sl", "up_sl2"), _acquire),
+    **dict.fromkeys(("down_sl", "down_sl2"), _release),
+}
 
 
 def apply_step(cfg: Config, step: Step) -> StepRecord:
     rec = StepRecord(step.rule, [], [], [], {}, set())
     prov = cfg.provider(step.provider)
-    user = None
-    if step.user is not None:
-        user = cfg.provider(step.user)
-    rule = step.rule
-
-    def advance_user_view(u: Proc, chan: str, f) -> None:
-        u.uses[chan] = f(cfg.unf(u.uses[chan]))
-
-    if rule == "fwd_ll":
-        p = prov
-        rec.consumed.append(_pl(p))
-        a, b = p.term.offer, p.term.used
-        _remove_theta(cfg, p)
-        tgt = cfg.provider(b)
-        if tgt is not None and not isinstance(tgt, Connect):
-            rec.consumed.append(_pl(tgt))
-        _rename_all(cfg, b, a)
-        rec.renames[b] = a
-        tgt2 = cfg.provider(a)
-        if tgt2 is not None and not isinstance(tgt2, Connect):
-            rec.produced.append(_pl(tgt2))
-        elif isinstance(tgt2, Connect):
-            rec.produced.append({"kind": "connect", "chan": tgt2.chan,
-                                 "target": tgt2.target})
-        rec.touched |= {a, b}
-
-    elif rule == "fwd_ss":
-        p = prov
-        rec.consumed.append(_pl(p))
-        a, b = p.term.offer, p.term.used
-        del cfg.lam[a]
-        _rename_all(cfg, b, a)
-        rec.renames[b] = a
-        tgt = cfg.provider(a)
-        if tgt is not None and not isinstance(tgt, Connect):
-            rec.produced.append(_pl(tgt))
-        rec.touched |= {a, b}
-
-    elif rule == "fwd_ls":
-        p = prov
-        rec.consumed.append(_pl(p))
-        a, b = p.term.offer, p.term.used
-        _remove_theta(cfg, p)
-        cfg.theta.append(Connect(a, b))
-        rec.produced.append({"kind": "connect", "chan": a, "target": b})
-        rec.touched |= {a, b}
-
-    elif rule in ("spawn_ll", "spawn_ls", "spawn_ss"):
-        s = prov
-        rec.consumed.append(_pl(s))
-        sp: Spawn = s.term
-        d = cfg.sig.lookup(sp.proc)
-        c = cfg.fresh()
-        rec.fresh.append(c)
-        if d.offer_shared:
-            _spawn_shared(cfg, d, c, sp.args, rec)
-        else:
-            _spawn_linear(cfg, s, d, c, sp.args, sp.kinds, rec)
-            s.uses[c] = d.offer_ty
-        s.term = substitute(sp.cont, {sp.binder: c})
-        rec.produced.append(_pl(s))
-        rec.touched |= {s.chan, c} | set(sp.args)
-
-    elif rule == "one":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        _remove_theta(cfg, p)
-        u.term = u.term.cont
-        u.uses.pop(p.chan, None)
-        rec.produced.append(_pl(u))
-        rec.touched |= {p.chan, u.chan}
-
-    elif rule in ("tensor", "tensor_s"):
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        a = p.chan
-        y = p.term.payload
-        p.term = p.term.cont
-        p.offer = cfg.unf(p.offer).cont
-        uv = cfg.unf(u.uses[a])
-        binder = user.term.binder
-        if rule == "tensor":
-            p.uses.pop(y, None)
-            u.term = substitute(u.term.cont, {binder: y})
-            u.uses[y] = uv.payload
-        else:
-            alias = cfg.fresh()
-            rec.fresh.append(alias)
-            cfg.theta.append(Connect(alias, y))
-            cfg.unavail.add(alias)
-            cfg.gamma[alias] = BOT
-            rec.produced.append({"kind": "connect", "chan": alias, "target": y})
-            rec.produced.append({"kind": "unavail", "chan": alias})
-            u.term = substitute(u.term.cont, {binder: alias})
-            u.uses[alias] = uv.payload
-        u.uses[a] = uv.cont
-        rec.produced += [_pl(p), _pl(u)]
-        rec.touched |= {a, u.chan, y}
-
-    elif rule in ("lolli", "lolli_s"):
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        a = p.chan
-        y = u.term.payload
-        ua = cfg.unf(p.offer)
-        binder = p.term.binder
-        if rule == "lolli":
-            u.uses.pop(y, None)
-            p.term = substitute(p.term.cont, {binder: y})
-            p.uses[y] = ua.payload
-        else:
-            alias = cfg.fresh()
-            rec.fresh.append(alias)
-            cfg.theta.append(Connect(alias, y))
-            cfg.unavail.add(alias)
-            cfg.gamma[alias] = BOT
-            rec.produced.append({"kind": "connect", "chan": alias, "target": y})
-            rec.produced.append({"kind": "unavail", "chan": alias})
-            p.term = substitute(p.term.cont, {binder: alias})
-            p.uses[alias] = ua.payload
-        p.offer = ua.cont
-        u.term = u.term.cont
-        advance_user_view(u, a, lambda v: v.cont)
-        rec.produced += [_pl(p), _pl(u)]
-        rec.touched |= {a, u.chan, y}
-
-    elif rule == "plus":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        lbl = p.term.label
-        p.offer = cfg.unf(p.offer).branch(lbl)
-        p.term = p.term.cont
-        u.term = u.term.branch(lbl)
-        advance_user_view(u, p.chan, lambda v: v.branch(lbl))
-        rec.produced += [_pl(p), _pl(u)]
-        rec.touched |= {p.chan, u.chan}
-
-    elif rule == "with":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        lbl = u.term.label
-        p.offer = cfg.unf(p.offer).branch(lbl)
-        p.term = p.term.branch(lbl)
-        u.term = u.term.cont
-        advance_user_view(u, p.chan, lambda v: v.branch(lbl))
-        rec.produced += [_pl(p), _pl(u)]
-        rec.touched |= {p.chan, u.chan}
-
-    elif rule == "val_out":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        v = p.term.value
-        p.offer = cfg.unf(p.offer).cont
-        p.term = p.term.cont
-        u.term = substitute(u.term.cont, {u.term.binder: v})
-        advance_user_view(u, p.chan, lambda t: t.cont)
-        rec.produced += [_pl(p), _pl(u)]
-        rec.touched |= {p.chan, u.chan}
-
-    elif rule == "val_in":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        v = u.term.value
-        p.offer = cfg.unf(p.offer).cont
-        p.term = substitute(p.term.cont, {p.term.binder: v})
-        u.term = u.term.cont
-        advance_user_view(u, p.chan, lambda t: t.cont)
-        rec.produced += [_pl(p), _pl(u)]
-        rec.touched |= {p.chan, u.chan}
-
-    elif rule == "up_ll":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        a = p.chan
-        p.offer = cfg.unf(p.offer).cont
-        p.term = substitute(p.term.cont, {p.term.binder: a})
-        u.term = substitute(u.term.cont, {u.term.binder: a})
-        advance_user_view(u, a, lambda v: v.cont)
-        rec.produced += [_pl(p), _pl(u)]
-        rec.touched |= {a, u.chan}
-
-    elif rule == "down_ll":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        a = p.chan
-        p.offer = cfg.unf(p.offer).cont
-        p.term = substitute(p.term.cont, {p.term.binder: a})
-        u.term = substitute(u.term.cont, {u.term.binder: a})
-        advance_user_view(u, a, lambda v: v.cont)
-        rec.produced += [_pl(p), _pl(u)]
-        rec.touched |= {a, u.chan}
-
-    elif rule == "up_sl":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        b = p.chan
-        del cfg.lam[b]
-        body = cfg.unf(p.offer).cont
-        newp = Proc(b, substitute(p.term.cont, {p.term.binder: b}),
-                    body, {}, shared=False)
-        cfg.theta.append(newp)
-        cfg.unavail.add(b)
-        u.term = substitute(u.term.cont, {u.term.binder: b})
-        u.uses[b] = body
-        rec.produced += [_pl(newp), {"kind": "unavail", "chan": b}, _pl(u)]
-        rec.touched |= {b, u.chan}
-
-    elif rule == "up_sl2":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u)]
-        c = p.chan
-        bchan = u.term.chan
-        alias = cfg.provider(bchan)
-        rec.consumed.append({"kind": "connect", "chan": bchan,
-                             "target": alias.target})
-        _remove_theta(cfg, alias)
-        u.uses.pop(bchan, None)
-        del cfg.lam[c]
-        body = cfg.unf(p.offer).cont
-        newp = Proc(c, substitute(p.term.cont, {p.term.binder: c}),
-                    body, {}, shared=False)
-        cfg.theta.append(newp)
-        cfg.unavail.add(c)
-        u.term = substitute(u.term.cont, {u.term.binder: c})
-        u.uses[c] = body
-        rec.produced += [_pl(newp), {"kind": "unavail", "chan": c}, _pl(u)]
-        rec.touched |= {c, bchan, u.chan}
-
-    elif rule == "down_sl":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u), {"kind": "unavail", "chan": p.chan}]
-        b = p.chan
-        _remove_theta(cfg, p)
-        cfg.unavail.discard(b)
-        shared_ty = cfg.unf(p.offer).cont
-        newp = Proc(b, substitute(p.term.cont, {p.term.binder: b}),
-                    shared_ty, {}, shared=True)
-        cfg.lam[b] = newp
-        cfg.gamma[b] = SharedC(shared_ty)
-        u.term = substitute(u.term.cont, {u.term.binder: b})
-        u.uses.pop(b, None)
-        rec.produced += [_pl(newp), _pl(u)]
-        rec.touched |= {b, u.chan}
-
-    elif rule == "down_sl2":
-        p, u = prov, user
-        rec.consumed += [_pl(p), _pl(u), {"kind": "unavail", "chan": p.chan}]
-        c = p.chan
-        _remove_theta(cfg, p)
-        cfg.unavail.discard(c)
-        shared_ty = cfg.unf(p.offer).cont
-        newp = Proc(c, substitute(p.term.cont, {p.term.binder: c}),
-                    shared_ty, {}, shared=True)
-        cfg.lam[c] = newp
-        cfg.gamma[c] = SharedC(shared_ty)
-        b = cfg.fresh()
-        rec.fresh.append(b)
-        cfg.theta.append(Connect(b, c))
-        cfg.unavail.add(b)
-        cfg.gamma[b] = BOT
-        u.term = substitute(u.term.cont, {u.term.binder: b})
-        u.uses.pop(c, None)
-        u.uses[b] = UpLL(cfg.unf(shared_ty).cont)
-        rec.produced += [
-            _pl(newp),
-            {"kind": "connect", "chan": b, "target": c},
-            {"kind": "unavail", "chan": b},
-            _pl(u),
-        ]
-        rec.touched |= {c, b, u.chan}
-
-    else:
-        raise AssertionError(f"unknown rule {rule}")
-
+    user = None if step.user is None else cfg.provider(step.user)
+    _HANDLERS[step.rule](cfg, rec, prov, user)
     _retopo(cfg)
     rec.touched |= set(rec.renames) | set(rec.renames.values())
     return rec
@@ -774,10 +620,6 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
             return f"process at {a} no longer typechecks: " \
                    + "; ".join(ck.diags)
     return None
-
-
-def typecheck_config(cfg: Config) -> str | None:
-    return monitor_check(cfg, None)
 
 
 # --------------------------------------------------------------------------- #

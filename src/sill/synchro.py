@@ -17,7 +17,7 @@ from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, SessionType, TypeDefEnv, TypeDef,
     Bot, Top, SharedC, ConstraintType, BOT, TOP,
-    unfold, modality, constraint_leq, SHARED, LINEAR,
+    unfold, constraint_leq, SHARED, LINEAR,
 )
 from .subtype import is_subtype
 

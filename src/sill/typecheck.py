@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, Ref, SessionType, TypeDefEnv,
-    Bot, Top, SharedC, ConstraintType, BOT, TOP,
-    unfold, validate_env, SHARED, LINEAR,
+    ValIn, ValOut, SessionType, TypeDefEnv, SharedC, ConstraintType,
+    unfold, validate_env,
 )
 from .subtype import is_subtype
 from .synchro import cleq_type
@@ -25,9 +24,15 @@ from .procast import (
     Fwd, FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
-    SendVal, RecvVal, ProcessTerm, Param, ProcDef, ProcSignature,
+    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature,
 )
 from .parser import Program
+from .printer import format_proc, format_type
+
+
+def _action(p: ProcessTerm) -> str:
+    """The action p starts with, in surface syntax."""
+    return format_proc(p).split("\n", 1)[0].rstrip(";")
 
 
 @dataclass
@@ -84,7 +89,8 @@ class _Ck:
                     self.fail("1R", f"close must act on the offer {x}")
                     return None
                 if not isinstance(ua, One):
-                    self.fail("1R", f"offer is not terminated: {a}")
+                    self.fail("1R", "offer is not terminated: "
+                                    + format_type(a))
                     return None
                 if delta:
                     self.fail("1R", f"unused linear channels {sorted(delta)}")
@@ -358,7 +364,7 @@ class _Ck:
                 self.fail("\u2193SL R", "offer is not at a release point")
                 return None
 
-        self.fail("linear", f"ill-placed action {p!r}")
+        self.fail("linear", f"ill-placed action {_action(p)}")
         return None
 
     # -- shared judgment ---------------------------------------------------- #
@@ -394,7 +400,8 @@ class _Ck:
                 cont2 = self.linear(gamma, {}, vals, cont, y, ua.cont)
                 return Accept(y, c, cont2) if cont2 is not None else None
 
-        self.fail("shared", f"action not available in a shared judgment: {p!r}")
+        self.fail("shared", "action not available in a shared judgment: "
+                  + _action(p))
         return None
 
     # -- spawning ----------------------------------------------------------- #

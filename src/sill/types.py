@@ -10,7 +10,7 @@ every validated environment denotes a finite system of regular trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 

@@ -95,6 +95,12 @@ def test_run_no_static_monitors(tmp_path, capsys):
     # bypassing the gate, the runtime monitor raises the violation
     assert main(["run", str(bad), "--no-static"]) == 1
     assert "violation" in capsys.readouterr().out.lower()
+    # with the monitor off as well it halts without progress: one line on
+    # stderr, exit 1
+    assert main(["run", str(bad), "--no-static", "--no-monitor"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("progress: ") and len(err.splitlines()) == 1
 
 
 def test_usage_errors_exit_2(capsys):
@@ -109,3 +115,19 @@ def test_syntax_error_exit_2(tmp_path, capsys):
     assert main(["check", str(f)]) == 2
     captured = capsys.readouterr()
     assert "line" in (captured.out + captured.err)
+
+
+def test_too_deep_program_exits_2(tmp_path, capsys):
+    # 3000 actions in one straight line exceed the recursion limit of the
+    # parser, checker and printer
+    body = "".join(f"    c{i} <- spawn Cell();\n    v{i} <- get c{i};\n"
+                   f"    wait c{i};\n" for i in range(1000))
+    deep = tmp_path / "deep.sill"
+    deep.write_text("type cell = !int. 1\n"
+                    "proc Cell : () |- c: cell = put c 5; close c\n"
+                    "proc Main : () |- x: 1 =\n" + body + "    close x\n")
+    for cmd in ("check", "fmt"):
+        assert main([cmd, str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"{deep}: program too deep to process\n"

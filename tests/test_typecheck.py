@@ -124,6 +124,12 @@ def test_system_spawns_must_be_shared():
 def test_diagnostics_name_the_rule():
     d = diags_of("type c = !int. 1\nproc P : () |- x: c = close x\n")
     assert any("1R" in s for s in d)
+    # types and actions print in surface syntax, not as Python reprs
+    assert "P: 1R: offer is not terminated: c" in d
+    d = diags_of("type s = up_s &{a: down_s s}\n"
+                 "proc P : () |- x: s = wait y; close x\n")
+    assert "P: shared: action not available in a shared judgment: " \
+        "wait y" in d
 
 
 def test_duplicate_process_names():
