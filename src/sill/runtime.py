@@ -110,6 +110,7 @@ class StepRecord:
     fresh: list[str]
     renames: dict[str, str]
     touched: set[str]
+    retired: set[str]
 
 
 # --------------------------------------------------------------------------- #
@@ -140,6 +141,16 @@ def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
     cfg.gamma[alias] = BOT
     rec.produced += [_record(conn), {"kind": "unavail", "chan": alias}]
     return alias
+
+
+def _retire(cfg: Config, chan: str, rec: StepRecord) -> None:
+    """A name whose predicate a step consumed for good leaves the
+    unavailability set and Γ. Only a never-available (⊥) name goes: a
+    shared constraint is still read through aliases of its channel."""
+    if cfg.gamma.get(chan) == BOT:
+        cfg.unavail.discard(chan)
+        del cfg.gamma[chan]
+        rec.retired.add(chan)
 
 
 def _instantiate_body(cfg: Config, d: ProcDef, chan: str,
@@ -194,7 +205,7 @@ def initial_config(prog: Program) -> Config:
     if prog.system is None:
         raise ValueError("program has no system block")
     cfg = Config(prog.types, prog.procs, [], {}, set(), {})
-    rec = StepRecord("init", [], [], [], {}, set())
+    rec = StepRecord("init", [], [], [], {}, set(), set())
     for binder, pname, args in prog.system.spawns:
         d = prog.procs.lookup(pname)
         _spawn_shared(cfg, d, binder, args, rec)
@@ -438,6 +449,7 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     rec.touched |= {a, u.chan}
     if isinstance(p.term, Close):
         cfg.theta.remove(p)
+        _retire(cfg, a, rec)
         u.term = u.term.cont
         u.uses.pop(a, None)
         rec.produced.append(_record(u))
@@ -478,6 +490,7 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         alias = cfg.provider(u.term.chan)
         rec.consumed.append(_record(alias))
         cfg.theta.remove(alias)
+        _retire(cfg, alias.chan, rec)
         u.uses.pop(alias.chan, None)
         rec.touched.add(alias.chan)
     del cfg.lam[b]
@@ -526,7 +539,7 @@ _HANDLERS = {
 
 
 def apply_step(cfg: Config, step: Step) -> StepRecord:
-    rec = StepRecord(step.rule, [], [], [], {}, set())
+    rec = StepRecord(step.rule, [], [], [], {}, set(), set())
     prov = cfg.provider(step.provider)
     user = None if step.user is None else cfg.provider(step.user)
     _HANDLERS[step.rule](cfg, rec, prov, user)
@@ -674,11 +687,13 @@ class RunResult:
 
 
 def _check_gamma_monotone(cfg: Config, before: dict[str, ConstraintType],
-                          renames: dict[str, str]) -> str | None:
+                          rec: StepRecord) -> str | None:
     from .synchro import cleq
     for k, c in before.items():
-        nk = renames.get(k, k)
+        nk = rec.renames.get(k, k)
         if nk not in cfg.gamma:
+            if nk in rec.retired and c == BOT:
+                continue
             return f"shared context: constraint for {k} disappeared"
         if not cleq(cfg.env, cfg.gamma[nk], c):
             return (f"shared context: constraint for {nk} evolved upward "
@@ -720,7 +735,7 @@ def run(prog: Program, *, seed: int = 0, max_steps: int = 1000,
                 "fresh": rec.fresh,
             }, sort_keys=True, separators=(",", ":")) + "\n")
         if monitor:
-            v = _check_gamma_monotone(cfg, before, rec.renames)
+            v = _check_gamma_monotone(cfg, before, rec)
             if v is None:
                 v = monitor_check(cfg, rec.touched)
             if v is not None:

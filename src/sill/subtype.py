@@ -19,24 +19,15 @@ from .types import (
     ValIn, ValOut, SessionType, TypeDefEnv, unfold, reachable,
 )
 
-# completed verdicts survive across top-level queries; keyed by the frozen
-# environment so extended environments never alias
-_cache: dict[tuple, bool] = {}
-
-
-def clear_cache() -> None:
-    _cache.clear()
-
-
 def _sub(env: TypeDefEnv, a: SessionType, b: SessionType,
          assumed: set[tuple]) -> bool:
-    key = (env, a, b)
-    hit = _cache.get(key)
+    key = (a, b)
+    hit = env.memo.get(key)
     if hit is not None:
         return hit
-    if (a, b) in assumed:
+    if key in assumed:
         return True
-    assumed.add((a, b))
+    assumed.add(key)
     ua, ub = unfold(env, a), unfold(env, b)
     match (ua, ub):
         case (One(), One()):
@@ -70,17 +61,17 @@ def _sub(env: TypeDefEnv, a: SessionType, b: SessionType,
             ok = False
     if not ok:
         # a refuted goal is definitively false regardless of assumptions
-        _cache[key] = False
+        env.memo[key] = False
     return ok
 
 
 def is_subtype(env: TypeDefEnv, a: SessionType, b: SessionType) -> bool:
-    key = (env, a, b)
-    hit = _cache.get(key)
+    key = (a, b)
+    hit = env.memo.get(key)
     if hit is not None:
         return hit
     ok = _sub(env, a, b, set())
-    _cache[key] = ok
+    env.memo[key] = ok
     return ok
 
 

@@ -42,22 +42,15 @@ def cleq_type(env: TypeDefEnv, c: ConstraintType, b: SessionType) -> bool:
             return False
 
 
-_ssync_cache: dict[tuple, bool] = {}
-
-
-def clear_cache() -> None:
-    _ssync_cache.clear()
-
-
 def _ssync(env: TypeDefEnv, a: SessionType, b: SessionType,
            d: ConstraintType, assumed: set[tuple]) -> bool:
-    key = (env, a, b, d)
-    hit = _ssync_cache.get(key)
+    key = (a, b, d)
+    hit = env.memo.get(key)
     if hit is not None:
         return hit
-    if (a, b, d) in assumed:
+    if key in assumed:
         return True
-    assumed.add((a, b, d))
+    assumed.add(key)
     ua, ub = unfold(env, a), unfold(env, b)
     match (ua, ub):
         case (One(), One()):
@@ -90,7 +83,7 @@ def _ssync(env: TypeDefEnv, a: SessionType, b: SessionType,
         case _:
             ok = False
     if not ok:
-        _ssync_cache[key] = False
+        env.memo[key] = False
     return ok
 
 
@@ -100,12 +93,12 @@ def is_ssync(env: TypeDefEnv, a: SessionType, b: SessionType,
         raise SsyncPreconditionError(
             "subsynchronizing judgment posed for a pair that is not in the "
             "subtyping relation")
-    key = (env, a, b, d)
-    hit = _ssync_cache.get(key)
+    key = (a, b, d)
+    hit = env.memo.get(key)
     if hit is not None:
         return hit
     ok = _ssync(env, a, b, d, set())
-    _ssync_cache[key] = ok
+    env.memo[key] = ok
     return ok
 
 

@@ -159,6 +159,13 @@ class TypeDefEnv:
     def _table(self) -> dict[str, TypeDef]:
         return {d.name: d for d in self.defs}
 
+    @cached_property
+    def memo(self) -> dict[tuple, bool]:
+        """Completed judgment verdicts under these definitions: subtyping
+        keyed by ``(a, b)``, subsynchronization by ``(a, b, d)``. Not a
+        field, so equality, hashing and repr ignore it."""
+        return {}
+
     def __contains__(self, name: str) -> bool:
         return name in self._table
 
@@ -169,7 +176,8 @@ class TypeDefEnv:
             raise KeyError(f"undefined type name: {name}") from None
 
     def extend(self, *new: TypeDef) -> "TypeDefEnv":
-        return TypeDefEnv(self.defs + tuple(new))
+        # returning self keeps the memo warm across meets that mint nothing
+        return TypeDefEnv(self.defs + new) if new else self
 
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.defs)

@@ -10,7 +10,7 @@ from sill.runtime import (
     RunStatus, run, initial_config, enumerate_steps, apply_step,
     monitor_check, classify,
 )
-from sill.types import SharedC, TOP, Ref, One, Tensor
+from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
 
 from conftest import CORPUS_FILES
 
@@ -177,20 +177,70 @@ def test_trace_bytes_pinned():
 
 def test_gamma_only_tightens():
     # watch the shared context across a whole run; each step may add
-    # entries or lower existing ones, never raise them
+    # entries or lower existing ones, never raise them, and drops only
+    # the never-available entries of names it retired; on this run Γ
+    # names exactly the live channels
     from sill.synchro import cleq
     prog = by_stem("auction")
     cfg = initial_config(prog)
+    retired = 0
     for _ in range(150):
         steps = enumerate_steps(cfg)
         if not steps:
             break
         before = dict(cfg.gamma)
         rec = apply_step(cfg, steps[0])
+        live = {e.chan for e in cfg.theta} | set(cfg.lam)
+        assert set(cfg.gamma) == live
         for k, c in before.items():
             nk = rec.renames.get(k, k)
+            if nk in rec.retired:
+                assert c == BOT and nk not in cfg.gamma and nk not in live
+                retired += 1
+                continue
             assert nk in cfg.gamma
             assert cleq(cfg.env, cfg.gamma[nk], c)
+    assert retired > 0
+
+
+def test_gamma_check_skips_only_retired_bottoms():
+    from sill.runtime import _check_gamma_monotone
+    cfg = initial_config(by_stem("auction"))
+    for _ in range(150):
+        before = dict(cfg.gamma)
+        rec = apply_step(cfg, enumerate_steps(cfg)[0])
+        if rec.retired:
+            break
+    assert rec.retired
+    assert _check_gamma_monotone(cfg, before, rec) is None
+    # a retired name may only have held the never-available constraint
+    gone = next(iter(rec.retired))
+    v = _check_gamma_monotone(cfg, {**before, gone: SharedC(Ref("x"))}, rec)
+    assert v is not None and "disappeared" in v
+    # a live channel losing its constraint is still reported
+    del cfg.gamma[next(k for k in before if k in cfg.gamma)]
+    v = _check_gamma_monotone(cfg, before, rec)
+    assert v is not None and "disappeared" in v
+
+
+# an acquired shared session may end in `close`; its channel keeps the
+# shared constraint, which aliases of it may still read
+CLOSE_SHARED = (
+    "type once = up_s 1\n"
+    "proc Once : () |- s: once = l <- accept s; close l\n"
+    "proc User : (sh s: once) |- x: 1 = l <- acquire s; wait l; close x\n"
+    "proc Main : (sh s: once) |- x: 1 = u <- spawn User(s); wait u; "
+    "close x\n"
+    "system { s <- spawn Once(); main Main(s); }\n"
+)
+
+
+def test_closed_shared_session_keeps_its_constraint():
+    diags, prog = check_program(parse_program(CLOSE_SHARED))
+    assert diags == []
+    r = run(prog, max_steps=50)
+    assert r.status == RunStatus.ALL_POISED and r.violation is None
+    assert r.config.gamma["s"] == SharedC(Ref("once"))
 
 
 def test_monitor_accepts_initial_configurations():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from sill.subtype import (
     is_subtype, bounded_oracle, exact_bound, ctx_leq, ctx_preceq,
 )
 from sill.types import BOT, TOP, SharedC
+from sill.synchro import is_ssync
 
 from gen import gen_env, gen_linear_type, widen, narrow
 
@@ -97,6 +100,33 @@ def test_corpus_queue_views(queue_env):
     assert not is_subtype(queue_env, prod, sq)
     assert not is_subtype(queue_env, cons, sq)
     assert not is_subtype(queue_env, prod, cons)
+
+
+def test_memo_belongs_to_env():
+    # two envs bind the same names to different bodies, so a verdict
+    # memoized under one must never answer the same query under the other
+    a, b = Ref("a"), Ref("b")
+    small = IChoice((("l", One()),))
+    big = IChoice((("l", One()), ("r", One())))
+
+    def envs():
+        yes = TypeDefEnv((TypeDef("a", LINEAR, small),
+                          TypeDef("b", LINEAR, big)))
+        no = TypeDefEnv((TypeDef("a", LINEAR, big),
+                         TypeDef("b", LINEAR, small)))
+        return yes, no
+
+    yes, no = envs()
+    assert sub(a, b, yes) and is_ssync(yes, a, b)
+    assert not sub(a, b, no)
+    queried = weakref.ref(yes)
+    yes, no = envs()
+    assert not sub(a, b, no)
+    assert sub(a, b, yes) and is_ssync(yes, a, b)
+    # no module-level structure keeps a queried env alive
+    del yes, no
+    gc.collect()
+    assert queried() is None
 
 
 def test_bounded_oracle_degenerate_depth():

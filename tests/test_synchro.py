@@ -104,6 +104,8 @@ def test_meet_equal_shared():
     sq = SharedC(Ref("shared_queue"))
     m, env = meet(SQ, sq, sq)
     assert m == sq and env == SQ
+    # nothing minted: the caller's env, and with it its memo, comes back
+    assert meet(SQ, sq, sq)[1] is SQ
 
 
 def test_meet_echoice_union():
