@@ -12,7 +12,7 @@ from sill.runtime import (
 )
 from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
 
-from conftest import CORPUS_FILES
+from conftest import CORPUS, CORPUS_FILES
 
 
 def checked(path):
@@ -173,6 +173,68 @@ def test_trace_bytes_pinned():
             h.update(f"{r.status.value} {r.steps}".encode())
             got[name, label] = h.hexdigest()[:16]
     assert got == PINNED_TRACES
+
+
+def wide_source(batches=3, cells=8, clients=("Writer", "Reader") * 3):
+    """A two-level program on the shared queue of corpus/queue.sill: Main
+    spawns the Batches, each spawning its Cells before draining them, then
+    the queue's clients, and waits for all of them. It grows to 29-35 live
+    processes, where the corpus never passes about 10."""
+    src = (CORPUS / "queue.sill").read_text()
+    prelude = src[:src.index("proc Main")]
+    spawn = [f"c{i} <- spawn Cell();" for i in range(cells)]
+    drain = [f"v{i} <- get c{i}; wait c{i};" for i in range(cells)]
+    starts = [f"b{i} <- spawn Batch();" for i in range(batches)]
+    starts += [f"k{j} <- spawn {w}(q);" for j, w in enumerate(clients)]
+    waits = [f"wait b{i};" for i in range(batches)]
+    waits += [f"wait k{j};" for j in range(len(clients))]
+    return "\n".join([
+        prelude,
+        "type cell = !int. 1",
+        "proc Cell : () |- c: cell = put c 1; close c",
+        "proc Batch : () |- b: 1 = " + " ".join(spawn + drain) + " close b",
+        "proc Main : (sh q: shared_queue) |- x: 1 = "
+        + " ".join(starts + waits) + " close x",
+        "system { q <- spawn QueueProv(); main Main(q); }",
+        "",
+    ])
+
+
+def drive(prog, choose):
+    """Step a configuration to quiescence, choose(steps) picking each step;
+    yields the configuration after every step."""
+    cfg = initial_config(prog)
+    while steps := enumerate_steps(cfg):
+        apply_step(cfg, choose(steps))
+        yield cfg
+
+
+# the same digest as PINNED_TRACES for monitored runs of wide_source() to
+# quiescence (126 steps); computed once and never edited, so a wrong
+# tie-break in the order of a large configuration shows up here
+WIDE_TRACES = {
+    "seed0": "00aa548ce7a679cc",  # all_poised 126
+    "seed5": "d961f72247975e1d",  # all_poised 126
+    "fifo": "cb2d83fdb3098a66",  # all_poised 126
+}
+
+
+def test_wide_trace_bytes_pinned():
+    diags, prog = check_program(parse_program(wide_source()))
+    assert diags == []
+    peak = max(sum(hasattr(e, "term") for e in cfg.theta) + len(cfg.lam)
+               for cfg in drive(prog, lambda steps: steps[0]))
+    assert peak > 25
+    got = {}
+    for label, kw in (("seed0", {"seed": 0}), ("seed5", {"seed": 5}),
+                      ("fifo", {"policy": "fifo"})):
+        buf = io.StringIO()
+        r = run(prog, max_steps=1000, trace=buf, **kw)
+        assert r.status == RunStatus.ALL_POISED and r.steps == 126
+        h = hashlib.sha256(buf.getvalue().encode())
+        h.update(f"{r.status.value} {r.steps}".encode())
+        got[label] = h.hexdigest()[:16]
+    assert got == WIDE_TRACES
 
 
 def test_gamma_only_tightens():
