@@ -20,6 +20,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 
 from .types import (
     UpLL, SessionType, TypeDefEnv, ConstraintType, SharedC, BOT, TOP, unfold,
@@ -117,16 +118,23 @@ class StepRecord:
 # Construction
 # --------------------------------------------------------------------------- #
 
-def _oneline(t: ProcessTerm) -> str:
-    return " ".join(format_proc(t).split())
-
-
-def _record(e: Proc | Connect) -> dict:
-    """The trace record of a process or alias predicate."""
+def _record(e: Proc | Connect) -> tuple:
+    """A snapshot of a process or alias predicate: kind, channel, and the
+    frozen term or the alias target; formatted only for a trace."""
     if isinstance(e, Connect):
-        return {"kind": "connect", "chan": e.chan, "target": e.target}
-    kind = "procS" if e.shared else "procL"
-    return {"kind": kind, "chan": e.chan, "term": _oneline(e.term)}
+        return ("connect", e.chan, e.target)
+    return ("procS" if e.shared else "procL", e.chan, e.term)
+
+
+def _trace_pred(r: tuple) -> dict:
+    """The trace form of a predicate snapshot."""
+    kind, chan, x = r
+    if kind == "unavail":
+        return {"kind": kind, "chan": chan}
+    if kind == "connect":
+        return {"kind": kind, "chan": chan, "target": x}
+    return {"kind": kind, "chan": chan,
+            "term": " ".join(format_proc(x).split())}
 
 
 def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
@@ -139,7 +147,7 @@ def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
     cfg.theta.append(conn)
     cfg.unavail.add(alias)
     cfg.gamma[alias] = BOT
-    rec.produced += [_record(conn), {"kind": "unavail", "chan": alias}]
+    rec.produced += [_record(conn), ("unavail", alias, None)]
     return alias
 
 
@@ -186,7 +194,7 @@ def _spawn_linear(cfg: Config, spawner_uses: dict[str, SessionType],
     cfg.theta.append(p)
     cfg.unavail.add(chan)
     cfg.gamma[chan] = BOT
-    rec.produced += [_record(p), {"kind": "unavail", "chan": chan}]
+    rec.produced += [_record(p), ("unavail", chan, None)]
 
 
 def _spawn_shared(cfg: Config, d: ProcDef, chan: str,
@@ -223,32 +231,34 @@ def initial_config(prog: Program) -> Config:
 # Ordering of the linear part
 # --------------------------------------------------------------------------- #
 
-def _entry_uses(e, offered: set[str]) -> set[str]:
-    if isinstance(e, Connect):
-        return {e.target} & offered
-    return set(e.uses) & offered
-
-
 def _retopo(cfg: Config) -> None:
     """Stable re-sort of the linear part so each entry uses only channels
-    offered to its right."""
-    remaining = list(cfg.theta)
-    offered = {e.chan for e in remaining}
+    offered to its right: place, again and again, the leftmost entry that
+    no entry still to place uses (Kahn's algorithm, ready entries taken by
+    position). An entry using its own channel is always ready."""
+    theta = cfg.theta
+    pos = {e.chan: i for i, e in enumerate(theta)}
+    uses = [[pos[c] for c in ((e.target,) if isinstance(e, Connect)
+                              else e.uses) if c in pos] for e in theta]
+    # an entry using its own channel is always ready: none waits on it
+    free = {i for i, us in enumerate(uses) if i in us}
+    if free:
+        uses = [[j for j in us if j not in free] for us in uses]
+    users = [0] * len(theta)  # per entry, its users still to place
+    for us in uses:
+        for j in us:
+            users[j] += 1
+    ready = [i for i, n in enumerate(users) if n == 0]
     out = []
-    while remaining:
-        used_by_rest: set[str] = set()
-        for e in remaining:
-            used_by_rest |= _entry_uses(e, offered)
-        for i, e in enumerate(remaining):
-            if e.chan not in used_by_rest or e.chan in _entry_uses(e, offered):
-                out.append(e)
-                remaining.pop(i)
-                offered.discard(e.chan)
-                break
-        else:
-            # defensive: a usage cycle cannot arise from well-typed steps
-            out.extend(remaining)
-            remaining = []
+    while ready:
+        i = heappop(ready)
+        out.append(theta[i])
+        for j in uses[i]:
+            users[j] -= 1
+            if users[j] == 0:
+                heappush(ready, j)
+    # defensive: a usage cycle cannot arise from well-typed steps
+    out += [e for i, e in enumerate(theta) if users[i]]
     cfg.theta = out
 
 
@@ -256,19 +266,21 @@ def _retopo(cfg: Config) -> None:
 # Step enumeration
 # --------------------------------------------------------------------------- #
 
+# the field of each action naming the channel it synchronizes on
+_SUBJECT = {
+    **dict.fromkeys((Close, Wait, Acquire, AcquireL, Accept, AcceptL,
+                     Release, ReleaseL, Detach, DetachL), "chan"),
+    **dict.fromkeys((SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
+                     SendVal, RecvVal), "on"),
+}
+
+
 def _subject(p: Proc):
     """(channel, action) pair of the next action; the channel is None for
     spawns and forwards, which act on their own."""
     t = p.term
-    match t:
-        case Close(c) | Wait(c, _) | SendChan(c, _, _) | SendChanS(c, _, _) \
-                | RecvChan(c, _, _) | SendLabel(c, _, _) | CaseRecv(c, _) \
-                | SendVal(c, _, _) | RecvVal(c, _, _) | Acquire(_, c, _) \
-                | AcquireL(_, c, _) | Accept(_, c, _) | AcceptL(_, c, _) \
-                | Release(_, c, _) | ReleaseL(_, c, _) | Detach(_, c, _) \
-                | DetachL(_, c, _):
-            return c, t
-    return None, t
+    f = _SUBJECT.get(type(t))
+    return (None if f is None else getattr(t, f)), t
 
 
 # (provider action, client action) on the provider's channel -> the rule
@@ -291,28 +303,37 @@ _PAIRS = {
 
 
 def enumerate_steps(cfg: Config) -> list[Step]:
+    # one pass for what Config.provider and Config.user_of would find
+    offered: dict[str, Proc | Connect] = {}
+    client: dict[str, Proc] = {}
+    acquirers: list[Proc] = []
+    for e in cfg.theta:
+        offered.setdefault(e.chan, e)
+        if isinstance(e, Proc):
+            for c in e.uses:
+                client.setdefault(c, e)
+            if isinstance(e.term, (Acquire, AcquireL)):
+                acquirers.append(e)
     steps: list[Step] = []
     for e in cfg.theta:
         if isinstance(e, Connect):
             continue
-        t = e.term
         a = e.chan
-        match t:
-            case FwdLL(_, _):
-                steps.append(Step("fwd_ll", a))
-                continue
-            case FwdLS(_, _):
-                steps.append(Step("fwd_ls", a))
-                continue
-            case Spawn(pname, _, _, _, _):
-                d = cfg.sig.lookup(pname)
-                rule = "spawn_ls" if d.offer_shared else "spawn_ll"
-                steps.append(Step(rule, a))
-                continue
-        c, _ = _subject(e)
+        c, t = _subject(e)
+        if c is None:
+            match t:
+                case FwdLL(_, _):
+                    steps.append(Step("fwd_ll", a))
+                case FwdLS(_, _):
+                    steps.append(Step("fwd_ls", a))
+                case Spawn(pname, _, _, _, _):
+                    d = cfg.sig.lookup(pname)
+                    rule = "spawn_ls" if d.offer_shared else "spawn_ll"
+                    steps.append(Step(rule, a))
+            continue
         if c != a:
             continue  # user-side action; the matching provider drives it
-        u = cfg.user_of(a)
+        u = client.get(a)
         uc, ut = _subject(u) if u is not None else (None, None)
         rule = _PAIRS.get((type(t), type(ut))) if uc == a else None
         if rule is None:
@@ -332,14 +353,12 @@ def enumerate_steps(cfg: Config) -> list[Step]:
                 continue
             case Accept(_, c, _) if c == a:
                 # every pending acquirer of this session is a separate step
-                for e in cfg.theta:
-                    if isinstance(e, Connect):
-                        continue
+                for e in acquirers:
                     match e.term:
                         case Acquire(_, b, _) if b == a:
                             steps.append(Step("up_sl", a, e.chan))
                         case AcquireL(_, b, _):
-                            tgt = cfg.provider(b)
+                            tgt = offered.get(b)
                             if isinstance(tgt, Connect) and tgt.target == a:
                                 steps.append(Step("up_sl2", a, e.chan))
     return steps
@@ -500,7 +519,7 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     cfg.unavail.add(b)
     u.term = _resume(u.term, b)
     u.uses[b] = body
-    rec.produced += [_record(newp), {"kind": "unavail", "chan": b},
+    rec.produced += [_record(newp), ("unavail", b, None),
                      _record(u)]
 
 
@@ -509,7 +528,7 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     u lets go of it; a client releasing at a linear shift (down_sl2) keeps
     a fresh linear alias of c."""
     c = p.chan
-    rec.consumed += [_record(p), _record(u), {"kind": "unavail", "chan": c}]
+    rec.consumed += [_record(p), _record(u), ("unavail", c, None)]
     cfg.theta.remove(p)
     cfg.unavail.discard(c)
     shared_ty = cfg.unf(p.offer).cont
@@ -730,8 +749,8 @@ def run(prog: Program, *, seed: int = 0, max_steps: int = 1000,
             trace.write(json.dumps({
                 "step": n,
                 "rule": rec.rule,
-                "consumed": rec.consumed,
-                "produced": rec.produced,
+                "consumed": [_trace_pred(r) for r in rec.consumed],
+                "produced": [_trace_pred(r) for r in rec.produced],
                 "fresh": rec.fresh,
             }, sort_keys=True, separators=(",", ":")) + "\n")
         if monitor:

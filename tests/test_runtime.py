@@ -8,7 +8,7 @@ from sill.parser import parse_program
 from sill.typecheck import check_program
 from sill.runtime import (
     RunStatus, run, initial_config, enumerate_steps, apply_step,
-    monitor_check, classify,
+    monitor_check, classify, Connect, Proc,
 )
 from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
 
@@ -235,6 +235,80 @@ def test_wide_trace_bytes_pinned():
         h.update(f"{r.status.value} {r.steps}".encode())
         got[label] = h.hexdigest()[:16]
     assert got == WIDE_TRACES
+
+
+def reference_order(theta):
+    """The quadratic greedy the runtime's order is defined by: place, again
+    and again, the leftmost entry that no other entry still to place uses
+    (an entry using its own channel is always ready); a usage cycle keeps
+    its entries in their order at the end."""
+    def used(e, offered):
+        return ({e.target} if isinstance(e, Connect) else set(e.uses)) \
+            & offered
+    remaining = list(theta)
+    offered = {e.chan for e in remaining}
+    out = []
+    while remaining:
+        used_by_rest = set()
+        for e in remaining:
+            used_by_rest |= used(e, offered)
+        for i, e in enumerate(remaining):
+            if e.chan not in used_by_rest or e.chan in used(e, offered):
+                out.append(e)
+                remaining.pop(i)
+                offered.discard(e.chan)
+                break
+        else:
+            out.extend(remaining)
+            remaining = []
+    return out
+
+
+def test_retopo_matches_reference_order(monkeypatch):
+    import random
+    from sill import runtime
+    fast = runtime._retopo
+    sorted_inputs = []
+
+    def checked_retopo(cfg):
+        want = reference_order(cfg.theta)
+        fast(cfg)
+        assert [id(e) for e in cfg.theta] == [id(e) for e in want]
+        sorted_inputs.append(len(want))
+
+    monkeypatch.setattr(runtime, "_retopo", checked_retopo)
+    progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
+    progs += [check_program(parse_program(src))[1]
+              for src in (SPAWN_LS, wide_source())]
+    for prog in progs:
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            for n, cfg in enumerate(drive(prog, rng.choice)):
+                # every entry uses only channels offered to its right
+                offered = {e.chan for e in cfg.theta}
+                right = set()
+                for e in reversed(cfg.theta):
+                    mine = {e.target} if isinstance(e, Connect) \
+                        else set(e.uses)
+                    assert mine & offered <= right | {e.chan}
+                    right.add(e.chan)
+                if n == 200:
+                    break
+    assert max(sorted_inputs) > 25
+    # random usage graphs: entries using their own channel, channels no
+    # entry offers, and cycles, which well-typed steps never produce
+    rng = random.Random(0)
+    for _ in range(300):
+        chans = [f"c{i}" for i in range(rng.randrange(1, 12))]
+        theta = [Connect(c, rng.choice(chans)) if rng.random() < 0.2 else
+                 Proc(c, None, None, dict.fromkeys(
+                     rng.sample(chans + ["s"], rng.randrange(3))), False)
+                 for c in chans]
+        cfg = initial_config(by_stem("basics"))
+        cfg.theta = list(theta)
+        fast(cfg)
+        want = reference_order(theta)
+        assert [id(e) for e in cfg.theta] == [id(e) for e in want]
 
 
 def test_gamma_only_tightens():
