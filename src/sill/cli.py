@@ -3,8 +3,8 @@
 Subcommands: ``check``, ``sub``, ``ssync``, ``esync``, ``meet``, ``run``,
 ``fmt``. Exit codes: 0 for success / a positive verdict, 1 for a negative
 verdict, diagnostics, a monitor violation or a run that halts without
-progress, 2 for usage and syntax errors and for programs too deep to
-process.
+progress, 2 for usage and syntax errors (unreadable files, unknown type
+names) and for programs too deep to process.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def cmd_fmt(args) -> int:
 
 def cmd_sub(args) -> int:
     prog = _load(args.file)
-    a = parse_type(args.a)
-    b = parse_type(args.b)
+    a = parse_type(args.a, prog.types)
+    b = parse_type(args.b, prog.types)
     ok = is_subtype(prog.types, a, b)
     print("yes" if ok else "no")
     return 0 if ok else 1
@@ -64,14 +64,14 @@ def cmd_sub(args) -> int:
 
 def cmd_ssync(args) -> int:
     prog = _load(args.file)
-    a = parse_type(args.a)
-    b = parse_type(args.b)
+    a = parse_type(args.a, prog.types)
+    b = parse_type(args.b, prog.types)
     if args.constraint == "top":
         d = TOP
     elif args.constraint == "bot":
         d = BOT
     else:
-        d = SharedC(parse_type(args.constraint))
+        d = SharedC(parse_type(args.constraint, prog.types))
     try:
         ok = is_ssync(prog.types, a, b, d)
     except SsyncPreconditionError:
@@ -83,7 +83,7 @@ def cmd_ssync(args) -> int:
 
 def cmd_esync(args) -> int:
     prog = _load(args.file)
-    a = parse_type(args.a)
+    a = parse_type(args.a, prog.types)
     ok = is_esync(prog.types, a)
     print("yes" if ok else "no")
     return 0 if ok else 1
@@ -91,8 +91,8 @@ def cmd_esync(args) -> int:
 
 def cmd_meet(args) -> int:
     prog = _load(args.file)
-    a = parse_type(args.a)
-    b = parse_type(args.b)
+    a = parse_type(args.a, prog.types)
+    b = parse_type(args.b, prog.types)
     t, env2 = meet_types(prog.types, a, b)
     if t is None:
         print("none")
@@ -199,11 +199,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(str(e), file=sys.stderr)
+    except UnicodeDecodeError as e:
+        print(f"{args.file}: not UTF-8 text: {e.reason} at byte {e.start}",
+              file=sys.stderr)
         return 2
     except RecursionError:
         print(f"{args.file}: program too deep to process", file=sys.stderr)

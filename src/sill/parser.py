@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, SessionType, TypeDef, TypeDefEnv,
-    SHARED, LINEAR, unfold, TypeError_,
+    SHARED, LINEAR, unfold, TypeError_, children,
 )
 from .procast import (
     Fwd, Spawn, Close, Wait, SendChan, RecvChan, SendLabel, CaseRecv,
@@ -422,8 +422,15 @@ def parse_program(src: str) -> Program:
 
 
 def parse_type(src: str, env: TypeDefEnv | None = None) -> SessionType:
-    """Parse a single type expression (CLI helper)."""
+    """Parse a single type expression (CLI helper); given env, every type
+    name in it must be defined there."""
     p = _P(tokenize(src))
     ty = p.type_()
     p.expect("eof")
+    todo = [ty] if env is not None else []
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Ref) and t.name not in env:
+            raise ParseError(f"undefined type name: {t.name}")
+        todo.extend(children(t))
     return ty

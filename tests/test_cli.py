@@ -131,3 +131,26 @@ def test_too_deep_program_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err == f"{deep}: program too deep to process\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{dir}"],
+    ["fmt", "{latin1}"],
+    ["run", Q, "--trace", "{dir}"],
+    ["sub", Q, "nosuch", "producer"],
+    ["ssync", Q, "producer", "nosuch"],
+    ["ssync", Q, "shared_queue", "producer", "--constraint", "nosuch"],
+    ["esync", Q, "nosuch"],
+    ["meet", Q, "producer", "nosuch"],
+], ids=["dir", "not_utf8", "trace_dir", "sub", "ssync", "constraint",
+        "esync", "meet"])
+def test_bad_input_or_name_exits_2(argv, tmp_path, capsys):
+    # a directory, an undecodable file, an unwritable trace path and an
+    # unknown type name each end in one line, not a traceback
+    latin1 = tmp_path / "latin1.sill"
+    latin1.write_bytes("// caf\xe9\n".encode("latin-1"))
+    argv = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
