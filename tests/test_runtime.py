@@ -175,18 +175,19 @@ def test_trace_bytes_pinned():
     assert got == PINNED_TRACES
 
 
-def wide_source(batches=3, cells=8, clients=("Writer", "Reader") * 3):
+def wide_source():
     """A two-level program on the shared queue of corpus/queue.sill: Main
-    spawns the Batches, each spawning its Cells before draining them, then
-    the queue's clients, and waits for all of them. It grows to 29-35 live
+    spawns 3 Batches, each spawning 8 Cells before draining them, then 6
+    clients of the queue, and waits for all of them. It grows to 29-35 live
     processes, where the corpus never passes about 10."""
     src = (CORPUS / "queue.sill").read_text()
     prelude = src[:src.index("proc Main")]
-    spawn = [f"c{i} <- spawn Cell();" for i in range(cells)]
-    drain = [f"v{i} <- get c{i}; wait c{i};" for i in range(cells)]
-    starts = [f"b{i} <- spawn Batch();" for i in range(batches)]
+    clients = ("Writer", "Reader") * 3
+    spawn = [f"c{i} <- spawn Cell();" for i in range(8)]
+    drain = [f"v{i} <- get c{i}; wait c{i};" for i in range(8)]
+    starts = [f"b{i} <- spawn Batch();" for i in range(3)]
     starts += [f"k{j} <- spawn {w}(q);" for j, w in enumerate(clients)]
-    waits = [f"wait b{i};" for i in range(batches)]
+    waits = [f"wait b{i};" for i in range(3)]
     waits += [f"wait k{j};" for j in range(len(clients))]
     return "\n".join([
         prelude,
@@ -266,15 +267,16 @@ def reference_order(theta):
 
 def test_retopo_matches_reference_order(monkeypatch):
     import random
+    from types import SimpleNamespace
     from sill import runtime
     fast = runtime._retopo
-    sorted_inputs = []
+    sizes = []
 
     def checked_retopo(cfg):
         want = reference_order(cfg.theta)
         fast(cfg)
         assert [id(e) for e in cfg.theta] == [id(e) for e in want]
-        sorted_inputs.append(len(want))
+        sizes.append(len(want))
 
     monkeypatch.setattr(runtime, "_retopo", checked_retopo)
     progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
@@ -294,7 +296,7 @@ def test_retopo_matches_reference_order(monkeypatch):
                     right.add(e.chan)
                 if n == 200:
                     break
-    assert max(sorted_inputs) > 25
+    assert max(sizes) > 25
     # random usage graphs: entries using their own channel, channels no
     # entry offers, and cycles, which well-typed steps never produce
     rng = random.Random(0)
@@ -304,8 +306,7 @@ def test_retopo_matches_reference_order(monkeypatch):
                  Proc(c, None, None, dict.fromkeys(
                      rng.sample(chans + ["s"], rng.randrange(3))), False)
                  for c in chans]
-        cfg = initial_config(by_stem("basics"))
-        cfg.theta = list(theta)
+        cfg = SimpleNamespace(theta=list(theta))
         fast(cfg)
         want = reference_order(theta)
         assert [id(e) for e in cfg.theta] == [id(e) for e in want]
