@@ -6,11 +6,20 @@ typechecker elaborates them into the modality-resolved variants
 (``FwdLL``/``FwdSS``/``FwdLS``, ``SendChanS``, ``AcquireL`` and friends)
 that the runtime dispatches on. Both families live here so a term is a
 plain immutable tree at every stage.
+
+A constructor's binding rule is read off its field names, so a new one
+must use them: ``offer``, ``used``, ``chan``, ``on``, ``payload`` and
+``value`` hold a free name, ``args`` a tuple of free names, ``binder`` a
+name bound over the continuation, ``cont`` and ``branches`` are the
+continuations, and any other field holds no channel name. ``FIELDS``
+records these roles for renaming and for the runtime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Callable, get_args
 
 from .types import SessionType
 
@@ -222,205 +231,80 @@ class ProcDef:
 class ProcSignature:
     defs: tuple[ProcDef, ...] = ()
 
+    @cached_property
+    def _table(self) -> dict[str, ProcDef]:
+        # the first definition wins; a duplicate is a typecheck diagnostic
+        return {d.name: d for d in reversed(self.defs)}
+
     def __contains__(self, name: str) -> bool:
-        return any(d.name == name for d in self.defs)
+        return name in self._table
 
     def lookup(self, name: str) -> ProcDef:
-        for d in self.defs:
-            if d.name == name:
-                return d
-        raise KeyError(f"undefined process: {name}")
-
-    def with_body(self, name: str, body: ProcessTerm) -> "ProcSignature":
-        out = tuple(
-            ProcDef(d.name, d.offer, d.offer_ty, d.offer_shared, d.params, body)
-            if d.name == name else d
-            for d in self.defs)
-        return ProcSignature(out)
+        try:
+            return self._table[name]
+        except KeyError:
+            raise KeyError(f"undefined process: {name}") from None
 
 
 # --------------------------------------------------------------------------- #
-# Substitution and alpha normalization
+# Renaming
 # --------------------------------------------------------------------------- #
+
+NAME, NAMES, BINDER, CONT, BRANCHES = (
+    "name", "names", "binder", "cont", "branches")
+_ROLES = {**dict.fromkeys(("offer", "used", "chan", "on", "payload", "value"),
+                          NAME),
+          "args": NAMES, "binder": BINDER, "cont": CONT, "branches": BRANCHES}
+# constructor -> ((field, role or None), ...) in field order
+FIELDS = {cls: tuple((f.name, _ROLES.get(f.name)) for f in fields(cls))
+          for cls in get_args(ProcessTerm)}
+
+
+def _rename(t: ProcessTerm, ren: dict[str, str],
+            gen: Callable[[], str] | None) -> ProcessTerm:
+    """Rename the free names of t by ren. With gen None a binder shadows
+    (its name leaves ren below it); otherwise each binder gets gen(), in
+    preorder. Recurses only into case branches, not along the spine."""
+    spine = []
+    while gen is not None or ren:
+        vals, inner, k = [], ren, None
+        for f, role in FIELDS[type(t)]:
+            v = getattr(t, f)
+            if role is NAME:
+                v = ren.get(v, v)
+            elif role is NAMES:
+                v = tuple([ren.get(x, x) for x in v])
+            elif role is BINDER:
+                if gen is not None:
+                    fresh = gen()
+                    inner, v = {**ren, v: fresh}, fresh
+                elif v in ren:
+                    inner = {x: y for x, y in ren.items() if x != v}
+            elif role is BRANCHES:
+                v = tuple([(l, _rename(b, inner, gen)) for l, b in v])
+            elif role is CONT:
+                k = len(vals)
+            vals.append(v)
+        if k is None:
+            t = type(t)(*vals)
+            break
+        spine.append((type(t), vals, k))
+        t, ren = vals[k], inner
+    for cls, vals, k in reversed(spine):
+        vals[k] = t
+        t = cls(*vals)
+    return t
+
 
 def substitute(p: ProcessTerm, renaming: dict[str, str]) -> ProcessTerm:
     """Simultaneous renaming of free channel and value names. Binders
     shadow: a renaming for a name rebound below does not cross it."""
-    if not renaming:
-        return p
-
-    def sub(n: str) -> str:
-        return renaming.get(n, n)
-
-    match p:
-        case Fwd(a, b):
-            return Fwd(sub(a), sub(b))
-        case FwdLL(a, b):
-            return FwdLL(sub(a), sub(b))
-        case FwdSS(a, b):
-            return FwdSS(sub(a), sub(b))
-        case FwdLS(a, b):
-            return FwdLS(sub(a), sub(b))
-        case Close(a):
-            return Close(sub(a))
-        case Wait(a, c):
-            return Wait(sub(a), substitute(c, renaming))
-        case SendChan(a, y, c):
-            return SendChan(sub(a), sub(y), substitute(c, renaming))
-        case SendChanS(a, y, c):
-            return SendChanS(sub(a), sub(y), substitute(c, renaming))
-        case SendLabel(a, l, c):
-            return SendLabel(sub(a), l, substitute(c, renaming))
-        case CaseRecv(a, bs):
-            return CaseRecv(sub(a), tuple(
-                (l, substitute(t, renaming)) for l, t in bs))
-        case SendVal(a, v, c):
-            return SendVal(sub(a), sub(v), substitute(c, renaming))
-        case Spawn(proc, binder, args, cont, kinds):
-            inner = {k: v for k, v in renaming.items() if k != binder}
-            return Spawn(proc, binder, tuple(sub(x) for x in args),
-                         substitute(cont, inner), kinds)
-        case RecvChan(a, binder, cont) | RecvVal(a, binder, cont) \
-                | Acquire(binder, a, cont) | AcquireL(binder, a, cont) \
-                | Accept(binder, a, cont) | AcceptL(binder, a, cont) \
-                | Release(binder, a, cont) | ReleaseL(binder, a, cont) \
-                | Detach(binder, a, cont) | DetachL(binder, a, cont):
-            inner = {k: v for k, v in renaming.items() if k != binder}
-            cont2 = substitute(cont, inner)
-            cls = type(p)
-            if cls in (RecvChan, RecvVal):
-                return cls(sub(a), binder, cont2)
-            return cls(binder, sub(a), cont2)
-    raise AssertionError(f"unhandled term {p!r}")
+    return _rename(p, renaming, None)
 
 
-def free_names(p: ProcessTerm) -> frozenset[str]:
-    """Free channel/value names (the offered channel counts as free)."""
-    match p:
-        case Fwd(a, b) | FwdLL(a, b) | FwdSS(a, b) | FwdLS(a, b):
-            return frozenset((a, b))
-        case Close(a):
-            return frozenset((a,))
-        case Wait(a, c) | SendLabel(a, _, c):
-            return free_names(c) | {a}
-        case SendChan(a, y, c) | SendChanS(a, y, c) | SendVal(a, y, c):
-            return free_names(c) | {a, y}
-        case CaseRecv(a, bs):
-            out = frozenset((a,))
-            for _, t in bs:
-                out |= free_names(t)
-            return out
-        case Spawn(_, binder, args, cont, _):
-            return (free_names(cont) - {binder}) | frozenset(args)
-        case RecvChan(a, binder, cont) | RecvVal(a, binder, cont) \
-                | Acquire(binder, a, cont) | AcquireL(binder, a, cont) \
-                | Accept(binder, a, cont) | AcceptL(binder, a, cont) \
-                | Release(binder, a, cont) | ReleaseL(binder, a, cont) \
-                | Detach(binder, a, cont) | DetachL(binder, a, cont):
-            return (free_names(cont) - {binder}) | {a}
-    raise AssertionError(f"unhandled term {p!r}")
-
-
-def freshen(p: ProcessTerm, gen) -> ProcessTerm:
-    """Rename every binder using the supplied name generator. Used when a
-    definition body is instantiated, so no actual channel name can be
-    captured by a binder that happens to spell the same."""
-
-    def go(t: ProcessTerm, ren: dict[str, str]) -> ProcessTerm:
-        def sub(n: str) -> str:
-            return ren.get(n, n)
-
-        match t:
-            case Spawn(proc, binder, args, cont, kinds):
-                fresh = gen()
-                inner = dict(ren)
-                inner[binder] = fresh
-                return Spawn(proc, fresh, tuple(sub(x) for x in args),
-                             go(cont, inner), kinds)
-            case RecvChan(a, binder, cont) | RecvVal(a, binder, cont) \
-                    | Acquire(binder, a, cont) | AcquireL(binder, a, cont) \
-                    | Accept(binder, a, cont) | AcceptL(binder, a, cont) \
-                    | Release(binder, a, cont) | ReleaseL(binder, a, cont) \
-                    | Detach(binder, a, cont) | DetachL(binder, a, cont):
-                fresh = gen()
-                inner = dict(ren)
-                inner[binder] = fresh
-                cont2 = go(cont, inner)
-                cls = type(t)
-                if cls in (RecvChan, RecvVal):
-                    return cls(sub(a), fresh, cont2)
-                return cls(fresh, sub(a), cont2)
-            case CaseRecv(a, bs):
-                return CaseRecv(sub(a), tuple((l, go(b, ren)) for l, b in bs))
-            case Wait(a, c):
-                return Wait(sub(a), go(c, ren))
-            case SendChan(a, y, c):
-                return SendChan(sub(a), sub(y), go(c, ren))
-            case SendChanS(a, y, c):
-                return SendChanS(sub(a), sub(y), go(c, ren))
-            case SendLabel(a, l, c):
-                return SendLabel(sub(a), l, go(c, ren))
-            case SendVal(a, v, c):
-                return SendVal(sub(a), sub(v), go(c, ren))
-            case _:
-                return substitute(t, ren)
-
-    return go(p, {})
-
-
-def alpha_normalize(p: ProcessTerm) -> ProcessTerm:
-    """Rename all binders to a canonical c0, c1, ... scheme, numbering by
-    preorder position. Free names are untouched; idempotent."""
-    counter = [0]
-
-    def go(t: ProcessTerm, ren: dict[str, str]) -> ProcessTerm:
-        def sub(n: str) -> str:
-            return ren.get(n, n)
-
-        match t:
-            case Fwd(a, b):
-                return Fwd(sub(a), sub(b))
-            case FwdLL(a, b):
-                return FwdLL(sub(a), sub(b))
-            case FwdSS(a, b):
-                return FwdSS(sub(a), sub(b))
-            case FwdLS(a, b):
-                return FwdLS(sub(a), sub(b))
-            case Close(a):
-                return Close(sub(a))
-            case Wait(a, c):
-                return Wait(sub(a), go(c, ren))
-            case SendChan(a, y, c):
-                return SendChan(sub(a), sub(y), go(c, ren))
-            case SendChanS(a, y, c):
-                return SendChanS(sub(a), sub(y), go(c, ren))
-            case SendLabel(a, l, c):
-                return SendLabel(sub(a), l, go(c, ren))
-            case CaseRecv(a, bs):
-                return CaseRecv(sub(a), tuple((l, go(b, ren)) for l, b in bs))
-            case SendVal(a, v, c):
-                return SendVal(sub(a), sub(v), go(c, ren))
-            case Spawn(proc, binder, args, cont, kinds):
-                fresh = f"c{counter[0]}"
-                counter[0] += 1
-                inner = dict(ren)
-                inner[binder] = fresh
-                return Spawn(proc, fresh, tuple(sub(x) for x in args),
-                             go(cont, inner), kinds)
-            case RecvChan(a, binder, cont) | RecvVal(a, binder, cont) \
-                    | Acquire(binder, a, cont) | AcquireL(binder, a, cont) \
-                    | Accept(binder, a, cont) | AcceptL(binder, a, cont) \
-                    | Release(binder, a, cont) | ReleaseL(binder, a, cont) \
-                    | Detach(binder, a, cont) | DetachL(binder, a, cont):
-                fresh = f"c{counter[0]}"
-                counter[0] += 1
-                inner = dict(ren)
-                inner[binder] = fresh
-                cont2 = go(cont, inner)
-                cls = type(t)
-                if cls in (RecvChan, RecvVal):
-                    return cls(sub(a), fresh, cont2)
-                return cls(fresh, sub(a), cont2)
-        raise AssertionError(f"unhandled term {t!r}")
-
-    return go(p, {})
+def freshen(p: ProcessTerm, gen: Callable[[], str],
+            renaming: dict[str, str] | None = None) -> ProcessTerm:
+    """Rename every binder to gen(), in preorder, and the free names by
+    renaming, which maps no name gen() returns. Instantiating a body so,
+    no actual channel name is captured by a binder spelt the same."""
+    return _rename(p, renaming or {}, gen)

@@ -31,7 +31,7 @@ from .procast import (
     FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
-    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature,
+    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, FIELDS,
     substitute, freshen,
 )
 from .parser import Program
@@ -163,10 +163,7 @@ def _retire(cfg: Config, chan: str, rec: StepRecord) -> None:
 
 def _instantiate_body(cfg: Config, d: ProcDef, chan: str,
                       actuals: dict[str, str]) -> ProcessTerm:
-    body = freshen(d.body, cfg.fresh)
-    ren = dict(actuals)
-    ren[d.offer] = chan
-    return substitute(body, ren)
+    return freshen(d.body, cfg.fresh, actuals | {d.offer: chan})
 
 
 def _spawn_linear(cfg: Config, spawner_uses: dict[str, SessionType],
@@ -267,19 +264,15 @@ def _retopo(cfg: Config) -> None:
 # --------------------------------------------------------------------------- #
 
 # the field of each action naming the channel it synchronizes on
-_SUBJECT = {
-    **dict.fromkeys((Close, Wait, Acquire, AcquireL, Accept, AcceptL,
-                     Release, ReleaseL, Detach, DetachL), "chan"),
-    **dict.fromkeys((SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
-                     SendVal, RecvVal), "on"),
-}
+SUBJECT = {cls: f for cls, roles in FIELDS.items() for f, _ in roles
+           if f in ("on", "chan")}
 
 
 def _subject(p: Proc):
     """(channel, action) pair of the next action; the channel is None for
     spawns and forwards, which act on their own."""
     t = p.term
-    f = _SUBJECT.get(type(t))
+    f = SUBJECT.get(type(t))
     return (None if f is None else getattr(t, f)), t
 
 

@@ -11,7 +11,7 @@ variants as a side effect, so a checked program is ready to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
@@ -516,13 +516,12 @@ def check_program(prog: Program) -> tuple[list[str], Program]:
         if d.name in seen:
             diags.append(f"duplicate process definition: {d.name}")
         seen.add(d.name)
-    out = sig
+    out = []
     for d in sig.defs:
         ds, body = check_procdef(prog.types, sig, d)
         diags.extend(ds)
-        if body is not None:
-            out = out.with_body(d.name, body)
-    prog2 = Program(prog.types, out, prog.system)
+        out.append(d if body is None else replace(d, body=body))
+    prog2 = Program(prog.types, ProcSignature(tuple(out)), prog.system)
     if prog.system is not None:
         diags.extend(check_system(prog2))
     return diags, prog2

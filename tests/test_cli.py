@@ -103,6 +103,24 @@ def test_run_no_static_monitors(tmp_path, capsys):
     assert err.startswith("progress: ") and len(err.splitlines()) == 1
 
 
+def test_run_no_static_runs_first_duplicate(tmp_path, capsys):
+    first = ("type u = 1\n"
+             "proc P : () |- c: u = close c\n")
+    rest = ("proc Q : () |- d: u = close d\n"
+            "proc M : () |- m: 1 = y <- spawn P(); wait y; close m\n"
+            "system { main M(); }\n")
+    dup = first + "proc P : () |- c: u = z <- spawn Q(); wait z; close c\n"
+    traces = []
+    for i, src in enumerate((first + rest, dup + rest)):
+        f, t = tmp_path / f"{i}.sill", tmp_path / f"{i}.jsonl"
+        f.write_text(src)
+        assert main(["run", str(f), "--no-static", "--trace", str(t)]) == 0
+        traces.append(t.read_text())
+    assert traces[0] == traces[1]
+    assert main(["check", str(f)]) == 1
+    assert "duplicate process definition: P" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["bogus"]) == 2
     assert main(["sub", Q]) == 2

@@ -1,16 +1,146 @@
 import itertools
+from typing import get_args
+
+from hypothesis import given, settings, strategies as st
 
 from sill.procast import (
-    Fwd, Close, Wait, SendChan, RecvChan, SendLabel, CaseRecv,
-    SendVal, RecvVal, Spawn, Acquire, Release,
-    substitute, free_names, freshen, alpha_normalize,
+    Fwd, FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
+    SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
+    Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
+    SendVal, RecvVal, ProcessTerm, FIELDS,
+    substitute, freshen,
 )
 from sill.parser import parse_program
+from sill.runtime import SUBJECT
 
 
 def body_of(src: str, name: str):
     prog = parse_program(src)
     return prog.procs.lookup(name).body
+
+
+def free_names(p: ProcessTerm) -> frozenset[str]:
+    """Free channel/value names (the offered channel counts as free)."""
+    match p:
+        case Fwd(a, b) | FwdLL(a, b) | FwdSS(a, b) | FwdLS(a, b):
+            return frozenset((a, b))
+        case Close(a):
+            return frozenset((a,))
+        case Wait(a, c) | SendLabel(a, _, c):
+            return free_names(c) | {a}
+        case SendChan(a, y, c) | SendChanS(a, y, c) | SendVal(a, y, c):
+            return free_names(c) | {a, y}
+        case CaseRecv(a, bs):
+            out = frozenset((a,))
+            for _, t in bs:
+                out |= free_names(t)
+            return out
+        case Spawn(_, binder, args, cont, _):
+            return (free_names(cont) - {binder}) | frozenset(args)
+        case RecvChan(a, binder, cont) | RecvVal(a, binder, cont) \
+                | Acquire(binder, a, cont) | AcquireL(binder, a, cont) \
+                | Accept(binder, a, cont) | AcceptL(binder, a, cont) \
+                | Release(binder, a, cont) | ReleaseL(binder, a, cont) \
+                | Detach(binder, a, cont) | DetachL(binder, a, cont):
+            return (free_names(cont) - {binder}) | {a}
+    raise AssertionError(f"unhandled term {p!r}")
+
+
+def reference_substitute(p: ProcessTerm,
+                         renaming: dict[str, str]) -> ProcessTerm:
+    """The constructor-by-constructor renaming the role table replaced."""
+    if not renaming:
+        return p
+
+    def sub(n: str) -> str:
+        return renaming.get(n, n)
+
+    match p:
+        case Fwd(a, b):
+            return Fwd(sub(a), sub(b))
+        case FwdLL(a, b):
+            return FwdLL(sub(a), sub(b))
+        case FwdSS(a, b):
+            return FwdSS(sub(a), sub(b))
+        case FwdLS(a, b):
+            return FwdLS(sub(a), sub(b))
+        case Close(a):
+            return Close(sub(a))
+        case Wait(a, c):
+            return Wait(sub(a), reference_substitute(c, renaming))
+        case SendChan(a, y, c):
+            return SendChan(sub(a), sub(y), reference_substitute(c, renaming))
+        case SendChanS(a, y, c):
+            return SendChanS(sub(a), sub(y), reference_substitute(c, renaming))
+        case SendLabel(a, l, c):
+            return SendLabel(sub(a), l, reference_substitute(c, renaming))
+        case CaseRecv(a, bs):
+            return CaseRecv(sub(a), tuple(
+                (l, reference_substitute(t, renaming)) for l, t in bs))
+        case SendVal(a, v, c):
+            return SendVal(sub(a), sub(v), reference_substitute(c, renaming))
+        case Spawn(proc, binder, args, cont, kinds):
+            inner = {k: v for k, v in renaming.items() if k != binder}
+            return Spawn(proc, binder, tuple(sub(x) for x in args),
+                         reference_substitute(cont, inner), kinds)
+        case RecvChan(a, binder, cont) | RecvVal(a, binder, cont) \
+                | Acquire(binder, a, cont) | AcquireL(binder, a, cont) \
+                | Accept(binder, a, cont) | AcceptL(binder, a, cont) \
+                | Release(binder, a, cont) | ReleaseL(binder, a, cont) \
+                | Detach(binder, a, cont) | DetachL(binder, a, cont):
+            inner = {k: v for k, v in renaming.items() if k != binder}
+            cont2 = reference_substitute(cont, inner)
+            cls = type(p)
+            if cls in (RecvChan, RecvVal):
+                return cls(sub(a), binder, cont2)
+            return cls(binder, sub(a), cont2)
+    raise AssertionError(f"unhandled term {p!r}")
+
+
+def reference_freshen(p: ProcessTerm, gen) -> ProcessTerm:
+    """The constructor-by-constructor freshening the role table replaced:
+    every binder gets gen(), in preorder."""
+
+    def go(t: ProcessTerm, ren: dict[str, str]) -> ProcessTerm:
+        def sub(n: str) -> str:
+            return ren.get(n, n)
+
+        match t:
+            case Spawn(proc, binder, args, cont, kinds):
+                fresh = gen()
+                inner = dict(ren)
+                inner[binder] = fresh
+                return Spawn(proc, fresh, tuple(sub(x) for x in args),
+                             go(cont, inner), kinds)
+            case RecvChan(a, binder, cont) | RecvVal(a, binder, cont) \
+                    | Acquire(binder, a, cont) | AcquireL(binder, a, cont) \
+                    | Accept(binder, a, cont) | AcceptL(binder, a, cont) \
+                    | Release(binder, a, cont) | ReleaseL(binder, a, cont) \
+                    | Detach(binder, a, cont) | DetachL(binder, a, cont):
+                fresh = gen()
+                inner = dict(ren)
+                inner[binder] = fresh
+                cont2 = go(cont, inner)
+                cls = type(t)
+                if cls in (RecvChan, RecvVal):
+                    return cls(sub(a), fresh, cont2)
+                return cls(fresh, sub(a), cont2)
+            case CaseRecv(a, bs):
+                return CaseRecv(sub(a), tuple((l, go(b, ren)) for l, b in bs))
+            case Wait(a, c):
+                return Wait(sub(a), go(c, ren))
+            case SendChan(a, y, c):
+                return SendChan(sub(a), sub(y), go(c, ren))
+            case SendChanS(a, y, c):
+                return SendChanS(sub(a), sub(y), go(c, ren))
+            case SendLabel(a, l, c):
+                return SendLabel(sub(a), l, go(c, ren))
+            case SendVal(a, v, c):
+                return SendVal(sub(a), sub(v), go(c, ren))
+            case _:
+                return reference_substitute(t, ren)
+
+    return go(p, {})
 
 
 PIPE = (
@@ -63,15 +193,106 @@ def test_freshen_renames_every_binder():
     assert fresh.cont == SendVal("p", fresh.binder, Close("p"))
 
 
-def test_alpha_normalize_identifies_renamings():
-    a = RecvVal("p", "x", SendVal("p", "x", Close("p")))
-    b = RecvVal("p", "v", SendVal("p", "v", Close("p")))
-    assert alpha_normalize(a) == alpha_normalize(b)
-    c = RecvVal("p", "v", SendVal("p", "w", Close("p")))
-    assert alpha_normalize(a) != alpha_normalize(c)
+# --------------------------------------------------------------------------- #
+# The role table against the reference traversals
+# --------------------------------------------------------------------------- #
+
+# few names, so binders often shadow a renamed name or each other
+NAMES = st.sampled_from("abxy")
 
 
-def test_alpha_normalize_idempotent():
-    t = Acquire("l", "k", SendLabel("l", "go", Release("s", "l", Close("x"))))
-    once = alpha_normalize(t)
-    assert alpha_normalize(once) == once
+def _spawn(cont):
+    return st.lists(NAMES, max_size=3).flatmap(lambda args: st.builds(
+        Spawn, st.sampled_from("PQ"), NAMES, st.just(tuple(args)), cont,
+        st.none() | st.tuples(*[st.sampled_from(("lin", "sl", "sh"))]
+                              * len(args))))
+
+
+def _extend(cont):
+    return st.one_of(
+        st.builds(Wait, NAMES, cont),
+        *(st.builds(cls, NAMES, NAMES, cont)
+          for cls in (SendChan, SendChanS, SendVal, RecvChan, RecvVal,
+                      Acquire, AcquireL, Accept, AcceptL,
+                      Release, ReleaseL, Detach, DetachL)),
+        st.builds(SendLabel, NAMES, st.sampled_from("lr"), cont),
+        st.builds(CaseRecv, NAMES, st.lists(
+            st.tuples(st.sampled_from("lrm"), cont),
+            min_size=1, max_size=3).map(tuple)),
+        _spawn(cont),
+    )
+
+
+TERMS = st.recursive(
+    st.one_of(st.builds(Close, NAMES),
+              *(st.builds(cls, NAMES, NAMES)
+                for cls in (Fwd, FwdLL, FwdSS, FwdLS))),
+    _extend, max_leaves=25)
+
+RENAMINGS = st.dictionaries(NAMES, st.sampled_from("abxyqr"), max_size=4)
+
+
+def _counter():
+    calls = itertools.count()
+    return calls, lambda: f"%g{next(calls)}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, RENAMINGS)
+def test_substitute_matches_reference(t, ren):
+    assert substitute(t, ren) == reference_substitute(t, ren)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, RENAMINGS)
+def test_freshen_matches_reference(t, ren):
+    # one pass equals freshening then renaming the free names, because no
+    # fresh %g name is a key of ren
+    calls, gen = _counter()
+    ref_calls, ref_gen = _counter()
+    got = freshen(t, gen, ren)
+    assert got == reference_substitute(reference_freshen(t, ref_gen), ren)
+    assert next(calls) == next(ref_calls)
+    assert freshen(t, _counter()[1]) == reference_freshen(t, _counter()[1])
+
+
+def test_fields_cover_every_constructor():
+    assert set(FIELDS) == set(get_args(ProcessTerm))
+    # a field with no role must not hold a channel name
+    unnamed = {f for roles in FIELDS.values() for f, r in roles if r is None}
+    assert unnamed == {"proc", "label", "kinds"}
+
+
+def test_subject_table():
+    assert SUBJECT == {
+        **dict.fromkeys((Close, Wait, Acquire, AcquireL, Accept, AcceptL,
+                         Release, ReleaseL, Detach, DetachL), "chan"),
+        **dict.fromkeys((SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
+                         SendVal, RecvVal), "on"),
+    }
+
+
+def test_deep_spine_renames_without_recursion():
+    n = 20_000
+    t = Close("p")
+    for _ in range(n):
+        t = SendVal("p", "x", t)
+    t = RecvVal("p", "x", t)
+
+    def spine(u):
+        out = []
+        while not isinstance(u, Close):
+            out.append(u)
+            u = u.cont
+        return out, u
+
+    # x is bound at the top, so only p renames
+    acts, last = spine(substitute(t, {"p": "q", "x": "y"}))
+    assert len(acts) == n + 1 and last == Close("q")
+    assert acts[0].binder == "x"
+    assert all(a.on == "q" and a.value == "x" for a in acts[1:])
+    calls, gen = _counter()
+    acts, last = spine(freshen(t, gen, {"p": "q"}))
+    assert len(acts) == n + 1 and last == Close("q") and next(calls) == 1
+    assert acts[0].binder == "%g0"
+    assert all(a.on == "q" and a.value == "%g0" for a in acts[1:])

@@ -134,8 +134,13 @@ def test_diagnostics_name_the_rule():
 
 def test_duplicate_process_names():
     src = ("proc P : () |- x: 1 = close x\n"
-           "proc P : () |- x: 1 = close x\n")
-    assert diags_of(src)
+           "proc P : () |- y: 1 = close y\n")
+    prog = parse_program(src)
+    diags, prog2 = check_program(prog)
+    assert diags == ["duplicate process definition: P"]
+    # the first definition wins, before and after elaboration
+    assert prog.procs.lookup("P").offer == "x"
+    assert prog2.procs.lookup("P").body == prog.procs.lookup("P").body
 
 
 def test_elaboration_resolves_forward_kinds():
