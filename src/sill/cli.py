@@ -17,7 +17,7 @@ from .parser import parse_program, parse_type, ParseError, Program, SystemDecl
 from .printer import format_program, format_type
 from .subtype import is_subtype
 from .synchro import is_ssync, is_esync, meet_types, SsyncPreconditionError
-from .typecheck import check_program
+from .typecheck import check_program, check_header
 from .runtime import run, RunStatus, ProgressError
 
 
@@ -26,22 +26,21 @@ def _load(path: str) -> Program:
         return parse_program(f.read())
 
 
-def _checked(path: str) -> Program | None:
+def _checked(path: str, bodies: bool = True) -> Program | None:
+    """The elaborated program, or None after printing its diagnostics.
+    Without bodies only the header must check; the bodies are elaborated
+    as far as they check and their diagnostics are ignored."""
     prog = _load(path)
     diags, prog2 = check_program(prog)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return None
-    return prog2
+    if not bodies:
+        diags = check_header(prog)
+    for d in diags:
+        print(d, file=sys.stderr)
+    return None if diags else prog2
 
 
 def cmd_check(args) -> int:
-    prog = _load(args.file)
-    diags, _ = check_program(prog)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
+    if _checked(args.file) is None:
         return 1
     print("ok")
     return 0
@@ -104,13 +103,9 @@ def cmd_meet(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.no_static:
-        prog = _load(args.file)
-        _, prog = check_program(prog)  # elaborate, ignore diagnostics
-    else:
-        prog = _checked(args.file)
-        if prog is None:
-            return 1
+    prog = _checked(args.file, bodies=not args.no_static)
+    if prog is None:
+        return 1
     if args.main is not None:
         prog = Program(prog.types, prog.procs,
                        SystemDecl((), (args.main, ())))
@@ -186,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("random", "fifo"), default="random")
     p.add_argument("--trace", default=None, help="JSONL trace output path")
     p.add_argument("--no-static", action="store_true",
-                   help="skip the static check before running")
+                   help="skip the static check of the process bodies")
     p.set_defaults(fn=cmd_run)
     return ap
 

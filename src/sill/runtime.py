@@ -295,6 +295,14 @@ _PAIRS = {
 }
 
 
+def _spawnable(cfg: Config, t: Spawn) -> bool:
+    """An unelaborated spawn of a linear session has no argument kinds to
+    route by, and one of an undefined process nothing to instantiate: like
+    an unelaborated forward, neither steps."""
+    return t.proc in cfg.sig and (t.kinds is not None
+                                  or cfg.sig.lookup(t.proc).offer_shared)
+
+
 def enumerate_steps(cfg: Config) -> list[Step]:
     # one pass for what Config.provider and Config.user_of would find
     offered: dict[str, Proc | Connect] = {}
@@ -319,8 +327,8 @@ def enumerate_steps(cfg: Config) -> list[Step]:
                     steps.append(Step("fwd_ll", a))
                 case FwdLS(_, _):
                     steps.append(Step("fwd_ls", a))
-                case Spawn(pname, _, _, _, _):
-                    d = cfg.sig.lookup(pname)
+                case Spawn(_, _, _, _, _) if _spawnable(cfg, t):
+                    d = cfg.sig.lookup(t.proc)
                     rule = "spawn_ls" if d.offer_shared else "spawn_ll"
                     steps.append(Step(rule, a))
             continue
@@ -341,7 +349,7 @@ def enumerate_steps(cfg: Config) -> list[Step]:
             case FwdSS(_, _):
                 steps.append(Step("fwd_ss", a))
                 continue
-            case Spawn(_, _, _, _, _):
+            case Spawn(_, _, _, _, _) if _spawnable(cfg, p.term):
                 steps.append(Step("spawn_ss", a))
                 continue
             case Accept(_, c, _) if c == a:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, SessionType, TypeDefEnv, SharedC, ConstraintType,
-    unfold, validate_env,
+    ValIn, ValOut, Ref, SessionType, TypeDefEnv, SharedC, ConstraintType,
+    unfold, validate_env, children,
 )
 from .subtype import is_subtype
 from .synchro import cleq_type
@@ -504,10 +504,38 @@ def check_procdef(env: TypeDefEnv, sig: ProcSignature,
     return diags, body
 
 
-def check_program(prog: Program) -> tuple[list[str], Program]:
-    """Validate the type environment, check every process, check the
-    system block. Returns diagnostics and the elaborated program."""
+def _check_types(prog: Program) -> list[str]:
+    """Validate the type environment and the type names of every process
+    signature."""
     diags = list(validate_env(prog.types))
+    if diags:
+        return diags
+    for d in prog.procs.defs:
+        todo, undefined = [d.offer_ty, *(prm.ty for prm in d.params)], set()
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Ref) and t.name not in prog.types:
+                undefined.add(t.name)
+            todo.extend(children(t))
+        diags += [f"undefined reference: {n} in {d.name}"
+                  for n in sorted(undefined)]
+    return diags
+
+
+def check_header(prog: Program) -> list[str]:
+    """Everything a run needs besides well-typed process bodies: the type
+    environment, the signatures and the system block."""
+    diags = _check_types(prog)
+    if not diags and prog.system is not None:
+        diags = check_system(prog)
+    return diags
+
+
+def check_program(prog: Program) -> tuple[list[str], Program]:
+    """Validate the type environment and the signatures, check every
+    process, check the system block. Returns diagnostics and the
+    elaborated program."""
+    diags = _check_types(prog)
     if diags:
         return diags, prog
     sig = prog.procs

@@ -2,10 +2,12 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sill.cli import main
+from sill.parser import tokenize
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_FILES
 
 Q = str(CORPUS / "queue.sill")
 A = str(CORPUS / "auction.sill")
@@ -172,3 +174,70 @@ def test_bad_input_or_name_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+HANDOFF_BAD = (CORPUS / "handoff.sill").read_text().replace(
+    "send t2 p;", "send t2 x;")
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-monitor"]],
+                         ids=["monitored", "unmonitored"])
+def test_run_no_static_unelaborated_spawn(extra, tmp_path, capsys):
+    # the failed definition keeps its unelaborated body, whose linear spawn
+    # has no argument kinds: it offers no step, so the run halts without
+    # progress instead of crashing in the spawn rule
+    f = tmp_path / "h.sill"
+    f.write_text(HANDOFF_BAD)
+    assert main(["run", str(f), "--no-static"] + extra) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("progress: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("src, diag", [
+    ("proc P : () |- x: nosuch = close x\n",
+     "undefined reference: nosuch in P"),
+    ("type a = !int. b\nproc P : () |- x: a = close x\n"
+     "system { main P(); }\n",
+     "undefined reference: b in a"),
+], ids=["signature", "typedef"])
+@pytest.mark.parametrize("argv", [
+    ["check"], ["run"], ["run", "--no-static"],
+    ["run", "--no-static", "--no-monitor"],
+], ids=["check", "run", "no_static", "no_monitor"])
+def test_undefined_type_name_exits_1(src, diag, argv, tmp_path, capsys):
+    # --no-static skips the process bodies, never the type environment or
+    # the signatures
+    f = tmp_path / "u.sill"
+    f.write_text(src)
+    assert main([argv[0], str(f)] + argv[1:]) == 1
+    assert capsys.readouterr().err == diag + "\n"
+
+
+_COMMANDS = (["check"], ["fmt"], ["run", "--no-static", "--steps", "60"],
+             ["run", "--no-static", "--no-monitor", "--steps", "200"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(CORPUS_FILES),
+       edits=st.lists(st.tuples(st.sampled_from(("del", "dup", "swap")),
+                                st.integers(0, 10**6), st.integers(0, 10**6)),
+                      min_size=1, max_size=3))
+def test_fuzz_mutated_corpus(path, edits, tmp_path, capsys):
+    # token deletions, duplications and swaps end every command with a
+    # documented exit code and no exception
+    toks = [t.text for t in tokenize(path.read_text())][:-1]
+    for op, i, j in edits:
+        i, j = i % len(toks), j % len(toks)
+        if op == "del":
+            del toks[i]
+        elif op == "dup":
+            toks.insert(i, toks[i])
+        else:
+            toks[i], toks[j] = toks[j], toks[i]
+    f = tmp_path / "m.sill"
+    f.write_text(" ".join(toks))
+    for argv in _COMMANDS:
+        assert main([argv[0], str(f)] + argv[1:]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -152,3 +152,178 @@ def test_elaboration_resolves_forward_kinds():
     diags, prog = check_program(parse_program(src))
     assert diags == []
     assert isinstance(prog.procs.lookup("P").body, FwdSS)
+
+
+# --------------------------------------------------------------------------- #
+# Pinned diagnostics and elaboration over mutants of the corpus bodies
+# --------------------------------------------------------------------------- #
+
+import hashlib
+from dataclasses import fields, replace
+
+from sill.parser import Program
+from sill.procast import (
+    FIELDS, NAME, NAMES, BINDER, CONT, BRANCHES, ProcSignature,
+    Close, Fwd, Wait, CaseRecv, SendLabel, Acquire, Accept, Release, Detach,
+    RecvChan, RecvVal, SendChan, SendVal,
+)
+from sill.runtime import run, ProgressError
+
+_SWAPS = ((Acquire, Accept, Release, Detach), (RecvChan, RecvVal),
+          (SendChan, SendVal))
+
+
+def _positions(t, path=()):
+    """Every subterm of t with its path: "cont" steps along the spine, an
+    int into that case branch."""
+    yield path, t
+    for f, role in FIELDS[type(t)]:
+        if role is CONT:
+            yield from _positions(t.cont, path + ("cont",))
+        elif role is BRANCHES:
+            for i, (_, b) in enumerate(t.branches):
+                yield from _positions(b, path + (i,))
+
+
+def _put(t, path, new):
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    if step == "cont":
+        return replace(t, cont=_put(t.cont, rest, new))
+    bs = list(t.branches)
+    bs[step] = (bs[step][0], _put(bs[step][1], rest, new))
+    return replace(t, branches=tuple(bs))
+
+
+def _variants(t, names, offer):
+    """The mutants of one subterm: its action dropped, each free name set
+    to each of names, its binder renamed, a case arm dropped or relabelled,
+    a sent label changed, its action swapped for a kindred one, or the
+    whole subterm replaced by a short process on the offer."""
+    if hasattr(t, "cont"):
+        yield t.cont
+    for f, role in FIELDS[type(t)]:
+        v = getattr(t, f)
+        if role is NAME:
+            yield from (replace(t, **{f: n}) for n in names if n != v)
+        elif role is NAMES:
+            for i, old in enumerate(v):
+                yield from (replace(t, **{f: v[:i] + (n,) + v[i + 1:]})
+                            for n in names if n != old)
+        elif role is BINDER:
+            yield replace(t, **{f: "zb"})
+    if isinstance(t, CaseRecv):
+        bs = t.branches
+        for i, (_, body) in enumerate(bs):
+            if len(bs) > 1:
+                yield replace(t, branches=bs[:i] + bs[i + 1:])
+            yield replace(t, branches=bs[:i] + (("zl", body),) + bs[i + 1:])
+    if isinstance(t, SendLabel):
+        yield replace(t, label="zl")
+    for group in _SWAPS:
+        if type(t) in group:
+            yield from (cls(*[getattr(t, f.name) for f in fields(t)])
+                        for cls in group if cls is not type(t))
+    yield from (Close(offer), Fwd(offer, "zz"), Wait(offer, Close(offer)))
+
+
+def _mutants(prog):
+    defs = prog.procs.defs
+    for i, d in enumerate(defs):
+        names = (d.offer, *(prm.chan for prm in d.params), "zz")
+        for path, t in list(_positions(d.body)):
+            for new in _variants(t, names, d.offer):
+                d2 = replace(d, body=_put(d.body, path, new))
+                yield Program(prog.types,
+                              ProcSignature(defs[:i] + (d2,) + defs[i + 1:]),
+                              prog.system)
+
+
+def _outcome(prog) -> str:
+    """A monitored run of an elaborated program that need not check."""
+    try:
+        res = run(prog, seed=0, max_steps=60, monitor=True)
+    except ProgressError as e:
+        return f"progress: {e}"
+    return f"{res.status.value} {res.steps} {res.violation}"
+
+
+def _rule(diag: str) -> str:
+    # "P: rule: message", or "system: message" for the system block
+    return "system" if diag.startswith("system: ") else diag.split(": ")[1]
+
+
+def _pin(path):
+    """(mutants, ill-typed mutants, digest, rules fired) of one file."""
+    h, ill, rules = hashlib.sha256(), 0, set()
+    n = 0
+    for mutant in _mutants(parse_program(path.read_text())):
+        n += 1
+        diags, elab = check_program(mutant)
+        h.update("\n".join(diags).encode() + b"\0")
+        h.update(repr(elab.procs.defs).encode() + b"\0")
+        if diags:
+            ill += 1
+            rules.update(map(_rule, diags))
+            if mutant.system is not None:
+                h.update(_outcome(elab).encode() + b"\0")
+    return n, ill, h.hexdigest(), rules
+
+
+# file -> (mutants, ill-typed mutants, SHA-256 of every mutant's
+# diagnostics, elaborated definitions and, when ill-typed, monitored run)
+PINNED = {
+    "auction": (439, 415,
+        "b763120e252d64f819846d21a0cf6e84f083e0177df11dcc9157bb5a0e6d1eca"),
+    "basics": (239, 220,
+        "6afac8065543e28d46f69115dba866e5df092a8cace32087c99a1454b4d71bfb"),
+    "dd": (283, 264,
+        "93fc0819a951b40a2e4057ddddd03133d75b629a856d5350ce8b2925dfa20eaa"),
+    "handoff": (269, 261,
+        "1d70d33c1423953b1b760c4070c106452199b9fa7574ef4d962e5c385fa87171"),
+    "ignore": (115, 86,
+        "0253f9b050996ec3f564ed94da64f56517fcbdc03d2f885dea11fe9634c36351"),
+    "queue": (224, 209,
+        "5393118be3d9797594c84d1040630b3c2de03b2a5aa120e07b461355e48b7f17"),
+    "stuck": (100, 96,
+        "ef898b5c48f6ce7e5fd65664806f2cdc0d2f45cab84e38cc68797b0114da094e"),
+}
+
+# every rule name the checker can put in front of a diagnostic
+RULES = {
+    "ID", "ID_L", "ID_LS", "ID_S", "1R", "1L", "⊗R", "⊗S R",
+    "⊸L", "⊸S L", "⊸R", "⊗L", "⊕R", "&L", "&R",
+    "⊕L", "∧R", "⊃L", "⊃R", "∧L", "↑SL L",
+    "↑LL L", "↑LL R", "↓SL L", "↓SL R", "↑SL R",
+    "SP", "SP_SS", "shared", "system",
+}
+
+# programs for the rules no mutant of the corpus reaches
+_S = "type s = up_s &{a: down_s s}\ntype t = up_s &{b: down_s t}\n"
+HANDWRITTEN = {
+    _S + "proc P : (sh c: t) |- x: s * 1 = send x c; close x\n":
+        ["P: ⊗S R: c does not refine the payload type"],
+    _S + "proc P : (sh c: t, d: s -o 1) |- x: 1 = send d c; wait d; "
+         "close x\n":
+        ["P: ⊸S L: c does not refine the payload type"],
+    _S + "proc Q : () |- y: 1 = close y\n"
+         "proc P : () |- x: s = n <- spawn Q(); fwd x n\n":
+        ["P: SP_SS: a shared judgment may only spawn shared sessions"],
+    _S + "proc P : () |- x: 1 = close x\n"
+         "system { c <- spawn P(); d <- spawn Nope(); main R(c); }\n":
+        ["system: P does not offer a shared session",
+         "system: undefined process Nope",
+         "system: undefined main process R"],
+}
+
+
+def test_diagnostics_pinned():
+    got = {p.stem: _pin(p) for p in CORPUS_FILES}
+    assert {k: v[:3] for k, v in got.items()} == PINNED
+    fired = set().union(*(v[3] for v in got.values()))
+    for src, want in HANDWRITTEN.items():
+        diags = diags_of(src)
+        assert diags == want
+        fired.update(map(_rule, diags))
+    assert fired == RULES
