@@ -208,88 +208,75 @@ class _P:
     # -- processes ---------------------------------------------------------- #
 
     def proc_body(self) -> ProcessTerm:
-        t = self.peek()
-        if t.kind == "kw":
-            match t.text:
-                case "fwd":
+        """Actions up to a fwd, close or case, read in a loop along the
+        continuation spine; only case arms recurse."""
+        spine: list[tuple[type, tuple]] = []
+        while True:
+            t = self.next()
+            kw = t.text if t.kind == "kw" else None
+            if kw == "fwd":
+                p = Fwd(self.ident(), self.ident())
+                break
+            if kw == "close":
+                p = Close(self.ident())
+                break
+            if kw == "case":
+                on = self.ident()
+                self.expect("{")
+                branches = [self.case_arm()]
+                while self.at("|"):
                     self.next()
-                    return Fwd(self.ident(), self.ident())
-                case "close":
-                    self.next()
-                    return Close(self.ident())
-                case "wait":
-                    self.next()
-                    chan = self.ident()
-                    self.expect(";")
-                    return Wait(chan, self.proc_body())
-                case "send":
-                    self.next()
-                    on = self.ident()
-                    payload = self.ident()
-                    self.expect(";")
-                    return SendChan(on, payload, self.proc_body())
-                case "case":
-                    self.next()
-                    on = self.ident()
-                    self.expect("{")
-                    branches = [self.case_arm()]
-                    while self.at("|"):
-                        self.next()
-                        branches.append(self.case_arm())
-                    self.expect("}")
-                    return CaseRecv(on, tuple(branches))
-                case "put":
-                    self.next()
-                    on = self.ident()
-                    v = self.next()
-                    if v.kind not in ("ident", "num"):
-                        raise ParseError(
-                            f"line {v.line}: expected a value, got {v.text!r}")
-                    self.expect(";")
-                    return SendVal(on, v.text, self.proc_body())
-        if t.kind == "ident":
-            name = self.next().text
-            if self.at("."):
+                    branches.append(self.case_arm())
+                self.expect("}")
+                p = CaseRecv(on, tuple(branches))
+                break
+            if kw == "wait":
+                head = Wait, (self.ident(),)
+            elif kw == "send":
+                head = SendChan, (self.ident(), self.ident())
+            elif kw == "put":
+                on = self.ident()
+                v = self.next()
+                if v.kind not in ("ident", "num"):
+                    raise ParseError(
+                        f"line {v.line}: expected a value, got {v.text!r}")
+                head = SendVal, (on, v.text)
+            elif t.kind == "ident" and self.at("."):
                 self.next()
-                label = self.ident()
-                self.expect(";")
-                return SendLabel(name, label, self.proc_body())
-            self.expect("<-")
-            verb = self.peek()
-            if verb.kind != "kw":
+                head = SendLabel, (t.text, self.ident())
+            elif t.kind == "ident":
+                self.expect("<-")
+                head = self.binding(t.text)
+            else:
                 raise ParseError(
-                    f"line {verb.line}: expected an action, got {verb.text!r}")
-            self.next()
-            match verb.text:
-                case "recv":
-                    on = self.ident()
-                    self.expect(";")
-                    return RecvChan(on, name, self.proc_body())
-                case "get":
-                    on = self.ident()
-                    self.expect(";")
-                    return RecvVal(on, name, self.proc_body())
-                case "acquire" | "accept" | "release" | "detach":
-                    on = self.ident()
-                    self.expect(";")
-                    cls = {"acquire": Acquire, "accept": Accept,
-                           "release": Release, "detach": Detach}[verb.text]
-                    return cls(name, on, self.proc_body())
-                case "spawn":
-                    proc = self.ident()
-                    self.expect("(")
-                    args: list[str] = []
-                    if not self.at(")"):
-                        args.append(self.ident())
-                        while self.at(","):
-                            self.next()
-                            args.append(self.ident())
-                    self.expect(")")
-                    self.expect(";")
-                    return Spawn(proc, name, tuple(args), self.proc_body())
+                    f"line {t.line}: expected a process, got {t.text!r}")
+            self.expect(";")
+            spine.append(head)
+        for cls, fields in reversed(spine):
+            p = cls(*fields, p)
+        return p
+
+    def binding(self, name: str) -> tuple[type, tuple]:
+        """The action after ``name <-`` and its fields before the
+        continuation."""
+        verb = self.peek()
+        if verb.kind != "kw":
             raise ParseError(
-                f"line {verb.line}: unknown action {verb.text!r}")
-        raise ParseError(f"line {t.line}: expected a process, got {t.text!r}")
+                f"line {verb.line}: expected an action, got {verb.text!r}")
+        self.next()
+        match verb.text:
+            case "recv":
+                return RecvChan, (self.ident(), name)
+            case "get":
+                return RecvVal, (self.ident(), name)
+            case "acquire" | "accept" | "release" | "detach":
+                cls = {"acquire": Acquire, "accept": Accept,
+                       "release": Release, "detach": Detach}[verb.text]
+                return cls, (name, self.ident())
+            case "spawn":
+                proc, args = self.call()
+                return Spawn, (proc, name, args)
+        raise ParseError(f"line {verb.line}: unknown action {verb.text!r}")
 
     def case_arm(self) -> tuple[str, ProcessTerm]:
         label = self.ident()

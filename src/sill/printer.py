@@ -62,43 +62,51 @@ def format_type(t: SessionType) -> str:
 
 
 def format_proc(p: ProcessTerm, indent: int = 0) -> str:
+    """p in surface syntax, one action a line. Loops along the spine and
+    recurses only into case arms."""
     pad = "    " * indent
-    match p:
-        case Fwd(a, b) | FwdLL(a, b) | FwdSS(a, b) | FwdLS(a, b):
-            return f"{pad}fwd {a} {b}"
-        case Close(a):
-            return f"{pad}close {a}"
-        case Wait(a, c):
-            return f"{pad}wait {a};\n{format_proc(c, indent)}"
-        case SendChan(a, y, c) | SendChanS(a, y, c):
-            return f"{pad}send {a} {y};\n{format_proc(c, indent)}"
-        case RecvChan(a, y, c):
-            return f"{pad}{y} <- recv {a};\n{format_proc(c, indent)}"
-        case SendLabel(a, l, c):
-            return f"{pad}{a}.{l};\n{format_proc(c, indent)}"
-        case CaseRecv(a, bs):
-            arms = []
-            for l, t in bs:
-                body = format_proc(t, indent + 1)
-                arms.append(f"{pad}  {l} =>\n{body}")
-            joined = f"\n{pad}|\n".join(arms)
-            return f"{pad}case {a} {{\n{joined}\n{pad}}}"
-        case Acquire(y, a, c) | AcquireL(y, a, c):
-            return f"{pad}{y} <- acquire {a};\n{format_proc(c, indent)}"
-        case Accept(y, a, c) | AcceptL(y, a, c):
-            return f"{pad}{y} <- accept {a};\n{format_proc(c, indent)}"
-        case Release(y, a, c) | ReleaseL(y, a, c):
-            return f"{pad}{y} <- release {a};\n{format_proc(c, indent)}"
-        case Detach(y, a, c) | DetachL(y, a, c):
-            return f"{pad}{y} <- detach {a};\n{format_proc(c, indent)}"
-        case SendVal(a, v, c):
-            return f"{pad}put {a} {v};\n{format_proc(c, indent)}"
-        case RecvVal(a, y, c):
-            return f"{pad}{y} <- get {a};\n{format_proc(c, indent)}"
-        case Spawn(proc, y, args, c, _):
-            call = f"{proc}({', '.join(args)})"
-            return f"{pad}{y} <- spawn {call};\n{format_proc(c, indent)}"
-    raise AssertionError(f"unprintable term {p!r}")
+    lines = []
+    while True:
+        match p:
+            case Fwd(a, b) | FwdLL(a, b) | FwdSS(a, b) | FwdLS(a, b):
+                lines.append(f"{pad}fwd {a} {b}")
+                break
+            case Close(a):
+                lines.append(f"{pad}close {a}")
+                break
+            case CaseRecv(a, bs):
+                joined = f"\n{pad}|\n".join(
+                    f"{pad}  {l} =>\n{format_proc(t, indent + 1)}"
+                    for l, t in bs)
+                lines.append(f"{pad}case {a} {{\n{joined}\n{pad}}}")
+                break
+            case Wait(a, _):
+                head = f"wait {a}"
+            case SendChan(a, y, _) | SendChanS(a, y, _):
+                head = f"send {a} {y}"
+            case RecvChan(a, y, _):
+                head = f"{y} <- recv {a}"
+            case SendLabel(a, l, _):
+                head = f"{a}.{l}"
+            case Acquire(y, a, _) | AcquireL(y, a, _):
+                head = f"{y} <- acquire {a}"
+            case Accept(y, a, _) | AcceptL(y, a, _):
+                head = f"{y} <- accept {a}"
+            case Release(y, a, _) | ReleaseL(y, a, _):
+                head = f"{y} <- release {a}"
+            case Detach(y, a, _) | DetachL(y, a, _):
+                head = f"{y} <- detach {a}"
+            case SendVal(a, v, _):
+                head = f"put {a} {v}"
+            case RecvVal(a, y, _):
+                head = f"{y} <- get {a}"
+            case Spawn(proc, y, args, _, _):
+                head = f"{y} <- spawn {proc}({', '.join(args)})"
+            case _:
+                raise AssertionError(f"unprintable term {p!r}")
+        lines.append(f"{pad}{head};")
+        p = p.cont
+    return "\n".join(lines)
 
 
 def format_procdef(d: ProcDef) -> str:

@@ -258,6 +258,9 @@ _ROLES = {**dict.fromkeys(("offer", "used", "chan", "on", "payload", "value"),
 # constructor -> ((field, role or None), ...) in field order
 FIELDS = {cls: tuple((f.name, _ROLES.get(f.name)) for f in fields(cls))
           for cls in get_args(ProcessTerm)}
+# action -> the field naming the channel it synchronizes on
+SUBJECT = {cls: f for cls, roles in FIELDS.items() for f, _ in roles
+           if f in ("on", "chan")}
 
 
 def _rename(t: ProcessTerm, ren: dict[str, str],

@@ -31,7 +31,7 @@ from .procast import (
     FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
-    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, FIELDS,
+    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, SUBJECT,
     substitute, freshen,
 )
 from .parser import Program
@@ -262,11 +262,6 @@ def _retopo(cfg: Config) -> None:
 # --------------------------------------------------------------------------- #
 # Step enumeration
 # --------------------------------------------------------------------------- #
-
-# the field of each action naming the channel it synchronizes on
-SUBJECT = {cls: f for cls, roles in FIELDS.items() for f, _ in roles
-           if f in ("on", "chan")}
-
 
 def _subject(p: Proc):
     """(channel, action) pair of the next action; the channel is None for
@@ -628,7 +623,7 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
             return (f"linear {e.chan}: offer type no longer synchronizes "
                     f"with the client view under its release obligation")
         ck.diags.clear()
-        if ck.linear(dict(cfg.gamma), dict(e.uses), {},
+        if ck.linear(cfg.gamma, e.uses, {},
                      e.term, e.chan, e.offer) is None:
             return f"process at {e.chan} no longer typechecks: " \
                    + "; ".join(ck.diags)
@@ -649,7 +644,7 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
             return (f"shared {a}: offer type does not equi-synchronize "
                     f"with its recorded constraint")
         ck.diags.clear()
-        if ck.shared(dict(cfg.gamma), {}, p.term, a, p.offer) is None:
+        if ck.shared(cfg.gamma, {}, p.term, a, p.offer) is None:
             return f"process at {a} no longer typechecks: " \
                    + "; ".join(ck.diags)
     return None

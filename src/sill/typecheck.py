@@ -5,6 +5,25 @@ channel; a shared judgment ``Gamma |- P :: (x : ^A)`` carries no linear
 context. There is no general subsumption rule: subtyping enters only where
 a rule names it (forwarding, spawn arguments, sent channel views).
 
+Each connective has a right rule, for an action on the offered channel,
+and a left rule, for an action on a used one. Two tables drive them.
+``ACTIONS`` gives, per action, the type constructor its right rule expects
+of the offer and the one its left rule expects of the used channel.
+``CONNECTIVES`` gives, per constructor, its rule symbol and the phrase a
+channel of another type fails with. Rule names and messages are derived
+from them: ``⊗R``, ``⊸L``, ``↑SL L``, or ``⊗S R`` when the payload is
+shared; ``offer does not send a channel``, ``l does not receive a
+channel``. The shifts name their shared form (``↑SL``, ``↓SL``). Their
+linear twins (``↑LL``, ``↓LL``) apply where the judgment or the used
+channel is linear, and elaborate to the ``...L`` variants.
+
+``_Ck.check`` walks the continuation spine of a term in one loop. Its state
+is Gamma, Delta, the value bases, the offer x : A and whether the judgment
+is shared, which ``accept`` and ``detach`` flip. Delta belongs to the call
+and is updated in place; Gamma and the value bases are copied when they
+grow. The loop recurses only into case arms and rebuilds the elaborated
+term from the spine. ``linear`` and ``shared`` are its two entry points.
+
 Checking elaborates the generic surface actions into modality-resolved
 variants as a side effect, so a checked program is ready to run.
 """
@@ -24,10 +43,64 @@ from .procast import (
     Fwd, FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
-    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature,
+    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, FIELDS, CONT,
+    SUBJECT,
 )
 from .parser import Program
 from .printer import format_proc, format_type
+
+
+# action -> (the constructor its right rule expects of the offer, the one
+# its left rule expects of a used channel), None where it has no such rule
+ACTIONS = {
+    Close: (One, None), Wait: (None, One),
+    SendChan: (Tensor, Lolli), RecvChan: (Lolli, Tensor),
+    SendLabel: (IChoice, EChoice), CaseRecv: (EChoice, IChoice),
+    SendVal: (ValOut, ValIn), RecvVal: (ValIn, ValOut),
+    Accept: (UpSL, None), Detach: (DownSL, None),
+    Acquire: (None, UpSL), Release: (None, DownSL),
+}
+# constructor -> (rule symbol, what a channel of another type fails with)
+CONNECTIVES = {
+    One: ("1", "is not terminated"),
+    Tensor: ("\u2297", "does not send a channel"),
+    Lolli: ("\u22b8", "does not receive a channel"),
+    IChoice: ("\u2295", "is not an internal choice"),
+    EChoice: ("&", "is not an external choice"),
+    ValOut: ("\u2227", "does not send a value"),
+    ValIn: ("\u2283", "does not expect a value"),
+    UpSL: ("\u2191SL", "is not a shared session"),
+    UpLL: ("\u2191LL", "is not at a linear acquire"),
+    DownSL: ("\u2193SL", "is not at a release point"),
+}
+# what a rule accepts for the constructor it expects: a release point may
+# return to the shared or stay in the linear layer
+_ACCEPTS = {DownSL: (DownSL, DownLL)}
+# a shift -> its variant at a linear twin; any elaborated variant -> the
+# generic action it checks as
+_LINEAR = {Accept: AcceptL, Acquire: AcquireL, Release: ReleaseL,
+           Detach: DetachL}
+_GENERIC = {SendChanS: SendChan, **{v: k for k, v in _LINEAR.items()}}
+# the failure of a one-sided action on a channel its rule cannot use; the
+# others fail there with "unknown channel"
+_MISPLACED = {
+    Close: "close must act on the offer {x}",
+    Wait: "wait needs a used linear channel, got {on}",
+    Accept: "accept must act on the offer",
+    Detach: "detach must act on the offer",
+}
+_LINEAR_ACCEPT = ("accept in a linear judgment needs a linear acquire "
+                  "point on the offer")
+_FORWARDS = (Fwd, FwdLL, FwdSS, FwdLS)
+_IN_SHARED = (Fwd, FwdSS, Spawn, Accept, AcceptL)
+# constructor -> the position of its continuation among its fields
+_CONT = {cls: i for cls, roles in FIELDS.items()
+         for i, (_, role) in enumerate(roles) if role is CONT}
+
+
+def _rule(ctor: type, side: str, shared_payload: bool = False) -> str:
+    sym = CONNECTIVES[ctor][0] + ("S" if shared_payload else "")
+    return f"{sym} {side}" if len(sym) > 1 else sym + side
 
 
 def _action(p: ProcessTerm) -> str:
@@ -47,377 +120,207 @@ class _Ck:
     def unf(self, t: SessionType) -> SessionType:
         return unfold(self.env, t)
 
-    # -- linear judgment ---------------------------------------------------- #
-
     def linear(self, gamma: dict[str, ConstraintType],
                delta: dict[str, SessionType], vals: dict[str, str],
                p: ProcessTerm, x: str, a: SessionType) -> ProcessTerm | None:
-        env = self.env
-        ua = self.unf(a)
-        match p:
-            case Fwd(off, used) | FwdLL(off, used) | FwdSS(off, used) \
-                    | FwdLS(off, used):
-                if off != x:
-                    self.fail("ID", f"forward must offer {x}, not {off}")
-                    return None
-                if used in delta:
-                    if set(delta) != {used}:
-                        extra = sorted(set(delta) - {used})
-                        self.fail("ID_L", f"unused linear channels {extra}")
-                        return None
-                    if not is_subtype(env, delta[used], a):
-                        self.fail("ID_L", f"{used} does not refine the offer")
-                        return None
-                    return FwdLL(x, used)
-                if used in gamma:
-                    if delta:
-                        self.fail("ID_LS",
-                                  f"unused linear channels {sorted(delta)}")
-                        return None
-                    if not cleq_type(env, gamma[used], a):
-                        self.fail("ID_LS", f"{used} does not refine the offer")
-                        return None
-                    return FwdLS(x, used)
-                self.fail("ID", f"unknown channel {used}")
-                return None
-
-            case Spawn(_, _, _, _, _):
-                return self.spawn(gamma, delta, vals, p, x, a, shared=False)
-
-            case Close(c):
-                if c != x:
-                    self.fail("1R", f"close must act on the offer {x}")
-                    return None
-                if not isinstance(ua, One):
-                    self.fail("1R", "offer is not terminated: "
-                                    + format_type(a))
-                    return None
-                if delta:
-                    self.fail("1R", f"unused linear channels {sorted(delta)}")
-                    return None
-                return p
-
-            case Wait(c, cont):
-                if c == x or c not in delta:
-                    self.fail("1L", f"wait needs a used linear channel, got {c}")
-                    return None
-                if not isinstance(self.unf(delta[c]), One):
-                    self.fail("1L", f"{c} is not terminated")
-                    return None
-                d2 = dict(delta)
-                del d2[c]
-                cont2 = self.linear(gamma, d2, vals, cont, x, a)
-                return Wait(c, cont2) if cont2 is not None else None
-
-            case SendChan(on, y, cont) | SendChanS(on, y, cont):
-                if on == x:
-                    if not isinstance(ua, Tensor):
-                        self.fail("\u2297R", "offer does not send a channel")
-                        return None
-                    pay, k = ua.payload, ua.cont
-                    rule_l, rule_s = "\u2297R", "\u2297S R"
-                else:
-                    if on not in delta:
-                        self.fail("\u22b8L", f"unknown channel {on}")
-                        return None
-                    uo = self.unf(delta[on])
-                    if not isinstance(uo, Lolli):
-                        self.fail("\u22b8L", f"{on} does not receive a channel")
-                        return None
-                    pay, k = uo.payload, uo.cont
-                    rule_l, rule_s = "\u22b8L", "\u22b8S L"
-                if y in delta and y != on:
-                    if not is_subtype(env, delta[y], pay):
-                        self.fail(rule_l, f"{y} does not refine the payload type")
-                        return None
-                    d2 = dict(delta)
-                    del d2[y]
-                    cls = SendChan
-                elif y in gamma:
-                    if not cleq_type(env, gamma[y], pay):
-                        self.fail(rule_s, f"{y} does not refine the payload type")
-                        return None
-                    d2 = dict(delta)
-                    cls = SendChanS
-                else:
-                    self.fail(rule_l, f"unknown payload channel {y}")
-                    return None
-                if on != x:
-                    d2[on] = k
-                    cont2 = self.linear(gamma, d2, vals, cont, x, a)
-                else:
-                    cont2 = self.linear(gamma, d2, vals, cont, x, k)
-                return cls(on, y, cont2) if cont2 is not None else None
-
-            case RecvChan(on, y, cont):
-                if on == x:
-                    if not isinstance(ua, Lolli):
-                        self.fail("\u22b8R", "offer does not receive a channel")
-                        return None
-                    d2 = dict(delta)
-                    d2[y] = ua.payload
-                    cont2 = self.linear(gamma, d2, vals, cont, x, ua.cont)
-                else:
-                    if on not in delta:
-                        self.fail("\u2297L", f"unknown channel {on}")
-                        return None
-                    uo = self.unf(delta[on])
-                    if not isinstance(uo, Tensor):
-                        self.fail("\u2297L", f"{on} does not send a channel")
-                        return None
-                    d2 = dict(delta)
-                    d2[on] = uo.cont
-                    d2[y] = uo.payload
-                    cont2 = self.linear(gamma, d2, vals, cont, x, a)
-                return RecvChan(on, y, cont2) if cont2 is not None else None
-
-            case SendLabel(on, lbl, cont):
-                if on == x:
-                    if not isinstance(ua, IChoice):
-                        self.fail("\u2295R", "offer is not an internal choice")
-                        return None
-                    if lbl not in ua.labels():
-                        self.fail("\u2295R", f"label {lbl} not offered")
-                        return None
-                    cont2 = self.linear(gamma, delta, vals, cont, x,
-                                        ua.branch(lbl))
-                else:
-                    if on not in delta:
-                        self.fail("&L", f"unknown channel {on}")
-                        return None
-                    uo = self.unf(delta[on])
-                    if not isinstance(uo, EChoice):
-                        self.fail("&L", f"{on} is not an external choice")
-                        return None
-                    if lbl not in uo.labels():
-                        self.fail("&L", f"label {lbl} not offered by {on}")
-                        return None
-                    d2 = dict(delta)
-                    d2[on] = uo.branch(lbl)
-                    cont2 = self.linear(gamma, d2, vals, cont, x, a)
-                return SendLabel(on, lbl, cont2) if cont2 is not None else None
-
-            case CaseRecv(on, bs):
-                if on == x:
-                    if not isinstance(ua, EChoice):
-                        self.fail("&R", "offer is not an external choice")
-                        return None
-                    ty, rule = ua, "&R"
-                else:
-                    if on not in delta:
-                        self.fail("\u2295L", f"unknown channel {on}")
-                        return None
-                    uo = self.unf(delta[on])
-                    if not isinstance(uo, IChoice):
-                        self.fail("\u2295L", f"{on} is not an internal choice")
-                        return None
-                    ty, rule = uo, "\u2295L"
-                have = dict(bs)
-                missing = [l for l in ty.labels() if l not in have]
-                if missing:
-                    self.fail(rule, f"missing branches {missing}")
-                    return None
-                # branches beyond the type are provably dead: kept, not checked
-                out = []
-                for l, body in bs:
-                    if l not in ty.labels():
-                        out.append((l, body))
-                        continue
-                    if on == x:
-                        b2 = self.linear(gamma, delta, vals, body, x,
-                                         ty.branch(l))
-                    else:
-                        d2 = dict(delta)
-                        d2[on] = ty.branch(l)
-                        b2 = self.linear(gamma, d2, vals, body, x, a)
-                    if b2 is None:
-                        return None
-                    out.append((l, b2))
-                return CaseRecv(on, tuple(out))
-
-            case SendVal(on, v, cont):
-                if on == x:
-                    if not isinstance(ua, ValOut):
-                        self.fail("\u2227R", "offer does not send a value")
-                        return None
-                    base, k = ua.base, ua.cont
-                    rule = "\u2227R"
-                else:
-                    if on not in delta:
-                        self.fail("\u2283L", f"unknown channel {on}")
-                        return None
-                    uo = self.unf(delta[on])
-                    if not isinstance(uo, ValIn):
-                        self.fail("\u2283L", f"{on} does not expect a value")
-                        return None
-                    base, k = uo.base, uo.cont
-                    rule = "\u2283L"
-                if v in vals and vals[v] != base:
-                    self.fail(rule, f"{v} has base {vals[v]}, expected {base}")
-                    return None
-                # an unbound name is read as a literal of the expected base
-                if on == x:
-                    cont2 = self.linear(gamma, delta, vals, cont, x, k)
-                else:
-                    d2 = dict(delta)
-                    d2[on] = k
-                    cont2 = self.linear(gamma, d2, vals, cont, x, a)
-                return SendVal(on, v, cont2) if cont2 is not None else None
-
-            case RecvVal(on, y, cont):
-                if on == x:
-                    if not isinstance(ua, ValIn):
-                        self.fail("\u2283R", "offer does not expect a value")
-                        return None
-                    base, k = ua.base, ua.cont
-                else:
-                    if on not in delta:
-                        self.fail("\u2227L", f"unknown channel {on}")
-                        return None
-                    uo = self.unf(delta[on])
-                    if not isinstance(uo, ValOut):
-                        self.fail("\u2227L", f"{on} does not send a value")
-                        return None
-                    base, k = uo.base, uo.cont
-                v2 = dict(vals)
-                v2[y] = base
-                if on == x:
-                    cont2 = self.linear(gamma, delta, v2, cont, x, k)
-                else:
-                    d2 = dict(delta)
-                    d2[on] = k
-                    cont2 = self.linear(gamma, d2, v2, cont, x, a)
-                return RecvVal(on, y, cont2) if cont2 is not None else None
-
-            case Acquire(y, c, cont) | AcquireL(y, c, cont):
-                # an already-elaborated linear acquire must stay linear even
-                # if the name also carries a (stale) shared constraint
-                shared_ok = (not isinstance(p, AcquireL)
-                             and isinstance(gamma.get(c), SharedC))
-                if shared_ok:
-                    con = gamma[c]
-                    us = self.unf(con.ty)
-                    if not isinstance(us, UpSL):
-                        self.fail("\u2191SL L", f"{c} is not a shared session")
-                        return None
-                    d2 = dict(delta)
-                    d2[y] = us.cont
-                    cont2 = self.linear(gamma, d2, vals, cont, x, a)
-                    return Acquire(y, c, cont2) if cont2 is not None else None
-                if c in delta:
-                    uo = self.unf(delta[c])
-                    if not isinstance(uo, UpLL):
-                        self.fail("\u2191LL L", f"{c} is not at a linear acquire")
-                        return None
-                    d2 = dict(delta)
-                    del d2[c]
-                    d2[y] = uo.cont
-                    cont2 = self.linear(gamma, d2, vals, cont, x, a)
-                    return AcquireL(y, c, cont2) if cont2 is not None else None
-                self.fail("\u2191SL L", f"unknown channel {c}")
-                return None
-
-            case Accept(y, c, cont) | AcceptL(y, c, cont):
-                if c != x or not isinstance(ua, UpLL):
-                    self.fail("\u2191LL R",
-                              "accept in a linear judgment needs a linear "
-                              "acquire point on the offer")
-                    return None
-                cont2 = self.linear(gamma, delta, vals, cont, y, ua.cont)
-                return AcceptL(y, c, cont2) if cont2 is not None else None
-
-            case Release(y, c, cont) | ReleaseL(y, c, cont):
-                if c not in delta:
-                    self.fail("\u2193SL L", f"unknown channel {c}")
-                    return None
-                uo = self.unf(delta[c])
-                if isinstance(uo, DownSL):
-                    d2 = dict(delta)
-                    del d2[c]
-                    g2 = dict(gamma)
-                    g2[y] = SharedC(uo.cont)
-                    cont2 = self.linear(g2, d2, vals, cont, x, a)
-                    return Release(y, c, cont2) if cont2 is not None else None
-                if isinstance(uo, DownLL):
-                    d2 = dict(delta)
-                    del d2[c]
-                    d2[y] = uo.cont
-                    cont2 = self.linear(gamma, d2, vals, cont, x, a)
-                    return ReleaseL(y, c, cont2) if cont2 is not None else None
-                self.fail("\u2193SL L", f"{c} is not at a release point")
-                return None
-
-            case Detach(y, c, cont) | DetachL(y, c, cont):
-                if c != x:
-                    self.fail("\u2193SL R", "detach must act on the offer")
-                    return None
-                if isinstance(ua, DownSL):
-                    if delta:
-                        self.fail("\u2193SL R",
-                                  f"unused linear channels {sorted(delta)}")
-                        return None
-                    cont2 = self.shared(gamma, vals, cont, y, ua.cont)
-                    return Detach(y, c, cont2) if cont2 is not None else None
-                if isinstance(ua, DownLL):
-                    cont2 = self.linear(gamma, delta, vals, cont, y, ua.cont)
-                    return DetachL(y, c, cont2) if cont2 is not None else None
-                self.fail("\u2193SL R", "offer is not at a release point")
-                return None
-
-        self.fail("linear", f"ill-placed action {_action(p)}")
-        return None
-
-    # -- shared judgment ---------------------------------------------------- #
+        """Gamma ; Delta |- p :: (x : a); the arguments stay unchanged."""
+        return self.check(gamma, dict(delta), vals, p, x, a, False)
 
     def shared(self, gamma: dict[str, ConstraintType], vals: dict[str, str],
                p: ProcessTerm, x: str, a: SessionType) -> ProcessTerm | None:
-        env = self.env
-        ua = self.unf(a)
-        match p:
-            case Fwd(off, used) | FwdSS(off, used):
-                if off != x:
-                    self.fail("ID_S", f"forward must offer {x}, not {off}")
-                    return None
-                con = gamma.get(used)
-                if con is None:
-                    self.fail("ID_S", f"unknown shared channel {used}")
-                    return None
-                if not cleq_type(env, con, a):
-                    self.fail("ID_S", f"{used} does not refine the offer")
-                    return None
-                return FwdSS(x, used)
+        """Gamma |- p :: (x : a)."""
+        return self.check(gamma, {}, vals, p, x, a, True)
 
-            case Spawn(_, _, _, _, _):
-                return self.spawn(gamma, {}, vals, p, x, a, shared=True)
-
-            case Accept(y, c, cont) | AcceptL(y, c, cont):
-                if c != x:
-                    self.fail("\u2191SL R", "accept must act on the offer")
+    def check(self, gamma: dict[str, ConstraintType],
+              delta: dict[str, SessionType], vals: dict[str, str],
+              p: ProcessTerm, x: str, a: SessionType,
+              shared: bool) -> ProcessTerm | None:
+        """The elaborated p, or None after recording why it does not
+        check. Updates delta in place."""
+        spine: list[tuple[type, list]] = []
+        while True:
+            cls, ua = type(p), self.unf(a)
+            if shared and cls not in _IN_SHARED:
+                self.fail("shared", "action not available in a shared "
+                                    "judgment: " + _action(p))
+                return None
+            if cls in _FORWARDS:
+                p = self.forward(gamma, delta, p, x, a, shared)
+                if p is None:
                     return None
-                if not isinstance(ua, UpSL):
-                    self.fail("\u2191SL R", "offer is not a shared session")
+                break
+            vs = [getattr(p, f) for f, _ in FIELDS[cls]]
+            if cls is Spawn:
+                got = self.spawn(gamma, delta, p, shared)
+                if got is None:
                     return None
-                cont2 = self.linear(gamma, {}, vals, cont, y, ua.cont)
-                return Accept(y, c, cont2) if cont2 is not None else None
+                d, vs[-1] = got
+                if d.offer_shared:
+                    gamma = {**gamma, p.binder: SharedC(d.offer_ty)}
+                else:
+                    delta[p.binder] = d.offer_ty
+                spine.append((Spawn, vs))
+                p = p.cont
+                continue
+            gen = _GENERIC.get(cls, cls)
+            right, left = ACTIONS[gen]
+            on = getattr(p, SUBJECT[cls])
+            mis = _MISPLACED.get(gen)
+            if gen is Accept and not shared:
+                # only the linear twin accepts in a linear judgment
+                if on != x or not isinstance(ua, UpLL):
+                    self.fail(_rule(UpLL, "R"), _LINEAR_ACCEPT)
+                    return None
+                right = UpLL
+            if right is not None and on == x:
+                side, want, ty = "R", right, ua
+            elif left is None or mis and on == x:
+                self.fail(_rule(right, "R") if left is None
+                          else _rule(left, "L"), mis.format(x=x, on=on))
+                return None
+            elif cls is Acquire and isinstance(gamma.get(on), SharedC):
+                side, want, ty = "L", left, self.unf(gamma[on].ty)
+            elif on in delta:
+                side, ty = "L", self.unf(delta[on])
+                want = UpLL if left is UpSL else left
+            else:
+                self.fail(_rule(left, "L"),
+                          (mis or "unknown channel {on}").format(x=x, on=on))
+                return None
+            rule = _rule(want, side)
+            if not isinstance(ty, _ACCEPTS.get(want, want)):
+                msg = "offer" if side == "R" else on
+                msg += " " + CONNECTIVES[want][1]
+                if want is One and side == "R":
+                    msg += ": " + format_type(a)
+                self.fail(rule, msg)
+                return None
+            el = _LINEAR[gen] if isinstance(ty, (UpLL, DownLL)) else gen
+            k, y = getattr(ty, "cont", None), getattr(p, "binder", None)
+            if gen is Close or el is Detach:
+                if delta:
+                    self.fail(rule, f"unused linear channels {sorted(delta)}")
+                    return None
+                if gen is Close:
+                    break
+            if gen is Wait:
+                del delta[on]
+            elif gen is SendChan:
+                pay = p.payload
+                if pay in delta and pay != on:
+                    test, held = is_subtype, delta.pop(pay)
+                elif pay in gamma:
+                    test, held, el = cleq_type, gamma[pay], SendChanS
+                    rule = _rule(want, side, shared_payload=True)
+                else:
+                    self.fail(rule, f"unknown payload channel {pay}")
+                    return None
+                if not test(self.env, held, ty.payload):
+                    self.fail(rule, f"{pay} does not refine the payload type")
+                    return None
+            elif gen is SendLabel:
+                if p.label not in ty.labels():
+                    self.fail(rule, f"label {p.label} not offered"
+                              + ("" if side == "R" else f" by {on}"))
+                    return None
+                k = ty.branch(p.label)
+            elif gen is CaseRecv:
+                missing = [l for l in ty.labels() if l not in p.labels()]
+                if missing:
+                    self.fail(rule, f"missing branches {missing}")
+                    return None
+                # branches beyond the type are provably dead: kept, not
+                # checked
+                arms = []
+                for l, body in p.branches:
+                    if l in ty.labels():
+                        d2, a2 = dict(delta), a
+                        if side == "R":
+                            a2 = ty.branch(l)
+                        else:
+                            d2[on] = ty.branch(l)
+                        body = self.check(gamma, d2, vals, body, x, a2, False)
+                        if body is None:
+                            return None
+                    arms.append((l, body))
+                p = CaseRecv(on, tuple(arms))
+                break
+            elif gen is SendVal:
+                # an unbound name is read as a literal of the expected base
+                if p.value in vals and vals[p.value] != ty.base:
+                    self.fail(rule, f"{p.value} has base {vals[p.value]}, "
+                                    f"expected {ty.base}")
+                    return None
+            elif gen is RecvVal:
+                vals = {**vals, y: ty.base}
+            elif gen is Acquire or gen is Release:
+                # the binder continues the used channel; a linear one is
+                # consumed, and a session released to the shared layer
+                # joins Gamma
+                if el is not Acquire:
+                    del delta[on]
+                if el is Release:
+                    gamma = {**gamma, y: SharedC(k)}
+                else:
+                    delta[y] = k
+                k = None
+            elif gen is Accept or gen is Detach:
+                # the binder names the offer from here
+                x, shared = y, el is Detach
+            if k is not None:
+                if side == "R":
+                    a = k
+                else:
+                    delta[on] = k
+            if gen is RecvChan:
+                delta[y] = ty.payload
+            spine.append((el, vs))
+            p = p.cont
+        for cls, vs in reversed(spine):
+            vs[_CONT[cls]] = p
+            p = cls(*vs)
+        return p
 
-        self.fail("shared", "action not available in a shared judgment: "
-                  + _action(p))
-        return None
+    def forward(self, gamma: dict[str, ConstraintType],
+                delta: dict[str, SessionType], p: ProcessTerm, x: str,
+                a: SessionType, shared: bool) -> ProcessTerm | None:
+        """ID_L from a linear channel, ID_LS and ID_S from a shared one."""
+        used = p.used
+        if p.offer != x:
+            self.fail("ID_S" if shared else "ID",
+                      f"forward must offer {x}, not {p.offer}")
+            return None
+        if used in delta:
+            rule, el, test, held = "ID_L", FwdLL, is_subtype, delta[used]
+        elif used in gamma:
+            rule, el = ("ID_S", FwdSS) if shared else ("ID_LS", FwdLS)
+            test, held = cleq_type, gamma[used]
+        else:
+            self.fail("ID_S" if shared else "ID", "unknown "
+                      + ("shared " if shared else "") + f"channel {used}")
+            return None
+        extra = sorted(set(delta) - {used})
+        if extra:
+            self.fail(rule, f"unused linear channels {extra}")
+            return None
+        if not test(self.env, held, a):
+            self.fail(rule, f"{used} does not refine the offer")
+            return None
+        return el(x, used)
 
     # -- spawning ----------------------------------------------------------- #
 
     def spawn_args(self, gamma: dict[str, ConstraintType],
                    delta: dict[str, SessionType],
                    d: ProcDef, args: tuple[str, ...]
-                   ) -> tuple[tuple[str, ...], dict[str, SessionType]] | None:
-        """Match arguments against declared parameters; returns the
-        elaborated kind tags and the residual linear context."""
+                   ) -> tuple[str, ...] | None:
+        """Match arguments against declared parameters, taking the linear
+        ones out of delta; returns the elaborated kind tags."""
         if len(args) != len(d.params):
             self.fail("SP", f"{d.name} takes {len(d.params)} arguments, "
                             f"got {len(args)}")
             return None
         env = self.env
-        d2 = dict(delta)
         kinds: list[str] = []
         for arg, prm in zip(args, d.params):
             if prm.shared:
@@ -427,12 +330,11 @@ class _Ck:
                                     f"{prm.chan} of {d.name}")
                     return None
                 kinds.append("sh")
-            elif arg in d2:
-                if not is_subtype(env, d2[arg], prm.ty):
+            elif arg in delta:
+                if not is_subtype(env, delta.pop(arg), prm.ty):
                     self.fail("SP", f"{arg} does not refine parameter "
                                     f"{prm.chan} of {d.name}")
                     return None
-                del d2[arg]
                 kinds.append("lin")
             elif arg in gamma:
                 # a shared channel may stand in for a linear parameter when
@@ -445,37 +347,25 @@ class _Ck:
             else:
                 self.fail("SP", f"unknown argument channel {arg}")
                 return None
-        return tuple(kinds), d2
+        return tuple(kinds)
 
     def spawn(self, gamma: dict[str, ConstraintType],
-              delta: dict[str, SessionType], vals: dict[str, str],
-              p: Spawn, x: str, a: SessionType,
-              shared: bool) -> ProcessTerm | None:
+              delta: dict[str, SessionType], p: Spawn, shared: bool
+              ) -> tuple[ProcDef, tuple[str, ...]] | None:
+        """The spawned definition and the argument kinds, the linear
+        arguments taken out of delta."""
         if p.proc not in self.sig:
             self.fail("SP", f"undefined process {p.proc}")
             return None
         d = self.sig.lookup(p.proc)
-        matched = self.spawn_args(gamma, delta, d, p.args)
-        if matched is None:
+        kinds = self.spawn_args(gamma, delta, d, p.args)
+        if kinds is None:
             return None
-        kinds, d2 = matched
-        if d.offer_shared:
-            g2 = dict(gamma)
-            g2[p.binder] = SharedC(d.offer_ty)
-            if shared:
-                cont2 = self.shared(g2, vals, p.cont, x, a)
-            else:
-                cont2 = self.linear(g2, d2, vals, p.cont, x, a)
-        else:
-            if shared:
-                self.fail("SP_SS", "a shared judgment may only spawn "
-                                   "shared sessions")
-                return None
-            d2[p.binder] = d.offer_ty
-            cont2 = self.linear(gamma, d2, vals, p.cont, x, a)
-        if cont2 is None:
+        if shared and not d.offer_shared:
+            self.fail("SP_SS", "a shared judgment may only spawn shared "
+                               "sessions")
             return None
-        return Spawn(p.proc, p.binder, p.args, cont2, kinds)
+        return d, kinds
 
 
 # --------------------------------------------------------------------------- #
@@ -571,8 +461,7 @@ def check_system(prog: Program) -> list[str]:
             continue
         if binder in gamma:
             ck.fail("system", f"duplicate channel {binder}")
-        m = ck.spawn_args(gamma, {}, d, args)
-        if m is not None:
+        if ck.spawn_args(gamma, {}, d, args) is not None:
             gamma[binder] = SharedC(d.offer_ty)
     mname, margs = prog.system.main
     if mname not in prog.procs:

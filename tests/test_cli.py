@@ -137,20 +137,54 @@ def test_syntax_error_exit_2(tmp_path, capsys):
     assert "line" in (captured.out + captured.err)
 
 
-def test_too_deep_program_exits_2(tmp_path, capsys):
-    # 3000 actions in one straight line exceed the recursion limit of the
-    # parser, checker and printer
+def _straight_line(n: int) -> str:
+    """A Main of n actions in one straight line: spawn, get and wait on a
+    fresh cell, repeated, then close."""
     body = "".join(f"    c{i} <- spawn Cell();\n    v{i} <- get c{i};\n"
-                   f"    wait c{i};\n" for i in range(1000))
-    deep = tmp_path / "deep.sill"
-    deep.write_text("type cell = !int. 1\n"
-                    "proc Cell : () |- c: cell = put c 5; close c\n"
-                    "proc Main : () |- x: 1 =\n" + body + "    close x\n")
+                   f"    wait c{i};\n" for i in range(n // 3))
+    return ("type cell = !int. 1\n"
+            "proc Cell : () |- c: cell = put c 5; close c\n"
+            "proc Main : () |- x: 1 =\n" + body + "    close x\n"
+            "system { main Main(); }\n")
+
+
+def test_too_deep_program_exits_2(tmp_path, capsys):
+    # the parser, checker and printer loop along the continuation spine, so
+    # 3000 actions in one straight line check; nesting through case arms
+    # past the recursion limit still ends in one line and exit 2
+    line = tmp_path / "line.sill"
+    line.write_text(_straight_line(3000))
     for cmd in ("check", "fmt"):
+        assert main([cmd, str(line)]) == 0
+    capsys.readouterr()
+    deep = tmp_path / "deep.sill"
+    deep.write_text("proc P : (c: +{a: 1}) |- x: 1 =\n"
+                    + "case c { a => " * 1200 + "wait c; close x"
+                    + " }" * 1200 + "\n")
+    for cmd in ("check", "fmt", "run"):
         assert main([cmd, str(deep)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err == f"{deep}: program too deep to process\n"
+
+
+def test_straight_line_10k_actions(tmp_path, capsys):
+    # a bounded run: every step substitutes through and rechecks Main's
+    # whole remaining term, so a run to the end takes minutes
+    f = tmp_path / "line.sill"
+    f.write_text(_straight_line(10_000))
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["fmt", str(f)]) == 0
+    out = capsys.readouterr().out
+    main_body = out.split("proc Main")[1].split("system")[0]
+    assert len(main_body.split(";\n")) == 10_000
+    f.write_text(out)
+    assert main(["fmt", str(f)]) == 0
+    assert capsys.readouterr().out == out
+    for extra in ([], ["--no-monitor"]):
+        assert main(["run", str(f), "--steps", "20"] + extra) == 0
+        assert capsys.readouterr().out == "max_steps after 20 steps\n"
 
 
 @pytest.mark.parametrize("argv", [
