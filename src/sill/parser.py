@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, SessionType, TypeDef, TypeDefEnv,
-    SHARED, LINEAR, unfold, TypeError_, children,
+    SHARED, LINEAR, unfold, TypeError_, type_names,
 )
 from .procast import (
     Fwd, Spawn, Close, Wait, SendChan, RecvChan, SendLabel, CaseRecv,
@@ -414,10 +414,7 @@ def parse_type(src: str, env: TypeDefEnv | None = None) -> SessionType:
     p = _P(tokenize(src))
     ty = p.type_()
     p.expect("eof")
-    todo = [ty] if env is not None else []
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Ref) and t.name not in env:
-            raise ParseError(f"undefined type name: {t.name}")
-        todo.extend(children(t))
+    for name in type_names(ty) if env is not None else ():
+        if name not in env:
+            raise ParseError(f"undefined type name: {name}")
     return ty

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field, replace
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, Ref, SessionType, TypeDefEnv, SharedC, ConstraintType,
-    unfold, validate_env, children,
+    ValIn, ValOut, SessionType, TypeDefEnv, SharedC, ConstraintType,
+    unfold, validate_env, type_names,
 )
 from .subtype import is_subtype
 from .synchro import cleq_type
@@ -73,9 +73,6 @@ CONNECTIVES = {
     UpLL: ("\u2191LL", "is not at a linear acquire"),
     DownSL: ("\u2193SL", "is not at a release point"),
 }
-# what a rule accepts for the constructor it expects: a release point may
-# return to the shared or stay in the linear layer
-_ACCEPTS = {DownSL: (DownSL, DownLL)}
 # a shift -> its variant at a linear twin; any elaborated variant -> the
 # generic action it checks as
 _LINEAR = {Accept: AcceptL, Acquire: AcquireL, Release: ReleaseL,
@@ -188,7 +185,9 @@ class _Ck:
                           (mis or "unknown channel {on}").format(x=x, on=on))
                 return None
             rule = _rule(want, side)
-            if not isinstance(ty, _ACCEPTS.get(want, want)):
+            # a release point may return to the shared or stay in the
+            # linear layer
+            if not isinstance(ty, (want, DownLL) if want is DownSL else want):
                 msg = "offer" if side == "R" else on
                 msg += " " + CONNECTIVES[want][1]
                 if want is One and side == "R":
@@ -401,14 +400,10 @@ def _check_types(prog: Program) -> list[str]:
     if diags:
         return diags
     for d in prog.procs.defs:
-        todo, undefined = [d.offer_ty, *(prm.ty for prm in d.params)], set()
-        while todo:
-            t = todo.pop()
-            if isinstance(t, Ref) and t.name not in prog.types:
-                undefined.add(t.name)
-            todo.extend(children(t))
+        names = {n for t in (d.offer_ty, *(prm.ty for prm in d.params))
+                 for n in type_names(t)}
         diags += [f"undefined reference: {n} in {d.name}"
-                  for n in sorted(undefined)]
+                  for n in sorted(names) if n not in prog.types]
     return diags
 
 

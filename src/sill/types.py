@@ -200,6 +200,18 @@ def children(t: SessionType) -> tuple[SessionType, ...]:
             return ()
 
 
+def type_names(t: SessionType) -> list[str]:
+    """The type names t mentions, without unfolding them, in the order of a
+    depth-first walk."""
+    names, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Ref):
+            names.append(t.name)
+        todo.extend(children(t))
+    return names
+
+
 def unfold(env: TypeDefEnv, t: SessionType) -> SessionType:
     """Resolve name references until a structural constructor appears.
 
@@ -253,16 +265,8 @@ def validate_env(env: TypeDefEnv) -> list[str]:
         names.add(d.name)
 
     # closure
-    def refs_of(t: SessionType, acc: set[str]) -> None:
-        if isinstance(t, Ref):
-            acc.add(t.name)
-        for c in children(t):
-            refs_of(c, acc)
-
     for d in env.defs:
-        used: set[str] = set()
-        refs_of(d.body, used)
-        for n in sorted(used - names):
+        for n in sorted(set(type_names(d.body)) - names):
             diags.append(f"undefined reference: {n} in {d.name}")
     if diags:
         return diags
