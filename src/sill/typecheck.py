@@ -31,6 +31,7 @@ variants as a side effect, so a checked program is ready to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
@@ -95,6 +96,7 @@ _CONT = {cls: i for cls, roles in FIELDS.items()
          for i, (_, role) in enumerate(roles) if role is CONT}
 
 
+@cache
 def _rule(ctor: type, side: str, shared_payload: bool = False) -> str:
     sym = CONNECTIVES[ctor][0] + ("S" if shared_payload else "")
     return f"{sym} {side}" if len(sym) > 1 else sym + side
@@ -184,7 +186,6 @@ class _Ck:
                 self.fail(_rule(left, "L"),
                           (mis or "unknown channel {on}").format(x=x, on=on))
                 return None
-            rule = _rule(want, side)
             # a release point may return to the shared or stay in the
             # linear layer
             if not isinstance(ty, (want, DownLL) if want is DownSL else want):
@@ -192,13 +193,14 @@ class _Ck:
                 msg += " " + CONNECTIVES[want][1]
                 if want is One and side == "R":
                     msg += ": " + format_type(a)
-                self.fail(rule, msg)
+                self.fail(_rule(want, side), msg)
                 return None
             el = _LINEAR[gen] if isinstance(ty, (UpLL, DownLL)) else gen
-            k, y = getattr(ty, "cont", None), getattr(p, "binder", None)
+            k, rule = getattr(ty, "cont", None), _rule(want, side)
             if gen is Close or el is Detach:
                 if delta:
-                    self.fail(rule, f"unused linear channels {sorted(delta)}")
+                    self.fail(rule, "unused linear channels "
+                                            f"{sorted(delta)}")
                     return None
                 if gen is Close:
                     break
@@ -215,7 +217,8 @@ class _Ck:
                     self.fail(rule, f"unknown payload channel {pay}")
                     return None
                 if not test(self.env, held, ty.payload):
-                    self.fail(rule, f"{pay} does not refine the payload type")
+                    self.fail(rule,
+                              f"{pay} does not refine the payload type")
                     return None
             elif gen is SendLabel:
                 if p.label not in ty.labels():
@@ -247,11 +250,12 @@ class _Ck:
             elif gen is SendVal:
                 # an unbound name is read as a literal of the expected base
                 if p.value in vals and vals[p.value] != ty.base:
-                    self.fail(rule, f"{p.value} has base {vals[p.value]}, "
+                    self.fail(rule,
+                              f"{p.value} has base {vals[p.value]}, "
                                     f"expected {ty.base}")
                     return None
             elif gen is RecvVal:
-                vals = {**vals, y: ty.base}
+                vals = {**vals, p.binder: ty.base}
             elif gen is Acquire or gen is Release:
                 # the binder continues the used channel; a linear one is
                 # consumed, and a session released to the shared layer
@@ -259,20 +263,20 @@ class _Ck:
                 if el is not Acquire:
                     del delta[on]
                 if el is Release:
-                    gamma = {**gamma, y: SharedC(k)}
+                    gamma = {**gamma, p.binder: SharedC(k)}
                 else:
-                    delta[y] = k
+                    delta[p.binder] = k
                 k = None
             elif gen is Accept or gen is Detach:
                 # the binder names the offer from here
-                x, shared = y, el is Detach
+                x, shared = p.binder, el is Detach
             if k is not None:
                 if side == "R":
                     a = k
                 else:
                     delta[on] = k
             if gen is RecvChan:
-                delta[y] = ty.payload
+                delta[p.binder] = ty.payload
             spine.append((el, vs))
             p = p.cont
         for cls, vs in reversed(spine):
