@@ -31,7 +31,7 @@ variants as a side effect, so a checked program is ready to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from operator import attrgetter
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
@@ -89,14 +89,20 @@ _MISPLACED = {
 }
 _LINEAR_ACCEPT = ("accept in a linear judgment needs a linear acquire "
                   "point on the offer")
+# action -> (the generic action it checks as, that action's right and left
+# constructor, the field naming its channel, its misplaced failure)
+_PLAN = {cls: (gen, *ACTIONS[gen], SUBJECT[cls], _MISPLACED.get(gen))
+         for cls, gen in ((c, _GENERIC.get(c, c)) for c in SUBJECT)}
 _FORWARDS = (Fwd, FwdLL, FwdSS, FwdLS)
 _IN_SHARED = (Fwd, FwdSS, Spawn, Accept, AcceptL)
-# constructor -> the position of its continuation among its fields
+# constructor -> the getter of its fields, and the position of its
+# continuation among them
+_FIELDS = {cls: attrgetter(*[f for f, _ in roles])
+           for cls, roles in FIELDS.items()}
 _CONT = {cls: i for cls, roles in FIELDS.items()
          for i, (_, role) in enumerate(roles) if role is CONT}
 
 
-@cache
 def _rule(ctor: type, side: str, shared_payload: bool = False) -> str:
     sym = CONNECTIVES[ctor][0] + ("S" if shared_payload else "")
     return f"{sym} {side}" if len(sym) > 1 else sym + side
@@ -116,9 +122,6 @@ class _Ck:
     def fail(self, rule: str, msg: str) -> None:
         self.diags.append(f"{rule}: {msg}")
 
-    def unf(self, t: SessionType) -> SessionType:
-        return unfold(self.env, t)
-
     def linear(self, gamma: dict[str, ConstraintType],
                delta: dict[str, SessionType], vals: dict[str, str],
                p: ProcessTerm, x: str, a: SessionType) -> ProcessTerm | None:
@@ -136,9 +139,9 @@ class _Ck:
               shared: bool) -> ProcessTerm | None:
         """The elaborated p, or None after recording why it does not
         check. Updates delta in place."""
-        spine: list[tuple[type, list]] = []
+        env, spine = self.env, []
         while True:
-            cls, ua = type(p), self.unf(a)
+            cls, ua = type(p), unfold(env, a)
             if shared and cls not in _IN_SHARED:
                 self.fail("shared", "action not available in a shared "
                                     "judgment: " + _action(p))
@@ -148,7 +151,7 @@ class _Ck:
                 if p is None:
                     return None
                 break
-            vs = [getattr(p, f) for f, _ in FIELDS[cls]]
+            vs = list(_FIELDS[cls](p))
             if cls is Spawn:
                 got = self.spawn(gamma, delta, p, shared)
                 if got is None:
@@ -161,10 +164,8 @@ class _Ck:
                 spine.append((Spawn, vs))
                 p = p.cont
                 continue
-            gen = _GENERIC.get(cls, cls)
-            right, left = ACTIONS[gen]
-            on = getattr(p, SUBJECT[cls])
-            mis = _MISPLACED.get(gen)
+            gen, right, left, subject, mis = _PLAN[cls]
+            on = getattr(p, subject)
             if gen is Accept and not shared:
                 # only the linear twin accepts in a linear judgment
                 if on != x or not isinstance(ua, UpLL):
@@ -178,9 +179,9 @@ class _Ck:
                           else _rule(left, "L"), mis.format(x=x, on=on))
                 return None
             elif cls is Acquire and isinstance(gamma.get(on), SharedC):
-                side, want, ty = "L", left, self.unf(gamma[on].ty)
+                side, want, ty = "L", left, unfold(env, gamma[on].ty)
             elif on in delta:
-                side, ty = "L", self.unf(delta[on])
+                side, ty = "L", unfold(env, delta[on])
                 want = UpLL if left is UpSL else left
             else:
                 self.fail(_rule(left, "L"),
@@ -196,11 +197,11 @@ class _Ck:
                 self.fail(_rule(want, side), msg)
                 return None
             el = _LINEAR[gen] if isinstance(ty, (UpLL, DownLL)) else gen
-            k, rule = getattr(ty, "cont", None), _rule(want, side)
+            k = getattr(ty, "cont", None)
             if gen is Close or el is Detach:
                 if delta:
-                    self.fail(rule, "unused linear channels "
-                                            f"{sorted(delta)}")
+                    self.fail(_rule(want, side), "unused linear channels "
+                                                 f"{sorted(delta)}")
                     return None
                 if gen is Close:
                     break
@@ -212,24 +213,24 @@ class _Ck:
                     test, held = is_subtype, delta.pop(pay)
                 elif pay in gamma:
                     test, held, el = cleq_type, gamma[pay], SendChanS
-                    rule = _rule(want, side, shared_payload=True)
                 else:
-                    self.fail(rule, f"unknown payload channel {pay}")
+                    self.fail(_rule(want, side),
+                              f"unknown payload channel {pay}")
                     return None
-                if not test(self.env, held, ty.payload):
-                    self.fail(rule,
+                if not test(env, held, ty.payload):
+                    self.fail(_rule(want, side, el is SendChanS),
                               f"{pay} does not refine the payload type")
                     return None
             elif gen is SendLabel:
                 if p.label not in ty.labels():
-                    self.fail(rule, f"label {p.label} not offered"
+                    self.fail(_rule(want, side), f"label {p.label} not offered"
                               + ("" if side == "R" else f" by {on}"))
                     return None
                 k = ty.branch(p.label)
             elif gen is CaseRecv:
                 missing = [l for l in ty.labels() if l not in p.labels()]
                 if missing:
-                    self.fail(rule, f"missing branches {missing}")
+                    self.fail(_rule(want, side), f"missing branches {missing}")
                     return None
                 # branches beyond the type are provably dead: kept, not
                 # checked
@@ -250,9 +251,9 @@ class _Ck:
             elif gen is SendVal:
                 # an unbound name is read as a literal of the expected base
                 if p.value in vals and vals[p.value] != ty.base:
-                    self.fail(rule,
+                    self.fail(_rule(want, side),
                               f"{p.value} has base {vals[p.value]}, "
-                                    f"expected {ty.base}")
+                              f"expected {ty.base}")
                     return None
             elif gen is RecvVal:
                 vals = {**vals, p.binder: ty.base}
