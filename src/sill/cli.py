@@ -26,11 +26,10 @@ def _load(path: str) -> Program:
         return parse_program(f.read())
 
 
-def _checked(path: str, bodies: bool = True) -> Program | None:
+def _checked(prog: Program, bodies: bool = True) -> Program | None:
     """The elaborated program, or None after printing its diagnostics.
     Without bodies only the header must check; the bodies are elaborated
     as far as they check and their diagnostics are ignored."""
-    prog = _load(path)
     diags, prog2 = check_program(prog)
     if not bodies:
         diags = check_header(prog)
@@ -40,7 +39,7 @@ def _checked(path: str, bodies: bool = True) -> Program | None:
 
 
 def cmd_check(args) -> int:
-    if _checked(args.file) is None:
+    if _checked(_load(args.file)) is None:
         return 1
     print("ok")
     return 0
@@ -103,12 +102,14 @@ def cmd_meet(args) -> int:
 
 
 def cmd_run(args) -> int:
-    prog = _checked(args.file, bodies=not args.no_static)
-    if prog is None:
-        return 1
+    prog = _load(args.file)
     if args.main is not None:
+        # checked as the system block it replaces
         prog = Program(prog.types, prog.procs,
                        SystemDecl((), (args.main, ())))
+    prog = _checked(prog, bodies=not args.no_static)
+    if prog is None:
+        return 1
     if prog.system is None:
         print("program has no system block", file=sys.stderr)
         return 2

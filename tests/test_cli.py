@@ -123,6 +123,18 @@ def test_run_no_static_runs_first_duplicate(tmp_path, capsys):
     assert "duplicate process definition: P" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--no-static"]],
+                         ids=["static", "no_static"])
+def test_run_main_is_checked(extra, capsys):
+    # --main replaces the system block before the check, so an undefined
+    # process or one that takes arguments is a diagnostic, not a traceback
+    # or a run of unbound parameters
+    assert main(["run", Q, "--main", "Nope"] + extra) == 1
+    assert capsys.readouterr().err == "system: undefined main process Nope\n"
+    assert main(["run", Q, "--main", "Writer"] + extra) == 1
+    assert capsys.readouterr().err == "SP: Writer takes 1 arguments, got 0\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["bogus"]) == 2
     assert main(["sub", Q]) == 2
