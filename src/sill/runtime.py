@@ -4,14 +4,18 @@ rewritten one synchronization at a time.
 The linear part (processes offering linear channels, and aliases from a
 linear name to a shared one) is kept as an ordered list in which every
 entry only uses channels offered further to the right; the shared part
-(available shared sessions and unavailability markers) is unordered.
+(available shared sessions) is unordered. A channel is unavailable exactly
+when the linear part offers it; the trace still records that as an
+``unavail`` predicate.
 
 Alongside the rewriting the runtime maintains a typing record for every
 process (its current offer type and the view type of every linear channel
-it uses) plus a global constraint context for shared names. The monitor
-rechecks the touched records after each step; any failure is reported as a
-violation instead of silently continuing, which is what makes broken
-release points observable at runtime.
+it uses) plus the shared context Gamma: one constraint per shared channel,
+recorded by a spawn or a release and carried by a forward. A linear
+channel's release obligation is its entry, or never-available without one.
+The monitor rechecks the touched records after each step; any failure is
+reported as a violation instead of silently continuing, which is what
+makes broken release points observable at runtime.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .types import (
     UpLL, SessionType, TypeDefEnv, ConstraintType, SharedC, BOT, TOP, unfold,
 )
 from .subtype import is_subtype
-from .synchro import is_ssync, meet, SsyncPreconditionError
+from .synchro import is_ssync, meet, cleq, SsyncPreconditionError
 from .procast import (
     FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
@@ -71,8 +75,7 @@ class Config:
     sig: ProcSignature
     theta: list  # Proc (linear) | Connect, ordered
     lam: dict[str, Proc]  # available shared sessions
-    unavail: set[str]
-    gamma: dict[str, ConstraintType]
+    gamma: dict[str, ConstraintType]  # shared channels only
     counter: int = 0
 
     def fresh(self) -> str:
@@ -111,7 +114,6 @@ class StepRecord:
     fresh: list[str]
     renames: dict[str, str]
     touched: set[str]
-    retired: set[str]
 
 
 # --------------------------------------------------------------------------- #
@@ -139,26 +141,13 @@ def _trace_pred(r: tuple) -> dict:
 
 def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
     """Install a fresh linear name standing for the shared channel target:
-    the alias predicate, its unavailability marker and a never-available
-    constraint."""
+    the alias predicate, recorded with its unavailability marker."""
     alias = cfg.fresh()
     rec.fresh.append(alias)
     conn = Connect(alias, target)
     cfg.theta.append(conn)
-    cfg.unavail.add(alias)
-    cfg.gamma[alias] = BOT
     rec.produced += [_record(conn), ("unavail", alias, None)]
     return alias
-
-
-def _retire(cfg: Config, chan: str, rec: StepRecord) -> None:
-    """A name whose predicate a step consumed for good leaves the
-    unavailability set and Γ. Only a never-available (⊥) name goes: a
-    shared constraint is still read through aliases of its channel."""
-    if cfg.gamma.get(chan) == BOT:
-        cfg.unavail.discard(chan)
-        del cfg.gamma[chan]
-        rec.retired.add(chan)
 
 
 def _instantiate_body(cfg: Config, d: ProcDef, chan: str,
@@ -172,7 +161,7 @@ def _spawn_linear(cfg: Config, spawner_uses: dict[str, SessionType],
     """Shared machinery of the spawn rules for a linear target: builds the
     new process record, routes each argument by its kind (a linear one
     moves out of spawner_uses, a shared one passed as linear gets an
-    alias) and marks the new channel unavailable."""
+    alias) and records the new channel as unavailable."""
     uses: dict[str, SessionType] = {}
     actuals: dict[str, str] = {}
     for arg, prm, kind in zip(args, d.params, kinds):
@@ -189,8 +178,6 @@ def _spawn_linear(cfg: Config, spawner_uses: dict[str, SessionType],
     body = _instantiate_body(cfg, d, chan, actuals)
     p = Proc(chan, body, d.offer_ty, uses, shared=False)
     cfg.theta.append(p)
-    cfg.unavail.add(chan)
-    cfg.gamma[chan] = BOT
     rec.produced += [_record(p), ("unavail", chan, None)]
 
 
@@ -209,8 +196,8 @@ def initial_config(prog: Program) -> Config:
     elaborated program."""
     if prog.system is None:
         raise ValueError("program has no system block")
-    cfg = Config(prog.types, prog.procs, [], {}, set(), {})
-    rec = StepRecord("init", [], [], [], {}, set(), set())
+    cfg = Config(prog.types, prog.procs, [], {}, {})
+    rec = StepRecord("init", [], [], [], {}, set())
     for binder, pname, args in prog.system.spawns:
         d = prog.procs.lookup(pname)
         _spawn_shared(cfg, d, binder, args, rec)
@@ -384,17 +371,10 @@ def _rename_all(cfg: Config, old: str, new: str) -> None:
         if a == old:
             p.chan = new
             cfg.lam[new] = cfg.lam.pop(old)
-    if old in cfg.unavail:
-        cfg.unavail.discard(old)
-        cfg.unavail.add(new)
-    if old in cfg.gamma:
-        c_old = cfg.gamma.pop(old)
-        if new in cfg.gamma:
-            m, env2 = meet(cfg.env, cfg.gamma[new], c_old)
-            cfg.gamma[new] = m
-            cfg.env = env2
-        else:
-            cfg.gamma[new] = c_old
+    if old in cfg.gamma or new in cfg.gamma:
+        # a name with no entry is linear: never available
+        cfg.gamma[new], cfg.env = meet(cfg.env, cfg.gamma.get(new, BOT),
+                                       cfg.gamma.pop(old, BOT))
 
 
 _SENDS = (SendChan, SendChanS, SendLabel, SendVal)
@@ -464,7 +444,6 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     rec.touched |= {a, u.chan}
     if isinstance(p.term, Close):
         cfg.theta.remove(p)
-        _retire(cfg, a, rec)
         u.term = u.term.cont
         u.uses.pop(a, None)
         rec.produced.append(_record(u))
@@ -505,14 +484,12 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         alias = cfg.provider(u.term.chan)
         rec.consumed.append(_record(alias))
         cfg.theta.remove(alias)
-        _retire(cfg, alias.chan, rec)
         u.uses.pop(alias.chan, None)
         rec.touched.add(alias.chan)
     del cfg.lam[b]
     body = cfg.unf(p.offer).cont
     newp = Proc(b, _resume(p.term, b), body, {}, shared=False)
     cfg.theta.append(newp)
-    cfg.unavail.add(b)
     u.term = _resume(u.term, b)
     u.uses[b] = body
     rec.produced += [_record(newp), ("unavail", b, None),
@@ -526,7 +503,6 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     c = p.chan
     rec.consumed += [_record(p), _record(u), ("unavail", c, None)]
     cfg.theta.remove(p)
-    cfg.unavail.discard(c)
     shared_ty = cfg.unf(p.offer).cont
     newp = Proc(c, _resume(p.term, c), shared_ty, {}, shared=True)
     cfg.lam[c] = newp
@@ -554,7 +530,7 @@ _HANDLERS = {
 
 
 def apply_step(cfg: Config, step: Step) -> StepRecord:
-    rec = StepRecord(step.rule, [], [], [], {}, set(), set())
+    rec = StepRecord(step.rule, [], [], [], {}, set())
     prov = cfg.provider(step.provider)
     user = None if step.user is None else cfg.provider(step.user)
     _HANDLERS[step.rule](cfg, rec, prov, user)
@@ -575,16 +551,6 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
     if len(chans) != len(set(chans)):
         dup = sorted({c for c in chans if chans.count(c) > 1})
         return f"well-formedness: multiple providers for {dup}"
-    for a in cfg.lam:
-        if a in cfg.unavail:
-            return f"well-formedness: {a} both available and unavailable"
-    for e in cfg.theta:
-        if e.chan not in cfg.unavail:
-            return f"well-formedness: linear {e.chan} lacks an " \
-                   f"unavailability marker"
-    for a in cfg.unavail:
-        if a not in cfg.gamma:
-            return f"shared context: no constraint recorded for {a}"
 
     ck = _Ck(cfg.env, cfg.sig)
     env = cfg.env
@@ -610,13 +576,11 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
                 return (f"alias {e.chan} -> {e.target}: shared constraint "
                         f"does not refine the client view")
             continue
-        if e.chan not in cfg.gamma:
-            return f"no constraint recorded for linear {e.chan}"
         u = cfg.user_of(e.chan)
         view = u.uses[e.chan] if u is not None else e.offer
         try:
             ok = is_subtype(env, e.offer, view) and \
-                is_ssync(env, e.offer, view, cfg.gamma[e.chan])
+                is_ssync(env, e.offer, view, cfg.gamma.get(e.chan, BOT))
         except SsyncPreconditionError:
             ok = False
         if not ok:
@@ -703,12 +667,9 @@ class RunResult:
 
 def _check_gamma_monotone(cfg: Config, before: dict[str, ConstraintType],
                           rec: StepRecord) -> str | None:
-    from .synchro import cleq
     for k, c in before.items():
         nk = rec.renames.get(k, k)
         if nk not in cfg.gamma:
-            if nk in rec.retired and c == BOT:
-                continue
             return f"shared context: constraint for {k} disappeared"
         if not cleq(cfg.env, cfg.gamma[nk], c):
             return (f"shared context: constraint for {nk} evolved upward "

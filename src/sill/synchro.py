@@ -189,74 +189,40 @@ def _mt_struct(st: _MeetState, mode: str, a: SessionType,
         case (Lolli(p1, c1), Lolli(p2, c2)):
             # payloads are contravariant, so the bound flips there
             return Lolli(_mt(st, dual, p1, p2), _mt(st, mode, c1, c2))
-        case (EChoice(_), EChoice(_)):
+        case (EChoice(_), EChoice(_)) | (IChoice(_), IChoice(_)):
             la, lb = a.labels(), b.labels()
-            if mode == "meet":
+            if (mode == "meet") == isinstance(a, EChoice):
                 # union of labels; non-common branches carried over verbatim
-                branches = []
-                for l in la:
-                    if l in lb:
-                        branches.append((l, _mt(st, mode, a.branch(l), b.branch(l))))
-                    else:
-                        branches.append((l, a.branch(l)))
-                for l in lb:
-                    if l not in la:
-                        branches.append((l, b.branch(l)))
-                return EChoice(tuple(branches))
-            common = [l for l in la if l in lb]
-            branches = []
-            for l in common:
-                try:
-                    branches.append((l, _mt(st, mode, a.branch(l), b.branch(l))))
-                except _NoMeet:
-                    pass
-            if not branches:
-                raise _NoMeet
-            return EChoice(tuple(branches))
-        case (IChoice(_), IChoice(_)):
-            la, lb = a.labels(), b.labels()
-            if mode == "meet":
-                # intersection; a branch whose continuations admit no common
-                # refinement is dropped, and an empty result collapses
-                common = [l for l in la if l in lb]
-                branches = []
-                for l in common:
-                    try:
-                        branches.append((l, _mt(st, mode, a.branch(l), b.branch(l))))
-                    except _NoMeet:
-                        pass
-                if not branches:
-                    raise _NoMeet
-                return IChoice(tuple(branches))
+                branches = [(l, _mt(st, mode, a.branch(l), b.branch(l))
+                             if l in lb else a.branch(l)) for l in la]
+                branches += [(l, b.branch(l)) for l in lb if l not in la]
+                return type(a)(tuple(branches))
+            # intersection; a branch whose continuations admit no common
+            # bound is dropped, and an empty result collapses
             branches = []
             for l in la:
                 if l in lb:
-                    branches.append((l, _mt(st, mode, a.branch(l), b.branch(l))))
-                else:
-                    branches.append((l, a.branch(l)))
-            for l in lb:
-                if l not in la:
-                    branches.append((l, b.branch(l)))
-            return IChoice(tuple(branches))
-        case (UpSL(c1), UpSL(c2)):
-            return UpSL(_mt(st, mode, c1, c2))
+                    try:
+                        branches.append(
+                            (l, _mt(st, mode, a.branch(l), b.branch(l))))
+                    except _NoMeet:
+                        pass
+            if not branches:
+                raise _NoMeet
+            return type(a)(tuple(branches))
+        case ((UpSL(c1), UpSL(c2)) | (UpLL(c1), UpLL(c2))
+              | (DownSL(c1), DownSL(c2)) | (DownLL(c1), DownLL(c2))):
+            return type(a)(_mt(st, mode, c1, c2))
         case (UpSL(c1), UpLL(c2)) | (UpLL(c1), UpSL(c2)):
             # the shared shift is below the linear one
             inner = _mt(st, mode, c1, c2)
             return UpSL(inner) if mode == "meet" else UpLL(inner)
-        case (UpLL(c1), UpLL(c2)):
-            return UpLL(_mt(st, mode, c1, c2))
-        case (DownSL(c1), DownSL(c2)):
-            return DownSL(_mt(st, mode, c1, c2))
         case (DownSL(c1), DownLL(c2)) | (DownLL(c1), DownSL(c2)):
             inner = _mt(st, mode, c1, c2)
             return DownSL(inner) if mode == "meet" else DownLL(inner)
-        case (DownLL(c1), DownLL(c2)):
-            return DownLL(_mt(st, mode, c1, c2))
-        case (ValIn(t1, c1), ValIn(t2, c2)) if t1 == t2:
-            return ValIn(t1, _mt(st, mode, c1, c2))
-        case (ValOut(t1, c1), ValOut(t2, c2)) if t1 == t2:
-            return ValOut(t1, _mt(st, mode, c1, c2))
+        case ((ValIn(t1, c1), ValIn(t2, c2))
+              | (ValOut(t1, c1), ValOut(t2, c2))) if t1 == t2:
+            return type(a)(t1, _mt(st, mode, c1, c2))
         case _:
             raise _NoMeet
 

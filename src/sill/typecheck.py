@@ -45,7 +45,7 @@ from .procast import (
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
     SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, FIELDS, CONT,
-    SUBJECT,
+    BINDER, SUBJECT,
 )
 from .parser import Program
 from .printer import format_proc, format_type
@@ -94,6 +94,11 @@ _LINEAR_ACCEPT = ("accept in a linear judgment needs a linear acquire "
 _PLAN = {cls: (gen, *ACTIONS[gen], SUBJECT[cls], _MISPLACED.get(gen))
          for cls, gen in ((c, _GENERIC.get(c, c)) for c in SUBJECT)}
 _FORWARDS = (Fwd, FwdLL, FwdSS, FwdLS)
+# the actions that bind a name; those whose binder continues the channel
+# they act on may keep its name
+_BINDS = {cls for cls, roles in FIELDS.items() if ("binder", BINDER) in roles}
+_CONTINUES = (Accept, AcceptL, Detach, DetachL, AcquireL, Release, ReleaseL)
+_SHADOWS = "binder {b} shadows a channel in scope"
 _IN_SHARED = (Fwd, FwdSS, Spawn, Accept, AcceptL)
 # constructor -> the getter of its fields, and the position of its
 # continuation among them
@@ -106,6 +111,13 @@ _CONT = {cls: i for cls, roles in FIELDS.items()
 def _rule(ctor: type, side: str, shared_payload: bool = False) -> str:
     sym = CONNECTIVES[ctor][0] + ("S" if shared_payload else "")
     return f"{sym} {side}" if len(sym) > 1 else sym + side
+
+
+def _shadows(gamma: dict[str, ConstraintType], delta: dict[str, SessionType],
+             x: str, b: str, own: str | None = None) -> bool:
+    """Whether the binder b hides the offer x, a shared channel or a
+    linear one other than own, the channel it continues."""
+    return b in gamma or b != own and (b == x or b in delta)
 
 
 def _action(p: ProcessTerm) -> str:
@@ -157,6 +169,9 @@ class _Ck:
                 if got is None:
                     return None
                 d, vs[-1] = got
+                if _shadows(gamma, delta, x, p.binder):
+                    self.fail("SP", _SHADOWS.format(b=p.binder))
+                    return None
                 if d.offer_shared:
                     gamma = {**gamma, p.binder: SharedC(d.offer_ty)}
                 else:
@@ -205,6 +220,10 @@ class _Ck:
                     return None
                 if gen is Close:
                     break
+            if cls in _BINDS and _shadows(gamma, delta, x, p.binder,
+                                          on if el in _CONTINUES else None):
+                self.fail(_rule(want, side), _SHADOWS.format(b=p.binder))
+                return None
             if gen is Wait:
                 del delta[on]
             elif gen is SendChan:

@@ -226,18 +226,40 @@ HANDOFF_BAD = (CORPUS / "handoff.sill").read_text().replace(
     "send t2 p;", "send t2 x;")
 
 
-@pytest.mark.parametrize("extra", [[], ["--no-monitor"]],
-                         ids=["monitored", "unmonitored"])
-def test_run_no_static_unelaborated_spawn(extra, tmp_path, capsys):
+@pytest.mark.parametrize("extra, want", [
+    ([], "process at %g4 no longer typechecks: "
+         "⊸L: unknown payload channel %g4"),
+    (["--no-monitor"], "progress: "),
+], ids=["monitored", "unmonitored"])
+def test_run_no_static_unelaborated_spawn(extra, want, tmp_path, capsys):
     # the failed definition keeps its unelaborated body, whose linear spawn
     # has no argument kinds: it offers no step, so the run halts without
-    # progress instead of crashing in the spawn rule
+    # progress instead of crashing in the spawn rule; the monitor rejects
+    # the process sending its own offer before that
     f = tmp_path / "h.sill"
     f.write_text(HANDOFF_BAD)
     assert main(["run", str(f), "--no-static"] + extra) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("progress: ") and len(err.splitlines()) == 1
+    assert err.startswith(want) and len(err.splitlines()) == 1
+
+
+def test_run_no_static_linear_payload_halts_at_send(tmp_path, capsys):
+    # a process sending its own offer: a linear name is never a shared
+    # payload, so the monitor halts the run at the send itself, not at the
+    # client's later use of what it received
+    f = tmp_path / "s.sill"
+    f.write_text(
+        "type cell = !int. 1\n"
+        "proc P : () |- x: cell * 1 = send x x; close x\n"
+        "proc Main : () |- m: 1 = p <- spawn P(); y <- recv p; wait p; "
+        "v <- get y; wait y; close m\n"
+        "system { main Main(); }\n")
+    assert main(["run", str(f), "--no-static", "--policy", "fifo"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "monitor_violation after 1 steps\n"
+    assert err == ("process at %g4 no longer typechecks: "
+                   "⊗R: unknown payload channel %g4\n")
 
 
 @pytest.mark.parametrize("src, diag", [

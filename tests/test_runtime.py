@@ -312,50 +312,72 @@ def test_retopo_matches_reference_order(monkeypatch):
         assert [id(e) for e in cfg.theta] == [id(e) for e in want]
 
 
-def test_gamma_only_tightens():
-    # watch the shared context across a whole run; each step may add
-    # entries or lower existing ones, never raise them, and drops only
-    # the never-available entries of names it retired; on this run Γ
-    # names exactly the live channels
+def _gamma_tracked(prog, choose, max_steps):
+    """Step prog, checking after every step that Γ holds exactly the
+    shared channels (those of the system block and of shared spawns,
+    followed through renames), never an alias or a channel spawned as
+    linear, and that every earlier entry is still there, at most lower.
+    Returns the rules that fired."""
     from sill.synchro import cleq
-    prog = by_stem("auction")
     cfg = initial_config(prog)
-    retired = 0
-    for _ in range(150):
+    shared = {binder for binder, _, _ in prog.system.spawns}
+    linear = {e.chan for e in cfg.theta if isinstance(e, Proc)}
+    aliases, rules = set(), []
+    assert set(cfg.gamma) == shared
+    for _ in range(max_steps):
         steps = enumerate_steps(cfg)
         if not steps:
             break
         before = dict(cfg.gamma)
-        rec = apply_step(cfg, steps[0])
-        live = {e.chan for e in cfg.theta} | set(cfg.lam)
-        assert set(cfg.gamma) == live
+        rec = apply_step(cfg, choose(steps))
+        rules.append(rec.rule)
+        shared = {rec.renames.get(k, k) for k in shared}
+        if rec.rule in ("spawn_ls", "spawn_ss"):
+            shared.add(rec.fresh[0])
+        elif rec.rule == "spawn_ll":
+            linear.add(rec.fresh[0])
+        aliases |= {e.chan for e in cfg.theta if isinstance(e, Connect)}
+        assert set(cfg.gamma) == shared
+        assert not (linear | aliases) & shared
         for k, c in before.items():
             nk = rec.renames.get(k, k)
-            if nk in rec.retired:
-                assert c == BOT and nk not in cfg.gamma and nk not in live
-                retired += 1
-                continue
-            assert nk in cfg.gamma
             assert cleq(cfg.env, cfg.gamma[nk], c)
-    assert retired > 0
+    return rules
 
 
-def test_gamma_check_skips_only_retired_bottoms():
+def test_gamma_only_tightens():
+    # on the first-step run of auction Γ follows spawns, releases and
+    # forwards of shared channels while linear channels and aliases come
+    # and go beside it; the other programs are driven at random
+    import random
+    rules = _gamma_tracked(by_stem("auction"), lambda steps: steps[0], 150)
+    assert {"spawn_ll", "spawn_ss", "fwd_ss", "up_sl2", "down_sl2",
+            "one"} <= set(rules)
+    progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
+    progs += [check_program(parse_program(src))[1]
+              for src in (SPAWN_LS, CLOSE_SHARED, wide_source())]
+    for prog in progs:
+        for seed in (1, 2, 3):
+            _gamma_tracked(prog, random.Random(seed).choice, 300)
+
+
+def test_gamma_check_reports_lost_and_raised_entries():
     from sill.runtime import _check_gamma_monotone
     cfg = initial_config(by_stem("auction"))
     for _ in range(150):
         before = dict(cfg.gamma)
         rec = apply_step(cfg, enumerate_steps(cfg)[0])
-        if rec.retired:
+        if set(rec.renames) & set(before):
             break
-    assert rec.retired
+    # a shared forward: the forwarder's entry moves onto the surviving name
+    assert rec.rule == "fwd_ss"
     assert _check_gamma_monotone(cfg, before, rec) is None
-    # a retired name may only have held the never-available constraint
-    gone = next(iter(rec.retired))
-    v = _check_gamma_monotone(cfg, {**before, gone: SharedC(Ref("x"))}, rec)
-    assert v is not None and "disappeared" in v
-    # a live channel losing its constraint is still reported
-    del cfg.gamma[next(k for k in before if k in cfg.gamma)]
+    # an entry that rises is reported
+    old = next(iter(rec.renames))
+    v = _check_gamma_monotone(cfg, {**before, old: BOT}, rec)
+    assert v is not None and "evolved upward" in v
+    # a shared channel losing its constraint is reported
+    del cfg.gamma[rec.renames[old]]
     v = _check_gamma_monotone(cfg, before, rec)
     assert v is not None and "disappeared" in v
 

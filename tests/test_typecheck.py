@@ -132,6 +132,33 @@ def test_diagnostics_name_the_rule():
         "wait y" in d
 
 
+@pytest.mark.parametrize("src, want", [
+    # the received channel would hide the offer, then a parameter still
+    # in use
+    ("proc P : (c: cell * 1) |- x: cell = x <- recv c; wait c; fwd x x\n",
+     ["P: ⊗L: binder x shadows a channel in scope"]),
+    ("proc P : (c: cell * 1, y: cell) |- x: 1 = y <- recv c; wait c; "
+     "v <- get y; wait y; close x\n",
+     ["P: ⊗L: binder y shadows a channel in scope"]),
+    ("proc P : (c: cell) |- x: 1 = x <- get c; wait c; close x\n",
+     ["P: ∧L: binder x shadows a channel in scope"]),
+    # a shared channel, by an acquire or a spawn
+    ("proc U : (sh p: s) |- x: 1 = p <- acquire p; p.a; "
+     "q <- release p; close x\n",
+     ["U: ↑SL L: binder p shadows a channel in scope"]),
+    ("proc U : (sh p: s) |- x: 1 = p <- spawn U(p); wait p; close x\n",
+     ["U: SP: binder p shadows a channel in scope"]),
+    # a binder continuing the channel it acts on may keep its name
+    ("proc U : (sh p: s) |- x: 1 = l <- acquire p; l.a; "
+     "l <- release l; close x\n", []),
+    ("proc P : () |- x: s = x <- accept x; case x { a => "
+     "x <- detach x; n <- spawn P(); fwd x n }\n", []),
+])
+def test_binder_may_not_shadow_a_channel_in_scope(src, want):
+    types = "type cell = !int. 1\ntype s = up_s &{a: down_s s}\n"
+    assert diags_of(types + src) == want
+
+
 def test_duplicate_process_names():
     src = ("proc P : () |- x: 1 = close x\n"
            "proc P : () |- y: 1 = close y\n")
@@ -275,17 +302,17 @@ def _pin(path):
 # diagnostics, elaborated definitions and, when ill-typed, monitored run)
 PINNED = {
     "auction": (439, 415,
-        "b763120e252d64f819846d21a0cf6e84f083e0177df11dcc9157bb5a0e6d1eca"),
+        "381866390bd18f5ec916540598fd940723b5c28de175bc25b41bb7a6326e7ebd"),
     "basics": (239, 220,
-        "6afac8065543e28d46f69115dba866e5df092a8cace32087c99a1454b4d71bfb"),
+        "5af55df4c3e8cd18f8f1d2ba7f301fab6429d562e1bf6e81eaecd247cf58e724"),
     "dd": (283, 264,
-        "93fc0819a951b40a2e4057ddddd03133d75b629a856d5350ce8b2925dfa20eaa"),
+        "1fe5cfa985d0c8ca1f4da12091340765fbec1b4af58ea661ec20a79e30dcf793"),
     "handoff": (269, 261,
-        "1d70d33c1423953b1b760c4070c106452199b9fa7574ef4d962e5c385fa87171"),
+        "751b34a1b5321b147e7af5d141b8c4c4637ace0feea2378e3a2486f92a8b8bef"),
     "ignore": (115, 86,
-        "0253f9b050996ec3f564ed94da64f56517fcbdc03d2f885dea11fe9634c36351"),
+        "5e8b1606fb5a60e263fc5cee7181e0faf76d8248fcac0628bcad6efc41636405"),
     "queue": (224, 209,
-        "5393118be3d9797594c84d1040630b3c2de03b2a5aa120e07b461355e48b7f17"),
+        "6a67f0fae483971c1ae3dddd88f09d53580cfe64ddd76eef8c35482aeaf014a4"),
     "stuck": (100, 96,
         "ef898b5c48f6ce7e5fd65664806f2cdc0d2f45cab84e38cc68797b0114da094e"),
 }
