@@ -462,3 +462,58 @@ def test_run_reports_violation_with_monitor_on():
 def test_monitor_can_be_disabled():
     r = run(by_stem("basics"), monitor=False)
     assert r.status == RunStatus.ALL_POISED
+
+
+# an ill-typed P sends the acquired channel q, which it does not hold, to
+# its client R, so Main and R both use q; only the first of them in the
+# order of the linear part may synchronize with q's provider. Run with
+# --no-static --no-monitor; Main waits for R before (wait_first) or after
+# (wait_last) its own exchange on q
+DUP_USER = (
+    "type s = up_s &{a: down_s s}\n"
+    "proc Srv : () |- k: s = l <- accept k; case l { a => "
+    "d <- detach l; n <- spawn Srv(); fwd d n }\n"
+    "proc P : () |- x: (&{a: down_s s}) * 1 = send x q; close x\n"
+    "proc R : () |- y: 1 = p <- spawn P(); z <- recv p; wait p; z.a; "
+    "t <- release z; close y\n"
+    "proc Main : (sh q: s) |- m: 1 = l <- acquire q; r <- spawn R(); "
+    "BODY close m\n"
+    "system { q <- spawn Srv(); main Main(q); }\n"
+)
+DUP_BODIES = {"wait_first": "wait r; l.a; t <- release l;",
+              "wait_last": "l.a; t <- release l; wait r;"}
+# the same digest as PINNED_TRACES, ended by "progress" for a halt without
+# progress; computed once and never edited
+DUP_TRACES = {
+    ("wait_first", "fifo"): "b8708bc349cfc473",  # progress after 5
+    ("wait_first", "seed3"): "b8708bc349cfc473",  # progress after 5
+    ("wait_last", "fifo"): "889b5fdc545f2d95",  # progress after 9
+    ("wait_last", "seed0"): "6c027d87e7fc8e67",  # progress after 9
+    ("wait_last", "seed3"): "bc2f9e60bcff2256",  # progress after 9
+}
+
+
+def dup_user_prog(name):
+    diags, prog = check_program(parse_program(
+        DUP_USER.replace("BODY", DUP_BODIES[name])))
+    assert diags == ["P: ⊗R: unknown payload channel q"]
+    return prog
+
+
+def test_duplicate_user_trace_pinned():
+    from sill.runtime import ProgressError
+    got = {}
+    for name, label in DUP_TRACES:
+        kw = {"policy": "fifo"} if label == "fifo" \
+            else {"seed": int(label[4:])}
+        buf = io.StringIO()
+        try:
+            r = run(dup_user_prog(name), max_steps=100, monitor=False,
+                    trace=buf, **kw)
+            end = f"{r.status.value} {r.steps}"
+        except ProgressError:
+            end = "progress"
+        h = hashlib.sha256(buf.getvalue().encode())
+        h.update(end.encode())
+        got[name, label] = h.hexdigest()[:16]
+    assert got == DUP_TRACES
