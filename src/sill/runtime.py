@@ -16,13 +16,18 @@ channel's release obligation is its entry, or never-available without one.
 The monitor rechecks the touched records after each step; any failure is
 reported as a violation instead of silently continuing, which is what
 makes broken release points observable at runtime.
+
+The configuration indexes its linear part by channel (who offers it, who
+uses it, which aliases stand for it), so neither step enumeration nor the
+monitor scans for a provider or a client. Each linear process memoizes its
+enabled step and its last passing recheck, keyed by what they read.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 
@@ -61,12 +66,27 @@ class Proc:
     offer: SessionType
     uses: dict[str, SessionType]
     shared: bool
+    # (term, chan, client, client's chan, client's term, step) of the last
+    # enumeration, and (chan, term, offer, uses, Gamma, env) of the last
+    # passing recheck; see _enabled and _linear_fault
+    step_memo: tuple | None = field(default=None, compare=False, repr=False)
+    check_memo: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Connect:
     chan: str
     target: str
+
+
+def _unindex(m: dict[str, list], k: str, e) -> None:
+    """Take e out of m[k]; a list holds more than e only where two entries
+    offer or use one channel."""
+    es = m[k]
+    if len(es) == 1:
+        del m[k]
+    else:
+        m[k] = [x for x in es if x is not e]
 
 
 @dataclass
@@ -77,23 +97,68 @@ class Config:
     lam: dict[str, Proc]  # available shared sessions
     gamma: dict[str, ConstraintType]  # shared channels only
     counter: int = 0
+    # the linear part by channel: the entries offering it, the processes
+    # using it and the aliases of it. Only the methods below and
+    # _rename_all change the linear part, and they keep these in step.
+    offered: dict[str, list] = field(default_factory=dict)
+    client: dict[str, list[Proc]] = field(default_factory=dict)
+    aliases: dict[str, list[Connect]] = field(default_factory=dict)
 
     def fresh(self) -> str:
         name = f"%g{self.counter}"
         self.counter += 1
         return name
 
+    def _first(self, es: list):
+        """Of two or more entries es, the first in the linear part, as a
+        scan would find it; a well-formed configuration has only one."""
+        ids = {id(e) for e in es}
+        return next(e for e in self.theta if id(e) in ids)
+
     def provider(self, chan: str) -> Proc | Connect | None:
-        for e in self.theta:
-            if e.chan == chan:
-                return e
-        return self.lam.get(chan)
+        es = self.offered.get(chan)
+        if es is None:
+            return self.lam.get(chan)
+        return es[0] if len(es) == 1 else self._first(es)
 
     def user_of(self, chan: str) -> Proc | None:
-        for e in self.theta:
-            if isinstance(e, Proc) and chan in e.uses:
-                return e
-        return None
+        es = self.client.get(chan)
+        if es is None:
+            return None
+        return es[0] if len(es) == 1 else self._first(es)
+
+    def add(self, e: Proc | Connect) -> None:
+        """Append e to the linear part."""
+        self.theta.append(e)
+        self.offered.setdefault(e.chan, []).append(e)
+        if isinstance(e, Connect):
+            self.aliases.setdefault(e.target, []).append(e)
+        else:
+            for c in e.uses:
+                self.client.setdefault(c, []).append(e)
+
+    def drop(self, e: Proc | Connect) -> None:
+        """Take e (the first entry equal to it) out of the linear part."""
+        e = self.theta.pop(self.theta.index(e))
+        _unindex(self.offered, e.chan, e)
+        if isinstance(e, Connect):
+            _unindex(self.aliases, e.target, e)
+        else:
+            for c in e.uses:
+                _unindex(self.client, c, e)
+
+    def use(self, p: Proc, c: str, ty: SessionType) -> None:
+        """p uses c at view ty; a shared session is nobody's client."""
+        if c not in p.uses and not p.shared:
+            self.client.setdefault(c, []).append(p)
+        p.uses[c] = ty
+
+    def unuse(self, p: Proc, c: str) -> None:
+        """p no longer uses c."""
+        if c in p.uses:
+            del p.uses[c]
+            if not p.shared:
+                _unindex(self.client, c, p)
 
     def unf(self, t: SessionType) -> SessionType:
         return unfold(self.env, t)
@@ -145,7 +210,7 @@ def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
     alias = cfg.fresh()
     rec.fresh.append(alias)
     conn = Connect(alias, target)
-    cfg.theta.append(conn)
+    cfg.add(conn)
     rec.produced += [_record(conn), ("unavail", alias, None)]
     return alias
 
@@ -155,18 +220,19 @@ def _instantiate_body(cfg: Config, d: ProcDef, chan: str,
     return freshen(d.body, cfg.fresh, actuals | {d.offer: chan})
 
 
-def _spawn_linear(cfg: Config, spawner_uses: dict[str, SessionType],
+def _spawn_linear(cfg: Config, spawner: Proc | None,
                   d: ProcDef, chan: str, args: tuple[str, ...],
                   kinds: tuple[str, ...], rec: StepRecord) -> None:
     """Shared machinery of the spawn rules for a linear target: builds the
     new process record, routes each argument by its kind (a linear one
-    moves out of spawner_uses, a shared one passed as linear gets an
-    alias) and records the new channel as unavailable."""
+    moves out of the spawner's uses, a shared one passed as linear gets an
+    alias) and records the new channel as unavailable. The main process
+    has no spawner and takes shared arguments only."""
     uses: dict[str, SessionType] = {}
     actuals: dict[str, str] = {}
     for arg, prm, kind in zip(args, d.params, kinds):
         if kind == "lin":
-            spawner_uses.pop(arg, None)
+            cfg.unuse(spawner, arg)
             uses[arg] = prm.ty
             actuals[prm.chan] = arg
         elif kind == "sl":
@@ -177,7 +243,7 @@ def _spawn_linear(cfg: Config, spawner_uses: dict[str, SessionType],
             actuals[prm.chan] = arg
     body = _instantiate_body(cfg, d, chan, actuals)
     p = Proc(chan, body, d.offer_ty, uses, shared=False)
-    cfg.theta.append(p)
+    cfg.add(p)
     rec.produced += [_record(p), ("unavail", chan, None)]
 
 
@@ -206,7 +272,7 @@ def initial_config(prog: Program) -> Config:
     # manifest arguments are always shared channels; main takes each one
     # as declared, exactly as a spawn would
     kinds = tuple("sh" if prm.shared else "sl" for prm in d.params)
-    _spawn_linear(cfg, {}, d, cfg.fresh(), margs, kinds, rec)
+    _spawn_linear(cfg, None, d, cfg.fresh(), margs, kinds, rec)
     _retopo(cfg)
     return cfg
 
@@ -285,46 +351,53 @@ def _spawnable(cfg: Config, t: Spawn) -> bool:
                                   or cfg.sig.lookup(t.proc).offer_shared)
 
 
-def enumerate_steps(cfg: Config) -> list[Step]:
-    # one pass for what Config.provider and Config.user_of would find
-    offered: dict[str, Proc | Connect] = {}
-    client: dict[str, Proc] = {}
-    acquirers: list[Proc] = []
-    for e in cfg.theta:
-        offered.setdefault(e.chan, e)
-        if isinstance(e, Proc):
-            for c in e.uses:
-                client.setdefault(c, e)
-            if isinstance(e.term, (Acquire, AcquireL)):
-                acquirers.append(e)
-    steps: list[Step] = []
-    for e in cfg.theta:
-        if isinstance(e, Connect):
-            continue
-        a = e.chan
-        c, t = _subject(e)
-        if c is None:
-            match t:
-                case FwdLL(_, _):
-                    steps.append(Step("fwd_ll", a))
-                case FwdLS(_, _):
-                    steps.append(Step("fwd_ls", a))
-                case Spawn(_, _, _, _, _) if _spawnable(cfg, t):
-                    d = cfg.sig.lookup(t.proc)
-                    rule = "spawn_ls" if d.offer_shared else "spawn_ll"
-                    steps.append(Step(rule, a))
-            continue
-        if c != a:
-            continue  # user-side action; the matching provider drives it
-        u = client.get(a)
-        uc, ut = _subject(u) if u is not None else (None, None)
+def _enabled(cfg: Config, e: Proc) -> Step | None:
+    """The step the linear process e drives: a forward or a spawn of its
+    own, or its action on its own channel with the matching one of its
+    client there; for a direct acquire, the step it takes once the session
+    accepts. Memoized on e while e's term and channel, its client and the
+    client's channel and term are the same as before."""
+    t, a = e.term, e.chan
+    f = SUBJECT.get(type(t))
+    u = cfg.user_of(a) if f is not None and getattr(t, f) == a else None
+    m = e.step_memo
+    if m is not None and m[0] is t and m[1] == a and m[2] is u and (
+            u is None or m[3] == u.chan and m[4] is u.term):
+        return m[5]
+    step = None
+    if f is None:
+        match t:
+            case FwdLL(_, _):
+                step = Step("fwd_ll", a)
+            case FwdLS(_, _):
+                step = Step("fwd_ls", a)
+            case Spawn(_, _, _, _, _) if _spawnable(cfg, t):
+                d = cfg.sig.lookup(t.proc)
+                step = Step("spawn_ls" if d.offer_shared else "spawn_ll", a)
+    elif isinstance(t, Acquire):
+        step = Step("up_sl", t.chan, a)
+    elif u is not None:
+        uc, ut = _subject(u)
         rule = _PAIRS.get((type(t), type(ut))) if uc == a else None
-        if rule is None:
-            continue
-        if rule == "plus" and t.label not in ut.labels() \
-                or rule == "with" and ut.label not in t.labels():
-            continue  # the case has no branch for the sent label
-        steps.append(Step(rule, a, u.chan))
+        # a case needs a branch for the sent label
+        if rule is not None and not (
+                rule == "plus" and t.label not in ut.labels()
+                or rule == "with" and ut.label not in t.labels()):
+            step = Step(rule, a, u.chan)
+    e.step_memo = (t, a, u, u and u.chan, u and u.term, step)
+    return step
+
+
+def enumerate_steps(cfg: Config) -> list[Step]:
+    steps: list[Step] = []
+    acquirers: list[tuple[Proc, Step | None]] = []
+    for e in cfg.theta:
+        if isinstance(e, Proc):
+            step = _enabled(cfg, e)
+            if isinstance(e.term, (Acquire, AcquireL)):
+                acquirers.append((e, step))
+            elif step is not None:
+                steps.append(step)
     for a in sorted(cfg.lam):
         p = cfg.lam[a]
         match p.term:
@@ -336,14 +409,14 @@ def enumerate_steps(cfg: Config) -> list[Step]:
                 continue
             case Accept(_, c, _) if c == a:
                 # every pending acquirer of this session is a separate step
-                for e in acquirers:
-                    match e.term:
-                        case Acquire(_, b, _) if b == a:
-                            steps.append(Step("up_sl", a, e.chan))
-                        case AcquireL(_, b, _):
-                            tgt = offered.get(b)
-                            if isinstance(tgt, Connect) and tgt.target == a:
-                                steps.append(Step("up_sl2", a, e.chan))
+                for e, step in acquirers:
+                    if step is not None:
+                        if step.provider == a:
+                            steps.append(step)
+                        continue
+                    tgt = cfg.provider(e.term.chan)
+                    if isinstance(tgt, Connect) and tgt.target == a:
+                        steps.append(Step("up_sl2", a, e.chan))
     return steps
 
 
@@ -353,18 +426,17 @@ def enumerate_steps(cfg: Config) -> list[Step]:
 
 def _rename_all(cfg: Config, old: str, new: str) -> None:
     ren = {old: new}
+    for m, f in ((cfg.offered, "chan"), (cfg.aliases, "target")):
+        for e in m.pop(old, ()):
+            setattr(e, f, new)
+            m.setdefault(new, []).append(e)
+    for e in cfg.client.pop(old, ()):
+        if new not in e.uses:
+            cfg.client.setdefault(new, []).append(e)
+        e.uses[new] = e.uses.pop(old)
     for e in cfg.theta:
-        if isinstance(e, Connect):
-            if e.chan == old:
-                e.chan = new
-            if e.target == old:
-                e.target = new
-        else:
-            if e.chan == old:
-                e.chan = new
+        if isinstance(e, Proc):
             e.term = substitute(e.term, ren)
-            if old in e.uses:
-                e.uses[new] = e.uses.pop(old)
     for a in list(cfg.lam):
         p = cfg.lam[a]
         p.term = substitute(p.term, ren)
@@ -399,10 +471,10 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     if p.shared:
         del cfg.lam[a]
     else:
-        cfg.theta.remove(p)
+        cfg.drop(p)
     if isinstance(p.term, FwdLS):
         conn = Connect(a, b)
-        cfg.theta.append(conn)
+        cfg.add(conn)
         rec.produced.append(_record(conn))
         return
     if isinstance(p.term, FwdLL):
@@ -427,8 +499,8 @@ def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
     if d.offer_shared:
         _spawn_shared(cfg, d, c, sp.args, rec)
     else:
-        _spawn_linear(cfg, s.uses, d, c, sp.args, sp.kinds, rec)
-        s.uses[c] = d.offer_ty
+        _spawn_linear(cfg, s, d, c, sp.args, sp.kinds, rec)
+        cfg.use(s, c, d.offer_ty)
     s.term = substitute(sp.cont, {sp.binder: c})
     rec.produced.append(_record(s))
     rec.touched |= {s.chan, c} | set(sp.args)
@@ -443,9 +515,9 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     rec.consumed += [_record(p), _record(u)]
     rec.touched |= {a, u.chan}
     if isinstance(p.term, Close):
-        cfg.theta.remove(p)
+        cfg.drop(p)
         u.term = u.term.cont
-        u.uses.pop(a, None)
+        cfg.unuse(u, a)
         rec.produced.append(_record(u))
         return
     offer, view = cfg.unf(p.offer), cfg.unf(u.uses[a])
@@ -455,11 +527,11 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     match s.term:
         case SendChan(_, y, _) | SendChanS(_, y, _):
             if isinstance(s.term, SendChan):
-                s.uses.pop(y, None)
+                cfg.unuse(s, y)
                 msg = y
             else:
                 msg = _alias(cfg, y, rec)
-            r.uses[msg] = rty.payload
+            cfg.use(r, msg, rty.payload)
             rec.touched.add(y)
         case SendLabel(_, msg, _) | SendVal(_, msg, _):
             pass
@@ -483,15 +555,15 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     if isinstance(u.term, AcquireL):
         alias = cfg.provider(u.term.chan)
         rec.consumed.append(_record(alias))
-        cfg.theta.remove(alias)
-        u.uses.pop(alias.chan, None)
+        cfg.drop(alias)
+        cfg.unuse(u, alias.chan)
         rec.touched.add(alias.chan)
     del cfg.lam[b]
     body = cfg.unf(p.offer).cont
     newp = Proc(b, _resume(p.term, b), body, {}, shared=False)
-    cfg.theta.append(newp)
+    cfg.add(newp)
     u.term = _resume(u.term, b)
-    u.uses[b] = body
+    cfg.use(u, b, body)
     rec.produced += [_record(newp), ("unavail", b, None),
                      _record(u)]
 
@@ -502,17 +574,17 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     a fresh linear alias of c."""
     c = p.chan
     rec.consumed += [_record(p), _record(u), ("unavail", c, None)]
-    cfg.theta.remove(p)
+    cfg.drop(p)
     shared_ty = cfg.unf(p.offer).cont
     newp = Proc(c, _resume(p.term, c), shared_ty, {}, shared=True)
     cfg.lam[c] = newp
     cfg.gamma[c] = SharedC(shared_ty)
     rec.produced.append(_record(newp))
-    u.uses.pop(c, None)
+    cfg.unuse(u, c)
     name = c
     if isinstance(u.term, ReleaseL):
         name = _alias(cfg, c, rec)
-        u.uses[name] = UpLL(cfg.unf(shared_ty).cont)
+        cfg.use(u, name, UpLL(cfg.unf(shared_ty).cont))
     u.term = _resume(u.term, name)
     rec.produced.append(_record(u))
     rec.touched |= {c, name, u.chan}
@@ -543,59 +615,85 @@ def apply_step(cfg: Config, step: Step) -> StepRecord:
 # Monitor
 # --------------------------------------------------------------------------- #
 
+def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
+                  memo: bool) -> str | None:
+    """The violation at one entry of the linear part, if any. The recheck
+    of a process is a pure function of its channel, term, offer and uses,
+    Gamma and the type environment, so with memo set it is skipped when
+    all of them equal those of the last recheck it passed."""
+    env = cfg.env
+    u = cfg.user_of(e.chan)
+    if isinstance(e, Connect):
+        con = cfg.gamma.get(e.target)
+        if u is None or isinstance(con, SharedC) and \
+                is_subtype(env, con.ty, u.uses[e.chan]):
+            return None
+        return (f"alias {e.chan} -> {e.target}: shared constraint "
+                f"does not refine the client view")
+    view = u.uses[e.chan] if u is not None else e.offer
+    try:
+        ok = is_subtype(env, e.offer, view) and \
+            is_ssync(env, e.offer, view, cfg.gamma.get(e.chan, BOT))
+    except SsyncPreconditionError:
+        ok = False
+    if not ok:
+        return (f"linear {e.chan}: offer type no longer synchronizes "
+                f"with the client view under its release obligation")
+    key = (e.chan, e.term, e.offer, e.uses, cfg.gamma, env)
+    if memo and e.check_memo == key:
+        return None
+    ck.diags.clear()
+    if ck.linear(cfg.gamma, e.uses, {}, e.term, e.chan, e.offer) is None:
+        return f"process at {e.chan} no longer typechecks: " \
+               + "; ".join(ck.diags)
+    e.check_memo = key[:3] + (dict(e.uses), dict(cfg.gamma), env)
+    return None
+
+
+def _relevant(cfg: Config, touched: set[str]) -> dict[int, Proc | Connect]:
+    """The entries of the linear part that offer or use a touched channel
+    or are an alias of one, by id."""
+    return {id(e): e for c in touched
+            for m in (cfg.offered, cfg.client, cfg.aliases)
+            for e in m.get(c, ())}
+
+
 def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
     """Recheck the typing records of the touched channels (all of them when
-    touched is None). Returns a violation message or None."""
-    # well-formedness of the predicate multiset
-    chans = [e.chan for e in cfg.theta] + list(cfg.lam)
-    if len(chans) != len(set(chans)):
-        dup = sorted({c for c in chans if chans.count(c) > 1})
-        return f"well-formedness: multiple providers for {dup}"
+    touched is None). Returns a violation message or None.
 
+    With touched given, the entries to recheck come from the indexes: the
+    entries offering or using a touched channel and the aliases of one.
+    They are checked in any order first; only if one fails are they walked
+    again in the order of the linear part, so the first failing entry
+    names the violation, as a full walk would. A step can make a second
+    provider only at a channel it touches, so duplicates are looked for
+    there alone once the initial configuration has passed."""
+    if touched is None:
+        chans = [e.chan for e in cfg.theta] + list(cfg.lam)
+        dup = {c for c in chans if chans.count(c) > 1} \
+            if len(chans) != len(set(chans)) else ()
+    else:
+        dup = [c for c in touched
+               if len(cfg.offered.get(c, ())) + (c in cfg.lam) > 1]
+    if dup:
+        return f"well-formedness: multiple providers for {sorted(dup)}"
     ck = _Ck(cfg.env, cfg.sig)
+    if touched is None:
+        linear = cfg.theta
+    else:
+        relevant, linear = _relevant(cfg, touched), ()
+        for e in relevant.values():
+            if _linear_fault(cfg, ck, e, True) is not None:
+                linear = [e for e in cfg.theta if id(e) in relevant]
+                break
+    for e in linear:
+        v = _linear_fault(cfg, ck, e, touched is not None)
+        if v is not None:
+            return v
     env = cfg.env
-
-    def relevant(e) -> bool:
-        if touched is None:
-            return True
-        if isinstance(e, Connect):
-            return e.chan in touched or e.target in touched
-        return e.chan in touched or bool(set(e.uses) & touched)
-
-    for e in cfg.theta:
-        if not relevant(e):
-            continue
-        if isinstance(e, Connect):
-            u = cfg.user_of(e.chan)
-            if u is None:
-                continue
-            con = cfg.gamma.get(e.target)
-            view = u.uses[e.chan]
-            if not (isinstance(con, SharedC)
-                    and is_subtype(env, con.ty, view)):
-                return (f"alias {e.chan} -> {e.target}: shared constraint "
-                        f"does not refine the client view")
-            continue
-        u = cfg.user_of(e.chan)
-        view = u.uses[e.chan] if u is not None else e.offer
-        try:
-            ok = is_subtype(env, e.offer, view) and \
-                is_ssync(env, e.offer, view, cfg.gamma.get(e.chan, BOT))
-        except SsyncPreconditionError:
-            ok = False
-        if not ok:
-            return (f"linear {e.chan}: offer type no longer synchronizes "
-                    f"with the client view under its release obligation")
-        ck.diags.clear()
-        if ck.linear(cfg.gamma, e.uses, {},
-                     e.term, e.chan, e.offer) is None:
-            return f"process at {e.chan} no longer typechecks: " \
-                   + "; ".join(ck.diags)
-
-    for a in sorted(cfg.lam):
+    for a in sorted(cfg.lam if touched is None else cfg.lam.keys() & touched):
         p = cfg.lam[a]
-        if touched is not None and a not in touched:
-            continue
         con = cfg.gamma.get(a)
         if not isinstance(con, SharedC):
             return f"shared {a}: no shared constraint recorded"

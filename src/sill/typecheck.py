@@ -401,6 +401,10 @@ def check_procdef(env: TypeDefEnv, sig: ProcSignature,
     gamma: dict[str, ConstraintType] = {}
     delta: dict[str, SessionType] = {}
     for prm in d.params:
+        # an instance binds each name to one actual
+        if prm.chan == d.offer or prm.chan in gamma or prm.chan in delta:
+            ck.fail("SP", f"parameter {prm.chan} shadows a channel in scope")
+            return [f"{d.name}: {m}" for m in ck.diags], None
         if prm.shared:
             gamma[prm.chan] = SharedC(prm.ty)
         else:

@@ -22,7 +22,7 @@ from sill.typecheck import check_program
 from sill.subtype import is_subtype, bounded_oracle, exact_bound
 from sill.synchro import is_ssync, is_esync, cleq, meet
 from sill.runtime import RunStatus, run, initial_config, enumerate_steps, \
-    apply_step, monitor_check
+    apply_step, monitor_check, Proc
 from sill.types import (
     Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL, ValIn,
     ValOut, Ref, SharedC, BOT, TOP, unfold,
@@ -311,21 +311,31 @@ def test_criterion_8_determinism_and_round_trip():
 
 
 def test_criterion_9_negative_injection():
-    # drive a run to the point where a session has been acquired, then
-    # rewrite its release obligation to an unrelated shared type: the
-    # provider is now bound to release at the wrong type and the monitor
-    # must say so
+    # drive a run to the point where an acquired session sits in the
+    # linear part with its Γ entry, then rewrite its release obligation to
+    # an unrelated shared type: the provider is now bound to release at
+    # the wrong type and the monitor must say so, checking what the step
+    # touched
     prog = checked("ignore")
     cfg = initial_config(prog)
     flagged = False
     for _ in range(50):
-        acquired = [k for k, c in cfg.gamma.items() if isinstance(c, SharedC)]
-        if acquired:
-            cfg.gamma[acquired[0]] = SharedC(Ref("other"))
-            flagged = monitor_check(cfg, {acquired[0]}) is not None
-            break
         steps = enumerate_steps(cfg)
         if not steps:
             break
-        apply_step(cfg, steps[0])
-    report("criterion 9: wrong-type release triggers a violation", flagged)
+        rec = apply_step(cfg, steps[0])
+        acquired = [e.chan for e in cfg.theta
+                    if isinstance(e, Proc) and e.chan in cfg.gamma]
+        if acquired:
+            cfg.gamma[acquired[0]] = SharedC(Ref("other"))
+            v = monitor_check(cfg, rec.touched)
+            flagged = v is not None and \
+                v.endswith("under its release obligation")
+            break
+    # a still-available shared session's constraint is checked as well
+    cfg = initial_config(prog)
+    shared = next(iter(cfg.lam))
+    cfg.gamma[shared] = SharedC(Ref("other"))
+    flagged_shared = monitor_check(cfg, {shared}) is not None
+    report("criterion 9: wrong-type release triggers a violation",
+           flagged and flagged_shared)

@@ -26,6 +26,30 @@ def test_check_reports_diagnostics(tmp_path, capsys):
     assert (captured.out + captured.err).strip()
 
 
+@pytest.mark.parametrize("sig, args, diag", [
+    ("(x: cell) |- x: cell = fwd x x", "c",
+     "P: SP: parameter x shadows a channel in scope"),
+    ("(y: cell, y: cell) |- x: cell = fwd x y", "c, d",
+     "P: SP: parameter y shadows a channel in scope"),
+], ids=["offer", "parameter"])
+def test_check_rejects_a_name_bound_twice_by_a_signature(sig, args, diag,
+                                                        tmp_path, capsys):
+    # an instance maps each name of the signature to one actual, so a
+    # parameter named like the offer or like another parameter would run
+    # a body other than the one checked
+    f = tmp_path / "p.sill"
+    f.write_text(
+        "type cell = !int. 1\n"
+        "proc Cell : () |- c: cell = put c 1; close c\n"
+        f"proc P : {sig}\n"
+        "proc Main : () |- m: 1 = "
+        + "".join(f"{a} <- spawn Cell(); " for a in args.split(", "))
+        + f"p <- spawn P({args}); v <- get p; wait p; close m\n"
+        "system { main Main(); }\n")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().err == diag + "\n"
+
+
 def test_sub_positive_and_negative(capsys):
     assert main(["sub", Q, "shared_queue", "producer"]) == 0
     assert main(["sub", Q, "producer", "shared_queue"]) == 1

@@ -409,22 +409,31 @@ def test_monitor_accepts_initial_configurations():
 
 
 def test_monitor_flags_wrong_release_obligation():
-    # drive the ignore system until a session has been acquired, then
-    # corrupt the recorded obligation to an unrelated shared type: the
-    # session is now headed for a release at the wrong type
+    # drive the ignore system until an acquired session sits in the linear
+    # part with its Γ entry, then corrupt that release obligation to an
+    # unrelated shared type: the session is now headed for a release at the
+    # wrong type, and the monitor must say so after the very step
     prog = by_stem("ignore")
     cfg = initial_config(prog)
+    # the still-available shared p is checked against its constraint
+    cfg.gamma["p"] = SharedC(Ref("other"))
+    v = monitor_check(cfg, {"p"})
+    assert v is not None and v.startswith("shared p: ")
+    cfg = initial_config(prog)
     for _ in range(50):
-        acquired = [k for k, c in cfg.gamma.items()
-                    if isinstance(c, SharedC)]
-        if acquired:
-            cfg.gamma[acquired[0]] = SharedC(Ref("other"))
-            v = monitor_check(cfg, {acquired[0]})
-            assert v is not None
-            return
         steps = enumerate_steps(cfg)
         assert steps
-        apply_step(cfg, steps[0])
+        rec = apply_step(cfg, steps[0])
+        acquired = [e.chan for e in cfg.theta
+                    if isinstance(e, Proc) and e.chan in cfg.gamma]
+        if acquired:
+            assert monitor_check(cfg, rec.touched) is None
+            cfg.gamma[acquired[0]] = SharedC(Ref("other"))
+            v = monitor_check(cfg, rec.touched)
+            assert v == (f"linear {acquired[0]}: offer type no longer "
+                         f"synchronizes with the client view under its "
+                         f"release obligation")
+            return
     pytest.fail("no acquire happened")
 
 
@@ -517,3 +526,247 @@ def test_duplicate_user_trace_pinned():
         h.update(end.encode())
         got[name, label] = h.hexdigest()[:16]
     assert got == DUP_TRACES
+
+
+# --------------------------------------------------------------------------- #
+# The configuration's indexes against one-pass references
+# --------------------------------------------------------------------------- #
+
+def reference_steps(cfg):
+    """The enabled steps by one pass over the configuration, the first
+    entry in the linear part winning where two offer or use a channel."""
+    from sill.procast import Acquire, AcquireL, Accept, FwdLL, FwdLS, \
+        FwdSS, Spawn
+    from sill.runtime import Step, _PAIRS, _spawnable, _subject
+    offered, client, acquirers = {}, {}, []
+    for e in cfg.theta:
+        offered.setdefault(e.chan, e)
+        if isinstance(e, Proc):
+            for c in e.uses:
+                client.setdefault(c, e)
+            if isinstance(e.term, (Acquire, AcquireL)):
+                acquirers.append(e)
+    steps = []
+    for e in cfg.theta:
+        if isinstance(e, Connect):
+            continue
+        a = e.chan
+        c, t = _subject(e)
+        if c is None:
+            if isinstance(t, FwdLL):
+                steps.append(Step("fwd_ll", a))
+            elif isinstance(t, FwdLS):
+                steps.append(Step("fwd_ls", a))
+            elif isinstance(t, Spawn) and _spawnable(cfg, t):
+                d = cfg.sig.lookup(t.proc)
+                steps.append(Step("spawn_ls" if d.offer_shared
+                                  else "spawn_ll", a))
+            continue
+        if c != a:
+            continue
+        u = client.get(a)
+        uc, ut = _subject(u) if u is not None else (None, None)
+        rule = _PAIRS.get((type(t), type(ut))) if uc == a else None
+        if rule is None or rule == "plus" and t.label not in ut.labels() \
+                or rule == "with" and ut.label not in t.labels():
+            continue
+        steps.append(Step(rule, a, u.chan))
+    for a in sorted(cfg.lam):
+        t = cfg.lam[a].term
+        if isinstance(t, FwdSS):
+            steps.append(Step("fwd_ss", a))
+        elif isinstance(t, Spawn) and _spawnable(cfg, t):
+            steps.append(Step("spawn_ss", a))
+        elif isinstance(t, Accept) and t.chan == a:
+            for e in acquirers:
+                if isinstance(e.term, Acquire) and e.term.chan == a:
+                    steps.append(Step("up_sl", a, e.chan))
+                elif isinstance(e.term, AcquireL):
+                    tgt = offered.get(e.term.chan)
+                    if isinstance(tgt, Connect) and tgt.target == a:
+                        steps.append(Step("up_sl2", a, e.chan))
+    return steps
+
+
+def reference_relevant(e, touched):
+    if isinstance(e, Connect):
+        return e.chan in touched or e.target in touched
+    return e.chan in touched or bool(set(e.uses) & touched)
+
+
+def reference_monitor(cfg, touched):
+    """The monitor that scans every entry for the touched ones: duplicate
+    providers over the whole configuration, then each relevant linear
+    entry in order, then each touched shared session by name."""
+    from sill.runtime import _Ck, is_subtype, is_ssync, \
+        SsyncPreconditionError
+    chans = [e.chan for e in cfg.theta] + list(cfg.lam)
+    if len(chans) != len(set(chans)):
+        dup = sorted({c for c in chans if chans.count(c) > 1})
+        return f"well-formedness: multiple providers for {dup}"
+    ck, env = _Ck(cfg.env, cfg.sig), cfg.env
+
+    def user_of(chan):
+        return next((e for e in cfg.theta
+                     if isinstance(e, Proc) and chan in e.uses), None)
+
+    for e in cfg.theta:
+        if not reference_relevant(e, touched):
+            continue
+        if isinstance(e, Connect):
+            u = user_of(e.chan)
+            con = cfg.gamma.get(e.target)
+            if u is not None and not (isinstance(con, SharedC) and
+                                      is_subtype(env, con.ty,
+                                                 u.uses[e.chan])):
+                return (f"alias {e.chan} -> {e.target}: shared constraint "
+                        f"does not refine the client view")
+            continue
+        u = user_of(e.chan)
+        view = u.uses[e.chan] if u is not None else e.offer
+        try:
+            ok = is_subtype(env, e.offer, view) and \
+                is_ssync(env, e.offer, view, cfg.gamma.get(e.chan, BOT))
+        except SsyncPreconditionError:
+            ok = False
+        if not ok:
+            return (f"linear {e.chan}: offer type no longer synchronizes "
+                    f"with the client view under its release obligation")
+        ck.diags.clear()
+        if ck.linear(cfg.gamma, e.uses, {}, e.term, e.chan, e.offer) is None:
+            return f"process at {e.chan} no longer typechecks: " \
+                   + "; ".join(ck.diags)
+    for a in sorted(set(cfg.lam) & touched):
+        p, con = cfg.lam[a], cfg.gamma.get(a)
+        if not isinstance(con, SharedC):
+            return f"shared {a}: no shared constraint recorded"
+        try:
+            ok = is_subtype(env, p.offer, con.ty) and \
+                is_ssync(env, p.offer, con.ty, TOP)
+        except SsyncPreconditionError:
+            ok = False
+        if not ok:
+            return (f"shared {a}: offer type does not equi-synchronize "
+                    f"with its recorded constraint")
+        ck.diags.clear()
+        if ck.shared(cfg.gamma, {}, p.term, a, p.offer) is None:
+            return f"process at {a} no longer typechecks: " \
+                   + "; ".join(ck.diags)
+    return None
+
+
+def reference_indexes(cfg):
+    """The linear part's maps by one pass, as sets of entry ids."""
+    offered, client, aliases = {}, {}, {}
+    for e in cfg.theta:
+        offered.setdefault(e.chan, set()).add(id(e))
+        if isinstance(e, Connect):
+            aliases.setdefault(e.target, set()).add(id(e))
+        else:
+            for c in e.uses:
+                client.setdefault(c, set()).add(id(e))
+    return offered, client, aliases
+
+
+def differential(prog, choose, max_steps, monitor, well_typed):
+    """Step prog, checking after every step that the maintained indexes,
+    the enabled steps, the entries the touched monitor rechecks and its
+    verdict agree with the one-pass references; a monitored run ends at
+    its first violation. Returns the number of steps taken."""
+    from sill.runtime import _check_gamma_monotone, _relevant
+    cfg = initial_config(prog)
+    if monitor and monitor_check(cfg, None) is not None:
+        return 0
+    for n in range(max_steps):
+        assert tuple({k: {id(e) for e in v} for k, v in m.items()}
+                     for m in (cfg.offered, cfg.client, cfg.aliases)) \
+            == reference_indexes(cfg)
+        steps = enumerate_steps(cfg)
+        assert steps == reference_steps(cfg)
+        if not steps:
+            return n
+        before = dict(cfg.gamma)
+        rec = apply_step(cfg, choose(steps))
+        assert sorted(_relevant(cfg, rec.touched)) == sorted(
+            id(e) for e in cfg.theta if reference_relevant(e, rec.touched))
+        if not monitor:
+            continue
+        want = reference_monitor(cfg, rec.touched)
+        assert monitor_check(cfg, rec.touched) == want
+        if well_typed:
+            assert want is None and monitor_check(cfg, None) is None
+        if want is not None or _check_gamma_monotone(cfg, before, rec):
+            return n + 1
+    return max_steps
+
+
+def _choosers():
+    import random
+    yield "fifo", lambda steps: steps[0]
+    for seed in (0, 5, 9):
+        yield f"seed{seed}", random.Random(seed).choice
+
+
+def test_indexes_steps_and_monitor_match_references():
+    progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
+    progs += [check_program(parse_program(src))[1]
+              for src in (SPAWN_LS, CLOSE_SHARED, wide_source())]
+    for prog in progs:
+        for _, choose in _choosers():
+            for monitor in (True, False):
+                differential(prog, choose, 300, monitor, True)
+
+
+def test_indexes_steps_and_monitor_match_references_on_mutants():
+    # every ill-typed mutant of the corpus bodies, run as --no-static would
+    # run it, monitored and not, for as many steps as its pinned outcome
+    import random
+    from test_typecheck import _mutants
+    runs = 0
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if not diags or mutant.system is None:
+                continue
+            for monitor in (True, False):
+                differential(elab, random.Random(0).choice, 60, monitor,
+                             False)
+                runs += 1
+    assert runs > 3000
+
+
+def test_recheck_memo_sees_every_part_of_its_key():
+    # after Main of the wide program spawns its second Batch, the touched
+    # check rechecks Main and remembers it; each part of what that recheck
+    # read, made ill-typed in turn, must be rechecked and flagged at once,
+    # although the rest of Main and the step's touched set stay the same
+    from sill.types import IChoice
+    src = wide_source()
+    prog = check_program(parse_program(src))[1]
+    cfg = initial_config(prog)
+    for _ in range(2):
+        rec = apply_step(cfg, enumerate_steps(cfg)[0])
+    main = cfg.theta[0]
+    b0, b1 = main.uses
+    assert rec.rule == "spawn_ll" and rec.touched == {main.chan, b1}
+    assert "q" in cfg.gamma and "q" not in rec.touched
+    assert monitor_check(cfg, rec.touched) is None
+    assert main.check_memo is not None
+    # rebinds a type that Main's spawns of Writer(q) unfold
+    zapped = parse_program(src.replace(
+        "type producer = up_s &{enqueue:", "type producer = up_s &{zap:"))
+    corruptions = {
+        "term": (main, "term", main.term.cont),  # skips the spawn of b2
+        "offer": (main, "offer", IChoice((("a", One()),))),
+        "uses": (main.uses, b0, Tensor(One(), One())),
+        "gamma": (cfg.gamma, "q", SharedC(Ref("consumer"))),
+        "env": (cfg, "env", zapped.types),
+    }
+    for part, (obj, key, bad) in corruptions.items():
+        get, put = (dict.get, dict.__setitem__) if isinstance(obj, dict) \
+            else (getattr, setattr)
+        good = get(obj, key)
+        put(obj, key, bad)
+        assert monitor_check(cfg, rec.touched) is not None, part
+        put(obj, key, good)
+        assert monitor_check(cfg, rec.touched) is None, part
