@@ -5,9 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sill.cli import main
-from sill.parser import tokenize
 
-from conftest import CORPUS, CORPUS_FILES
+from conftest import CORPUS, CORPUS_FILES, mutate
 
 Q = str(CORPUS / "queue.sill")
 A = str(CORPUS / "auction.sill")
@@ -319,17 +318,8 @@ _COMMANDS = (["check"], ["fmt"], ["run", "--no-static", "--steps", "60"],
 def test_fuzz_mutated_corpus(path, edits, tmp_path, capsys):
     # token deletions, duplications and swaps end every command with a
     # documented exit code and no exception
-    toks = [t.text for t in tokenize(path.read_text())][:-1]
-    for op, i, j in edits:
-        i, j = i % len(toks), j % len(toks)
-        if op == "del":
-            del toks[i]
-        elif op == "dup":
-            toks.insert(i, toks[i])
-        else:
-            toks[i], toks[j] = toks[j], toks[i]
     f = tmp_path / "m.sill"
-    f.write_text(" ".join(toks))
+    f.write_text(mutate(path.read_text(), edits))
     for argv in _COMMANDS:
         assert main([argv[0], str(f)] + argv[1:]) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
