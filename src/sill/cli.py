@@ -2,17 +2,19 @@
 
 Subcommands: ``check``, ``sub``, ``ssync``, ``esync``, ``meet``, ``run``,
 ``fmt``. Exit codes: 0 for success / a positive verdict, 1 for a negative
-verdict, diagnostics, a monitor violation or a run that halts without
-progress, 2 for usage and syntax errors (unreadable files, unknown type
-names) and for programs too deep to process.
+verdict, diagnostics (for a judgment, those of the file's type
+environment), a monitor violation or a run that halts without progress, 2
+for usage and syntax errors (unreadable files, unknown type names) and for
+programs too deep to process.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
-from .types import TOP, BOT, SharedC
+from .types import TOP, BOT, SharedC, TypeDefEnv, validate_env
 from .parser import parse_program, parse_type, ParseError, Program, SystemDecl
 from .printer import format_program, format_type
 from .subtype import is_subtype
@@ -26,6 +28,23 @@ def _load(path: str) -> Program:
         return parse_program(f.read())
 
 
+def _report(diags: list[str]) -> bool:
+    """Print each diagnostic on its own line; whether there were none."""
+    for d in diags:
+        print(d, file=sys.stderr)
+    return not diags
+
+
+def _judgment(cmd: Callable[..., int]) -> Callable[..., int]:
+    """cmd on the file's type environment once it is well formed: the
+    judgments assume it is, and raise or unfold forever on a cycle of
+    names."""
+    def judged(args) -> int:
+        env = _load(args.file).types
+        return cmd(args, env) if _report(validate_env(env)) else 1
+    return judged
+
+
 def _checked(prog: Program, bodies: bool = True) -> Program | None:
     """The elaborated program, or None after printing its diagnostics.
     Without bodies only the header must check; the bodies are elaborated
@@ -33,9 +52,7 @@ def _checked(prog: Program, bodies: bool = True) -> Program | None:
     diags, prog2 = check_program(prog)
     if not bodies:
         diags = check_header(prog)
-    for d in diags:
-        print(d, file=sys.stderr)
-    return None if diags else prog2
+    return prog2 if _report(diags) else None
 
 
 def cmd_check(args) -> int:
@@ -51,27 +68,27 @@ def cmd_fmt(args) -> int:
     return 0
 
 
-def cmd_sub(args) -> int:
-    prog = _load(args.file)
-    a = parse_type(args.a, prog.types)
-    b = parse_type(args.b, prog.types)
-    ok = is_subtype(prog.types, a, b)
+@_judgment
+def cmd_sub(args, env: TypeDefEnv) -> int:
+    a = parse_type(args.a, env)
+    b = parse_type(args.b, env)
+    ok = is_subtype(env, a, b)
     print("yes" if ok else "no")
     return 0 if ok else 1
 
 
-def cmd_ssync(args) -> int:
-    prog = _load(args.file)
-    a = parse_type(args.a, prog.types)
-    b = parse_type(args.b, prog.types)
+@_judgment
+def cmd_ssync(args, env: TypeDefEnv) -> int:
+    a = parse_type(args.a, env)
+    b = parse_type(args.b, env)
     if args.constraint == "top":
         d = TOP
     elif args.constraint == "bot":
         d = BOT
     else:
-        d = SharedC(parse_type(args.constraint, prog.types))
+        d = SharedC(parse_type(args.constraint, env))
     try:
-        ok = is_ssync(prog.types, a, b, d)
+        ok = is_ssync(env, a, b, d)
     except SsyncPreconditionError:
         print("not a subtype pair", file=sys.stderr)
         return 2
@@ -79,23 +96,23 @@ def cmd_ssync(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_esync(args) -> int:
-    prog = _load(args.file)
-    a = parse_type(args.a, prog.types)
-    ok = is_esync(prog.types, a)
+@_judgment
+def cmd_esync(args, env: TypeDefEnv) -> int:
+    a = parse_type(args.a, env)
+    ok = is_esync(env, a)
     print("yes" if ok else "no")
     return 0 if ok else 1
 
 
-def cmd_meet(args) -> int:
-    prog = _load(args.file)
-    a = parse_type(args.a, prog.types)
-    b = parse_type(args.b, prog.types)
-    t, env2 = meet_types(prog.types, a, b)
+@_judgment
+def cmd_meet(args, env: TypeDefEnv) -> int:
+    a = parse_type(args.a, env)
+    b = parse_type(args.b, env)
+    t, env2 = meet_types(env, a, b)
     if t is None:
         print("none")
         return 1
-    for d in env2.defs[len(prog.types.defs):]:
+    for d in env2.defs[len(env.defs):]:
         print(f"type {d.name} = {format_type(d.body)}")
     print(format_type(t))
     return 0

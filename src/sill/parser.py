@@ -9,13 +9,18 @@ Type grammar, loosest first::
         | up_s T | down_s T | up_l T | down_l T | ?base. T | !base. T
         | 1 | Name | +{l: T, ...} | &{l: T, ...} | (T)
 
-Process bodies are semicolon-sequenced actions; see ``_statement`` for the
+Process bodies are semicolon-sequenced actions; see ``proc_body`` for the
 full list. Comments run from ``//`` to end of line.
+
+``SYNTAX`` spells every action and type connective that has a keyword or
+a marker; the parser reads, and the printer writes, each one through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, TypeVar
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
@@ -25,8 +30,11 @@ from .types import (
 from .procast import (
     Fwd, Spawn, Close, Wait, SendChan, RecvChan, SendLabel, CaseRecv,
     Acquire, Accept, Release, Detach, SendVal, RecvVal,
-    ProcessTerm, Param, ProcDef, ProcSignature,
+    ProcessTerm, Param, ProcDef, ProcSignature, FIELDS, NAME, BINDER, CONT,
 )
+
+
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -34,66 +42,85 @@ class ParseError(Exception):
 
 
 # --------------------------------------------------------------------------- #
+# Surface syntax
+# --------------------------------------------------------------------------- #
+
+# generic constructor -> its keyword or marker. The fields give the shape:
+# an action with a binder reads "binder <- word subject", any other
+# "word name ..."; a type with a base reads "word base. T", one with
+# branches "word{l: T, ...}", one with only a continuation "word T".
+SYNTAX = {
+    Fwd: "fwd", Close: "close", Wait: "wait", SendChan: "send",
+    SendVal: "put", RecvChan: "recv", RecvVal: "get",
+    Acquire: "acquire", Accept: "accept", Release: "release",
+    Detach: "detach",
+    UpSL: "up_s", DownSL: "down_s", UpLL: "up_l", DownLL: "down_l",
+    ValIn: "?", ValOut: "!", IChoice: "+", EChoice: "&",
+}
+_WORDS = {word: cls for cls, word in SYNTAX.items()}
+# constructor -> its field names
+_SHAPE = {cls: cls.__match_args__ for cls in SYNTAX}
+# the actions written "binder <- word subject"; an action written "word
+# name ..." -> the fields it reads, and whether a continuation follows
+_BOUND = {cls for cls in SYNTAX if "binder" in _SHAPE[cls]}
+_PREFIXED = {cls: ([f for f, role in FIELDS[cls] if role is NAME],
+                   "cont" in _SHAPE[cls])
+             for cls in SYNTAX if cls in FIELDS and cls not in _BOUND}
+
+# the words and symbols of the declarations, case, spawn and the infix
+# connectives, and those of the table; two-character symbols first
+_KEYWORDS = {"type", "proc", "system", "main", "sh", "case", "spawn",
+             *(w for w in SYNTAX.values() if w.isidentifier())}
+_SYMBOLS = ("|-", "-o", "<-", "=>", *"{}():;,.=|*",
+            *(w for w in SYNTAX.values() if not w.isidentifier()))
+
+# a newline, blanks or a comment, a run of word characters, a symbol, or
+# any other character
+_TOKEN = re.compile(r"(\n)|[ \t\r]+|//[^\n]*|(\w+)|(%s)|(.)"
+                    % "|".join(map(re.escape, _SYMBOLS)))
+
+
+# --------------------------------------------------------------------------- #
 # Lexer
 # --------------------------------------------------------------------------- #
 
-_KEYWORDS = {
-    "type", "proc", "system", "main", "sh",
-    "fwd", "close", "wait", "send", "recv", "case", "spawn",
-    "acquire", "accept", "release", "detach", "put", "get",
-    "up_s", "down_s", "up_l", "down_l",
-}
-
-_SYMBOLS = ("|-", "-o", "<-", "=>", "{", "}", "(", ")", ":", ";", ",",
-            ".", "=", "|", "*", "+", "&", "?", "!")
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "num", "kw", or the symbol itself
+class Token(NamedTuple):
+    kind: str  # "ident", "num", "kw", "eof" or the symbol itself
     text: str
     line: int
 
 
+def _word(word: str, line: int) -> Token:
+    return Token("kw" if word in _KEYWORDS else "ident", word, line)
+
+
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line = 0, 1
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
+    line = 1
+    for nl, word, sym, other in _TOKEN.findall(src):
+        if word:
+            if word[0].isalpha() or word[0] == "_":
+                toks.append(_word(word, line))
+                continue
+            if word.isdigit():
+                toks.append(Token("num", word, line))
+                continue
+            # digits run into a letter, or a word character that starts
+            # neither: split as str.isdigit and str.isalpha see it, which
+            # \d and [^\W\d] do not match exactly (say on "²" or "½")
+            n = next(i for i, c in enumerate(word) if not c.isdigit())
+            other = word[n]
+            if n and (other.isalpha() or other == "_"):
+                toks += [Token("num", word[:n], line), _word(word[n:], line)]
+                continue
+        elif sym:
+            toks.append(Token(sym, sym, line))
+            continue
+        elif nl:
             line += 1
-            i += 1
             continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("kw" if word in _KEYWORDS else "ident", word, line))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("num", src[i:j], line))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token(sym, sym, line))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"line {line}: unexpected character {ch!r}")
+        if other:
+            raise ParseError(f"line {line}: unexpected character {other!r}")
     toks.append(Token("eof", "", line))
     return toks
 
@@ -142,6 +169,14 @@ class _P:
     def ident(self) -> str:
         return self.expect("ident").text
 
+    def many(self, item: Callable[[], T], sep: str) -> list[T]:
+        """One item or more, separated by sep."""
+        items = [item()]
+        while self.at(sep):
+            self.next()
+            items.append(item())
+        return items
+
     # -- types -------------------------------------------------------------- #
 
     def type_(self) -> SessionType:
@@ -159,45 +194,28 @@ class _P:
         return left
 
     def type_prefix(self) -> SessionType:
-        t = self.peek()
-        if t.kind == "kw" and t.text in ("up_s", "down_s", "up_l", "down_l"):
-            self.next()
-            cont = self.type_prefix()
-            cls = {"up_s": UpSL, "down_s": DownSL,
-                   "up_l": UpLL, "down_l": DownLL}[t.text]
-            return cls(cont)
-        if self.at("?") or self.at("!"):
-            out = self.at("!")
-            self.next()
-            base = self.ident()
-            self.expect(".")
-            cont = self.type_prefix()
-            return ValOut(base, cont) if out else ValIn(base, cont)
-        return self.type_atom()
-
-    def type_atom(self) -> SessionType:
-        t = self.peek()
+        t = self.next()
+        cls = _WORDS.get(t.text)
+        match _SHAPE.get(cls):
+            case ("cont",):
+                return cls(self.type_prefix())
+            case ("base", "cont"):
+                base = self.ident()
+                self.expect(".")
+                return cls(base, self.type_prefix())
+            case ("branches",):
+                self.expect("{")
+                branches = self.many(self.branch, ",")
+                self.expect("}")
+                return cls(tuple(branches))
         if t.kind == "num" and t.text == "1":
-            self.next()
             return One()
         if t.kind == "ident":
-            return Ref(self.next().text)
-        if self.at("("):
-            self.next()
+            return Ref(t.text)
+        if t.kind == "(":
             ty = self.type_()
             self.expect(")")
             return ty
-        if self.at("+") or self.at("&"):
-            internal = self.at("+")
-            self.next()
-            self.expect("{")
-            branches = [self.branch()]
-            while self.at(","):
-                self.next()
-                branches.append(self.branch())
-            self.expect("}")
-            cls = IChoice if internal else EChoice
-            return cls(tuple(branches))
         raise ParseError(f"line {t.line}: expected a type, got {t.text!r}")
 
     def branch(self) -> tuple[str, SessionType]:
@@ -208,42 +226,30 @@ class _P:
     # -- processes ---------------------------------------------------------- #
 
     def proc_body(self) -> ProcessTerm:
-        """Actions up to a fwd, close or case, read in a loop along the
-        continuation spine; only case arms recurse."""
-        spine: list[tuple[type, tuple]] = []
+        """Actions up to one with no continuation, read in a loop along
+        the continuation spine; only case arms recurse."""
+        spine: list[tuple[type, list]] = []
         while True:
             t = self.next()
-            kw = t.text if t.kind == "kw" else None
-            if kw == "fwd":
-                p = Fwd(self.ident(), self.ident())
-                break
-            if kw == "close":
-                p = Close(self.ident())
-                break
-            if kw == "case":
+            cls = _WORDS.get(t.text) if t.kind == "kw" else None
+            if cls in _PREFIXED:
+                names, continues = _PREFIXED[cls]
+                vals = [self.value() if f == "value" else self.ident()
+                        for f in names]
+                if not continues:
+                    p = cls(*vals)
+                    break
+                head = cls, vals
+            elif t.kind == "kw" and t.text == "case":
                 on = self.ident()
                 self.expect("{")
-                branches = [self.case_arm()]
-                while self.at("|"):
-                    self.next()
-                    branches.append(self.case_arm())
+                branches = self.many(self.case_arm, "|")
                 self.expect("}")
                 p = CaseRecv(on, tuple(branches))
                 break
-            if kw == "wait":
-                head = Wait, (self.ident(),)
-            elif kw == "send":
-                head = SendChan, (self.ident(), self.ident())
-            elif kw == "put":
-                on = self.ident()
-                v = self.next()
-                if v.kind not in ("ident", "num"):
-                    raise ParseError(
-                        f"line {v.line}: expected a value, got {v.text!r}")
-                head = SendVal, (on, v.text)
             elif t.kind == "ident" and self.at("."):
                 self.next()
-                head = SendLabel, (t.text, self.ident())
+                head = SendLabel, [t.text, self.ident()]
             elif t.kind == "ident":
                 self.expect("<-")
                 head = self.binding(t.text)
@@ -252,11 +258,18 @@ class _P:
                     f"line {t.line}: expected a process, got {t.text!r}")
             self.expect(";")
             spine.append(head)
-        for cls, fields in reversed(spine):
-            p = cls(*fields, p)
+        for cls, vals in reversed(spine):
+            p = cls(*vals, p)
         return p
 
-    def binding(self, name: str) -> tuple[type, tuple]:
+    def value(self) -> str:
+        v = self.next()
+        if v.kind not in ("ident", "num"):
+            raise ParseError(
+                f"line {v.line}: expected a value, got {v.text!r}")
+        return v.text
+
+    def binding(self, name: str) -> tuple[type, list]:
         """The action after ``name <-`` and its fields before the
         continuation."""
         verb = self.peek()
@@ -264,19 +277,15 @@ class _P:
             raise ParseError(
                 f"line {verb.line}: expected an action, got {verb.text!r}")
         self.next()
-        match verb.text:
-            case "recv":
-                return RecvChan, (self.ident(), name)
-            case "get":
-                return RecvVal, (self.ident(), name)
-            case "acquire" | "accept" | "release" | "detach":
-                cls = {"acquire": Acquire, "accept": Accept,
-                       "release": Release, "detach": Detach}[verb.text]
-                return cls, (name, self.ident())
-            case "spawn":
-                proc, args = self.call()
-                return Spawn, (proc, name, args)
-        raise ParseError(f"line {verb.line}: unknown action {verb.text!r}")
+        if verb.text == "spawn":
+            proc, args = self.call()
+            return Spawn, [proc, name, args]
+        cls = _WORDS.get(verb.text)
+        if cls not in _BOUND:
+            raise ParseError(f"line {verb.line}: unknown action {verb.text!r}")
+        subject = self.ident()
+        return cls, [name if role is BINDER else subject
+                     for _, role in FIELDS[cls] if role is not CONT]
 
     def case_arm(self) -> tuple[str, ProcessTerm]:
         label = self.ident()
@@ -289,21 +298,15 @@ class _P:
         self.expect("kw", "type")
         name = self.ident()
         self.expect("=")
-        body = self.type_()
         # modality assigned structurally once the whole file is parsed
-        return TypeDef(name, LINEAR, body)
+        return TypeDef(name, LINEAR, self.type_())
 
     def procdef(self) -> ProcDef:
         self.expect("kw", "proc")
         name = self.ident()
         self.expect(":")
         self.expect("(")
-        params: list[Param] = []
-        if not self.at(")"):
-            params.append(self.param())
-            while self.at(","):
-                self.next()
-                params.append(self.param())
+        params = [] if self.at(")") else self.many(self.param, ",")
         self.expect(")")
         self.expect("|-")
         offer = self.ident()
@@ -332,14 +335,12 @@ class _P:
                 t = self.next()
                 if main is not None:
                     raise ParseError(f"line {t.line}: duplicate main")
-                proc, args = self.call()
-                main = (proc, args)
+                main = self.call()
             else:
                 binder = self.ident()
                 self.expect("<-")
                 self.expect("kw", "spawn")
-                proc, args = self.call()
-                spawns.append((binder, proc, args))
+                spawns.append((binder, *self.call()))
             self.expect(";")
         self.expect("}")
         if main is None:
@@ -349,39 +350,19 @@ class _P:
     def call(self) -> tuple[str, tuple[str, ...]]:
         proc = self.ident()
         self.expect("(")
-        args: list[str] = []
-        if not self.at(")"):
-            args.append(self.ident())
-            while self.at(","):
-                self.next()
-                args.append(self.ident())
+        args = [] if self.at(")") else self.many(self.ident, ",")
         self.expect(")")
         return proc, tuple(args)
 
 
-def _assign_modalities(defs: list[TypeDef]) -> TypeDefEnv:
-    """The surface syntax carries no modality keyword; a definition is
-    shared exactly when it unfolds to an up-shift."""
-    env = TypeDefEnv(tuple(defs))
-    out = []
-    for d in defs:
-        try:
-            mod = SHARED if isinstance(unfold(env, Ref(d.name)), UpSL) else LINEAR
-        except (KeyError, TypeError_):
-            mod = LINEAR
-        out.append(TypeDef(d.name, mod, d.body))
-    return TypeDefEnv(tuple(out))
-
-
-def _mark_shared_offers(defs: list[ProcDef], env: TypeDefEnv) -> ProcSignature:
-    out = []
-    for d in defs:
-        try:
-            shared = isinstance(unfold(env, d.offer_ty), UpSL)
-        except (KeyError, TypeError_):
-            shared = False
-        out.append(ProcDef(d.name, d.offer, d.offer_ty, shared, d.params, d.body))
-    return ProcSignature(tuple(out))
+def _shared(env: TypeDefEnv, t: SessionType) -> bool:
+    """The surface syntax carries no modality keyword: a type is shared
+    exactly when it unfolds to an up-shift, and linear when it does not
+    resolve."""
+    try:
+        return isinstance(unfold(env, t), UpSL)
+    except (KeyError, TypeError_):
+        return False
 
 
 def parse_program(src: str) -> Program:
@@ -403,8 +384,12 @@ def parse_program(src: str) -> Program:
             t = p.peek()
             raise ParseError(
                 f"line {t.line}: expected a declaration, got {t.text!r}")
-    env = _assign_modalities(typedefs)
-    sig = _mark_shared_offers(procdefs, env)
+    env = TypeDefEnv(tuple(typedefs))
+    env = TypeDefEnv(tuple(
+        replace(d, modality=SHARED if _shared(env, Ref(d.name)) else LINEAR)
+        for d in typedefs))
+    sig = ProcSignature(tuple(
+        replace(d, offer_shared=_shared(env, d.offer_ty)) for d in procdefs))
     return Program(env, sig, system)
 
 

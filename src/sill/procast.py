@@ -204,6 +204,11 @@ ProcessTerm = (
     | Release | ReleaseL | Detach | DetachL
     | SendVal | RecvVal
 )
+# elaborated variant -> the generic action it elaborates, which it checks
+# and prints as
+GENERIC = {FwdLL: Fwd, FwdSS: Fwd, FwdLS: Fwd, SendChanS: SendChan,
+           AcquireL: Acquire, AcceptL: Accept, ReleaseL: Release,
+           DetachL: Detach}
 
 
 # --------------------------------------------------------------------------- #

@@ -341,6 +341,8 @@ _PAIRS = {
     (Detach, Release): "down_sl",
     (Detach, ReleaseL): "down_sl2",
 }
+# the actions by which a provider synchronizes with its client
+_PROVIDES = {provider for provider, _ in _PAIRS}
 
 
 def _spawnable(cfg: Config, t: Spawn) -> bool:
@@ -722,9 +724,7 @@ def _poised(cfg: Config, p: Proc) -> bool:
         return isinstance(t, Accept) and c == p.chan
     if c != p.chan:
         return False
-    return isinstance(t, (Close, SendChan, SendChanS, RecvChan, SendLabel,
-                          CaseRecv, SendVal, RecvVal, AcceptL, Detach,
-                          DetachL))
+    return type(t) in _PROVIDES
 
 
 def _acquire_blocked(cfg: Config, p: Proc) -> bool:

@@ -175,23 +175,3 @@ def bounded_oracle(env: TypeDefEnv, a: SessionType, b: SessionType,
     if depth <= 0:
         return True
     return depth < _refutation_depth(env, a, b)
-
-
-# --------------------------------------------------------------------------- #
-# Context orderings
-# --------------------------------------------------------------------------- #
-
-def ctx_leq(env: TypeDefEnv, d1: dict, d2: dict) -> bool:
-    """Linear contexts: same channels, pointwise subtyping."""
-    if set(d1) != set(d2):
-        return False
-    return all(is_subtype(env, d1[x], d2[x]) for x in d1)
-
-
-def ctx_preceq(env: TypeDefEnv, g1: dict, g2: dict) -> bool:
-    """Shared contexts: g1 may have extra channels; common entries ordered
-    by the constraint lattice."""
-    from .types import constraint_leq
-    if not set(g2) <= set(g1):
-        return False
-    return all(constraint_leq(env, g1[x], g2[x], is_subtype) for x in g2)

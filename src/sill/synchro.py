@@ -123,28 +123,19 @@ class _MeetState:
     memo: dict[tuple, str]
     counter: int = 0
 
-    def lookup_names(self) -> set[str]:
-        return set(self.env.names()) | {d.name for d in self.fresh}
-
-    def mint(self, mode: str, a: SessionType, b: SessionType) -> str:
+    def mint(self, mode: str) -> str:
         base = "Meet" if mode == "meet" else "Join"
+        taken = {*self.env.names(), *(d.name for d in self.fresh)}
         while True:
             name = f"{base}{self.counter}"
             self.counter += 1
-            if name not in self.lookup_names():
+            if name not in taken:
                 return name
-
-    def resolve(self, t: SessionType) -> SessionType:
-        if isinstance(t, Ref):
-            for d in self.fresh:
-                if d.name == t.name:
-                    return d.body
-            return self.env.lookup(t.name).body
-        return t
 
     def unfold(self, t: SessionType) -> SessionType:
         while isinstance(t, Ref):
-            t = self.resolve(t)
+            fresh = [d.body for d in self.fresh if d.name == t.name]
+            t = fresh[0] if fresh else self.env.lookup(t.name).body
         return t
 
 
@@ -157,7 +148,7 @@ def _mt(st: _MeetState, mode: str, a: SessionType, b: SessionType) -> SessionTyp
         key = (mode, a, b)
         if key in st.memo:
             return Ref(st.memo[key])
-        name = st.mint(mode, a, b)
+        name = st.mint(mode)
         st.memo[key] = name
         placeholder = len(st.fresh)
         memo_snapshot = set(st.memo)
@@ -237,12 +228,8 @@ def meet(env: TypeDefEnv, c: ConstraintType,
         case (Bot(), _) | (_, Bot()):
             return BOT, env
         case (SharedC(a), SharedC(b)):
-            st = _MeetState(env, [], {})
-            try:
-                t = _mt(st, "meet", a, b)
-            except _NoMeet:
-                return BOT, env
-            return SharedC(t), env.extend(*st.fresh)
+            t, env2 = meet_types(env, a, b)
+            return (BOT, env) if t is None else (SharedC(t), env2)
     raise AssertionError("unreachable")
 
 

@@ -45,7 +45,7 @@ from .procast import (
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
     SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, FIELDS, CONT,
-    BINDER, SUBJECT,
+    BINDER, SUBJECT, GENERIC,
 )
 from .parser import Program
 from .printer import format_proc, format_type
@@ -74,11 +74,9 @@ CONNECTIVES = {
     UpLL: ("\u2191LL", "is not at a linear acquire"),
     DownSL: ("\u2193SL", "is not at a release point"),
 }
-# a shift -> its variant at a linear twin; any elaborated variant -> the
-# generic action it checks as
+# a shift -> its variant at a linear twin
 _LINEAR = {Accept: AcceptL, Acquire: AcquireL, Release: ReleaseL,
            Detach: DetachL}
-_GENERIC = {SendChanS: SendChan, **{v: k for k, v in _LINEAR.items()}}
 # the failure of a one-sided action on a channel its rule cannot use; the
 # others fail there with "unknown channel"
 _MISPLACED = {
@@ -92,7 +90,7 @@ _LINEAR_ACCEPT = ("accept in a linear judgment needs a linear acquire "
 # action -> (the generic action it checks as, that action's right and left
 # constructor, the field naming its channel, its misplaced failure)
 _PLAN = {cls: (gen, *ACTIONS[gen], SUBJECT[cls], _MISPLACED.get(gen))
-         for cls, gen in ((c, _GENERIC.get(c, c)) for c in SUBJECT)}
+         for cls, gen in ((c, GENERIC.get(c, c)) for c in SUBJECT)}
 _FORWARDS = (Fwd, FwdLL, FwdSS, FwdLS)
 # the actions that bind a name; those whose binder continues the channel
 # they act on may keep its name

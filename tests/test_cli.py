@@ -1,12 +1,16 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sill.cli import main
+from sill.parser import parse_program, ParseError
 
-from conftest import CORPUS, CORPUS_FILES, mutate
+from conftest import CORPUS, CORPUS_FILES, ROOT, mutate
 
 Q = str(CORPUS / "queue.sill")
 A = str(CORPUS / "auction.sill")
@@ -245,6 +249,26 @@ def test_bad_input_or_name_exits_2(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sub", "a", "b"], ["ssync", "a", "a"], ["esync", "a"], ["meet", "a", "b"],
+], ids=lambda argv: argv[0])
+def test_judgments_on_an_invalid_environment_exit_1(argv, tmp_path):
+    # the judgments assume a well-formed environment; on a cycle of names
+    # they would raise or, for meet, unfold forever, so a subprocess with a
+    # timeout runs each
+    f = tmp_path / "cycle.sill"
+    f.write_text("type a = b\ntype b = a\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-m", "sill.cli", argv[0], str(f),
+                          *argv[1:]], capture_output=True, text=True,
+                         timeout=30, env=env)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == ("non-contractive: a -> b -> a\n"
+                          "non-contractive: b -> a -> b\n")
+
+
 HANDOFF_BAD = (CORPUS / "handoff.sill").read_text().replace(
     "send t2 p;", "send t2 x;")
 
@@ -316,10 +340,19 @@ _COMMANDS = (["check"], ["fmt"], ["run", "--no-static", "--steps", "60"],
                                 st.integers(0, 10**6), st.integers(0, 10**6)),
                       min_size=1, max_size=3))
 def test_fuzz_mutated_corpus(path, edits, tmp_path, capsys):
-    # token deletions, duplications and swaps end every command with a
-    # documented exit code and no exception
+    # token deletions, duplications and swaps end every command, the
+    # judgments among them, with a documented exit code and no exception
     f = tmp_path / "m.sill"
     f.write_text(mutate(path.read_text(), edits))
     for argv in _COMMANDS:
         assert main([argv[0], str(f)] + argv[1:]) in (0, 1, 2)
+    # the judgments on the first type names the file defines
+    try:
+        names = parse_program(f.read_text()).types.names()
+    except ParseError:
+        names = ()
+    if names:
+        a, b = names[0], names[1 % len(names)]
+        for argv in (["sub", a, b], ["esync", a], ["meet", a, b]):
+            assert main([argv[0], str(f)] + argv[1:]) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err

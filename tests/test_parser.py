@@ -2,8 +2,11 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sill.parser import parse_program, parse_type, tokenize, ParseError
+from sill.parser import (
+    parse_program, parse_type, tokenize, ParseError, _KEYWORDS,
+)
 from sill.printer import format_type, format_program
 from sill.types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
@@ -157,3 +160,87 @@ FRONT_END = {
 def test_front_end_pinned():
     # 7 corpus files and 560 token-mutated variants of them
     assert {p.stem: _front_end_pin(p) for p in CORPUS_FILES} == FRONT_END
+
+
+# the lexer as it was before the one-pattern rewrite, a character at a
+# time, and its keywords and symbols
+REFERENCE_KEYWORDS = {
+    "type", "proc", "system", "main", "sh",
+    "fwd", "close", "wait", "send", "recv", "case", "spawn",
+    "acquire", "accept", "release", "detach", "put", "get",
+    "up_s", "down_s", "up_l", "down_l",
+}
+REFERENCE_SYMBOLS = ("|-", "-o", "<-", "=>", "{", "}", "(", ")", ":", ";",
+                     ",", ".", "=", "|", "*", "+", "&", "?", "!")
+
+
+def reference_tokenize(src: str) -> list[tuple[str, str, int]]:
+    toks = []
+    i, line = 0, 1
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            continue
+        if src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            word = src[i:j]
+            toks.append(("kw" if word in REFERENCE_KEYWORDS else "ident",
+                         word, line))
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(("num", src[i:j], line))
+            i = j
+            continue
+        for sym in REFERENCE_SYMBOLS:
+            if src.startswith(sym, i):
+                toks.append((sym, sym, line))
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"line {line}: unexpected character {ch!r}")
+    toks.append(("eof", "", line))
+    return toks
+
+
+def _lexed(lex, src):
+    try:
+        return [tuple(t) for t in lex(src)]
+    except ParseError as e:
+        return str(e)
+
+
+# every symbol and keyword, ASCII letters and digits, blanks, line breaks
+# and comments, characters that only str.isalpha or str.isdigit accept
+# ("é", "ß", "٣", "²") or neither ("½"), and a few that start no token;
+# each group is drawn as often as each other
+_PIECES = (REFERENCE_SYMBOLS, sorted(REFERENCE_KEYWORDS),
+           "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
+           "0123456789_", (" ", "\t", "\r", "\n", "//"),
+           ("é", "ß", "٣", "²", "½", "-", "/", "<", "#"))
+
+
+def test_keywords_match_reference():
+    assert _KEYWORDS == REFERENCE_KEYWORDS
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(*map(st.sampled_from, _PIECES)), max_size=40)
+       .map("".join))
+def test_tokenize_matches_reference(src):
+    assert _lexed(tokenize, src) == _lexed(reference_tokenize, src)

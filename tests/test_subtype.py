@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from sill.types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, Ref, TypeDef, TypeDefEnv, SHARED, LINEAR,
+    ValIn, ValOut, Ref, TypeDef, TypeDefEnv, LINEAR,
 )
 from sill.subtype import (
-    is_subtype, bounded_oracle, exact_bound, ctx_leq, ctx_preceq,
+    is_subtype, bounded_oracle, exact_bound,
 )
-from sill.types import BOT, TOP, SharedC
 from sill.synchro import is_ssync
 
 from gen import gen_env, gen_linear_type, widen, narrow
@@ -139,24 +138,6 @@ def test_exact_bound_value():
     t = Tensor(One(), One())
     # reachable(t) = {t, One}; bound = 2*2 + 1
     assert exact_bound(E, t, t) == 5
-
-
-def test_ctx_leq():
-    env = E
-    small = IChoice((("a", One()),))
-    big = IChoice((("a", One()), ("b", One())))
-    assert ctx_leq(env, {"x": small}, {"x": big})
-    assert not ctx_leq(env, {"x": big}, {"x": small})
-    assert not ctx_leq(env, {"x": small}, {"y": small})
-
-
-def test_ctx_preceq_domain_may_grow():
-    env = TypeDefEnv((TypeDef("s", SHARED, UpSL(One())),))
-    g1 = {"a": SharedC(Ref("s")), "b": BOT}
-    g2 = {"a": TOP}
-    assert ctx_preceq(env, g1, g2)
-    assert not ctx_preceq(env, g2, g1)
-    assert not ctx_preceq(env, {"a": TOP}, {"a": SharedC(Ref("s"))})
 
 
 @settings(max_examples=60, deadline=None)
