@@ -120,6 +120,16 @@ class CaseRecv:
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.branches)
 
+    @cached_property
+    def slots(self) -> dict[str, tuple[int, "ProcessTerm"]]:
+        """label -> the number of binders in the branches before its
+        branch, and the branch; the first branch of a label wins."""
+        out, n = {}, 0
+        for l, t in self.branches:
+            out.setdefault(l, (n, t))
+            n += scope(t)[0]
+        return out
+
 
 @dataclass(frozen=True)
 class Acquire:
@@ -231,6 +241,14 @@ class ProcDef:
     params: tuple[Param, ...]
     body: ProcessTerm
 
+    @cached_property
+    def slots(self) -> tuple[int, frozenset[str]]:
+        """The number of binders in the body, and the names free in it
+        other than the offered channel and the parameters (none once the
+        definition typechecks)."""
+        n, free = scope(self.body)
+        return n, free - {self.offer, *(p.chan for p in self.params)}
+
 
 @dataclass(frozen=True)
 class ProcSignature:
@@ -272,36 +290,88 @@ def _rename(t: ProcessTerm, ren: dict[str, str],
             gen: Callable[[], str] | None) -> ProcessTerm:
     """Rename the free names of t by ren. With gen None a binder shadows
     (its name leaves ren below it); otherwise each binder gets gen(), in
-    preorder. Recurses only into case branches, not along the spine."""
-    spine = []
+    preorder. Recurses only into case branches, not along the spine, and
+    copies ren at most once per call, as a binder's scope is the rest of
+    the spine. A node that renames to itself is returned as it is."""
+    spine, own = [], False
     while gen is not None or ren:
-        vals, inner, k = [], ren, None
+        vals, bound, k, same = [], None, None, True
         for f, role in FIELDS[type(t)]:
             v = getattr(t, f)
             if role is NAME:
-                v = ren.get(v, v)
+                w = ren.get(v, v)
+                if w is not v:
+                    v, same = w, False
             elif role is NAMES:
-                v = tuple([ren.get(x, x) for x in v])
+                w = tuple([ren.get(x, x) for x in v])
+                if w != v:
+                    v, same = w, False
             elif role is BINDER:
+                bound = v
                 if gen is not None:
-                    fresh = gen()
-                    inner, v = {**ren, v: fresh}, fresh
-                elif v in ren:
-                    inner = {x: y for x, y in ren.items() if x != v}
+                    v = fresh = gen()
+                    same = False
             elif role is BRANCHES:
-                v = tuple([(l, _rename(b, inner, gen)) for l, b in v])
+                bs = []
+                for l, b in v:
+                    w = _rename(b, ren, gen)
+                    if w is not b:
+                        same = False
+                    bs.append((l, w))
+                if not same:
+                    v = tuple(bs)
             elif role is CONT:
                 k = len(vals)
             vals.append(v)
         if k is None:
-            t = type(t)(*vals)
+            if not same:
+                t = type(t)(*vals)
             break
-        spine.append((type(t), vals, k))
-        t, ren = vals[k], inner
-    for cls, vals, k in reversed(spine):
-        vals[k] = t
-        t = cls(*vals)
+        # the binder scopes over the continuation only, not a spawn's args
+        if bound is not None and (gen is not None or bound in ren):
+            if not own:
+                ren, own = dict(ren), True
+            if gen is not None:
+                ren[bound] = fresh
+            else:
+                del ren[bound]
+        spine.append((t, vals, k, same))
+        t = vals[k]
+    for node, vals, k, same in reversed(spine):
+        if not same or t is not vals[k]:
+            vals[k] = t
+            t = type(node)(*vals)
+        else:
+            t = node
     return t
+
+
+def scope(t: ProcessTerm) -> tuple[int, frozenset[str]]:
+    """The number of binders in t, which is how many names freshen(t, gen)
+    takes from gen, and the names free in t."""
+    n, free, bound = 0, set(), set()
+    while True:
+        binder, k = None, None
+        for f, role in FIELDS[type(t)]:
+            v = getattr(t, f)
+            if role is NAME or role is NAMES:
+                free.update(x for x in ((v,) if role is NAME else v)
+                            if x not in bound)
+            elif role is BINDER:
+                binder = v
+            elif role is BRANCHES:
+                for _, b in v:
+                    bn, bfree = scope(b)
+                    n += bn
+                    free |= bfree - bound
+            elif role is CONT:
+                k = v
+        if binder is not None:
+            n += 1
+            bound.add(binder)
+        if k is None:
+            return n, frozenset(free)
+        t = k
 
 
 def substitute(p: ProcessTerm, renaming: dict[str, str]) -> ProcessTerm:

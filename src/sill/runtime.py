@@ -21,6 +21,15 @@ The configuration indexes its linear part by channel (who offers it, who
 uses it, which aliases stand for it), so neither step enumeration nor the
 monitor scans for a provider or a client. Each linear process memoizes its
 enabled step and its last passing recheck, keyed by what they read.
+
+No step rebuilds a term. A process holds a closure in the manner of
+explicit substitutions (Abadi, Cardelli, Curien & Levy) and of the CEK
+machine (Felleisen & Friedman): an immutable template from its
+definition's body and a renaming of the template's free names. A step
+moves the template on and extends the renaming; a forward records its
+renaming once, in a union-find map every name resolves through. Steps
+read only the head action; the concrete term is forced where one is
+needed: the monitor's recheck, a trace record, a reader of ``Proc.term``.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import count
 
 from .types import (
     UpLL, SessionType, TypeDefEnv, ConstraintType, SharedC, BOT, TOP, unfold,
@@ -41,7 +51,7 @@ from .procast import (
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
     SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, SUBJECT,
-    substitute, freshen,
+    substitute, freshen, scope,
 )
 from .parser import Program
 from .printer import format_proc
@@ -59,18 +69,134 @@ class RunStatus(str, Enum):
     MONITOR_VIOLATION = "monitor_violation"
 
 
-@dataclass
+class Names:
+    """The forwards of a run as one union-find map, from each channel a
+    forward renamed to the channel it was renamed to. A forward installs
+    an extended copy of the map, so a map taken earlier still resolves
+    names as they were when it was taken."""
+    __slots__ = ("map",)
+
+    def __init__(self) -> None:
+        self.map: dict[str, str] = {}
+
+    def union(self, old: str, new: str) -> None:
+        if old != new:  # a channel forwarded to itself keeps its name
+            self.map = {**self.map, old: new}
+
+
+def _find(m: dict[str, str], x: str) -> str:
+    """x resolved through the forwards in m, compressing the path taken."""
+    root = m.get(x)
+    if root is None:
+        return x
+    while (y := m.get(root)) is not None:
+        root = y
+    while x != root:
+        m[x], x = root, m[x]
+    return root
+
+
+def _moved(env: dict[str, str], old: dict[str, str],
+           new: dict[str, str]) -> dict[str, str]:
+    """What the names env stands for resolved to through the forwards in
+    old, mapped to what they resolve to through those in new, where the
+    two differ."""
+    out = {}
+    for v in env.values():
+        x = _find(old, v) if v in old else v
+        y = _find(new, v) if v in new else v
+        if x != y:
+            out[x] = y
+    return out
+
+
+def _force(tmpl: ProcessTerm | None, env: dict[str, str], base: int | None,
+           m: dict[str, str]) -> ProcessTerm | None:
+    """The concrete term of a closure under the forwards in m: the
+    template with its free names renamed by env and resolved through m,
+    and binder i (in preorder) named %g{base+i}."""
+    if tmpl is None:
+        return None
+    if m:
+        env = {x: _find(m, y) for x, y in env.items()}
+    if base is None:
+        return substitute(tmpl, env)
+    return freshen(tmpl, map("%g{}".format, count(base)).__next__, env)
+
+
 class Proc:
-    chan: str
-    term: ProcessTerm
-    offer: SessionType
-    uses: dict[str, SessionType]
-    shared: bool
-    # (term, chan, client, client's chan, client's term, step) of the last
-    # enumeration, and (chan, term, offer, uses, Gamma, env) of the last
-    # passing recheck; see _enabled and _linear_fault
-    step_memo: tuple | None = field(default=None, compare=False, repr=False)
-    check_memo: tuple | None = field(default=None, compare=False, repr=False)
+    """A process predicate. Its term is a closure that no step rebuilds:
+    ``tmpl``, a node of an elaborated definition body; ``env``, the names
+    the template's free names stand for (never changed in place); ``base``,
+    the number of the fresh name the template's first binder takes, or
+    None where binders keep their names; and ``names``, the run's forwards,
+    through which every name then resolves. ``term`` forces the closure.
+
+    A step only moves the template down the body, so while the forwards
+    stay the same, the template's identity stands for the whole closure:
+    the memos and the forced term below key on it. Assigning ``term``
+    installs that term under the identity renaming and drops them; so
+    does the constructor, unless given env, which makes its term the
+    template under env and base."""
+    __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
+                 "shared", "step_memo", "check_memo", "_forced")
+
+    def __init__(self, chan: str, term: ProcessTerm | None,
+                 offer: SessionType, uses: dict[str, SessionType],
+                 shared: bool, names: Names | None = None,
+                 env: dict[str, str] | None = None,
+                 base: int | None = None) -> None:
+        self.chan, self.offer, self.uses, self.shared = \
+            chan, offer, uses, shared
+        self.names = Names() if names is None else names
+        if env is None:
+            self.term = term
+        else:
+            self.tmpl, self.env, self.base = term, env, base
+            # [tmpl, forwards, chan, subject, client, client's chan and
+            # tmpl, client's subject, step] of the last enumeration, (tmpl,
+            # forwards, (chan, offer, uses, Gamma, type env)) of the last
+            # passing recheck, and the forced term; see _enabled,
+            # _linear_fault and term
+            self.step_memo = self.check_memo = self._forced = None
+
+    def name(self, x: str) -> str:
+        """What the template's name x stands for now."""
+        x, m = self.env.get(x, x), self.names.map
+        return _find(m, x) if x in m else x
+
+    @property
+    def term(self) -> ProcessTerm | None:
+        # _forced: (tmpl, forwards, term, None) of the last forcing; or,
+        # after a binding action, the forced term of the closure before it
+        # with the name it bound in place of None (see _resume)
+        c, m = self._forced, self.names.map
+        if c is None or c[0] is not self.tmpl:
+            t = _force(self.tmpl, self.env, self.base, m)
+        else:
+            t = c[2]
+            if c[3] is not None:
+                t = substitute(t.cont, {t.binder: c[3]})
+            if c[1] is not m:
+                # the forwards since: every free name of the template is
+                # in env, so its resolution then and now is all that moves
+                ren = _moved(self.env, c[1], m)
+                if ren:
+                    t = substitute(t, ren)
+            elif c[3] is None:
+                return t
+        self._forced = (self.tmpl, m, t, None)
+        return t
+
+    @term.setter
+    def term(self, t: ProcessTerm | None) -> None:
+        self.tmpl, self.base = t, None
+        self.env = {} if t is None else {x: x for x in scope(t)[1]}
+        self.step_memo = self.check_memo = self._forced = None
+
+    def __repr__(self) -> str:
+        return f"Proc({self.chan!r}, {self.term!r}, {self.offer!r}, " \
+               f"{self.uses!r}, {self.shared!r})"
 
 
 @dataclass
@@ -97,6 +223,7 @@ class Config:
     lam: dict[str, Proc]  # available shared sessions
     gamma: dict[str, ConstraintType]  # shared channels only
     counter: int = 0
+    names: Names = field(default_factory=Names)
     # the linear part by channel: the entries offering it, the processes
     # using it and the aliases of it. Only the methods below and
     # _rename_all change the linear part, and they keep these in step.
@@ -138,7 +265,7 @@ class Config:
                 self.client.setdefault(c, []).append(e)
 
     def drop(self, e: Proc | Connect) -> None:
-        """Take e (the first entry equal to it) out of the linear part."""
+        """Take e out of the linear part."""
         e = self.theta.pop(self.theta.index(e))
         _unindex(self.offered, e.chan, e)
         if isinstance(e, Connect):
@@ -187,10 +314,12 @@ class StepRecord:
 
 def _record(e: Proc | Connect) -> tuple:
     """A snapshot of a process or alias predicate: kind, channel, and the
-    frozen term or the alias target; formatted only for a trace."""
+    closure with the forwards so far or the alias target; forced and
+    formatted only for a trace."""
     if isinstance(e, Connect):
         return ("connect", e.chan, e.target)
-    return ("procS" if e.shared else "procL", e.chan, e.term)
+    return ("procS" if e.shared else "procL", e.chan,
+            (e.tmpl, e.env, e.base, e.names.map))
 
 
 def _trace_pred(r: tuple) -> dict:
@@ -201,7 +330,7 @@ def _trace_pred(r: tuple) -> dict:
     if kind == "connect":
         return {"kind": kind, "chan": chan, "target": x}
     return {"kind": kind, "chan": chan,
-            "term": " ".join(format_proc(x).split())}
+            "term": " ".join(format_proc(_force(*x)).split())}
 
 
 def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
@@ -215,9 +344,18 @@ def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
     return alias
 
 
-def _instantiate_body(cfg: Config, d: ProcDef, chan: str,
-                      actuals: dict[str, str]) -> ProcessTerm:
-    return freshen(d.body, cfg.fresh, actuals | {d.offer: chan})
+def _instance(cfg: Config, d: ProcDef, chan: str, actuals: dict[str, str],
+              uses: dict[str, SessionType], shared: bool) -> Proc:
+    """A new process running d's body at chan, taking over the dict
+    actuals as its renaming: its binders take the next fresh names in
+    preorder, and a free name of the body that is neither the offer nor a
+    parameter stands for itself."""
+    n, others = d.slots
+    env = {x: x for x in others} | actuals if others else actuals
+    env[d.offer] = chan
+    base = cfg.counter
+    cfg.counter += n
+    return Proc(chan, d.body, d.offer_ty, uses, shared, cfg.names, env, base)
 
 
 def _spawn_linear(cfg: Config, spawner: Proc | None,
@@ -241,8 +379,7 @@ def _spawn_linear(cfg: Config, spawner: Proc | None,
             actuals[prm.chan] = alias
         else:
             actuals[prm.chan] = arg
-    body = _instantiate_body(cfg, d, chan, actuals)
-    p = Proc(chan, body, d.offer_ty, uses, shared=False)
+    p = _instance(cfg, d, chan, actuals, uses, False)
     cfg.add(p)
     rec.produced += [_record(p), ("unavail", chan, None)]
 
@@ -250,8 +387,7 @@ def _spawn_linear(cfg: Config, spawner: Proc | None,
 def _spawn_shared(cfg: Config, d: ProcDef, chan: str,
                   args: tuple[str, ...], rec: StepRecord) -> None:
     actuals = {prm.chan: arg for prm, arg in zip(d.params, args)}
-    body = _instantiate_body(cfg, d, chan, actuals)
-    p = Proc(chan, body, d.offer_ty, {}, shared=True)
+    p = _instance(cfg, d, chan, actuals, {}, True)
     cfg.lam[chan] = p
     cfg.gamma[chan] = SharedC(d.offer_ty)
     rec.produced.append(_record(p))
@@ -318,10 +454,15 @@ def _retopo(cfg: Config) -> None:
 
 def _subject(p: Proc):
     """(channel, action) pair of the next action; the channel is None for
-    spawns and forwards, which act on their own."""
-    t = p.term
+    spawns and forwards, which act on their own. The action is the
+    template: its names are read through p.name."""
+    t = p.tmpl
     f = SUBJECT.get(type(t))
-    return (None if f is None else getattr(t, f)), t
+    if f is None:
+        return None, t
+    x = getattr(t, f)
+    x, m = p.env.get(x, x), p.names.map
+    return (_find(m, x) if x in m else x), t
 
 
 # (provider action, client action) on the provider's channel -> the rule
@@ -357,17 +498,26 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
     """The step the linear process e drives: a forward or a spawn of its
     own, or its action on its own channel with the matching one of its
     client there; for a direct acquire, the step it takes once the session
-    accepts. Memoized on e while e's term and channel, its client and the
-    client's channel and term are the same as before."""
-    t, a = e.term, e.chan
-    f = SUBJECT.get(type(t))
-    u = cfg.user_of(a) if f is not None and getattr(t, f) == a else None
+    accepts. Memoized on e while e's closure and channel, its client and
+    the client's channel and closure are the same as before; after a
+    forward, while the two subjects still resolve to the same channels."""
+    a, t, names = e.chan, e.tmpl, cfg.names.map
     m = e.step_memo
-    if m is not None and m[0] is t and m[1] == a and m[2] is u and (
-            u is None or m[3] == u.chan and m[4] is u.term):
-        return m[5]
+    same = m is not None and m[0] is t and m[2] == a
+    c = m[3] if same and m[1] is names else _subject(e)[0]
+    u = cfg.user_of(a) if c == a else None
+    if same and m[3] == c and m[4] is u and (
+            u is None or m[5] == u.chan and m[6] is u.tmpl):
+        if m[1] is names:
+            return m[8]
+        if u is None or _subject(u)[0] == m[7]:
+            m[1] = names
+            return m[8]
+    uc = ut = None
+    if u is not None:
+        uc, ut = _subject(u)
     step = None
-    if f is None:
+    if c is None:
         match t:
             case FwdLL(_, _):
                 step = Step("fwd_ll", a)
@@ -377,16 +527,15 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
                 d = cfg.sig.lookup(t.proc)
                 step = Step("spawn_ls" if d.offer_shared else "spawn_ll", a)
     elif isinstance(t, Acquire):
-        step = Step("up_sl", t.chan, a)
+        step = Step("up_sl", c, a)
     elif u is not None:
-        uc, ut = _subject(u)
         rule = _PAIRS.get((type(t), type(ut))) if uc == a else None
         # a case needs a branch for the sent label
         if rule is not None and not (
                 rule == "plus" and t.label not in ut.labels()
                 or rule == "with" and ut.label not in t.labels()):
             step = Step(rule, a, u.chan)
-    e.step_memo = (t, a, u, u and u.chan, u and u.term, step)
+    e.step_memo = [t, names, a, c, u, u and u.chan, ut, uc, step]
     return step
 
 
@@ -396,27 +545,27 @@ def enumerate_steps(cfg: Config) -> list[Step]:
     for e in cfg.theta:
         if isinstance(e, Proc):
             step = _enabled(cfg, e)
-            if isinstance(e.term, (Acquire, AcquireL)):
+            if isinstance(e.tmpl, (Acquire, AcquireL)):
                 acquirers.append((e, step))
             elif step is not None:
                 steps.append(step)
     for a in sorted(cfg.lam):
         p = cfg.lam[a]
-        match p.term:
+        match p.tmpl:
             case FwdSS(_, _):
                 steps.append(Step("fwd_ss", a))
                 continue
-            case Spawn(_, _, _, _, _) if _spawnable(cfg, p.term):
+            case Spawn(_, _, _, _, _) if _spawnable(cfg, p.tmpl):
                 steps.append(Step("spawn_ss", a))
                 continue
-            case Accept(_, c, _) if c == a:
+            case Accept(_, c, _) if p.name(c) == a:
                 # every pending acquirer of this session is a separate step
                 for e, step in acquirers:
                     if step is not None:
                         if step.provider == a:
                             steps.append(step)
                         continue
-                    tgt = cfg.provider(e.term.chan)
+                    tgt = cfg.provider(e.name(e.tmpl.chan))
                     if isinstance(tgt, Connect) and tgt.target == a:
                         steps.append(Step("up_sl2", a, e.chan))
     return steps
@@ -427,7 +576,8 @@ def enumerate_steps(cfg: Config) -> list[Step]:
 # --------------------------------------------------------------------------- #
 
 def _rename_all(cfg: Config, old: str, new: str) -> None:
-    ren = {old: new}
+    """Rename the channel old to new in the indexes, the uses, the shared
+    part and Gamma; terms read old as new through cfg.names."""
     for m, f in ((cfg.offered, "chan"), (cfg.aliases, "target")):
         for e in m.pop(old, ()):
             setattr(e, f, new)
@@ -436,15 +586,10 @@ def _rename_all(cfg: Config, old: str, new: str) -> None:
         if new not in e.uses:
             cfg.client.setdefault(new, []).append(e)
         e.uses[new] = e.uses.pop(old)
-    for e in cfg.theta:
-        if isinstance(e, Proc):
-            e.term = substitute(e.term, ren)
-    for a in list(cfg.lam):
-        p = cfg.lam[a]
-        p.term = substitute(p.term, ren)
-        if a == old:
-            p.chan = new
-            cfg.lam[new] = cfg.lam.pop(old)
+    if old in cfg.lam:
+        p = cfg.lam[new] = cfg.lam.pop(old)
+        p.chan = new
+    cfg.names.union(old, new)
     if old in cfg.gamma or new in cfg.gamma:
         # a name with no entry is linear: never available
         cfg.gamma[new], cfg.env = meet(cfg.env, cfg.gamma.get(new, BOT),
@@ -452,34 +597,49 @@ def _rename_all(cfg: Config, old: str, new: str) -> None:
 
 
 _SENDS = (SendChan, SendChanS, SendLabel, SendVal)
+_UNBOUND = (Wait,) + _SENDS  # the actions with a continuation and no binder
 
 
-def _resume(t: ProcessTerm, msg: str) -> ProcessTerm:
-    """The continuation of a synchronizing action: a case takes the branch
-    of label msg, an action with a binder binds it to msg."""
+def _resume(p: Proc, msg: str | None) -> None:
+    """Move p's closure on to the continuation of its action: a case takes
+    the branch of label msg, skipping the binders of the branches before
+    it; an action with a binder (a spawn too) binds it to msg. A term
+    forced before the move moves along: to its continuation, or, past a
+    binder, kept to substitute msg into should the new term be forced."""
+    t, c = p.tmpl, p._forced
+    if c is not None and (c[0] is not t or c[3] is not None):
+        c = None
     if isinstance(t, CaseRecv):
-        return t.branch(msg)
-    if isinstance(t, (Wait,) + _SENDS):
-        return t.cont
-    return substitute(t.cont, {t.binder: msg})
+        n, p.tmpl = t.slots[msg]
+        c = c and (p.tmpl, c[1], c[2].branch(msg), None)
+    elif isinstance(t, _UNBOUND):
+        p.tmpl, n = t.cont, 0
+        c = c and (p.tmpl, c[1], c[2].cont, None)
+    else:
+        p.tmpl, p.env, n = t.cont, {**p.env, t.binder: msg}, 1
+        c = c and (p.tmpl, c[1], c[2], msg)
+    if p.base is not None:
+        p.base += n
+    p._forced = c
 
 
 def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     """fwd_ll, fwd_ss: the forwarder at a leaves and b is renamed to a.
     fwd_ls: a stays behind as a linear alias of the shared b."""
-    a, b = p.term.offer, p.term.used
+    t = p.tmpl
+    a, b = p.name(t.offer), p.name(t.used)
     rec.consumed.append(_record(p))
     rec.touched |= {a, b}
     if p.shared:
         del cfg.lam[a]
     else:
         cfg.drop(p)
-    if isinstance(p.term, FwdLS):
+    if isinstance(t, FwdLS):
         conn = Connect(a, b)
         cfg.add(conn)
         rec.produced.append(_record(conn))
         return
-    if isinstance(p.term, FwdLL):
+    if isinstance(t, FwdLL):
         tgt = cfg.provider(b)
         if isinstance(tgt, Proc):
             rec.consumed.append(_record(tgt))
@@ -494,18 +654,19 @@ def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
     """spawn_ll, spawn_ls, spawn_ss: s spawns a process at a fresh channel
     and continues with its binder bound to it."""
     rec.consumed.append(_record(s))
-    sp: Spawn = s.term
+    sp: Spawn = s.tmpl
+    args = tuple([s.name(x) for x in sp.args])
     d = cfg.sig.lookup(sp.proc)
     c = cfg.fresh()
     rec.fresh.append(c)
     if d.offer_shared:
-        _spawn_shared(cfg, d, c, sp.args, rec)
+        _spawn_shared(cfg, d, c, args, rec)
     else:
-        _spawn_linear(cfg, s, d, c, sp.args, sp.kinds, rec)
+        _spawn_linear(cfg, s, d, c, args, sp.kinds, rec)
         cfg.use(s, c, d.offer_ty)
-    s.term = substitute(sp.cont, {sp.binder: c})
+    _resume(s, c)
     rec.produced.append(_record(s))
-    rec.touched |= {s.chan, c} | set(sp.args)
+    rec.touched |= {s.chan, c} | set(args)
 
 
 def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
@@ -516,34 +677,39 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     a = p.chan
     rec.consumed += [_record(p), _record(u)]
     rec.touched |= {a, u.chan}
-    if isinstance(p.term, Close):
+    if isinstance(p.tmpl, Close):
         cfg.drop(p)
-        u.term = u.term.cont
+        _resume(u, None)
         cfg.unuse(u, a)
         rec.produced.append(_record(u))
         return
     offer, view = cfg.unf(p.offer), cfg.unf(u.uses[a])
     # the sender, the receiver and the receiver's type of a
-    s, r, rty = (u, p, offer) if isinstance(u.term, _SENDS) \
+    s, r, rty = (u, p, offer) if isinstance(u.tmpl, _SENDS) \
         else (p, u, view)
-    match s.term:
+    st = s.tmpl
+    match st:
         case SendChan(_, y, _) | SendChanS(_, y, _):
-            if isinstance(s.term, SendChan):
+            y = s.name(y)
+            if isinstance(st, SendChan):
                 cfg.unuse(s, y)
                 msg = y
             else:
                 msg = _alias(cfg, y, rec)
             cfg.use(r, msg, rty.payload)
             rec.touched.add(y)
-        case SendLabel(_, msg, _) | SendVal(_, msg, _):
+        case SendLabel(_, msg, _):
             pass
+        case SendVal(_, v, _):
+            msg = s.name(v)
         case _:
             msg = a  # linear shifts: both sides bind a itself
-    if isinstance(s.term, SendLabel):
+    if isinstance(st, SendLabel):
         p.offer, u.uses[a] = offer.branch(msg), view.branch(msg)
     else:
         p.offer, u.uses[a] = offer.cont, view.cont
-    p.term, u.term = _resume(p.term, msg), _resume(u.term, msg)
+    _resume(p, msg)
+    _resume(u, msg)
     rec.produced += [_record(p), _record(u)]
 
 
@@ -554,17 +720,19 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     b = p.chan
     rec.consumed += [_record(p), _record(u)]
     rec.touched |= {b, u.chan}
-    if isinstance(u.term, AcquireL):
-        alias = cfg.provider(u.term.chan)
+    if isinstance(u.tmpl, AcquireL):
+        alias = cfg.provider(u.name(u.tmpl.chan))
         rec.consumed.append(_record(alias))
         cfg.drop(alias)
         cfg.unuse(u, alias.chan)
         rec.touched.add(alias.chan)
     del cfg.lam[b]
     body = cfg.unf(p.offer).cont
-    newp = Proc(b, _resume(p.term, b), body, {}, shared=False)
+    _resume(p, b)
+    newp = Proc(b, p.tmpl, body, {}, False, cfg.names, p.env, p.base)
+    newp._forced = p._forced
     cfg.add(newp)
-    u.term = _resume(u.term, b)
+    _resume(u, b)
     cfg.use(u, b, body)
     rec.produced += [_record(newp), ("unavail", b, None),
                      _record(u)]
@@ -578,16 +746,18 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     rec.consumed += [_record(p), _record(u), ("unavail", c, None)]
     cfg.drop(p)
     shared_ty = cfg.unf(p.offer).cont
-    newp = Proc(c, _resume(p.term, c), shared_ty, {}, shared=True)
+    _resume(p, c)
+    newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base)
+    newp._forced = p._forced
     cfg.lam[c] = newp
     cfg.gamma[c] = SharedC(shared_ty)
     rec.produced.append(_record(newp))
     cfg.unuse(u, c)
     name = c
-    if isinstance(u.term, ReleaseL):
+    if isinstance(u.tmpl, ReleaseL):
         name = _alias(cfg, c, rec)
         cfg.use(u, name, UpLL(cfg.unf(shared_ty).cont))
-    u.term = _resume(u.term, name)
+    _resume(u, name)
     rec.produced.append(_record(u))
     rec.touched |= {c, name, u.chan}
 
@@ -621,8 +791,10 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
                   memo: bool) -> str | None:
     """The violation at one entry of the linear part, if any. The recheck
     of a process is a pure function of its channel, term, offer and uses,
-    Gamma and the type environment, so with memo set it is skipped when
-    all of them equal those of the last recheck it passed."""
+    Gamma and the type environment, and its term of its template and the
+    forwards; so with memo set it is skipped, and the term not forced,
+    when its template is the one of the last recheck it passed, the rest
+    equal, and the forwards since rename none of its names."""
     env = cfg.env
     u = cfg.user_of(e.chan)
     if isinstance(e, Connect):
@@ -641,14 +813,21 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
     if not ok:
         return (f"linear {e.chan}: offer type no longer synchronizes "
                 f"with the client view under its release obligation")
-    key = (e.chan, e.term, e.offer, e.uses, cfg.gamma, env)
-    if memo and e.check_memo == key:
-        return None
+    names = e.names.map
+    key = (e.chan, e.offer, e.uses, cfg.gamma, env)
+    m = e.check_memo
+    if memo and m is not None and m[0] is e.tmpl and m[2] == key:
+        if m[1] is names:
+            return None
+        if not _moved(e.env, m[1], names):
+            e.check_memo = (m[0], names, m[2])
+            return None
     ck.diags.clear()
     if ck.linear(cfg.gamma, e.uses, {}, e.term, e.chan, e.offer) is None:
         return f"process at {e.chan} no longer typechecks: " \
                + "; ".join(ck.diags)
-    e.check_memo = key[:3] + (dict(e.uses), dict(cfg.gamma), env)
+    e.check_memo = (e.tmpl, names,
+                    key[:2] + (dict(e.uses), dict(cfg.gamma), env))
     return None
 
 
@@ -728,11 +907,11 @@ def _poised(cfg: Config, p: Proc) -> bool:
 
 
 def _acquire_blocked(cfg: Config, p: Proc) -> bool:
-    match p.term:
+    match p.tmpl:
         case Acquire(_, b, _):
-            return b not in cfg.lam
+            return p.name(b) not in cfg.lam
         case AcquireL(_, b, _):
-            tgt = cfg.provider(b)
+            tgt = cfg.provider(p.name(b))
             if isinstance(tgt, Connect):
                 return tgt.target not in cfg.lam
             return tgt is None

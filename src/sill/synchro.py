@@ -17,7 +17,7 @@ from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, SessionType, TypeDefEnv, TypeDef,
     Bot, Top, SharedC, ConstraintType, BOT, TOP,
-    unfold, constraint_leq, SHARED, LINEAR,
+    unfold, constraint_leq, SHARED, LINEAR, TypeError_,
 )
 from .subtype import is_subtype
 
@@ -133,7 +133,13 @@ class _MeetState:
                 return name
 
     def unfold(self, t: SessionType) -> SessionType:
+        """types.unfold over the environment and the definitions minted
+        so far, with its check for a cycle of names."""
+        seen = set()
         while isinstance(t, Ref):
+            if t.name in seen:
+                raise TypeError_(f"non-contractive cycle through {t.name}")
+            seen.add(t.name)
             fresh = [d.body for d in self.fresh if d.name == t.name]
             t = fresh[0] if fresh else self.env.lookup(t.name).body
         return t

@@ -208,8 +208,10 @@ def test_too_deep_program_exits_2(tmp_path, capsys):
 
 
 def test_straight_line_10k_actions(tmp_path, capsys):
-    # a bounded run: every step substitutes through and rechecks Main's
-    # whole remaining term, so a run to the end takes minutes
+    # unmonitored, a step moves Main's closure on without rebuilding its
+    # term, so the line runs to the end: a spawn, a get and a wait for each
+    # cell. The monitored run stays bounded, as each step rechecks Main's
+    # whole remaining term.
     f = tmp_path / "line.sill"
     f.write_text(_straight_line(10_000))
     assert main(["check", str(f)]) == 0
@@ -224,6 +226,9 @@ def test_straight_line_10k_actions(tmp_path, capsys):
     for extra in ([], ["--no-monitor"]):
         assert main(["run", str(f), "--steps", "20"] + extra) == 0
         assert capsys.readouterr().out == "max_steps after 20 steps\n"
+    steps = 3 * (10_000 // 3)
+    assert main(["run", str(f), "--no-monitor", "--steps", "100000"]) == 0
+    assert capsys.readouterr().out == f"all_poised after {steps} steps\n"
 
 
 @pytest.mark.parametrize("argv", [

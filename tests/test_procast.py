@@ -8,7 +8,7 @@ from sill.procast import (
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
     SendVal, RecvVal, ProcessTerm, FIELDS,
-    substitute, freshen,
+    substitute, freshen, scope,
 )
 from sill.parser import parse_program
 from sill.runtime import SUBJECT
@@ -241,6 +241,8 @@ def _counter():
 @given(TERMS, RENAMINGS)
 def test_substitute_matches_reference(t, ren):
     assert substitute(t, ren) == reference_substitute(t, ren)
+    if not free_names(t) & ren.keys():
+        assert substitute(t, ren) is t  # nothing to rename: no copy
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,7 +254,9 @@ def test_freshen_matches_reference(t, ren):
     ref_calls, ref_gen = _counter()
     got = freshen(t, gen, ren)
     assert got == reference_substitute(reference_freshen(t, ref_gen), ren)
-    assert next(calls) == next(ref_calls)
+    n = next(calls)
+    assert n == next(ref_calls)
+    assert scope(t) == (n, free_names(t))
     assert freshen(t, _counter()[1]) == reference_freshen(t, _counter()[1])
 
 

@@ -3,6 +3,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sill.parser import parse_program
 from sill.typecheck import check_program
@@ -11,8 +12,10 @@ from sill.runtime import (
     monitor_check, classify, Connect, Proc,
 )
 from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
+from sill.printer import format_proc
 
 from conftest import CORPUS, CORPUS_FILES
+from test_procast import TERMS, NAMES
 
 
 def checked(path):
@@ -770,3 +773,146 @@ def test_recheck_memo_sees_every_part_of_its_key():
         assert monitor_check(cfg, rec.touched) is not None, part
         put(obj, key, good)
         assert monitor_check(cfg, rec.touched) is None, part
+
+
+# --------------------------------------------------------------------------- #
+# Closures against eager substitution
+# --------------------------------------------------------------------------- #
+
+def eager_resume(t, msg):
+    """The continuation of a concrete term once its action takes msg, as
+    the runtime computed it by substitution: a case takes the branch of
+    label msg, an action with a binder binds it to msg."""
+    from sill.procast import CaseRecv, Wait, SendChan, SendChanS, \
+        SendLabel, SendVal, substitute
+    if isinstance(t, CaseRecv):
+        return t.branch(msg)
+    if isinstance(t, (Wait, SendChan, SendChanS, SendLabel, SendVal)):
+        return t.cont
+    return substitute(t.cont, {t.binder: msg})
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, st.dictionaries(NAMES, st.sampled_from("abxyqr"), max_size=4),
+       st.integers(0, 40), st.data())
+def test_forcing_matches_eager_substitution(body, actuals, base, data):
+    # a process instantiated from a random body with random actuals, moved
+    # on by random resumes, renamed by random forwards and reset through
+    # Proc.term, forces to the term that freshening at instantiation and
+    # substituting at every step and forward gives, and so do the trace
+    # snapshots taken on the way, each of its own time
+    from itertools import count
+    from sill.procast import (
+        CaseRecv, Wait, SendChan, SendChanS, SendLabel, SendVal,
+        FIELDS, BINDER, ProcDef, ProcSignature, freshen, substitute, scope,
+    )
+    from sill.runtime import Config, _instance, _record, _resume, \
+        _trace_pred
+    from sill.types import TypeDefEnv
+
+    d = ProcDef("P", "o", One(), False, (), body)
+    cfg = Config(TypeDefEnv(), ProcSignature((d,)), [], {}, {})
+    cfg.counter = base
+    p = _instance(cfg, d, "r", dict(actuals), {}, False)
+    assert cfg.counter == base + scope(body)[0]
+    eager = freshen(body, map("%g{}".format, count(base)).__next__,
+                    {**actuals, "o": "r"})
+    snaps = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        assert p.term == eager
+        snaps.append((_record(p), " ".join(format_proc(eager).split())))
+        # channels a forward or a message brings in: never a binder of
+        # TERMS, which no runtime channel is either
+        dead = set(cfg.names.map)
+        live = [x for x in "qrstuvw" if x not in dead]
+        free = sorted(x for x in scope(eager)[1] if x not in dead)
+        choice = data.draw(st.sampled_from(("resume", "forward", "set",
+                                            "set template")))
+        if choice == "forward" and free:
+            b = data.draw(st.sampled_from(free))
+            a = data.draw(st.sampled_from([x for x in live if x != b]
+                                          or [None]))
+            if a is None:
+                continue
+            cfg.names.union(b, a)
+            eager = substitute(eager, {b: a})
+        elif choice == "set":
+            p.term = eager
+        elif choice == "set template" and not scope(p.tmpl)[1] & dead:
+            # the same template object, now under the identity renaming
+            p.term = eager = p.tmpl
+        elif isinstance(eager, CaseRecv):
+            msg = data.draw(st.sampled_from(eager.labels()))
+            _resume(p, msg)
+            eager = eager_resume(eager, msg)
+        elif isinstance(eager, (Wait, SendChan, SendChanS, SendLabel,
+                                SendVal)):
+            _resume(p, None)
+            eager = eager_resume(eager, None)
+        elif any(r is BINDER for _, r in FIELDS[type(eager)]) and live:
+            msg = data.draw(st.sampled_from(live))
+            _resume(p, msg)
+            eager = eager_resume(eager, msg)
+        else:
+            break  # a close, a forward, or no channel left to bind
+    assert p.term == eager
+    for r, want in snaps:
+        assert _trace_pred(r)["term"] == want
+
+
+def test_forward_keeps_other_templates_and_step_memos():
+    # a forward renames one channel through the name-resolution map, so an
+    # entry that mentions it nowhere, and whose client does not either,
+    # keeps its template object and its step memo, unrecomputed
+    import random
+    from sill.procast import scope
+    prog = check_program(parse_program(wide_source()))[1]
+    cfg = initial_config(prog)
+    choose = random.Random(0).choice
+    forwards = kept = 0
+
+    def mentions(e, b):
+        return e is not None and (e.chan == b or b in e.uses
+                                  or b in scope(e.term)[1])
+
+    for _ in range(1000):
+        steps = enumerate_steps(cfg)
+        if not steps:
+            break
+        step = choose(steps)
+        if not step.rule.startswith("fwd_"):
+            apply_step(cfg, step)
+            continue
+        p = cfg.provider(step.provider)
+        b = p.name(p.tmpl.used)
+        before = [(e, e.tmpl, e.step_memo) for e in cfg.theta
+                  if isinstance(e, Proc) and e is not p
+                  and e.step_memo is not None and not mentions(e, b)
+                  and not mentions(cfg.user_of(e.chan), b)]
+        rec = apply_step(cfg, step)
+        assert b in rec.renames
+        enumerate_steps(cfg)
+        for e, tmpl, memo in before:
+            assert e.tmpl is tmpl and e.step_memo is memo
+        forwards += 1
+        kept += len(before)
+    assert forwards > 0 and kept > 10 * forwards
+
+
+def test_recheck_memo_sees_forwards():
+    # Main of the wide program holds the shared queue q in its renaming
+    # only: no use and no index entry names it. A forward of q that Γ does
+    # not follow must still reach Main's memoized recheck.
+    prog = check_program(parse_program(wide_source()))[1]
+    cfg = initial_config(prog)
+    for _ in range(2):
+        rec = apply_step(cfg, enumerate_steps(cfg)[0])
+    main = cfg.theta[0]
+    assert "q" in main.env.values() and "q" not in main.uses
+    assert monitor_check(cfg, rec.touched) is None
+    before = cfg.names.map
+    cfg.names.union("q", "elsewhere")
+    assert "elsewhere" in format_proc(main.term)
+    assert monitor_check(cfg, rec.touched) is not None
+    cfg.names.map = before
+    assert monitor_check(cfg, rec.touched) is None

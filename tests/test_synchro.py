@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sill.types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, TypeDef, TypeDefEnv, SHARED, LINEAR,
-    BOT, TOP, SharedC,
+    BOT, TOP, SharedC, TypeError_,
 )
 from sill.subtype import is_subtype
 from sill.synchro import (
@@ -169,6 +169,14 @@ def test_meet_failure_rolls_back_minted_definitions():
     assert m is None
     # nothing minted during the failed derivation leaks out
     assert env2 == env
+
+
+def test_meet_rejects_a_cycle_of_names():
+    # a = b, b = a has no structure to meet; unfolding must not loop
+    env = TypeDefEnv((TypeDef("a", LINEAR, Ref("b")),
+                      TypeDef("b", LINEAR, Ref("a"))))
+    with pytest.raises(TypeError_, match="non-contractive cycle"):
+        meet_types(env, Ref("a"), Ref("b"))
 
 
 def test_meet_is_glb_on_corpus_views(corpus):
