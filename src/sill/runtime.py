@@ -70,55 +70,67 @@ class RunStatus(str, Enum):
 
 
 class Names:
-    """The forwards of a run as one union-find map, from each channel a
-    forward renamed to the channel it was renamed to. A forward installs
-    an extended copy of the map, so a map taken earlier still resolves
-    names as they were when it was taken."""
-    __slots__ = ("map",)
+    """The forwards of a run as one union-find map, kept in place: each
+    channel a forward renamed maps to (the channel it was renamed to, the
+    number of that forward, the root that channel resolved to at the last
+    lookup, the number of the forward that made it the root). ``n``
+    counts the forwards, so a snapshot or a memo keeps only ``n``: it
+    resolves through the forwards numbered up to it, and it is current
+    while ``n`` is unchanged. A forward renames a root to a root, so the
+    numbers rise along every path, and a compressed hop is taken only by
+    a snapshot that has every forward it stands for."""
+    __slots__ = ("map", "n")
 
     def __init__(self) -> None:
-        self.map: dict[str, str] = {}
+        self.map: dict[str, tuple[str, int, str, int]] = {}
+        self.n = 0
 
     def union(self, old: str, new: str) -> None:
         if old != new:  # a channel forwarded to itself keeps its name
-            self.map = {**self.map, old: new}
+            self.n += 1
+            self.map[old] = (new, self.n, new, self.n)
 
 
-def _find(m: dict[str, str], x: str) -> str:
-    """x resolved through the forwards in m, compressing the path taken."""
-    root = m.get(x)
-    if root is None:
+def _find(m: dict[str, tuple], x: str) -> str:
+    """x resolved through all the forwards in m, compressing the path."""
+    e = m.get(x)
+    if e is None:
         return x
-    while (y := m.get(root)) is not None:
-        root = y
-    while x != root:
-        m[x], x = root, m[x]
+    root, k = e[2], e[3]
+    path = []
+    while (f := m.get(root)) is not None:
+        path.append(root)
+        root, k = f[2], f[3]
+    if path:
+        for y in (x, *path):
+            e = m[y]
+            m[y] = (e[0], e[1], root, k)
     return root
 
 
-def _moved(env: dict[str, str], old: dict[str, str],
-           new: dict[str, str]) -> dict[str, str]:
-    """What the names env stands for resolved to through the forwards in
-    old, mapped to what they resolve to through those in new, where the
-    two differ."""
-    out = {}
-    for v in env.values():
-        x = _find(old, v) if v in old else v
-        y = _find(new, v) if v in new else v
-        if x != y:
-            out[x] = y
-    return out
+def _find_at(m: dict[str, tuple], x: str, n: int) -> str:
+    """x resolved through the forwards in m numbered up to n."""
+    while (e := m.get(x)) is not None:
+        if e[3] <= n:
+            x = e[2]
+        elif e[1] <= n:
+            x = e[0]
+        else:
+            break
+    return x
 
 
 def _force(tmpl: ProcessTerm | None, env: dict[str, str], base: int | None,
-           m: dict[str, str]) -> ProcessTerm | None:
-    """The concrete term of a closure under the forwards in m: the
-    template with its free names renamed by env and resolved through m,
-    and binder i (in preorder) named %g{base+i}."""
+           m: dict[str, tuple], n: int | None = None) -> ProcessTerm | None:
+    """The concrete term of a closure under the forwards in m (those
+    numbered up to n, with n given): the template with its free names
+    renamed by env and resolved through m, and binder i (in preorder)
+    named %g{base+i}."""
     if tmpl is None:
         return None
     if m:
-        env = {x: _find(m, y) for x, y in env.items()}
+        env = {x: _find(m, y) if n is None else _find_at(m, y, n)
+               for x, y in env.items()}
     if base is None:
         return substitute(tmpl, env)
     return freshen(tmpl, map("%g{}".format, count(base)).__next__, env)
@@ -134,10 +146,10 @@ class Proc:
 
     A step only moves the template down the body, so while the forwards
     stay the same, the template's identity stands for the whole closure:
-    the memos and the forced term below key on it. Assigning ``term``
-    installs that term under the identity renaming and drops them; so
-    does the constructor, unless given env, which makes its term the
-    template under env and base."""
+    the memos and the forced term below key on it and on the number of
+    forwards. Assigning ``term`` installs that term under the identity
+    renaming and drops them; so does the constructor, unless given env,
+    which makes its term the template under env and base."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
                  "shared", "step_memo", "check_memo", "_forced")
 
@@ -153,11 +165,11 @@ class Proc:
             self.term = term
         else:
             self.tmpl, self.env, self.base = term, env, base
-            # [tmpl, forwards, chan, subject, client, client's chan and
-            # tmpl, client's subject, step] of the last enumeration, (tmpl,
-            # forwards, (chan, offer, uses, Gamma, type env)) of the last
-            # passing recheck, and the forced term; see _enabled,
-            # _linear_fault and term
+            # [tmpl, forwards, chan, subject, client, client's chan, tmpl
+            # and env, client's subject, step] of the last enumeration,
+            # (tmpl, forwards, (chan, offer, uses, Gamma, type env)) of the
+            # last passing recheck, and (tmpl, forwards, term) of the last
+            # forcing; see _enabled, _linear_fault and term
             self.step_memo = self.check_memo = self._forced = None
 
     def name(self, x: str) -> str:
@@ -167,25 +179,11 @@ class Proc:
 
     @property
     def term(self) -> ProcessTerm | None:
-        # _forced: (tmpl, forwards, term, None) of the last forcing; or,
-        # after a binding action, the forced term of the closure before it
-        # with the name it bound in place of None (see _resume)
-        c, m = self._forced, self.names.map
-        if c is None or c[0] is not self.tmpl:
-            t = _force(self.tmpl, self.env, self.base, m)
-        else:
-            t = c[2]
-            if c[3] is not None:
-                t = substitute(t.cont, {t.binder: c[3]})
-            if c[1] is not m:
-                # the forwards since: every free name of the template is
-                # in env, so its resolution then and now is all that moves
-                ren = _moved(self.env, c[1], m)
-                if ren:
-                    t = substitute(t, ren)
-            elif c[3] is None:
-                return t
-        self._forced = (self.tmpl, m, t, None)
+        c, n = self._forced, self.names.n
+        if c is not None and c[0] is self.tmpl and c[1] == n:
+            return c[2]
+        t = _force(self.tmpl, self.env, self.base, self.names.map)
+        self._forced = (self.tmpl, n, t)
         return t
 
     @term.setter
@@ -314,12 +312,12 @@ class StepRecord:
 
 def _record(e: Proc | Connect) -> tuple:
     """A snapshot of a process or alias predicate: kind, channel, and the
-    closure with the forwards so far or the alias target; forced and
-    formatted only for a trace."""
+    closure with the number of forwards so far or the alias target;
+    forced and formatted only for a trace."""
     if isinstance(e, Connect):
         return ("connect", e.chan, e.target)
     return ("procS" if e.shared else "procL", e.chan,
-            (e.tmpl, e.env, e.base, e.names.map))
+            (e.tmpl, e.env, e.base, e.names.map, e.names.n))
 
 
 def _trace_pred(r: tuple) -> dict:
@@ -501,18 +499,19 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
     accepts. Memoized on e while e's closure and channel, its client and
     the client's channel and closure are the same as before; after a
     forward, while the two subjects still resolve to the same channels."""
-    a, t, names = e.chan, e.tmpl, cfg.names.map
+    a, t, n = e.chan, e.tmpl, cfg.names.n
     m = e.step_memo
     same = m is not None and m[0] is t and m[2] == a
-    c = m[3] if same and m[1] is names else _subject(e)[0]
+    c = m[3] if same and m[1] == n else _subject(e)[0]
     u = cfg.user_of(a) if c == a else None
-    if same and m[3] == c and m[4] is u and (
-            u is None or m[5] == u.chan and m[6] is u.tmpl):
-        if m[1] is names:
-            return m[8]
-        if u is None or _subject(u)[0] == m[7]:
-            m[1] = names
-            return m[8]
+    if same and m[3] == c and m[4] is u and (u is None or m[5] == u.chan
+                                             and m[6] is u.tmpl
+                                             and m[7] is u.env):
+        if m[1] == n:
+            return m[9]
+        if u is None or _subject(u)[0] == m[8]:
+            m[1] = n
+            return m[9]
     uc = ut = None
     if u is not None:
         uc, ut = _subject(u)
@@ -535,7 +534,7 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
                 rule == "plus" and t.label not in ut.labels()
                 or rule == "with" and ut.label not in t.labels()):
             step = Step(rule, a, u.chan)
-    e.step_memo = [t, names, a, c, u, u and u.chan, ut, uc, step]
+    e.step_memo = [t, n, a, c, u, u and u.chan, ut, u and u.env, uc, step]
     return step
 
 
@@ -603,24 +602,16 @@ _UNBOUND = (Wait,) + _SENDS  # the actions with a continuation and no binder
 def _resume(p: Proc, msg: str | None) -> None:
     """Move p's closure on to the continuation of its action: a case takes
     the branch of label msg, skipping the binders of the branches before
-    it; an action with a binder (a spawn too) binds it to msg. A term
-    forced before the move moves along: to its continuation, or, past a
-    binder, kept to substitute msg into should the new term be forced."""
-    t, c = p.tmpl, p._forced
-    if c is not None and (c[0] is not t or c[3] is not None):
-        c = None
+    it; an action with a binder (a spawn too) binds it to msg."""
+    t = p.tmpl
     if isinstance(t, CaseRecv):
         n, p.tmpl = t.slots[msg]
-        c = c and (p.tmpl, c[1], c[2].branch(msg), None)
     elif isinstance(t, _UNBOUND):
         p.tmpl, n = t.cont, 0
-        c = c and (p.tmpl, c[1], c[2].cont, None)
     else:
         p.tmpl, p.env, n = t.cont, {**p.env, t.binder: msg}, 1
-        c = c and (p.tmpl, c[1], c[2], msg)
     if p.base is not None:
         p.base += n
-    p._forced = c
 
 
 def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
@@ -730,7 +721,6 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     body = cfg.unf(p.offer).cont
     _resume(p, b)
     newp = Proc(b, p.tmpl, body, {}, False, cfg.names, p.env, p.base)
-    newp._forced = p._forced
     cfg.add(newp)
     _resume(u, b)
     cfg.use(u, b, body)
@@ -748,7 +738,6 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     shared_ty = cfg.unf(p.offer).cont
     _resume(p, c)
     newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base)
-    newp._forced = p._forced
     cfg.lam[c] = newp
     cfg.gamma[c] = SharedC(shared_ty)
     rec.produced.append(_record(newp))
@@ -813,20 +802,23 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
     if not ok:
         return (f"linear {e.chan}: offer type no longer synchronizes "
                 f"with the client view under its release obligation")
-    names = e.names.map
+    fm, n = e.names.map, e.names.n
     key = (e.chan, e.offer, e.uses, cfg.gamma, env)
     m = e.check_memo
     if memo and m is not None and m[0] is e.tmpl and m[2] == key:
-        if m[1] is names:
+        if m[1] == n:
             return None
-        if not _moved(e.env, m[1], names):
-            e.check_memo = (m[0], names, m[2])
+        # the forwards since m[1] leave every name of the renaming where
+        # it resolved then
+        if all(_find_at(fm, x, m[1]) == _find(fm, x)
+               for x in e.env.values()):
+            e.check_memo = (m[0], n, m[2])
             return None
     ck.diags.clear()
     if ck.linear(cfg.gamma, e.uses, {}, e.term, e.chan, e.offer) is None:
         return f"process at {e.chan} no longer typechecks: " \
                + "; ".join(ck.diags)
-    e.check_memo = (e.tmpl, names,
+    e.check_memo = (e.tmpl, n,
                     key[:2] + (dict(e.uses), dict(cfg.gamma), env))
     return None
 

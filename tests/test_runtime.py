@@ -910,9 +910,47 @@ def test_recheck_memo_sees_forwards():
     main = cfg.theta[0]
     assert "q" in main.env.values() and "q" not in main.uses
     assert monitor_check(cfg, rec.touched) is None
-    before = cfg.names.map
     cfg.names.union("q", "elsewhere")
     assert "elsewhere" in format_proc(main.term)
     assert monitor_check(cfg, rec.touched) is not None
-    cfg.names.map = before
-    assert monitor_check(cfg, rec.touched) is None
+
+
+def test_forwards_of_a_long_run_go_into_one_map_in_place():
+    # a client that acquires the corpus queue over and over: each round
+    # forwards twice (the queue to its next instance, the client to its
+    # next round). The forwards extend one map in place, so a forward
+    # costs the same at the end of a long run as at its start.
+    import gc
+    from time import process_time
+    src = (CORPUS / "queue.sill").read_text().split("proc Main")[0] + """
+proc Loop : (sh w: producer) |- x: 1 =
+    l <- acquire w;
+    l.enqueue;
+    put l 7;
+    s <- release l;
+    y <- spawn Loop(s);
+    fwd x y
+
+system {
+    q <- spawn QueueProv();
+    main Loop(q);
+}
+"""
+    diags, prog = check_program(parse_program(src))
+    assert diags == []
+    cfg = initial_config(prog)
+    m, forwards, chunks = cfg.names.map, 0, []
+    gc.collect()
+    for _ in range(8):
+        t = process_time()
+        for _ in range(4000):
+            step = enumerate_steps(cfg)[0]
+            forwards += step.rule.startswith("fwd_")
+            apply_step(cfg, step)
+        chunks.append(process_time() - t)
+    assert forwards == 8000
+    assert cfg.names.map is m and len(m) == cfg.names.n == forwards
+    assert len(cfg.theta) + len(cfg.lam) <= 4
+    # a margin for a busy host: the old copy-per-forward map grew the last
+    # chunk's time with the 7000 entries before it
+    assert max(chunks[-2:]) < 3 * min(chunks[:2])
