@@ -70,15 +70,16 @@ class RunStatus(str, Enum):
 
 
 class Names:
-    """The forwards of a run as one union-find map, kept in place: each
-    channel a forward renamed maps to (the channel it was renamed to, the
-    number of that forward, the root that channel resolved to at the last
-    lookup, the number of the forward that made it the root). ``n``
-    counts the forwards, so a snapshot or a memo keeps only ``n``: it
-    resolves through the forwards numbered up to it, and it is current
-    while ``n`` is unchanged. A forward renames a root to a root, so the
-    numbers rise along every path, and a compressed hop is taken only by
-    a snapshot that has every forward it stands for."""
+    """The forwards of a run as one union-find map, extended in place:
+    each channel a forward renamed maps to (the channel it was renamed
+    to, the number of that forward, the root that channel resolved to at
+    its last lookup, the number of the forward that made it the root).
+    ``n`` counts the forwards, so a trace snapshot or a memo keeps only
+    the count of its time: a snapshot resolves through the forwards
+    numbered up to it, and a memo holds while the count is unchanged. A
+    forward renames a root to a root, so the numbers rise along every
+    path, and a compressed hop is taken only by a snapshot that has every
+    forward it stands for."""
     __slots__ = ("map", "n")
 
     def __init__(self) -> None:
@@ -129,8 +130,8 @@ def _force(tmpl: ProcessTerm | None, env: dict[str, str], base: int | None,
     if tmpl is None:
         return None
     if m:
-        env = {x: _find(m, y) if n is None else _find_at(m, y, n)
-               for x, y in env.items()}
+        env = {x: y if y not in m else _find(m, y) if n is None
+               else _find_at(m, y, n) for x, y in env.items()}
     if base is None:
         return substitute(tmpl, env)
     return freshen(tmpl, map("%g{}".format, count(base)).__next__, env)
@@ -147,9 +148,10 @@ class Proc:
     A step only moves the template down the body, so while the forwards
     stay the same, the template's identity stands for the whole closure:
     the memos and the forced term below key on it and on the number of
-    forwards. Assigning ``term`` installs that term under the identity
-    renaming and drops them; so does the constructor, unless given env,
-    which makes its term the template under env and base."""
+    forwards, and after a forward they hold while it ``moved`` none of
+    the renaming's names. Assigning ``term`` installs that term under the
+    identity renaming and drops them; so does the constructor, unless
+    given env, which makes its term the template under env and base."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
                  "shared", "step_memo", "check_memo", "_forced")
 
@@ -177,13 +179,27 @@ class Proc:
         x, m = self.env.get(x, x), self.names.map
         return _find(m, x) if x in m else x
 
+    def moved(self, k: int) -> dict[str, str]:
+        """The names of the renaming that the forwards since the k-th
+        moved: each as it resolved then, to what it resolves to now."""
+        m, out = self.names.map, {}
+        if k != self.names.n:
+            for y in self.env.values():
+                if y in m and (x := _find_at(m, y, k)) != (z := _find(m, y)):
+                    out[x] = z
+        return out
+
     @property
     def term(self) -> ProcessTerm | None:
-        c, n = self._forced, self.names.n
-        if c is not None and c[0] is self.tmpl and c[1] == n:
+        c = self._forced
+        if c is None or c[0] is not self.tmpl:
+            t = _force(self.tmpl, self.env, self.base, self.names.map)
+        elif c[1] == self.names.n:
             return c[2]
-        t = _force(self.tmpl, self.env, self.base, self.names.map)
-        self._forced = (self.tmpl, n, t)
+        else:  # forced before the last forwards: move their names
+            ren = self.moved(c[1])
+            t = substitute(c[2], ren) if ren else c[2]
+        self._forced = (self.tmpl, self.names.n, t)
         return t
 
     @term.setter
@@ -602,8 +618,10 @@ _UNBOUND = (Wait,) + _SENDS  # the actions with a continuation and no binder
 def _resume(p: Proc, msg: str | None) -> None:
     """Move p's closure on to the continuation of its action: a case takes
     the branch of label msg, skipping the binders of the branches before
-    it; an action with a binder (a spawn too) binds it to msg."""
-    t = p.tmpl
+    it; an action with a binder (a spawn too) binds it to msg. A term
+    forced before moves on with it, for the monitor to read."""
+    t, c = p.tmpl, p._forced
+    f = p.term if c is not None and c[0] is t else None
     if isinstance(t, CaseRecv):
         n, p.tmpl = t.slots[msg]
     elif isinstance(t, _UNBOUND):
@@ -612,6 +630,10 @@ def _resume(p: Proc, msg: str | None) -> None:
         p.tmpl, p.env, n = t.cont, {**p.env, t.binder: msg}, 1
     if p.base is not None:
         p.base += n
+    if f is not None:
+        f = f.branch(msg) if isinstance(f, CaseRecv) else \
+            substitute(f.cont, {f.binder: msg}) if n else f.cont
+        p._forced = (p.tmpl, p.names.n, f)
 
 
 def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
@@ -722,6 +744,7 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     _resume(p, b)
     newp = Proc(b, p.tmpl, body, {}, False, cfg.names, p.env, p.base)
     cfg.add(newp)
+    newp._forced = p._forced
     _resume(u, b)
     cfg.use(u, b, body)
     rec.produced += [_record(newp), ("unavail", b, None),
@@ -739,6 +762,7 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     _resume(p, c)
     newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base)
     cfg.lam[c] = newp
+    newp._forced = p._forced
     cfg.gamma[c] = SharedC(shared_ty)
     rec.produced.append(_record(newp))
     cfg.unuse(u, c)
@@ -802,18 +826,14 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
     if not ok:
         return (f"linear {e.chan}: offer type no longer synchronizes "
                 f"with the client view under its release obligation")
-    fm, n = e.names.map, e.names.n
+    n = e.names.n
     key = (e.chan, e.offer, e.uses, cfg.gamma, env)
     m = e.check_memo
-    if memo and m is not None and m[0] is e.tmpl and m[2] == key:
-        if m[1] == n:
-            return None
-        # the forwards since m[1] leave every name of the renaming where
-        # it resolved then
-        if all(_find_at(fm, x, m[1]) == _find(fm, x)
-               for x in e.env.values()):
+    if memo and m is not None and m[0] is e.tmpl and m[2] == key \
+            and not e.moved(m[1]):
+        if m[1] != n:
             e.check_memo = (m[0], n, m[2])
-            return None
+        return None
     ck.diags.clear()
     if ck.linear(cfg.gamma, e.uses, {}, e.term, e.chan, e.offer) is None:
         return f"process at {e.chan} no longer typechecks: " \

@@ -954,3 +954,23 @@ system {
     # a margin for a busy host: the old copy-per-forward map grew the last
     # chunk's time with the 7000 entries before it
     assert max(chunks[-2:]) < 3 * min(chunks[:2])
+
+
+def test_step_memo_sees_a_client_reset_to_its_own_template():
+    # assigning a client's term its own template object keeps the
+    # template's identity but renames it to itself: the memoized step of
+    # the process that client uses must see the new renaming
+    from sill.procast import SUBJECT
+    cfg = initial_config(by_stem("basics"))
+    for _ in range(40):
+        steps = enumerate_steps(cfg)
+        for step in steps:
+            u = cfg.provider(step.user) if step.user is not None else None
+            f = SUBJECT.get(type(u.tmpl)) if isinstance(u, Proc) else None
+            if f is not None and getattr(u.tmpl, f) != step.provider:
+                u.term = u.tmpl
+                assert step not in enumerate_steps(cfg)
+                assert enumerate_steps(cfg) == reference_steps(cfg)
+                return
+        apply_step(cfg, steps[0])
+    pytest.fail("no step whose client renames its subject")
