@@ -621,7 +621,8 @@ def _resume(p: Proc, msg: str | None) -> None:
     it; an action with a binder (a spawn too) binds it to msg. A term
     forced before moves on with it, for the monitor to read."""
     t, c = p.tmpl, p._forced
-    f = p.term if c is not None and c[0] is t else None
+    f = None if c is None or c[0] is not t else \
+        c[2] if c[1] == p.names.n else p.term
     if isinstance(t, CaseRecv):
         n, p.tmpl = t.slots[msg]
     elif isinstance(t, _UNBOUND):
@@ -829,8 +830,8 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
     n = e.names.n
     key = (e.chan, e.offer, e.uses, cfg.gamma, env)
     m = e.check_memo
-    if memo and m is not None and m[0] is e.tmpl and m[2] == key \
-            and not e.moved(m[1]):
+    if memo and m is not None and m[0] is e.tmpl and m[2] == key and (
+            m[1] == n or not e.moved(m[1])):
         if m[1] != n:
             e.check_memo = (m[0], n, m[2])
         return None
@@ -956,11 +957,15 @@ class RunResult:
 
 def _check_gamma_monotone(cfg: Config, before: dict[str, ConstraintType],
                           rec: StepRecord) -> str | None:
+    """Every constraint of Γ before the step is still there after it, at
+    or below where it was; one the step left alone is, as the order is
+    reflexive."""
     for k, c in before.items():
         nk = rec.renames.get(k, k)
-        if nk not in cfg.gamma:
+        d = cfg.gamma.get(nk)
+        if d is None:
             return f"shared context: constraint for {k} disappeared"
-        if not cleq(cfg.env, cfg.gamma[nk], c):
+        if d is not c and not cleq(cfg.env, d, c):
             return (f"shared context: constraint for {nk} evolved upward "
                     f"instead of tightening")
     return None
