@@ -744,8 +744,8 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     body = cfg.unf(p.offer).cont
     _resume(p, b)
     newp = Proc(b, p.tmpl, body, {}, False, cfg.names, p.env, p.base)
-    cfg.add(newp)
     newp._forced = p._forced
+    cfg.add(newp)
     _resume(u, b)
     cfg.use(u, b, body)
     rec.produced += [_record(newp), ("unavail", b, None),
@@ -762,8 +762,8 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     shared_ty = cfg.unf(p.offer).cont
     _resume(p, c)
     newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base)
-    cfg.lam[c] = newp
     newp._forced = p._forced
+    cfg.lam[c] = newp
     cfg.gamma[c] = SharedC(shared_ty)
     rec.produced.append(_record(newp))
     cfg.unuse(u, c)
