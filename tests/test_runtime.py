@@ -951,8 +951,8 @@ system {
     assert forwards == 8000
     assert cfg.names.map is m and len(m) == cfg.names.n == forwards
     assert len(cfg.theta) + len(cfg.lam) <= 4
-    # a margin for a busy host: the old copy-per-forward map grew the last
-    # chunk's time with the 7000 entries before it
+    # 3x leaves a margin for a busy host; a map copied at each forward
+    # would grow the last chunks' time with the 7000 entries before them
     assert max(chunks[-2:]) < 3 * min(chunks[:2])
 
 
