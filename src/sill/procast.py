@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, get_args
 
-from .types import SessionType
+from .types import SessionType, TypeDefEnv
 
 
 # --------------------------------------------------------------------------- #
@@ -259,6 +259,22 @@ class ProcSignature:
         # the first definition wins; a duplicate is a typecheck diagnostic
         return {d.name: d for d in reversed(self.defs)}
 
+    @cached_property
+    def free(self) -> dict[int, tuple[str, ...]]:
+        """Every node of every body, by identity (the signature keeps the
+        nodes alive), to the names free in the suffix from it."""
+        out: dict[int, tuple[str, ...]] = {}
+        for d in self.defs:
+            scope(d.body, out)
+        return out
+
+    @cached_property
+    def memo(self) -> dict[int, tuple[TypeDefEnv, set[tuple]]]:
+        """Per type env, by identity (the env held alongside), the nodes of
+        the bodies, by identity, each with a context its suffix passed
+        under."""
+        return {}
+
     def __contains__(self, name: str) -> bool:
         return name in self._table
 
@@ -346,32 +362,38 @@ def _rename(t: ProcessTerm, ren: dict[str, str],
     return t
 
 
-def scope(t: ProcessTerm) -> tuple[int, frozenset[str]]:
+def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None
+          ) -> tuple[int, frozenset[str]]:
     """The number of binders in t, which is how many names freshen(t, gen)
-    takes from gen, and the names free in t."""
-    n, free, bound = 0, set(), set()
-    while True:
-        binder, k = None, None
+    takes from gen, and the names free in t; with out given, records there
+    by identity those free in the suffix from each node of t."""
+    spine = []
+    while t is not None:
+        spine.append(t)
+        t = getattr(t, "cont", None)
+    n, free = 0, frozenset()
+    for t in reversed(spine):
+        names, binder = [], None
         for f, role in FIELDS[type(t)]:
             v = getattr(t, f)
-            if role is NAME or role is NAMES:
-                free.update(x for x in ((v,) if role is NAME else v)
-                            if x not in bound)
+            if role is NAME:
+                names.append(v)
+            elif role is NAMES:
+                names += v
             elif role is BINDER:
                 binder = v
+                n += 1
             elif role is BRANCHES:
                 for _, b in v:
-                    bn, bfree = scope(b)
+                    bn, bfree = scope(b, out)
                     n += bn
-                    free |= bfree - bound
-            elif role is CONT:
-                k = v
-        if binder is not None:
-            n += 1
-            bound.add(binder)
-        if k is None:
-            return n, frozenset(free)
-        t = k
+                    names += bfree
+        # the binder scopes over the continuation only, not a spawn's args
+        free = (free - {binder}).union(names)
+        if out is not None:
+            # a tuple of strings, unlike a set, the collector stops tracking
+            out[id(t)] = tuple(free)
+    return n, free
 
 
 def substitute(p: ProcessTerm, renaming: dict[str, str]) -> ProcessTerm:

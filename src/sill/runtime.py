@@ -20,16 +20,18 @@ makes broken release points observable at runtime.
 The configuration indexes its linear part by channel (who offers it, who
 uses it, which aliases stand for it), so neither step enumeration nor the
 monitor scans for a provider or a client. Each linear process memoizes its
-enabled step and its last passing recheck, keyed by what they read.
+enabled step, keyed by what it reads.
 
 No step rebuilds a term. A process holds a closure in the manner of
 explicit substitutions (Abadi, Cardelli, Curien & Levy) and of the CEK
 machine (Felleisen & Friedman): an immutable template from its
 definition's body and a renaming of the template's free names. A step
-moves the template on and extends the renaming; a forward records its
-renaming once, in a union-find map every name resolves through. Steps
-read only the head action; the concrete term is forced where one is
-needed: the monitor's recheck, a trace record, a reader of ``Proc.term``.
+moves the template on and binds its binder; a forward records its
+renaming once, in a union-find map every name resolves through. The
+monitor rechecks the template in its own names, and a suffix that passed
+under the same context before is a lookup (see _passes). The concrete
+term is forced only for a trace record, the monitor's forced check and a
+reader of ``Proc.term``.
 """
 
 from __future__ import annotations
@@ -142,71 +144,54 @@ class Proc:
     ``tmpl``, a node of an elaborated definition body; ``env``, the names
     the template's free names stand for (never changed in place); ``base``,
     the number of the fresh name the template's first binder takes, or
-    None where binders keep their names; and ``names``, the run's forwards,
-    through which every name then resolves. ``term`` forces the closure.
+    None where binders keep their names; ``names``, the run's forwards,
+    through which every name then resolves; and ``free``, the free names
+    of every node of the body, by identity (the signature's table).
 
-    A step only moves the template down the body, so while the forwards
-    stay the same, the template's identity stands for the whole closure:
-    the memos and the forced term below key on it and on the number of
-    forwards, and after a forward they hold while it ``moved`` none of
-    the renaming's names. Assigning ``term`` installs that term under the
-    identity renaming and drops them; so does the constructor, unless
-    given env, which makes its term the template under env and base."""
-    __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "step_memo", "check_memo", "_forced")
+    ``term`` forces the closure for a trace, the monitor's forced check
+    and other readers, and keeps it while the template and the number of
+    forwards stay the same. Assigning ``term`` installs that term under
+    the identity renaming and drops the memos; so does the constructor,
+    unless given env, which makes its term the template under env and
+    base."""
+    __slots__ = ("chan", "tmpl", "env", "base", "names", "free", "offer",
+                 "uses", "shared", "step_memo", "term_memo")
 
     def __init__(self, chan: str, term: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
                  shared: bool, names: Names | None = None,
-                 env: dict[str, str] | None = None,
-                 base: int | None = None) -> None:
+                 env: dict[str, str] | None = None, base: int | None = None,
+                 free: dict[int, tuple[str, ...]] | None = None) -> None:
         self.chan, self.offer, self.uses, self.shared = \
             chan, offer, uses, shared
         self.names = Names() if names is None else names
         if env is None:
             self.term = term
         else:
-            self.tmpl, self.env, self.base = term, env, base
-            # [tmpl, forwards, chan, subject, client, client's chan, tmpl
-            # and env, client's subject, step] of the last enumeration,
-            # (tmpl, forwards, (chan, offer, uses, Gamma, type env)) of the
-            # last passing recheck, and (tmpl, forwards, term) of the last
-            # forcing; see _enabled, _linear_fault and term
-            self.step_memo = self.check_memo = self._forced = None
+            self.tmpl, self.env, self.base, self.free = term, env, base, free
+            # [tmpl, forwards, chan, subject, client, client's chan, tmpl and
+            # env, client's subject, step] of the last enumeration
+            self.step_memo = self.term_memo = None
 
     def name(self, x: str) -> str:
         """What the template's name x stands for now."""
         x, m = self.env.get(x, x), self.names.map
         return _find(m, x) if x in m else x
 
-    def moved(self, k: int) -> dict[str, str]:
-        """The names of the renaming that the forwards since the k-th
-        moved: each as it resolved then, to what it resolves to now."""
-        m, out = self.names.map, {}
-        if k != self.names.n:
-            for y in self.env.values():
-                if y in m and (x := _find_at(m, y, k)) != (z := _find(m, y)):
-                    out[x] = z
-        return out
-
     @property
     def term(self) -> ProcessTerm | None:
-        c = self._forced
-        if c is None or c[0] is not self.tmpl:
-            t = _force(self.tmpl, self.env, self.base, self.names.map)
-        elif c[1] == self.names.n:
-            return c[2]
-        else:  # forced before the last forwards: move their names
-            ren = self.moved(c[1])
-            t = substitute(c[2], ren) if ren else c[2]
-        self._forced = (self.tmpl, self.names.n, t)
-        return t
+        m, n = self.term_memo, self.names.n
+        if m is None or m[0] is not self.tmpl or m[1] != n:
+            m = self.term_memo = (self.tmpl, n, _force(
+                self.tmpl, self.env, self.base, self.names.map))
+        return m[2]
 
     @term.setter
     def term(self, t: ProcessTerm | None) -> None:
-        self.tmpl, self.base = t, None
-        self.env = {} if t is None else {x: x for x in scope(t)[1]}
-        self.step_memo = self.check_memo = self._forced = None
+        self.tmpl, self.base, self.free = t, None, {}
+        self.env = {} if t is None else \
+            {x: x for x in scope(t, self.free)[1]}
+        self.step_memo = self.term_memo = None
 
     def __repr__(self) -> str:
         return f"Proc({self.chan!r}, {self.term!r}, {self.offer!r}, " \
@@ -369,7 +354,8 @@ def _instance(cfg: Config, d: ProcDef, chan: str, actuals: dict[str, str],
     env[d.offer] = chan
     base = cfg.counter
     cfg.counter += n
-    return Proc(chan, d.body, d.offer_ty, uses, shared, cfg.names, env, base)
+    return Proc(chan, d.body, d.offer_ty, uses, shared, cfg.names, env, base,
+                cfg.sig.free)
 
 
 def _spawn_linear(cfg: Config, spawner: Proc | None,
@@ -618,23 +604,22 @@ _UNBOUND = (Wait,) + _SENDS  # the actions with a continuation and no binder
 def _resume(p: Proc, msg: str | None) -> None:
     """Move p's closure on to the continuation of its action: a case takes
     the branch of label msg, skipping the binders of the branches before
-    it; an action with a binder (a spawn too) binds it to msg. A term
-    forced before moves on with it, for the monitor to read."""
-    t, c = p.tmpl, p._forced
-    f = None if c is None or c[0] is not t else \
-        c[2] if c[1] == p.names.n else p.term
+    it; an action with a binder (a spawn too) binds it to msg. The
+    renaming keeps the continuation's free names only, so it does not
+    grow with the names a long body is done with."""
+    t, env, b = p.tmpl, p.env, None
     if isinstance(t, CaseRecv):
-        n, p.tmpl = t.slots[msg]
+        n, k = t.slots[msg]
     elif isinstance(t, _UNBOUND):
-        p.tmpl, n = t.cont, 0
+        k, n = t.cont, 0
     else:
-        p.tmpl, p.env, n = t.cont, {**p.env, t.binder: msg}, 1
+        k, n, b = t.cont, 1, t.binder
+    p.tmpl = k
     if p.base is not None:
         p.base += n
-    if f is not None:
-        f = f.branch(msg) if isinstance(f, CaseRecv) else \
-            substitute(f.cont, {f.binder: msg}) if n else f.cont
-        p._forced = (p.tmpl, p.names.n, f)
+    fv = p.free[id(k)]
+    if b is not None or len(fv) != len(env):
+        p.env = {y: msg if y == b else env.get(y, y) for y in fv}
 
 
 def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
@@ -743,8 +728,8 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     del cfg.lam[b]
     body = cfg.unf(p.offer).cont
     _resume(p, b)
-    newp = Proc(b, p.tmpl, body, {}, False, cfg.names, p.env, p.base)
-    newp._forced = p._forced
+    newp = Proc(b, p.tmpl, body, {}, False, cfg.names, p.env, p.base,
+                p.free)
     cfg.add(newp)
     _resume(u, b)
     cfg.use(u, b, body)
@@ -761,8 +746,8 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     cfg.drop(p)
     shared_ty = cfg.unf(p.offer).cont
     _resume(p, c)
-    newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base)
-    newp._forced = p._forced
+    newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base,
+                p.free)
     cfg.lam[c] = newp
     cfg.gamma[c] = SharedC(shared_ty)
     rec.produced.append(_record(newp))
@@ -801,14 +786,74 @@ def apply_step(cfg: Config, step: Step) -> StepRecord:
 # Monitor
 # --------------------------------------------------------------------------- #
 
-def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
-                  memo: bool) -> str | None:
-    """The violation at one entry of the linear part, if any. The recheck
-    of a process is a pure function of its channel, term, offer and uses,
-    Gamma and the type environment, and its term of its template and the
-    forwards; so with memo set it is skipped, and the term not forced,
-    when its template is the one of the last recheck it passed, the rest
-    equal, and the forwards since rename none of its names."""
+def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
+    """Whether p passes its recheck, decided in its template's names: each
+    free name takes every place of the channel it stands for, as the offer,
+    in Δ (p's uses) and in Γ, and the template checks as the forced term
+    does. A context the suffix from p's node passed under before is a
+    lookup in the signature's memo; a miss checks the template and on a
+    pass records the context at every node of its spine, so after a
+    well-typed step the next recheck is a lookup. False, for the forced
+    check to decide and word the violation, where that check fails or the
+    context does not translate one to one: binders keep their names (base
+    None), two free names stand for the offer or one linear channel, none
+    for the offer, or a use for none. Γ is only read and extended, so two
+    may stand for one shared channel."""
+    if p.base is None:
+        return False
+    t, chan, gamma, free = p.tmpl, p.chan, cfg.gamma, p.free
+    uses = {} if p.shared else p.uses  # the shared judgment has no Δ
+    # a free name's class: its constraint, or for the offer and a use
+    # (whether it is the offer, its view, its constraint)
+    x, delta, gam, cls, lin = None, {}, {}, [], set()
+    for y in free[id(t)]:
+        r = p.name(y)
+        d, g = uses.get(r), gamma.get(r)
+        if g is not None:
+            gam[y] = g
+        if r == chan or d is not None:
+            if r in lin:
+                return False
+            lin.add(r)
+            x = y if r == chan else x
+            if d is not None:
+                delta[y] = d
+            g = (r == chan, d, g)
+        cls.append(g)
+    if x is None or not lin.issuperset(uses):
+        return False
+    memo = cfg.sig.memo.setdefault(id(cfg.env), (cfg.env, set()))[1]
+    if (id(t), p.shared, p.offer, tuple(cls)) in memo:
+        return True
+    out = []
+
+    def record(node, gamma, delta, x, a, shared):
+        out.append((id(node), shared, a, tuple(
+            (y == x, delta.get(y), gamma.get(y)) if y == x or y in delta
+            else gamma.get(y) for y in free[id(node)])))
+
+    if (ck.shared(gam, {}, t, x, p.offer, record) if p.shared else
+            ck.linear(gam, delta, {}, t, x, p.offer, record)) is None:
+        return False
+    memo.update(out)
+    return True
+
+
+def _recheck(cfg: Config, ck: _Ck, p: Proc) -> str | None:
+    """The violation of p's recheck, if any; where the template cannot
+    decide, p's forced term decides."""
+    if _passes(cfg, ck, p):
+        return None
+    ck.diags.clear()
+    if (ck.shared(cfg.gamma, {}, p.term, p.chan, p.offer) if p.shared else
+            ck.linear(cfg.gamma, p.uses, {}, p.term, p.chan, p.offer)) is None:
+        return f"process at {p.chan} no longer typechecks: " \
+               + "; ".join(ck.diags)
+    return None
+
+
+def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
+    """The violation at one entry of the linear part, if any."""
     env = cfg.env
     u = cfg.user_of(e.chan)
     if isinstance(e, Connect):
@@ -827,21 +872,7 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
     if not ok:
         return (f"linear {e.chan}: offer type no longer synchronizes "
                 f"with the client view under its release obligation")
-    n = e.names.n
-    key = (e.chan, e.offer, e.uses, cfg.gamma, env)
-    m = e.check_memo
-    if memo and m is not None and m[0] is e.tmpl and m[2] == key and (
-            m[1] == n or not e.moved(m[1])):
-        if m[1] != n:
-            e.check_memo = (m[0], n, m[2])
-        return None
-    ck.diags.clear()
-    if ck.linear(cfg.gamma, e.uses, {}, e.term, e.chan, e.offer) is None:
-        return f"process at {e.chan} no longer typechecks: " \
-               + "; ".join(ck.diags)
-    e.check_memo = (e.tmpl, n,
-                    key[:2] + (dict(e.uses), dict(cfg.gamma), env))
-    return None
+    return _recheck(cfg, ck, e)
 
 
 def _relevant(cfg: Config, touched: set[str]) -> dict[int, Proc | Connect]:
@@ -878,11 +909,11 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
     else:
         relevant, linear = _relevant(cfg, touched), ()
         for e in relevant.values():
-            if _linear_fault(cfg, ck, e, True) is not None:
+            if _linear_fault(cfg, ck, e) is not None:
                 linear = [e for e in cfg.theta if id(e) in relevant]
                 break
     for e in linear:
-        v = _linear_fault(cfg, ck, e, touched is not None)
+        v = _linear_fault(cfg, ck, e)
         if v is not None:
             return v
     env = cfg.env
@@ -899,10 +930,8 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
         if not ok:
             return (f"shared {a}: offer type does not equi-synchronize "
                     f"with its recorded constraint")
-        ck.diags.clear()
-        if ck.shared(cfg.gamma, {}, p.term, a, p.offer) is None:
-            return f"process at {a} no longer typechecks: " \
-                   + "; ".join(ck.diags)
+        if (v := _recheck(cfg, ck, p)) is not None:
+            return v
     return None
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
+from typing import Callable
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
@@ -134,23 +135,30 @@ class _Ck:
 
     def linear(self, gamma: dict[str, ConstraintType],
                delta: dict[str, SessionType], vals: dict[str, str],
-               p: ProcessTerm, x: str, a: SessionType) -> ProcessTerm | None:
+               p: ProcessTerm, x: str, a: SessionType,
+               rec: Callable | None = None) -> ProcessTerm | None:
         """Gamma ; Delta |- p :: (x : a); the arguments stay unchanged."""
-        return self.check(gamma, dict(delta), vals, p, x, a, False)
+        return self.check(gamma, dict(delta), vals, p, x, a, False, rec)
 
     def shared(self, gamma: dict[str, ConstraintType], vals: dict[str, str],
-               p: ProcessTerm, x: str, a: SessionType) -> ProcessTerm | None:
+               p: ProcessTerm, x: str, a: SessionType,
+               rec: Callable | None = None) -> ProcessTerm | None:
         """Gamma |- p :: (x : a)."""
-        return self.check(gamma, {}, vals, p, x, a, True)
+        return self.check(gamma, {}, vals, p, x, a, True, rec)
 
     def check(self, gamma: dict[str, ConstraintType],
               delta: dict[str, SessionType], vals: dict[str, str],
               p: ProcessTerm, x: str, a: SessionType,
-              shared: bool) -> ProcessTerm | None:
+              shared: bool, rec: Callable | None = None
+              ) -> ProcessTerm | None:
         """The elaborated p, or None after recording why it does not
-        check. Updates delta in place."""
+        check. Updates delta in place. With rec given, calls rec(node,
+        gamma, delta, x, a, shared) at each node, in case arms too, with
+        the context the suffix from that node checks under."""
         env, spine = self.env, []
         while True:
+            if rec is not None:
+                rec(p, gamma, delta, x, a, shared)
             cls, ua = type(p), unfold(env, a)
             if shared and cls not in _IN_SHARED:
                 self.fail("shared", "action not available in a shared "
@@ -259,7 +267,8 @@ class _Ck:
                             a2 = ty.branch(l)
                         else:
                             d2[on] = ty.branch(l)
-                        body = self.check(gamma, d2, vals, body, x, a2, False)
+                        body = self.check(gamma, d2, vals, body, x, a2, False,
+                                          rec)
                         if body is None:
                             return None
                     arms.append((l, body))

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -208,10 +209,10 @@ def test_too_deep_program_exits_2(tmp_path, capsys):
 
 
 def test_straight_line_10k_actions(tmp_path, capsys):
-    # unmonitored, a step moves Main's closure on without rebuilding its
-    # term, so the line runs to the end: a spawn, a get and a wait for each
-    # cell. The monitored run stays bounded, as each step rechecks Main's
-    # whole remaining term.
+    # a step moves Main's closure on without rebuilding its term, so the
+    # line runs to the end: a spawn, a get and a wait for each cell.
+    # Monitored too: the first recheck of Main records the context of
+    # every node of its spine, and each later one looks its node up there.
     f = tmp_path / "line.sill"
     f.write_text(_straight_line(10_000))
     assert main(["check", str(f)]) == 0
@@ -227,8 +228,11 @@ def test_straight_line_10k_actions(tmp_path, capsys):
         assert main(["run", str(f), "--steps", "20"] + extra) == 0
         assert capsys.readouterr().out == "max_steps after 20 steps\n"
     steps = 3 * (10_000 // 3)
-    assert main(["run", str(f), "--no-monitor", "--steps", "100000"]) == 0
-    assert capsys.readouterr().out == f"all_poised after {steps} steps\n"
+    for extra in (["--no-monitor"], []):
+        start = time.perf_counter()
+        assert main(["run", str(f), "--steps", "100000"] + extra) == 0
+        assert capsys.readouterr().out == f"all_poised after {steps} steps\n"
+    assert time.perf_counter() - start < 20
 
 
 @pytest.mark.parametrize("argv", [

@@ -738,12 +738,125 @@ def test_indexes_steps_and_monitor_match_references_on_mutants():
     assert runs > 3000
 
 
-def test_recheck_memo_sees_every_part_of_its_key():
+def test_recheck_memo_hits_within_one_run(monkeypatch):
+    # from a cold memo, within one monitored run, the share of rechecks
+    # the signature's memo answers without checking a term: a miss checks
+    # the template and records the context of its whole spine, so after a
+    # well-typed step the next recheck is a lookup
+    from sill import runtime
+    from sill.typecheck import _Ck
+    checks, hits = [0], []
+    check, passes = _Ck.check, runtime._passes
+
+    def counted_check(self, *args):
+        checks[0] += 1
+        return check(self, *args)
+
+    def counted_passes(cfg, ck, p):
+        before = checks[0]
+        ok = passes(cfg, ck, p)
+        hits.append(ok and checks[0] == before)
+        return ok
+
+    monkeypatch.setattr(_Ck, "check", counted_check)
+    monkeypatch.setattr(runtime, "_passes", counted_passes)
+    for stem in ("auction", "dd", "handoff"):
+        hits.clear()
+        r = run(by_stem(stem), seed=0, max_steps=300)
+        assert r.status == RunStatus.MAX_STEPS and len(hits) > 500
+        assert sum(hits) >= 0.9 * len(hits), (stem, sum(hits), len(hits))
+
+
+# Programs in which free names of one template come to stand for one
+# channel: a shared channel passed to two shared parameters, and two
+# shared channels of which a forward renames one to the other. Either way,
+# once Twice holds the session it acquired through one name, its other
+# name stands for that session too, and the forced check decides.
+NAMES_MEET = tuple(
+    "type lock = up_s &{ping: down_s lock}\n"
+    "proc Lock : () |- k: lock = l <- accept k; case l { ping => "
+    "s <- detach l; n <- spawn Lock(); fwd s n }\n"
+    "proc Twice : (sh a: lock, sh b: lock) |- x: 1 = l <- acquire a; "
+    "l.ping; r <- release l; m <- acquire b; m.ping; t <- release m; "
+    "close x\n" + rest for rest in (
+        "proc M : (sh k: lock) |- x: 1 = p <- spawn Twice(k, k); "
+        "wait p; close x\n"
+        "system { k <- spawn Lock(); main M(k); }\n",
+        "proc Relay : (sh t: lock) |- k: lock = fwd k t\n"
+        "system { t <- spawn Lock(); k <- spawn Relay(t); "
+        "main Twice(k, t); }\n",
+    ))
+
+
+def test_monitor_matches_reference_where_names_meet(monkeypatch):
+    from sill import runtime
+    forced = []
+    passes = runtime._passes
+
+    def counted_passes(cfg, ck, p):
+        ok = passes(cfg, ck, p)
+        forced.append(not ok)
+        return ok
+
+    monkeypatch.setattr(runtime, "_passes", counted_passes)
+    for src in NAMES_MEET:
+        diags, prog = check_program(parse_program(src))
+        assert diags == []
+        forced.clear()
+        for _, choose in _choosers():
+            assert differential(prog, choose, 100, True, True) > 5
+        assert any(forced), src
+
+
+def test_recheck_memo_records_each_nodes_own_offer():
+    # the recheck of a new Cell records its put and its close, each under
+    # the offer it checks with. A Cell moved on to its close without its
+    # offer or its client's view moving on matches neither record, and
+    # its term, closing a channel that still sends, is flagged.
+    src = ("type cell = !int. 1\n"
+           "proc Cell : () |- c: cell = put c 1; close c\n"
+           "proc Main : () |- x: 1 = c <- spawn Cell(); v <- get c; "
+           "wait c; close x\n"
+           "system { main Main(); }\n")
+    diags, prog = check_program(parse_program(src))
+    assert diags == []
+    cfg = initial_config(prog)
+    rec = apply_step(cfg, enumerate_steps(cfg)[0])
+    assert monitor_check(cfg, rec.touched) is None
+    cell = cfg.theta[-1]
+    cell.tmpl = cell.tmpl.cont
+    assert monitor_check(cfg, rec.touched).startswith(
+        f"process at {cell.chan} no longer typechecks")
+
+
+def test_recheck_forces_where_two_names_stand_for_one_linear_channel():
+    # a forward makes two free names of Main stand for one linear channel,
+    # which Main uses once: in its template's names Main would wait on two
+    # channels, each once, where its term waits on one twice. So the
+    # context does not translate, and the forced check flags the term.
+    prog = check_program(parse_program(wide_source()))[1]
+    cfg = initial_config(prog)
+    for _ in range(2):
+        rec = apply_step(cfg, enumerate_steps(cfg)[0])
+    main = cfg.theta[0]
+    b0, b1 = main.uses
+    assert monitor_check(cfg, rec.touched) is None
+    cfg.names.union(b1, b0)
+    cfg.unuse(main, b1)
+    assert monitor_check(cfg, rec.touched).startswith(
+        f"process at {main.chan} no longer typechecks")
+
+
+def test_recheck_memo_sees_every_part_of_its_key(monkeypatch):
     # after Main of the wide program spawns its second Batch, the touched
-    # check rechecks Main and remembers it; each part of what that recheck
-    # read, made ill-typed in turn, must be rechecked and flagged at once,
-    # although the rest of Main and the step's touched set stay the same
+    # check rechecks Main and records in the signature's memo the context
+    # of every node of Main's spine; each part of what that recheck read,
+    # made ill-typed in turn, must be rechecked and flagged at once,
+    # although the rest of Main and the step's touched set stay the same.
+    # So must a corrupted context at a node the recheck passed through
+    # mid-spine, once Main has stepped there.
     from sill.types import IChoice
+    from sill.typecheck import _Ck
     src = wide_source()
     prog = check_program(parse_program(src))[1]
     cfg = initial_config(prog)
@@ -754,25 +867,57 @@ def test_recheck_memo_sees_every_part_of_its_key():
     assert rec.rule == "spawn_ll" and rec.touched == {main.chan, b1}
     assert "q" in cfg.gamma and "q" not in rec.touched
     assert monitor_check(cfg, rec.touched) is None
-    assert main.check_memo is not None
+    passed = {key[0] for key in cfg.sig.memo[id(cfg.env)][1]}
+    assert id(main.tmpl) in passed and id(main.tmpl.cont) in passed
     # rebinds a type that Main's spawns of Writer(q) unfold
     zapped = parse_program(src.replace(
         "type producer = up_s &{enqueue:", "type producer = up_s &{zap:"))
     corruptions = {
-        "term": (main, "term", main.term.cont),  # skips the spawn of b2
         "offer": (main, "offer", IChoice((("a", One()),))),
         "uses": (main.uses, b0, Tensor(One(), One())),
         "gamma": (cfg.gamma, "q", SharedC(Ref("consumer"))),
         "env": (cfg, "env", zapped.types),
     }
-    for part, (obj, key, bad) in corruptions.items():
-        get, put = (dict.get, dict.__setitem__) if isinstance(obj, dict) \
-            else (getattr, setattr)
-        good = get(obj, key)
-        put(obj, key, bad)
-        assert monitor_check(cfg, rec.touched) is not None, part
-        put(obj, key, good)
-        assert monitor_check(cfg, rec.touched) is None, part
+
+    def flagged_at_once(corruptions):
+        for part, (obj, key, bad) in corruptions.items():
+            get, put = (dict.get, dict.__setitem__) if isinstance(obj, dict) \
+                else (getattr, setattr)
+            good = get(obj, key)
+            put(obj, key, bad)
+            assert monitor_check(cfg, rec.touched) is not None, part
+            put(obj, key, good)
+            assert monitor_check(cfg, rec.touched) is None, part
+
+    flagged_at_once(corruptions)
+    # Main spawns its third Batch: its next node and the new Batch's body
+    # were recorded, so the recheck is a lookup that checks no term
+    rec = apply_step(cfg, next(s for s in enumerate_steps(cfg)
+                               if s.provider == main.chan))
+    b2 = next(c for c in main.uses if c not in (b0, b1))
+    checks = []
+    check = _Ck.check
+    monkeypatch.setattr(_Ck, "check",
+                        lambda self, *a: checks.append(a) or check(self, *a))
+    assert monitor_check(cfg, rec.touched) is None and checks == []
+    flagged_at_once({
+        "recorded uses": (main.uses, b2, Tensor(One(), One())),
+        "term": (main, "term", main.term.cont),  # skips spawning k0
+    })
+
+
+def test_renaming_keeps_only_the_templates_free_names():
+    # a step keeps only its continuation's free names in a process's
+    # renaming, so Main of a long straight line holds its offer and the
+    # cell it is on, not a name for every cell it is done with
+    from test_cli import _straight_line
+    diags, prog = check_program(parse_program(_straight_line(10_000)))
+    assert diags == []
+    r = run(prog, max_steps=3000, monitor=False)
+    main = r.config.provider("%g0")
+    assert r.status == RunStatus.MAX_STEPS and main.tmpl is not None
+    assert set(main.env) == set(prog.procs.free[id(main.tmpl)])
+    assert len(main.env) <= 2
 
 
 # --------------------------------------------------------------------------- #
