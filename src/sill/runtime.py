@@ -13,9 +13,10 @@ process (its current offer type and the view type of every linear channel
 it uses) plus the shared context Gamma: one constraint per shared channel,
 recorded by a spawn or a release and carried by a forward. A linear
 channel's release obligation is its entry, or never-available without one.
-The monitor rechecks the touched records after each step; any failure is
-reported as a violation instead of silently continuing, which is what
-makes broken release points observable at runtime.
+The monitor rechecks the touched records after each step, and every
+record of the initial configuration as if each channel were touched; any
+failure is reported as a violation instead of silently continuing, which
+is what makes broken release points observable at runtime.
 
 The configuration indexes its linear part by channel (who offers it, who
 uses it, which aliases stand for it), so neither step enumeration nor the
@@ -52,8 +53,7 @@ from .procast import (
     FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
-    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, SUBJECT,
-    substitute, freshen, scope,
+    SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, SUBJECT, freshen,
 )
 from .parser import Program
 from .printer import format_proc
@@ -123,7 +123,7 @@ def _find_at(m: dict[str, tuple], x: str, n: int) -> str:
     return x
 
 
-def _force(tmpl: ProcessTerm | None, env: dict[str, str], base: int | None,
+def _force(tmpl: ProcessTerm | None, env: dict[str, str], base: int,
            m: dict[str, tuple], n: int | None = None) -> ProcessTerm | None:
     """The concrete term of a closure under the forwards in m (those
     numbered up to n, with n given): the template with its free names
@@ -134,44 +134,34 @@ def _force(tmpl: ProcessTerm | None, env: dict[str, str], base: int | None,
     if m:
         env = {x: y if y not in m else _find(m, y) if n is None
                else _find_at(m, y, n) for x, y in env.items()}
-    if base is None:
-        return substitute(tmpl, env)
     return freshen(tmpl, map("%g{}".format, count(base)).__next__, env)
 
 
 class Proc:
     """A process predicate. Its term is a closure that no step rebuilds:
     ``tmpl``, a node of an elaborated definition body; ``env``, the names
-    the template's free names stand for (never changed in place); ``base``,
-    the number of the fresh name the template's first binder takes, or
-    None where binders keep their names; ``names``, the run's forwards,
-    through which every name then resolves; and ``free``, the free names
-    of every node of the body, by identity (the signature's table).
+    the template's free names stand for (never changed in place; a name
+    it lacks stands for itself); ``base``, the number of the fresh name
+    the template's first binder takes; and ``names``, the run's forwards,
+    through which every name then resolves.
 
     ``term`` forces the closure for a trace, the monitor's forced check
     and other readers, and keeps it while the template and the number of
-    forwards stay the same. Assigning ``term`` installs that term under
-    the identity renaming and drops the memos; so does the constructor,
-    unless given env, which makes its term the template under env and
-    base."""
-    __slots__ = ("chan", "tmpl", "env", "base", "names", "free", "offer",
-                 "uses", "shared", "step_memo", "term_memo")
+    forwards stay the same."""
+    __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
+                 "shared", "step_memo", "term_memo")
 
-    def __init__(self, chan: str, term: ProcessTerm | None,
+    def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
                  shared: bool, names: Names | None = None,
-                 env: dict[str, str] | None = None, base: int | None = None,
-                 free: dict[int, tuple[str, ...]] | None = None) -> None:
+                 env: dict[str, str] | None = None, base: int = 0) -> None:
         self.chan, self.offer, self.uses, self.shared = \
             chan, offer, uses, shared
         self.names = Names() if names is None else names
-        if env is None:
-            self.term = term
-        else:
-            self.tmpl, self.env, self.base, self.free = term, env, base, free
-            # [tmpl, forwards, chan, subject, client, client's chan, tmpl and
-            # env, client's subject, step] of the last enumeration
-            self.step_memo = self.term_memo = None
+        self.tmpl, self.env, self.base = tmpl, {} if env is None else env, base
+        # [tmpl, forwards, chan, subject, client, client's chan, client's
+        # tmpl, client's subject, step] of the last enumeration
+        self.step_memo = self.term_memo = None
 
     def name(self, x: str) -> str:
         """What the template's name x stands for now."""
@@ -185,13 +175,6 @@ class Proc:
             m = self.term_memo = (self.tmpl, n, _force(
                 self.tmpl, self.env, self.base, self.names.map))
         return m[2]
-
-    @term.setter
-    def term(self, t: ProcessTerm | None) -> None:
-        self.tmpl, self.base, self.free = t, None, {}
-        self.env = {} if t is None else \
-            {x: x for x in scope(t, self.free)[1]}
-        self.step_memo = self.term_memo = None
 
     def __repr__(self) -> str:
         return f"Proc({self.chan!r}, {self.term!r}, {self.offer!r}, " \
@@ -354,8 +337,7 @@ def _instance(cfg: Config, d: ProcDef, chan: str, actuals: dict[str, str],
     env[d.offer] = chan
     base = cfg.counter
     cfg.counter += n
-    return Proc(chan, d.body, d.offer_ty, uses, shared, cfg.names, env, base,
-                cfg.sig.free)
+    return Proc(chan, d.body, d.offer_ty, uses, shared, cfg.names, env, base)
 
 
 def _spawn_linear(cfg: Config, spawner: Proc | None,
@@ -498,22 +480,22 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
     """The step the linear process e drives: a forward or a spawn of its
     own, or its action on its own channel with the matching one of its
     client there; for a direct acquire, the step it takes once the session
-    accepts. Memoized on e while e's closure and channel, its client and
-    the client's channel and closure are the same as before; after a
-    forward, while the two subjects still resolve to the same channels."""
+    accepts. Memoized on e while e's template and channel, its client and
+    the client's channel and template are the same as before (a renaming
+    changes only as its template moves on); after a forward, while the
+    two subjects still resolve to the same channels."""
     a, t, n = e.chan, e.tmpl, cfg.names.n
     m = e.step_memo
     same = m is not None and m[0] is t and m[2] == a
     c = m[3] if same and m[1] == n else _subject(e)[0]
     u = cfg.user_of(a) if c == a else None
     if same and m[3] == c and m[4] is u and (u is None or m[5] == u.chan
-                                             and m[6] is u.tmpl
-                                             and m[7] is u.env):
+                                             and m[6] is u.tmpl):
         if m[1] == n:
-            return m[9]
-        if u is None or _subject(u)[0] == m[8]:
+            return m[8]
+        if u is None or _subject(u)[0] == m[7]:
             m[1] = n
-            return m[9]
+            return m[8]
     uc = ut = None
     if u is not None:
         uc, ut = _subject(u)
@@ -536,7 +518,7 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
                 rule == "plus" and t.label not in ut.labels()
                 or rule == "with" and ut.label not in t.labels()):
             step = Step(rule, a, u.chan)
-    e.step_memo = [t, n, a, c, u, u and u.chan, ut, u and u.env, uc, step]
+    e.step_memo = [t, n, a, c, u, u and u.chan, ut, uc, step]
     return step
 
 
@@ -601,7 +583,7 @@ _SENDS = (SendChan, SendChanS, SendLabel, SendVal)
 _UNBOUND = (Wait,) + _SENDS  # the actions with a continuation and no binder
 
 
-def _resume(p: Proc, msg: str | None) -> None:
+def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
     """Move p's closure on to the continuation of its action: a case takes
     the branch of label msg, skipping the binders of the branches before
     it; an action with a binder (a spawn too) binds it to msg. The
@@ -615,9 +597,8 @@ def _resume(p: Proc, msg: str | None) -> None:
     else:
         k, n, b = t.cont, 1, t.binder
     p.tmpl = k
-    if p.base is not None:
-        p.base += n
-    fv = p.free[id(k)]
+    p.base += n
+    fv = cfg.sig.free[id(k)]
     if b is not None or len(fv) != len(env):
         p.env = {y: msg if y == b else env.get(y, y) for y in fv}
 
@@ -663,7 +644,7 @@ def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
     else:
         _spawn_linear(cfg, s, d, c, args, sp.kinds, rec)
         cfg.use(s, c, d.offer_ty)
-    _resume(s, c)
+    _resume(cfg, s, c)
     rec.produced.append(_record(s))
     rec.touched |= {s.chan, c} | set(args)
 
@@ -678,7 +659,7 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     rec.touched |= {a, u.chan}
     if isinstance(p.tmpl, Close):
         cfg.drop(p)
-        _resume(u, None)
+        _resume(cfg, u, None)
         cfg.unuse(u, a)
         rec.produced.append(_record(u))
         return
@@ -707,8 +688,8 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         p.offer, u.uses[a] = offer.branch(msg), view.branch(msg)
     else:
         p.offer, u.uses[a] = offer.cont, view.cont
-    _resume(p, msg)
-    _resume(u, msg)
+    _resume(cfg, p, msg)
+    _resume(cfg, u, msg)
     rec.produced += [_record(p), _record(u)]
 
 
@@ -727,11 +708,10 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         rec.touched.add(alias.chan)
     del cfg.lam[b]
     body = cfg.unf(p.offer).cont
-    _resume(p, b)
-    newp = Proc(b, p.tmpl, body, {}, False, cfg.names, p.env, p.base,
-                p.free)
+    _resume(cfg, p, b)
+    newp = Proc(b, p.tmpl, body, {}, False, cfg.names, p.env, p.base)
     cfg.add(newp)
-    _resume(u, b)
+    _resume(cfg, u, b)
     cfg.use(u, b, body)
     rec.produced += [_record(newp), ("unavail", b, None),
                      _record(u)]
@@ -745,9 +725,8 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     rec.consumed += [_record(p), _record(u), ("unavail", c, None)]
     cfg.drop(p)
     shared_ty = cfg.unf(p.offer).cont
-    _resume(p, c)
-    newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base,
-                p.free)
+    _resume(cfg, p, c)
+    newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base)
     cfg.lam[c] = newp
     cfg.gamma[c] = SharedC(shared_ty)
     rec.produced.append(_record(newp))
@@ -756,7 +735,7 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     if isinstance(u.tmpl, ReleaseL):
         name = _alias(cfg, c, rec)
         cfg.use(u, name, UpLL(cfg.unf(shared_ty).cont))
-    _resume(u, name)
+    _resume(cfg, u, name)
     rec.produced.append(_record(u))
     rec.touched |= {c, name, u.chan}
 
@@ -795,13 +774,10 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     pass records the context at every node of its spine, so after a
     well-typed step the next recheck is a lookup. False, for the forced
     check to decide and word the violation, where that check fails or the
-    context does not translate one to one: binders keep their names (base
-    None), two free names stand for the offer or one linear channel, none
-    for the offer, or a use for none. Γ is only read and extended, so two
-    may stand for one shared channel."""
-    if p.base is None:
-        return False
-    t, chan, gamma, free = p.tmpl, p.chan, cfg.gamma, p.free
+    context does not translate one to one: two free names stand for the
+    offer or one linear channel, none for the offer, or a use for none. Γ
+    is only read and extended, so two may stand for one shared channel."""
+    t, chan, gamma, free = p.tmpl, p.chan, cfg.gamma, cfg.sig.free
     uses = {} if p.shared else p.uses  # the shared judgment has no Δ
     # a free name's class: its constraint, or for the offer and a use
     # (whether it is the offer, its view, its constraint)
@@ -884,40 +860,34 @@ def _relevant(cfg: Config, touched: set[str]) -> dict[int, Proc | Connect]:
 
 
 def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
-    """Recheck the typing records of the touched channels (all of them when
-    touched is None). Returns a violation message or None.
+    """Recheck the typing records of the touched channels (every channel
+    when touched is None). Returns a violation message or None.
 
-    With touched given, the entries to recheck come from the indexes: the
-    entries offering or using a touched channel and the aliases of one.
-    They are checked in any order first; only if one fails are they walked
-    again in the order of the linear part, so the first failing entry
-    names the violation, as a full walk would. A step can make a second
+    The entries to recheck come from the indexes: the entries offering or
+    using a touched channel and the aliases of one. They are checked in
+    any order first; only if one fails are they walked again in the order
+    of the linear part, so the first failing entry names the violation,
+    as a walk of the whole linear part would. A step can make a second
     provider only at a channel it touches, so duplicates are looked for
     there alone once the initial configuration has passed."""
     if touched is None:
-        chans = [e.chan for e in cfg.theta] + list(cfg.lam)
-        dup = {c for c in chans if chans.count(c) > 1} \
-            if len(chans) != len(set(chans)) else ()
-    else:
-        dup = [c for c in touched
-               if len(cfg.offered.get(c, ())) + (c in cfg.lam) > 1]
+        touched = cfg.offered.keys() | cfg.lam.keys()
+    dup = [c for c in touched
+           if len(cfg.offered.get(c, ())) + (c in cfg.lam) > 1]
     if dup:
         return f"well-formedness: multiple providers for {sorted(dup)}"
     ck = _Ck(cfg.env, cfg.sig)
-    if touched is None:
-        linear = cfg.theta
-    else:
-        relevant, linear = _relevant(cfg, touched), ()
-        for e in relevant.values():
-            if _linear_fault(cfg, ck, e) is not None:
-                linear = [e for e in cfg.theta if id(e) in relevant]
-                break
+    relevant, linear = _relevant(cfg, touched), ()
+    for e in relevant.values():
+        if _linear_fault(cfg, ck, e) is not None:
+            linear = [e for e in cfg.theta if id(e) in relevant]
+            break
     for e in linear:
         v = _linear_fault(cfg, ck, e)
         if v is not None:
             return v
     env = cfg.env
-    for a in sorted(cfg.lam if touched is None else cfg.lam.keys() & touched):
+    for a in sorted(cfg.lam.keys() & touched):
         p = cfg.lam[a]
         con = cfg.gamma.get(a)
         if not isinstance(con, SharedC):

@@ -17,7 +17,7 @@ from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, SessionType, TypeDefEnv, TypeDef,
     Bot, Top, SharedC, ConstraintType, BOT, TOP,
-    unfold, constraint_leq, SHARED, LINEAR, TypeError_,
+    unfold, constraint_leq, SHARED, LINEAR,
 )
 from .subtype import is_subtype
 
@@ -132,18 +132,6 @@ class _MeetState:
             if name not in taken:
                 return name
 
-    def unfold(self, t: SessionType) -> SessionType:
-        """types.unfold over the environment and the definitions minted
-        so far, with its check for a cycle of names."""
-        seen = set()
-        while isinstance(t, Ref):
-            if t.name in seen:
-                raise TypeError_(f"non-contractive cycle through {t.name}")
-            seen.add(t.name)
-            fresh = [d.body for d in self.fresh if d.name == t.name]
-            t = fresh[0] if fresh else self.env.lookup(t.name).body
-        return t
-
 
 def _mt(st: _MeetState, mode: str, a: SessionType, b: SessionType) -> SessionType:
     """Structural meet (or join, for contravariant positions) closing
@@ -160,7 +148,7 @@ def _mt(st: _MeetState, mode: str, a: SessionType, b: SessionType) -> SessionTyp
         memo_snapshot = set(st.memo)
         st.fresh.append(TypeDef(name, LINEAR, One()))
         try:
-            body = _mt_struct(st, mode, st.unfold(a), st.unfold(b))
+            body = _mt_struct(st, mode, unfold(st.env, a), unfold(st.env, b))
         except _NoMeet:
             # roll back everything minted inside the failed subderivation:
             # a nested definition may reference this one and must not survive
@@ -172,7 +160,7 @@ def _mt(st: _MeetState, mode: str, a: SessionType, b: SessionType) -> SessionTyp
         mod = SHARED if isinstance(body, UpSL) else LINEAR
         st.fresh[placeholder] = TypeDef(name, mod, body)
         return Ref(name)
-    return _mt_struct(st, mode, st.unfold(a), st.unfold(b))
+    return _mt_struct(st, mode, unfold(st.env, a), unfold(st.env, b))
 
 
 def _mt_struct(st: _MeetState, mode: str, a: SessionType,

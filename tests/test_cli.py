@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sill.cli import main
-from sill.parser import parse_program, ParseError
+from sill.parser import parse_program, tokenize, ParseError
 
 from conftest import CORPUS, CORPUS_FILES, ROOT, mutate
 
@@ -351,8 +351,65 @@ _COMMANDS = (["check"], ["fmt"], ["run", "--no-static", "--steps", "60"],
 def test_fuzz_mutated_corpus(path, edits, tmp_path, capsys):
     # token deletions, duplications and swaps end every command, the
     # judgments among them, with a documented exit code and no exception
+    _fuzz(mutate(path.read_text(), edits), tmp_path, capsys)
+
+
+def swap_within_declaration(src: str, swaps) -> str:
+    """src with words swapped by (d, i, j) triples, joined by spaces: in
+    declaration d, word i and the j-th word of its kind (ident, num or kw)
+    there (indexes taken modulo the counts). Most of these still parse,
+    so the commands after the parser see them."""
+    toks = tokenize(src)[:-1]
+    text = [t.text for t in toks]
+    starts = [k for k, t in enumerate(toks)
+              if t.kind == "kw" and t.text in ("type", "proc", "system")]
+    for d, i, j in swaps:
+        lo = starts[d % len(starts)]
+        hi = next((k for k in starts if k > lo), len(toks))
+        words = [k for k in range(lo, hi)
+                 if toks[k].kind in ("ident", "num", "kw")]
+        a = words[i % len(words)]
+        same = [k for k in words if toks[k].kind == toks[a].kind]
+        b = same[j % len(same)]
+        text[a], text[b] = text[b], text[a]
+    return " ".join(text)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(CORPUS_FILES),
+       swaps=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                                st.integers(0, 10**6)),
+                      min_size=1, max_size=3))
+def test_fuzz_same_kind_swaps_in_one_declaration(path, swaps, tmp_path,
+                                                 capsys):
+    # swapping words of one kind inside one declaration keeps most files
+    # parsing, so the checker, the runs and the judgments see them; each
+    # ends with a documented exit code and no exception
+    _fuzz(swap_within_declaration(path.read_text(), swaps), tmp_path, capsys)
+
+
+def test_same_kind_swaps_mostly_parse():
+    import random
+    rng = random.Random("same kind swaps")
+    parsed = 0
+    for _ in range(200):
+        swaps = [(rng.randrange(10**6), rng.randrange(10**6),
+                  rng.randrange(10**6)) for _ in range(rng.randint(1, 3))]
+        try:
+            parse_program(swap_within_declaration(
+                rng.choice(CORPUS_FILES).read_text(), swaps))
+            parsed += 1
+        except ParseError:
+            pass
+    assert parsed > 100
+
+
+def _fuzz(src, tmp_path, capsys):
+    """Every command, the judgments on the first type names src defines
+    among them, ends with a documented exit code and no exception."""
     f = tmp_path / "m.sill"
-    f.write_text(mutate(path.read_text(), edits))
+    f.write_text(src)
     for argv in _COMMANDS:
         assert main([argv[0], str(f)] + argv[1:]) in (0, 1, 2)
     # the judgments on the first type names the file defines

@@ -738,6 +738,34 @@ def test_indexes_steps_and_monitor_match_references_on_mutants():
     assert runs > 3000
 
 
+def test_full_monitor_walk_matches_reference():
+    # monitor_check(cfg, None) is the touched walk with every channel
+    # touched: it agrees with the reference scan of every entry at the
+    # initial configuration and after the last of a few steps, on the
+    # corpus, the wide program and every ill-typed corpus mutant
+    import random
+    from itertools import islice
+    from test_typecheck import _mutants
+    progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
+    progs.append(check_program(parse_program(wide_source()))[1])
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if diags and mutant.system is not None:
+                progs.append(elab)
+    verdicts = []
+    for prog in progs:
+        configs = [initial_config(prog)]
+        configs += list(islice(drive(prog, random.Random(0).choice), 20))[-1:]
+        for cfg in configs:
+            every = {e.chan for e in cfg.theta} | set(cfg.lam)
+            want = reference_monitor(cfg, every)
+            assert monitor_check(cfg, None) == want
+            verdicts.append(want)
+    flagged = [v for v in verdicts if v is not None]
+    assert len(verdicts) > 2500 and len(flagged) > 1500
+
+
 def test_recheck_memo_hits_within_one_run(monkeypatch):
     # from a cold memo, within one monitored run, the share of rechecks
     # the signature's memo answers without checking a term: a miss checks
@@ -902,7 +930,7 @@ def test_recheck_memo_sees_every_part_of_its_key(monkeypatch):
     assert monitor_check(cfg, rec.touched) is None and checks == []
     flagged_at_once({
         "recorded uses": (main.uses, b2, Tensor(One(), One())),
-        "term": (main, "term", main.term.cont),  # skips spawning k0
+        "tmpl": (main, "tmpl", main.tmpl.cont),  # skips spawning k0
     })
 
 
@@ -942,10 +970,10 @@ def eager_resume(t, msg):
        st.integers(0, 40), st.data())
 def test_forcing_matches_eager_substitution(body, actuals, base, data):
     # a process instantiated from a random body with random actuals, moved
-    # on by random resumes, renamed by random forwards and reset through
-    # Proc.term, forces to the term that freshening at instantiation and
-    # substituting at every step and forward gives, and so do the trace
-    # snapshots taken on the way, each of its own time
+    # on by random resumes and renamed by random forwards, forces to the
+    # term that freshening at instantiation and substituting at every step
+    # and forward gives, and so do the trace snapshots taken on the way,
+    # each of its own time
     from itertools import count
     from sill.procast import (
         CaseRecv, Wait, SendChan, SendChanS, SendLabel, SendVal,
@@ -971,8 +999,7 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
         dead = set(cfg.names.map)
         live = [x for x in "qrstuvw" if x not in dead]
         free = sorted(x for x in scope(eager)[1] if x not in dead)
-        choice = data.draw(st.sampled_from(("resume", "forward", "set",
-                                            "set template")))
+        choice = data.draw(st.sampled_from(("resume", "forward")))
         if choice == "forward" and free:
             b = data.draw(st.sampled_from(free))
             a = data.draw(st.sampled_from([x for x in live if x != b]
@@ -981,22 +1008,17 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
                 continue
             cfg.names.union(b, a)
             eager = substitute(eager, {b: a})
-        elif choice == "set":
-            p.term = eager
-        elif choice == "set template" and not scope(p.tmpl)[1] & dead:
-            # the same template object, now under the identity renaming
-            p.term = eager = p.tmpl
         elif isinstance(eager, CaseRecv):
             msg = data.draw(st.sampled_from(eager.labels()))
-            _resume(p, msg)
+            _resume(cfg, p, msg)
             eager = eager_resume(eager, msg)
         elif isinstance(eager, (Wait, SendChan, SendChanS, SendLabel,
                                 SendVal)):
-            _resume(p, None)
+            _resume(cfg, p, None)
             eager = eager_resume(eager, None)
         elif any(r is BINDER for _, r in FIELDS[type(eager)]) and live:
             msg = data.draw(st.sampled_from(live))
-            _resume(p, msg)
+            _resume(cfg, p, msg)
             eager = eager_resume(eager, msg)
         else:
             break  # a close, a forward, or no channel left to bind
@@ -1099,23 +1121,3 @@ system {
     # 3x leaves a margin for a busy host; a map copied at each forward
     # would grow the last chunks' time with the 7000 entries before them
     assert max(chunks[-2:]) < 3 * min(chunks[:2])
-
-
-def test_step_memo_sees_a_client_reset_to_its_own_template():
-    # assigning a client's term its own template object keeps the
-    # template's identity but renames it to itself: the memoized step of
-    # the process that client uses must see the new renaming
-    from sill.procast import SUBJECT
-    cfg = initial_config(by_stem("basics"))
-    for _ in range(40):
-        steps = enumerate_steps(cfg)
-        for step in steps:
-            u = cfg.provider(step.user) if step.user is not None else None
-            f = SUBJECT.get(type(u.tmpl)) if isinstance(u, Proc) else None
-            if f is not None and getattr(u.tmpl, f) != step.provider:
-                u.term = u.tmpl
-                assert step not in enumerate_steps(cfg)
-                assert enumerate_steps(cfg) == reference_steps(cfg)
-                return
-        apply_step(cfg, steps[0])
-    pytest.fail("no step whose client renames its subject")
