@@ -1,17 +1,19 @@
+import dataclasses
 import gc
 import random
 import weakref
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sill.types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, Ref, TypeDef, TypeDefEnv, LINEAR,
+    ValIn, ValOut, Ref, TypeDef, TypeDefEnv, LINEAR, TypeError_, unfold,
 )
 from sill.subtype import (
     is_subtype, bounded_oracle, exact_bound,
 )
-from sill.synchro import is_ssync
+from sill.synchro import is_ssync, is_esync
 
 from gen import gen_env, gen_linear_type, widen, narrow
 
@@ -179,3 +181,133 @@ def test_oracle_agreement(seed):
     b = gen_linear_type(rng, env)
     depth = exact_bound(env, a, b)
     assert is_subtype(env, a, b) == bounded_oracle(env, a, b, depth)
+
+
+# --------------------------------------------------------------------------- #
+# Malformed environments
+# --------------------------------------------------------------------------- #
+
+def test_judgments_reject_a_cycle_of_names():
+    # a = b, b = a has no structure to compare; resolving it must not loop
+    env = TypeDefEnv((TypeDef("a", LINEAR, Ref("b")),
+                      TypeDef("b", LINEAR, Ref("a"))))
+    for judge in (lambda: is_subtype(env, Ref("a"), Ref("b")),
+                  lambda: is_ssync(env, Ref("a"), Ref("b")),
+                  lambda: is_esync(env, Ref("a"))):
+        with pytest.raises(TypeError_, match="non-contractive cycle"):
+            judge()
+
+
+def test_judgments_name_an_undefined_type():
+    env = TypeDefEnv((TypeDef("a", LINEAR, One()),
+                      TypeDef("b", LINEAR, ValOut("int", Ref("nope")))))
+    for judge in (lambda: is_subtype(env, Ref("a"), Ref("gone")),
+                  lambda: is_subtype(env, Ref("gone"), One()),
+                  lambda: is_ssync(env, Ref("a"), Ref("gone")),
+                  lambda: is_esync(env, Ref("gone"))):
+        with pytest.raises(KeyError, match="undefined type name: gone"):
+            judge()
+    with pytest.raises(KeyError, match="undefined type name: nope"):
+        is_subtype(env, Ref("b"), Ref("b"))
+
+
+# --------------------------------------------------------------------------- #
+# Differential: the decision on types, as it was before the type graph
+# --------------------------------------------------------------------------- #
+
+def reference_sub(env, a, b, memo, assumed=None):
+    """Coinductive subtyping on SessionTypes, unfolding names per goal,
+    with its verdict memo passed in: a goal revisited while in progress
+    holds, a refuted one is false for good."""
+    if assumed is None:
+        if (a, b) not in memo:
+            memo[a, b] = reference_sub(env, a, b, memo, set())
+        return memo[a, b]
+    key = (a, b)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if key in assumed:
+        return True
+    assumed.add(key)
+    ua, ub = unfold(env, a), unfold(env, b)
+
+    def sub(x, y):
+        return reference_sub(env, x, y, memo, assumed)
+
+    match (ua, ub):
+        case (One(), One()):
+            ok = True
+        case (Tensor(p1, c1), Tensor(p2, c2)):
+            ok = sub(p1, p2) and sub(c1, c2)
+        case (Lolli(p1, c1), Lolli(p2, c2)):
+            ok = sub(p2, p1) and sub(c1, c2)
+        case (IChoice(_), IChoice(_)):
+            la, lb = set(ua.labels()), set(ub.labels())
+            ok = la <= lb and all(
+                sub(ua.branch(l), ub.branch(l)) for l in sorted(la))
+        case (EChoice(_), EChoice(_)):
+            la, lb = set(ua.labels()), set(ub.labels())
+            ok = lb <= la and all(
+                sub(ua.branch(l), ub.branch(l)) for l in sorted(lb))
+        case ((UpSL(c1), (UpSL(c2) | UpLL(c2)))
+              | (DownSL(c1), (DownSL(c2) | DownLL(c2)))
+              | (UpLL(c1), UpLL(c2)) | (DownLL(c1), DownLL(c2))):
+            ok = sub(c1, c2)
+        case ((ValIn(t1, c1), ValIn(t2, c2))
+              | (ValOut(t1, c1), ValOut(t2, c2))):
+            ok = t1 == t2 and sub(c1, c2)
+        case _:
+            ok = False
+    if not ok:
+        memo[key] = False
+    return ok
+
+
+def copy_type(t):
+    """An equal type with no object in common with t."""
+    if isinstance(t, tuple):
+        return tuple(copy_type(x) for x in t)
+    if dataclasses.is_dataclass(t):
+        return type(t)(*(copy_type(getattr(t, f.name))
+                         for f in dataclasses.fields(t)))
+    return t
+
+
+def with_aliases(rng, env):
+    """env with a few alias definitions (type A0 = L1, type A1 = A0, ...),
+    each of the modality of the name it ends on."""
+    defs = list(env.defs)
+    for i in range(rng.randint(1, 3)):
+        target = rng.choice(defs)
+        defs.append(TypeDef(f"A{i}", target.modality, Ref(target.name)))
+    return TypeDefEnv(tuple(defs))
+
+
+def related_pairs(rng, env, n):
+    """n pairs over env: widenings and narrowings of a type in both
+    orders, plain names and aliases, unrelated types, and copies that
+    share no object with the environment's bodies."""
+    names = [Ref(d.name) for d in env.defs]
+    for _ in range(n):
+        a = rng.choice([gen_linear_type(rng, env), rng.choice(names)])
+        b = rng.choice([widen(rng, env, a), narrow(rng, env, a),
+                        gen_linear_type(rng, env), rng.choice(names)])
+        if rng.random() < 0.5:
+            a, b = b, a
+        if rng.random() < 0.25:
+            a = copy_type(a)
+        yield a, b
+
+
+def test_graph_subtyping_matches_reference():
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(300):
+        env = with_aliases(rng, gen_env(rng))
+        memo = {}
+        for a, b in related_pairs(rng, env, 12):
+            want = reference_sub(env, a, b, memo)
+            assert is_subtype(env, a, b) == want, (env, a, b)
+            verdicts.add(want)
+    assert verdicts == {True, False}

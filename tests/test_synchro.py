@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sill.types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, TypeDef, TypeDefEnv, SHARED, LINEAR,
-    BOT, TOP, SharedC, TypeError_,
+    BOT, TOP, SharedC, TypeError_, Top, Bot, unfold,
 )
 from sill.subtype import is_subtype
 from sill.synchro import (
@@ -15,6 +15,8 @@ from sill.synchro import (
 )
 
 from gen import gen_env, gen_constraint
+from test_subtype import reference_sub, with_aliases, related_pairs, \
+    copy_type
 
 
 SQ = TypeDefEnv((
@@ -209,3 +211,99 @@ def test_meet_greatest_property(seed):
     e = gen_constraint(rng, env)
     if cleq(env2, e, c) and cleq(env2, e, d):
         assert cleq(env2, e, m)
+
+
+# --------------------------------------------------------------------------- #
+# Differential: the decision on types, as it was before the type graph
+# --------------------------------------------------------------------------- #
+
+def reference_cleq(env, c, d, memo):
+    match (c, d):
+        case (Bot(), _) | (_, Top()):
+            return True
+        case (SharedC(a), SharedC(b)):
+            return reference_sub(env, a, b, memo)
+    return False
+
+
+def reference_ssync(env, a, b, d, memo, assumed=None):
+    """Subsynchronization on SessionTypes, unfolding names per goal, with
+    its verdict memo passed in (shared with reference_sub's, as the keys
+    differ in length)."""
+    if assumed is None:
+        if not reference_sub(env, a, b, memo):
+            raise SsyncPreconditionError
+        if (a, b, d) not in memo:
+            memo[a, b, d] = reference_ssync(env, a, b, d, memo, set())
+        return memo[a, b, d]
+    key = (a, b, d)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if key in assumed:
+        return True
+    assumed.add(key)
+    ua, ub = unfold(env, a), unfold(env, b)
+
+    def ssync(x, y, e):
+        return reference_ssync(env, x, y, e, memo, assumed)
+
+    match (ua, ub):
+        case (One(), One()):
+            ok = True
+        case ((Tensor(_, c1), Tensor(_, c2)) | (Lolli(_, c1), Lolli(_, c2))
+              | (UpLL(c1), UpLL(c2)) | (DownLL(c1), DownLL(c2))):
+            ok = ssync(c1, c2, d)
+        case (IChoice(_), IChoice(_)) | (EChoice(_), EChoice(_)):
+            common = sorted(set(ua.labels()) & set(ub.labels()))
+            ok = all(ssync(ua.branch(l), ub.branch(l), d) for l in common)
+        case (UpSL(c1), (UpSL(c2) | UpLL(c2))):
+            ok = d == TOP and ssync(c1, c2, SharedC(a))
+        case (DownSL(c1), (DownSL(c2) | DownLL(c2))):
+            ok = (reference_cleq(env, SharedC(c1), d, memo)
+                  and ssync(c1, c2, TOP))
+        case ((ValIn(t1, c1), ValIn(t2, c2))
+              | (ValOut(t1, c1), ValOut(t2, c2))) if t1 == t2:
+            ok = ssync(c1, c2, d)
+        case _:
+            ok = False
+    if not ok:
+        memo[key] = False
+    return ok
+
+
+def constraints(rng, env):
+    """gen_constraint's draw, and each shared name as a constraint both as
+    a name and as its body (one node of the type graph), both as drawn
+    and as a copy."""
+    out = [gen_constraint(rng, env), TOP, BOT]
+    for d in env.defs:
+        if d.modality == SHARED:
+            out += [SharedC(Ref(d.name)), SharedC(unfold(env, Ref(d.name))),
+                    SharedC(copy_type(d.body))]
+    return out
+
+
+def outcome(judge, *args):
+    try:
+        return judge(*args)
+    except SsyncPreconditionError:
+        return "precondition"
+
+
+def test_graph_ssync_matches_reference():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(300):
+        env = with_aliases(rng, gen_env(rng))
+        memo = {}
+        for a, b in related_pairs(rng, env, 6):
+            for d in constraints(rng, env):
+                want = outcome(reference_ssync, env, a, b, d, memo)
+                got = outcome(is_ssync, env, a, b, d)
+                assert got == want, (env, a, b, d)
+                seen.add(want)
+            for t in (a, b):
+                want = outcome(reference_ssync, env, t, t, TOP, memo)
+                assert outcome(is_esync, env, t) == want, (env, t)
+    assert seen == {True, False, "precondition"}
