@@ -90,8 +90,13 @@ class Token(NamedTuple):
     line: int
 
 
+# builds a Token from a (kind, text, line) tuple in C, where Token(...)
+# runs the named tuple's Python-level __new__
+_new = tuple.__new__
+
+
 def _word(word: str, line: int) -> Token:
-    return Token("kw" if word in _KEYWORDS else "ident", word, line)
+    return _new(Token, ("kw" if word in _KEYWORDS else "ident", word, line))
 
 
 def tokenize(src: str) -> list[Token]:
@@ -103,7 +108,7 @@ def tokenize(src: str) -> list[Token]:
                 toks.append(_word(word, line))
                 continue
             if word.isdigit():
-                toks.append(Token("num", word, line))
+                toks.append(_new(Token, ("num", word, line)))
                 continue
             # digits run into a letter, or a word character that starts
             # neither: split as str.isdigit and str.isalpha see it, which
@@ -111,17 +116,18 @@ def tokenize(src: str) -> list[Token]:
             n = next(i for i, c in enumerate(word) if not c.isdigit())
             other = word[n]
             if n and (other.isalpha() or other == "_"):
-                toks += [Token("num", word[:n], line), _word(word[n:], line)]
+                toks += [_new(Token, ("num", word[:n], line)),
+                         _word(word[n:], line)]
                 continue
         elif sym:
-            toks.append(Token(sym, sym, line))
+            toks.append(_new(Token, (sym, sym, line)))
             continue
         elif nl:
             line += 1
             continue
         if other:
             raise ParseError(f"line {line}: unexpected character {other!r}")
-    toks.append(Token("eof", "", line))
+    toks.append(_new(Token, ("eof", "", line)))
     return toks
 
 

@@ -263,10 +263,22 @@ class ProcSignature:
     def free(self) -> dict[int, tuple[str, ...]]:
         """Every node of every body, by identity (the signature keeps the
         nodes alive), to the names free in the suffix from it."""
-        out: dict[int, tuple[str, ...]] = {}
+        return self._scopes[0]
+
+    @cached_property
+    def drops(self) -> dict[int, tuple[str, ...] | dict[str, tuple]]:
+        """Every node of every body, by identity, to the names its step
+        drops from a renaming: those free in it, or its binder, and not in
+        its continuation; for a case, per label, those not in the branch."""
+        return self._scopes[1]
+
+    @cached_property
+    def _scopes(self) -> tuple[dict, dict]:
+        free: dict[int, tuple[str, ...]] = {}
+        drops: dict[int, tuple[str, ...] | dict[str, tuple]] = {}
         for d in self.defs:
-            scope(d.body, out)
-        return out
+            scope(d.body, free, drops)
+        return free, drops
 
     @cached_property
     def memo(self) -> dict[int, tuple[TypeDefEnv, set[tuple]]]:
@@ -362,18 +374,20 @@ def _rename(t: ProcessTerm, ren: dict[str, str],
     return t
 
 
-def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None
+def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None,
+          drops: dict[int, tuple | dict] | None = None
           ) -> tuple[int, frozenset[str]]:
     """The number of binders in t, which is how many names freshen(t, gen)
     takes from gen, and the names free in t; with out given, records there
-    by identity those free in the suffix from each node of t."""
+    by identity those free in the suffix from each node of t, and in drops
+    those its step drops (see ProcSignature.drops)."""
     spine = []
     while t is not None:
         spine.append(t)
         t = getattr(t, "cont", None)
     n, free = 0, frozenset()
     for t in reversed(spine):
-        names, binder = [], None
+        names, binder, arms = [], None, {}
         for f, role in FIELDS[type(t)]:
             v = getattr(t, f)
             if role is NAME:
@@ -384,15 +398,19 @@ def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None
                 binder = v
                 n += 1
             elif role is BRANCHES:
-                for _, b in v:
-                    bn, bfree = scope(b, out)
+                for label, b in v:
+                    bn, bfree = scope(b, out, drops)
                     n += bn
                     names += bfree
+                    arms.setdefault(label, bfree)
         # the binder scopes over the continuation only, not a spawn's args
-        free = (free - {binder}).union(names)
+        after, free = free, (free - {binder}).union(names)
         if out is not None:
             # a tuple of strings, unlike a set, the collector stops tracking
             out[id(t)] = tuple(free)
+        if drops is not None:
+            drops[id(t)] = {l: tuple(free - f) for l, f in arms.items()} \
+                if arms else tuple(free.union({binder}) - after - {None})
     return n, free
 
 

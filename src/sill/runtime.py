@@ -587,20 +587,23 @@ def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
     """Move p's closure on to the continuation of its action: a case takes
     the branch of label msg, skipping the binders of the branches before
     it; an action with a binder (a spawn too) binds it to msg. The
-    renaming keeps the continuation's free names only, so it does not
-    grow with the names a long body is done with."""
+    renaming drops the names the continuation does not have free, so it
+    does not grow with the names a long body is done with."""
     t, env, b = p.tmpl, p.env, None
+    drop = cfg.sig.drops[id(t)]
     if isinstance(t, CaseRecv):
         n, k = t.slots[msg]
+        drop = drop[msg]
     elif isinstance(t, _UNBOUND):
         k, n = t.cont, 0
     else:
         k, n, b = t.cont, 1, t.binder
     p.tmpl = k
     p.base += n
-    fv = cfg.sig.free[id(k)]
-    if b is not None or len(fv) != len(env):
-        p.env = {y: msg if y == b else env.get(y, y) for y in fv}
+    if b is not None or drop:
+        p.env = env = {**env, b: msg} if b is not None else env.copy()
+        for y in drop:
+            env.pop(y, None)
 
 
 def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:

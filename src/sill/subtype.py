@@ -4,7 +4,8 @@
 subtyping rules by goal memoization: a goal that is revisited while still
 in progress is assumed to hold (the coinductive hypothesis). Because every
 premise is conjunctive, no backtracking is needed and the assumption is
-never retracted.
+never retracted. It decides on the environment's type graph, so a goal is
+a pair of integer ids and no name is unfolded per goal.
 
 ``bounded_oracle`` is an independent cross-check: plain rule application
 with unfolding cut off at a given depth, truncation counting as success.
@@ -16,63 +17,56 @@ from __future__ import annotations
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, SessionType, TypeDefEnv, unfold, reachable,
+    ValIn, ValOut, SessionType, TypeDefEnv, TypeGraph, unfold, reachable,
 )
 
-def _sub(env: TypeDefEnv, a: SessionType, b: SessionType,
-         assumed: set[tuple]) -> bool:
+# distinct constructors subtyping relates: a shared shift is below a linear one
+_CROSS = {(UpSL, UpLL), (DownSL, DownLL)}
+
+
+def _sub(g: TypeGraph, a: int, b: int, assumed: set[tuple]) -> bool:
     key = (a, b)
-    hit = env.memo.get(key)
+    hit = g.memo.get(key)
     if hit is not None:
         return hit
     if key in assumed:
         return True
     assumed.add(key)
-    ua, ub = unfold(env, a), unfold(env, b)
-    match (ua, ub):
-        case (One(), One()):
-            ok = True
-        case (Tensor(p1, c1), Tensor(p2, c2)):
-            ok = _sub(env, p1, p2, assumed) and _sub(env, c1, c2, assumed)
-        case (Lolli(p1, c1), Lolli(p2, c2)):
-            # payload contravariant
-            ok = _sub(env, p2, p1, assumed) and _sub(env, c1, c2, assumed)
-        case (IChoice(_), IChoice(_)):
-            la, lb = set(ua.labels()), set(ub.labels())
-            ok = la <= lb and all(
-                _sub(env, ua.branch(l), ub.branch(l), assumed) for l in sorted(la))
-        case (EChoice(_), EChoice(_)):
-            la, lb = set(ua.labels()), set(ub.labels())
-            ok = lb <= la and all(
-                _sub(env, ua.branch(l), ub.branch(l), assumed) for l in sorted(lb))
-        case (UpSL(c1), (UpSL(c2) | UpLL(c2))):
-            ok = _sub(env, c1, c2, assumed)
-        case (DownSL(c1), (DownSL(c2) | DownLL(c2))):
-            ok = _sub(env, c1, c2, assumed)
-        case (UpLL(c1), UpLL(c2)):
-            ok = _sub(env, c1, c2, assumed)
-        case (DownLL(c1), DownLL(c2)):
-            ok = _sub(env, c1, c2, assumed)
-        case (ValIn(t1, c1), ValIn(t2, c2)):
-            ok = t1 == t2 and _sub(env, c1, c2, assumed)
-        case (ValOut(t1, c1), ValOut(t2, c2)):
-            ok = t1 == t2 and _sub(env, c1, c2, assumed)
-        case _:
-            ok = False
+    ta, ka, xa = g.nodes[a]
+    tb, kb, xb = g.nodes[b]
+    if ta is not tb and (ta, tb) not in _CROSS:
+        ok = False
+    elif ta is IChoice:
+        ok = xa.keys() <= xb.keys() and all(
+            _sub(g, xa[l], xb[l], assumed) for l in xa)
+    elif ta is EChoice:
+        ok = xb.keys() <= xa.keys() and all(
+            _sub(g, xa[l], xb[l], assumed) for l in xb)
+    elif ta is Lolli:
+        # payload contravariant
+        ok = _sub(g, kb[0], ka[0], assumed) and _sub(g, ka[1], kb[1], assumed)
+    else:
+        # covariant in every child; value types also match their base type
+        ok = xa == xb and all(
+            _sub(g, x, y, assumed) for x, y in zip(ka, kb))
     if not ok:
         # a refuted goal is definitively false regardless of assumptions
-        env.memo[key] = False
+        g.memo[key] = False
     return ok
+
+
+def sub_ids(g: TypeGraph, a: int, b: int) -> bool:
+    """Subtyping between two ids of g."""
+    key = (a, b)
+    hit = g.memo.get(key)
+    if hit is None:
+        hit = g.memo[key] = _sub(g, a, b, set())
+    return hit
 
 
 def is_subtype(env: TypeDefEnv, a: SessionType, b: SessionType) -> bool:
-    key = (a, b)
-    hit = env.memo.get(key)
-    if hit is not None:
-        return hit
-    ok = _sub(env, a, b, set())
-    env.memo[key] = ok
-    return ok
+    g = env.graph
+    return sub_ids(g, g.intern(a), g.intern(b))
 
 
 # --------------------------------------------------------------------------- #

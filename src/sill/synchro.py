@@ -6,7 +6,8 @@ the obligation D under which the session may be released. An up-shift into
 the linear layer records the provider's shared type as the new obligation;
 a down-shift back to the shared layer checks the release point against the
 obligation and resets it. Choices only follow branches both sides can
-take, which is what lets provably dead branches be ignored.
+take, which is what lets provably dead branches be ignored. It decides on
+type graph ids; an obligation is ``TOP_ID``, ``BOT_ID`` or a shared type's.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, Ref, SessionType, TypeDefEnv, TypeDef,
-    Bot, Top, SharedC, ConstraintType, BOT, TOP,
+    ValIn, ValOut, Ref, SessionType, TypeDefEnv, TypeDef, TypeGraph,
+    Bot, Top, SharedC, ConstraintType, BOT, TOP, TOP_ID,
     unfold, constraint_leq, SHARED, LINEAR,
 )
-from .subtype import is_subtype
+from .subtype import is_subtype, sub_ids
 
 
 class SsyncPreconditionError(Exception):
@@ -42,64 +43,49 @@ def cleq_type(env: TypeDefEnv, c: ConstraintType, b: SessionType) -> bool:
             return False
 
 
-def _ssync(env: TypeDefEnv, a: SessionType, b: SessionType,
-           d: ConstraintType, assumed: set[tuple]) -> bool:
+def _ssync(g: TypeGraph, a: int, b: int, d: int, assumed: set[tuple]) -> bool:
     key = (a, b, d)
-    hit = env.memo.get(key)
+    hit = g.memo.get(key)
     if hit is not None:
         return hit
     if key in assumed:
         return True
     assumed.add(key)
-    ua, ub = unfold(env, a), unfold(env, b)
-    match (ua, ub):
-        case (One(), One()):
-            ok = True
-        case (Tensor(_, c1), Tensor(_, c2)):
-            ok = _ssync(env, c1, c2, d, assumed)
-        case (Lolli(_, c1), Lolli(_, c2)):
-            ok = _ssync(env, c1, c2, d, assumed)
-        case (IChoice(_), IChoice(_)) | (EChoice(_), EChoice(_)):
-            common = sorted(set(ua.labels()) & set(ub.labels()))
-            ok = all(
-                _ssync(env, ua.branch(l), ub.branch(l), d, assumed)
-                for l in common)
-        case (UpLL(c1), UpLL(c2)):
-            ok = _ssync(env, c1, c2, d, assumed)
-        case (DownLL(c1), DownLL(c2)):
-            ok = _ssync(env, c1, c2, d, assumed)
-        case (UpSL(c1), (UpSL(c2) | UpLL(c2))):
-            # only an unconstrained channel may be acquired; the provider's
-            # shared type becomes the release obligation
-            ok = d == TOP and _ssync(env, c1, c2, SharedC(a), assumed)
-        case (DownSL(c1), (DownSL(c2) | DownLL(c2))):
-            # the release point must satisfy the obligation, which then resets
-            ok = (cleq(env, SharedC(c1), d)
-                  and _ssync(env, c1, c2, TOP, assumed))
-        case (ValIn(t1, c1), ValIn(t2, c2)) if t1 == t2:
-            ok = _ssync(env, c1, c2, d, assumed)
-        case (ValOut(t1, c1), ValOut(t2, c2)) if t1 == t2:
-            ok = _ssync(env, c1, c2, d, assumed)
-        case _:
-            ok = False
+    ta, ka, xa = g.nodes[a]
+    tb, kb, xb = g.nodes[b]
+    if ta is UpSL and (tb is UpSL or tb is UpLL):
+        # only an unconstrained channel may be acquired; the provider's
+        # shared type becomes the release obligation
+        ok = d == TOP_ID and _ssync(g, ka[0], kb[0], a, assumed)
+    elif ta is DownSL and (tb is DownSL or tb is DownLL):
+        # the release point must satisfy the obligation, which then resets
+        ok = (d == TOP_ID or d >= 0 and sub_ids(g, ka[0], d)) \
+            and _ssync(g, ka[0], kb[0], TOP_ID, assumed)
+    elif ta is not tb:
+        ok = False
+    elif ta is IChoice or ta is EChoice:
+        ok = all(_ssync(g, xa[l], xb[l], d, assumed) for l in xa if l in xb)
+    else:
+        # a payload is not followed; value types match their base type
+        ok = xa == xb and (not ka or _ssync(g, ka[-1], kb[-1], d, assumed))
     if not ok:
-        env.memo[key] = False
+        g.memo[key] = False
     return ok
 
 
 def is_ssync(env: TypeDefEnv, a: SessionType, b: SessionType,
              d: ConstraintType = TOP) -> bool:
-    if not is_subtype(env, a, b):
+    g = env.graph
+    a, b = g.intern(a), g.intern(b)
+    if not sub_ids(g, a, b):
         raise SsyncPreconditionError(
             "subsynchronizing judgment posed for a pair that is not in the "
             "subtyping relation")
-    key = (a, b, d)
-    hit = env.memo.get(key)
-    if hit is not None:
-        return hit
-    ok = _ssync(env, a, b, d, set())
-    env.memo[key] = ok
-    return ok
+    key = (a, b, g.constraint(d))
+    hit = g.memo.get(key)
+    if hit is None:
+        hit = g.memo[key] = _ssync(g, *key, set())
+    return hit
 
 
 def is_esync(env: TypeDefEnv, a: SessionType) -> bool:

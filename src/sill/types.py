@@ -10,6 +10,7 @@ every validated environment denotes a finite system of regular trees.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,26 +19,26 @@ from functools import cached_property
 # Session types
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class One:
     """Terminated session: provider closes, client waits."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tensor:
     """Provider sends a channel of (at most) the payload type, continues as cont."""
     payload: "SessionType"
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lolli:
     """Provider receives a channel of the payload type, continues as cont."""
     payload: "SessionType"
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IChoice:
     """Internal choice: provider picks one of the labelled branches."""
     branches: tuple[tuple[str, "SessionType"], ...]
@@ -52,7 +53,7 @@ class IChoice:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EChoice:
     """External choice: client picks one of the labelled branches."""
     branches: tuple[tuple[str, "SessionType"], ...]
@@ -61,45 +62,45 @@ class EChoice:
     branch = IChoice.branch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpSL:
     """Shared-layer constructor: acquire point guarding a linear body."""
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DownSL:
     """Release point: the session returns to the shared type cont."""
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpLL:
     """Purely linear synchronization point (supertype of UpSL)."""
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DownLL:
     """Purely linear release point (supertype of DownSL)."""
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValIn:
     """Client sends a base-typed value, session continues as cont."""
     base: str
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValOut:
     """Provider sends a base-typed value, session continues as cont."""
     base: str
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     """Reference to a named definition; the only source of recursion."""
     name: str
@@ -118,17 +119,17 @@ LINEAR = "linear"
 # Constraints
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bot:
     """A channel that will never become available again."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Top:
     """A channel with no release obligation (not acquired yet)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharedC:
     """A concrete shared type as a release obligation."""
     ty: SessionType
@@ -138,6 +139,8 @@ ConstraintType = Bot | Top | SharedC
 
 BOT = Bot()
 TOP = Top()
+# their codes on a type graph, where SharedC(t) is t's id
+BOT_ID, TOP_ID = -2, -1
 
 
 # --------------------------------------------------------------------------- #
@@ -160,11 +163,11 @@ class TypeDefEnv:
         return {d.name: d for d in self.defs}
 
     @cached_property
-    def memo(self) -> dict[tuple, bool]:
-        """Completed judgment verdicts under these definitions: subtyping
-        keyed by ``(a, b)``, subsynchronization by ``(a, b, d)``. Not a
-        field, so equality, hashing and repr ignore it."""
-        return {}
+    def graph(self) -> "TypeGraph":
+        """These definitions as a graph of integer ids, built on the first
+        judgment, with the judgments' verdict memo. Not a field, so
+        equality, hashing and repr ignore it."""
+        return TypeGraph(self)
 
     def __contains__(self, name: str) -> bool:
         return name in self._table
@@ -176,7 +179,7 @@ class TypeDefEnv:
             raise KeyError(f"undefined type name: {name}") from None
 
     def extend(self, *new: TypeDef) -> "TypeDefEnv":
-        # returning self keeps the memo warm across meets that mint nothing
+        # returning self keeps the graph warm across meets that mint nothing
         return TypeDefEnv(self.defs + new) if new else self
 
     def names(self) -> tuple[str, ...]:
@@ -224,6 +227,83 @@ def unfold(env: TypeDefEnv, t: SessionType) -> SessionType:
         seen.add(t.name)
         t = env.lookup(t.name).body
     return t
+
+
+class TypeGraph:
+    """One environment's types as a finite graph of integer ids, on which
+    the judgments decide (Gay & Hole, Acta Informatica 2005). A node is a
+    tuple: constructor, children's ids, and a choice's label -> child id
+    dict or a value type's base type. A name has the id of the body it
+    unfolds to, so Ref(n) and n's body are one node; other nodes are
+    hash-consed (Filliâtre & Conchon, ML Workshop 2006). Subterms of a
+    resolved body, alive as long as the env and this graph, are also
+    found by identity. A type from elsewhere adds its nodes."""
+
+    __slots__ = ("env", "nodes", "index", "names", "ident", "memo")
+
+    def __init__(self, env: TypeDefEnv):
+        self.env = weakref.ref(env)  # the env owns the graph
+        self.nodes: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+        self.names: dict[str, int] = {}
+        self.ident: dict[int, int] = {}  # id() of a body's subterm -> id
+        # verdicts: subtyping keyed by (a, b), subsynchronization by (a, b, d)
+        self.memo: dict[tuple, bool] = {}
+
+    def intern(self, t: SessionType, body: bool = False) -> int:
+        """The id of t, which with body is a subterm of a definition body."""
+        i = self.ident.get(id(t))
+        if i is not None:
+            return i
+        if t.__class__ is Ref:
+            i = self.names.get(t.name)
+            if i is None:
+                try:
+                    i = self.names[t.name] = self._resolve(t)
+                except (KeyError, TypeError_):
+                    # malformed: the next judgment starts a new graph
+                    self.env().__dict__.pop("graph", None)
+                    raise
+        else:
+            node, key = self._node(t, body)
+            i = self.index.get(key)
+            if i is None:
+                i = self.index[key] = len(self.nodes)
+                self.nodes.append(node)
+        if body:
+            self.ident[id(t)] = i
+        return i
+
+    def constraint(self, c: ConstraintType) -> int:
+        return (self.intern(c.ty) if isinstance(c, SharedC)
+                else TOP_ID if isinstance(c, Top) else BOT_ID)
+
+    def _resolve(self, t: Ref) -> int:
+        """The id of t's body, fixed before its children, which may name it."""
+        u = unfold(self.env(), t)
+        i = self.ident.get(id(u))
+        if i is None:
+            i = self.ident[id(u)] = len(self.nodes)
+            self.nodes.append(None)
+            self.nodes[i], key = self._node(u, True)
+            self.index.setdefault(key, i)
+        return i
+
+    def _node(self, t: SessionType, body: bool) -> tuple[tuple, tuple]:
+        """t's node and its hash-consing key."""
+        cls, intern = t.__class__, self.intern
+        if cls is IChoice or cls is EChoice:
+            # the first branch of a label wins, as in branch()
+            arms = {l: intern(c, body)
+                    for l, c in sorted(dict(reversed(t.branches)).items())}
+            kids = tuple(arms.values())
+            return (cls, kids, arms), (cls, kids, tuple(arms))
+        if cls is Tensor or cls is Lolli:
+            kids = intern(t.payload, body), intern(t.cont, body)
+        else:
+            kids = () if cls is One else (intern(t.cont, body),)
+        node = cls, kids, t.base if cls is ValIn or cls is ValOut else None
+        return node, node
 
 
 def modality(env: TypeDefEnv, t: SessionType) -> str:

@@ -211,6 +211,15 @@ def test_judgments_name_an_undefined_type():
         is_subtype(env, Ref("b"), Ref("b"))
 
 
+def test_a_malformed_env_raises_at_every_query():
+    # a failed resolution leaves no part of the graph behind for the next
+    # query to trust
+    env = TypeDefEnv((TypeDef("b", LINEAR, Tensor(Ref("b"), Ref("nope"))),))
+    for _ in range(2):
+        with pytest.raises(KeyError, match="undefined type name: nope"):
+            is_subtype(env, Ref("b"), Ref("b"))
+
+
 # --------------------------------------------------------------------------- #
 # Differential: the decision on types, as it was before the type graph
 # --------------------------------------------------------------------------- #
