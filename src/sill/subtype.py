@@ -42,8 +42,7 @@ def _sub(g: TypeGraph, a: int, b: int, assumed: set[tuple]) -> bool:
     elif ta is EChoice:
         ok = xb.keys() <= xa.keys() and all(
             _sub(g, xa[l], xb[l], assumed) for l in xb)
-    elif ta is Lolli:
-        # payload contravariant
+    elif ta is Lolli:  # payload contravariant
         ok = _sub(g, kb[0], ka[0], assumed) and _sub(g, ka[1], kb[1], assumed)
     else:
         # covariant in every child; value types also match their base type

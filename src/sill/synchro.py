@@ -17,10 +17,14 @@ from dataclasses import dataclass
 from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, SessionType, TypeDefEnv, TypeDef, TypeGraph,
-    Bot, Top, SharedC, ConstraintType, BOT, TOP, TOP_ID,
+    Bot, Top, SharedC, ConstraintType, BOT, TOP,
     unfold, constraint_leq, SHARED, LINEAR,
 )
 from .subtype import is_subtype, sub_ids
+
+
+# an obligation on the type graph: the id of a shared type, or one of these
+TOP_ID, BOT_ID = -1, -2
 
 
 class SsyncPreconditionError(Exception):
@@ -81,7 +85,8 @@ def is_ssync(env: TypeDefEnv, a: SessionType, b: SessionType,
         raise SsyncPreconditionError(
             "subsynchronizing judgment posed for a pair that is not in the "
             "subtyping relation")
-    key = (a, b, g.constraint(d))
+    key = (a, b, g.intern(d.ty) if isinstance(d, SharedC)
+           else TOP_ID if isinstance(d, Top) else BOT_ID)
     hit = g.memo.get(key)
     if hit is None:
         hit = g.memo[key] = _ssync(g, *key, set())

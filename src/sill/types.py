@@ -139,8 +139,6 @@ ConstraintType = Bot | Top | SharedC
 
 BOT = Bot()
 TOP = Top()
-# their codes on a type graph, where SharedC(t) is t's id
-BOT_ID, TOP_ID = -2, -1
 
 
 # --------------------------------------------------------------------------- #
@@ -230,21 +228,20 @@ def unfold(env: TypeDefEnv, t: SessionType) -> SessionType:
 
 
 class TypeGraph:
-    """One environment's types as a finite graph of integer ids, on which
-    the judgments decide (Gay & Hole, Acta Informatica 2005). A node is a
-    tuple: constructor, children's ids, and a choice's label -> child id
-    dict or a value type's base type. A name has the id of the body it
-    unfolds to, so Ref(n) and n's body are one node; other nodes are
-    hash-consed (Filliâtre & Conchon, ML Workshop 2006). Subterms of a
-    resolved body, alive as long as the env and this graph, are also
-    found by identity. A type from elsewhere adds its nodes."""
+    """One environment's types as a graph of integer ids, on which the
+    judgments decide (Gay & Hole, Acta Informatica 2005). A node is a tuple
+    (constructor, children's ids, a choice's label -> id dict or a value
+    type's base type). A name has its body's id, so Ref(n) and n's body are
+    one node; other nodes are hash-consed (Filliâtre & Conchon, 2006). A
+    resolved body's subterms, alive as long as the env, are found by
+    identity; a type from elsewhere adds its nodes."""
 
     __slots__ = ("env", "nodes", "index", "names", "ident", "memo")
 
     def __init__(self, env: TypeDefEnv):
         self.env = weakref.ref(env)  # the env owns the graph
-        self.nodes: list[tuple] = []
-        self.index: dict[tuple, int] = {}
+        self.nodes: list[tuple] = [(One, (), None)]  # One, the leaf, is 0
+        self.index: dict[tuple, int] = {self.nodes[0]: 0}
         self.names: dict[str, int] = {}
         self.ident: dict[int, int] = {}  # id() of a body's subterm -> id
         # verdicts: subtyping keyed by (a, b), subsynchronization by (a, b, d)
@@ -255,7 +252,10 @@ class TypeGraph:
         i = self.ident.get(id(t))
         if i is not None:
             return i
-        if t.__class__ is Ref:
+        cls = t.__class__
+        if cls is One:
+            i = 0
+        elif cls is Ref:
             i = self.names.get(t.name)
             if i is None:
                 try:
@@ -273,10 +273,6 @@ class TypeGraph:
         if body:
             self.ident[id(t)] = i
         return i
-
-    def constraint(self, c: ConstraintType) -> int:
-        return (self.intern(c.ty) if isinstance(c, SharedC)
-                else TOP_ID if isinstance(c, Top) else BOT_ID)
 
     def _resolve(self, t: Ref) -> int:
         """The id of t's body, fixed before its children, which may name it."""
