@@ -120,16 +120,6 @@ class CaseRecv:
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.branches)
 
-    @cached_property
-    def slots(self) -> dict[str, tuple[int, "ProcessTerm"]]:
-        """label -> the number of binders in the branches before its
-        branch, and the branch; the first branch of a label wins."""
-        out, n = {}, 0
-        for l, t in self.branches:
-            out.setdefault(l, (n, t))
-            n += scope(t)[0]
-        return out
-
 
 @dataclass(frozen=True)
 class Acquire:
@@ -266,19 +256,20 @@ class ProcSignature:
         return self._scopes[0]
 
     @cached_property
-    def drops(self) -> dict[int, tuple[str, ...] | dict[str, tuple]]:
-        """Every node of every body, by identity, to the names its step
-        drops from a renaming: those free in it, or its binder, and not in
-        its continuation; for a case, per label, those not in the branch."""
+    def steps(self) -> dict[int, tuple | dict[str, tuple]]:
+        """Every node of every body, by identity, to how its step moves a
+        closure on: (continuation, binders skipped, binder or None, names
+        dropped from a renaming: free in the node or its binder, not in the
+        continuation); for a case, per label, the first branch winning."""
         return self._scopes[1]
 
     @cached_property
     def _scopes(self) -> tuple[dict, dict]:
         free: dict[int, tuple[str, ...]] = {}
-        drops: dict[int, tuple[str, ...] | dict[str, tuple]] = {}
+        steps: dict[int, tuple | dict[str, tuple]] = {}
         for d in self.defs:
-            scope(d.body, free, drops)
-        return free, drops
+            scope(d.body, free, steps)
+        return free, steps
 
     @cached_property
     def memo(self) -> dict[int, tuple[TypeDefEnv, set[tuple]]]:
@@ -375,19 +366,19 @@ def _rename(t: ProcessTerm, ren: dict[str, str],
 
 
 def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None,
-          drops: dict[int, tuple | dict] | None = None
+          steps: dict[int, tuple | dict] | None = None
           ) -> tuple[int, frozenset[str]]:
     """The number of binders in t, which is how many names freshen(t, gen)
     takes from gen, and the names free in t; with out given, records there
-    by identity those free in the suffix from each node of t, and in drops
-    those its step drops (see ProcSignature.drops)."""
+    by identity those free in the suffix from each node of t, and in steps
+    how each node's step moves a closure on (see ProcSignature.steps)."""
     spine = []
     while t is not None:
         spine.append(t)
         t = getattr(t, "cont", None)
     n, free = 0, frozenset()
     for t in reversed(spine):
-        names, binder, arms = [], None, {}
+        names, binder, arms, skip = [], None, {}, 0
         for f, role in FIELDS[type(t)]:
             v = getattr(t, f)
             if role is NAME:
@@ -395,22 +386,24 @@ def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None,
             elif role is NAMES:
                 names += v
             elif role is BINDER:
-                binder = v
-                n += 1
+                binder, skip = v, 1
             elif role is BRANCHES:
                 for label, b in v:
-                    bn, bfree = scope(b, out, drops)
-                    n += bn
+                    bn, bfree = scope(b, out, steps)
+                    arms.setdefault(label, (b, skip, bfree))
+                    skip += bn
                     names += bfree
-                    arms.setdefault(label, bfree)
+        n += skip
         # the binder scopes over the continuation only, not a spawn's args
         after, free = free, (free - {binder}).union(names)
         if out is not None:
             # a tuple of strings, unlike a set, the collector stops tracking
             out[id(t)] = tuple(free)
-        if drops is not None:
-            drops[id(t)] = {l: tuple(free - f) for l, f in arms.items()} \
-                if arms else tuple(free.union({binder}) - after - {None})
+        if steps is not None:
+            steps[id(t)] = {l: (b, k, None, tuple(free - f))
+                            for l, (b, k, f) in arms.items()} if arms else (
+                getattr(t, "cont", None), skip, binder,
+                tuple(free.union({binder}) - after - {None}))
     return n, free
 
 

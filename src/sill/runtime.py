@@ -579,29 +579,19 @@ def _rename_all(cfg: Config, old: str, new: str) -> None:
                                        cfg.gamma.pop(old, BOT))
 
 
-_SENDS = (SendChan, SendChanS, SendLabel, SendVal)
-_UNBOUND = (Wait,) + _SENDS  # the actions with a continuation and no binder
-
-
 def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
-    """Move p's closure on to the continuation of its action: a case takes
-    the branch of label msg, skipping the binders of the branches before
-    it; an action with a binder (a spawn too) binds it to msg. The
-    renaming drops the names the continuation does not have free, so it
-    does not grow with the names a long body is done with."""
-    t, env, b = p.tmpl, p.env, None
-    drop = cfg.sig.drops[id(t)]
-    if isinstance(t, CaseRecv):
-        n, k = t.slots[msg]
-        drop = drop[msg]
-    elif isinstance(t, _UNBOUND):
-        k, n = t.cont, 0
-    else:
-        k, n, b = t.cont, 1, t.binder
-    p.tmpl = k
+    """Move p's closure on by the signature's step table: a case takes the
+    branch of label msg, skipping the binders of the branches before it;
+    an action with a binder (a spawn too) binds it to msg. The renaming
+    drops the names the continuation does not have free, so it does not
+    grow with the names a long body is done with."""
+    s = cfg.sig.steps[id(p.tmpl)]
+    if type(s) is dict:
+        s = s[msg]
+    p.tmpl, n, b, drop = s
     p.base += n
     if b is not None or drop:
-        p.env = env = {**env, b: msg} if b is not None else env.copy()
+        p.env = env = {**p.env, b: msg} if b is not None else p.env.copy()
         for y in drop:
             env.pop(y, None)
 
@@ -650,6 +640,9 @@ def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
     _resume(cfg, s, c)
     rec.produced.append(_record(s))
     rec.touched |= {s.chan, c} | set(args)
+
+
+_SENDS = (SendChan, SendChanS, SendLabel, SendVal)
 
 
 def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
@@ -844,8 +837,8 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
                 f"does not refine the client view")
     view = u.uses[e.chan] if u is not None else e.offer
     try:
-        ok = is_subtype(env, e.offer, view) and \
-            is_ssync(env, e.offer, view, cfg.gamma.get(e.chan, BOT))
+        # the judgment decides its own precondition, the offer <= the view
+        ok = is_ssync(env, e.offer, view, cfg.gamma.get(e.chan, BOT))
     except SsyncPreconditionError:
         ok = False
     if not ok:
@@ -889,15 +882,13 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
         v = _linear_fault(cfg, ck, e)
         if v is not None:
             return v
-    env = cfg.env
     for a in sorted(cfg.lam.keys() & touched):
         p = cfg.lam[a]
         con = cfg.gamma.get(a)
         if not isinstance(con, SharedC):
             return f"shared {a}: no shared constraint recorded"
         try:
-            ok = is_subtype(env, p.offer, con.ty) and \
-                is_ssync(env, p.offer, con.ty, TOP)
+            ok = is_ssync(cfg.env, p.offer, con.ty, TOP)
         except SsyncPreconditionError:
             ok = False
         if not ok:

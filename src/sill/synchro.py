@@ -18,7 +18,7 @@ from .types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, SessionType, TypeDefEnv, TypeDef, TypeGraph,
     Bot, Top, SharedC, ConstraintType, BOT, TOP,
-    unfold, constraint_leq, SHARED, LINEAR,
+    unfold, SHARED, LINEAR,
 )
 from .subtype import is_subtype, sub_ids
 
@@ -32,7 +32,14 @@ class SsyncPreconditionError(Exception):
 
 
 def cleq(env: TypeDefEnv, c: ConstraintType, d: ConstraintType) -> bool:
-    return constraint_leq(env, c, d, is_subtype)
+    """Lattice order: Bot <= Shared(A) <= Top; shared constraints compare
+    by subtyping."""
+    match (c, d):
+        case (Bot(), _) | (_, Top()):
+            return True
+        case (SharedC(a), SharedC(b)):
+            return is_subtype(env, a, b)
+    return False
 
 
 def cleq_type(env: TypeDefEnv, c: ConstraintType, b: SessionType) -> bool:

@@ -431,22 +431,3 @@ def validate_env(env: TypeDefEnv) -> list[str]:
         except (KeyError, TypeError_):
             pass
     return diags
-
-
-# --------------------------------------------------------------------------- #
-# Constraint ordering helpers
-# --------------------------------------------------------------------------- #
-
-def constraint_leq(env: TypeDefEnv, c: ConstraintType, d: ConstraintType,
-                   subtype) -> bool:
-    """Lattice order: Bot <= Shared(A) <= Top; Shared entries compare by
-    subtyping. `subtype` is injected to avoid an import cycle."""
-    match (c, d):
-        case (Bot(), _):
-            return True
-        case (_, Top()):
-            return True
-        case (SharedC(a), SharedC(b)):
-            return subtype(env, a, b)
-        case _:
-            return False

@@ -450,6 +450,80 @@ def test_monitor_flags_corrupted_offer():
     assert monitor_check(cfg, {victim.chan}) is not None
 
 
+# the monitor's verdicts on configurations no step of a well-typed program
+# makes, each pinned word for word and against the reference scan
+
+def test_monitor_names_a_second_provider():
+    for stem in sorted(EXPECTED_STATUS):
+        cfg = initial_config(by_stem(stem))
+        for a, p in sorted(cfg.lam.items()):
+            cfg.add(Proc(a, p.tmpl, p.offer, {}, False, cfg.names, p.env,
+                         p.base))
+            want = f"well-formedness: multiple providers for ['{a}']"
+            every = {e.chan for e in cfg.theta} | set(cfg.lam)
+            assert monitor_check(cfg, None) == want
+            assert monitor_check(cfg, {a}) == want
+            assert reference_monitor(cfg, every) == want
+
+
+def test_monitor_names_a_shared_session_with_no_constraint():
+    shared = 0
+    for stem in sorted(EXPECTED_STATUS):
+        for a in sorted(initial_config(by_stem(stem)).lam):
+            cfg = initial_config(by_stem(stem))
+            del cfg.gamma[a]
+            want = f"shared {a}: no shared constraint recorded"
+            assert monitor_check(cfg, {a}) == want
+            assert reference_monitor(cfg, {a}) == want
+            shared += 1
+    assert shared == 6
+
+
+def test_monitor_names_an_alias_whose_target_lost_its_constraint():
+    import random
+    aliased = []
+    for stem in sorted(EXPECTED_STATUS):
+        cfg, choose, conn = initial_config(by_stem(stem)), \
+            random.Random(0).choice, None
+        while steps := enumerate_steps(cfg):
+            rec = apply_step(cfg, choose(steps))
+            conn = next((e for e in cfg.theta if isinstance(e, Connect)
+                         and cfg.user_of(e.chan) is not None), None)
+            if conn is not None:
+                break
+        if conn is None:
+            continue
+        cfg.gamma[conn.target] = BOT
+        want = (f"alias {conn.chan} -> {conn.target}: shared constraint "
+                f"does not refine the client view")
+        every = {e.chan for e in cfg.theta} | set(cfg.lam)
+        for touched in ({conn.chan}, rec.touched):
+            assert monitor_check(cfg, touched) == want
+            assert reference_monitor(cfg, touched) == want
+        assert monitor_check(cfg, None) == want
+        assert reference_monitor(cfg, every) == want
+        aliased.append(stem)
+    assert aliased == ["auction", "dd", "handoff"]
+
+
+def test_monitor_names_an_offer_that_is_not_below_its_view():
+    # the offer/view check's subtyping premise fails, so is_ssync raises
+    # its precondition error and the monitor words it as any other refusal
+    import random
+    for stem in ("queue", "auction"):
+        cfg, choose = initial_config(by_stem(stem)), random.Random(0).choice
+        e = None
+        while e is None and (steps := enumerate_steps(cfg)):
+            apply_step(cfg, choose(steps))
+            e = next((e for e in cfg.theta if isinstance(e, Proc)
+                      and cfg.user_of(e.chan) is not None), None)
+        e.offer = Tensor(One(), One())
+        want = (f"linear {e.chan}: offer type no longer synchronizes with "
+                f"the client view under its release obligation")
+        assert monitor_check(cfg, {e.chan}) == want
+        assert reference_monitor(cfg, {e.chan}) == want
+
+
 def test_run_reports_violation_with_monitor_on():
     # statically broken program: the provider releases at a type unrelated
     # to its clients' view; skipping the static gate, the monitor rejects
@@ -718,6 +792,41 @@ def test_indexes_steps_and_monitor_match_references():
         for _, choose in _choosers():
             for monitor in (True, False):
                 differential(prog, choose, 300, monitor, True)
+
+
+# Fw forwards z to the shared b. Under these choosers the forward comes
+# while M holds b acquired, so renaming b to z moves M's use of b and its
+# entry in the client index; fifo and seeds 0, 5 and 9 never meet it
+HELD_FWD = (
+    "type srv = up_s down_s srv\n"
+    "proc Srv : () |- s: srv = l <- accept s; s2 <- detach l; "
+    "n <- spawn Srv(); fwd s2 n\n"
+    "proc Fw : (sh b: srv) |- z: srv = fwd z b\n"
+    "proc M : (sh b: srv, sh z: srv) |- x: 1 = l <- acquire b; "
+    "b2 <- release l; close x\n"
+    "system { b <- spawn Srv(); z <- spawn Fw(b); main M(b, z); }\n"
+)
+
+
+def test_forward_moves_the_client_of_a_held_channel():
+    import random
+    diags, prog = check_program(parse_program(HELD_FWD))
+    assert diags == []
+    for seed in (4, 6, 8, 10):
+        for monitor in (True, False):
+            assert differential(prog, random.Random(seed).choice, 300,
+                                monitor, True) == 5
+        cfg, choose, moved = initial_config(prog), \
+            random.Random(seed).choice, 0
+        while steps := enumerate_steps(cfg):
+            held = {c: list(es) for c, es in cfg.client.items()}
+            rec = apply_step(cfg, choose(steps))
+            for old, new in rec.renames.items():
+                for e in held.get(old, ()):
+                    assert old not in e.uses and new in e.uses
+                    assert old not in cfg.client and e in cfg.client[new]
+                    moved += 1
+        assert moved == 1 and classify(cfg) == RunStatus.ALL_POISED
 
 
 def test_indexes_steps_and_monitor_match_references_on_mutants():

@@ -7,9 +7,9 @@ from sill.types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, TypeDef, TypeDefEnv, SHARED, LINEAR,
     BOT, TOP, SharedC, TypeError_,
-    unfold, modality, reachable, validate_env, constraint_leq, children,
+    unfold, modality, reachable, validate_env, children,
 )
-from sill.subtype import is_subtype
+from sill.synchro import cleq
 
 from gen import gen_env
 
@@ -119,7 +119,7 @@ def test_validate_env_modality_mismatch():
 
 def test_constraint_lattice_order():
     sq = SharedC(Ref("shared_queue"))
-    leq = lambda c, d: constraint_leq(QUEUE, c, d, is_subtype)
+    leq = lambda c, d: cleq(QUEUE, c, d)
     assert leq(BOT, BOT) and leq(BOT, sq) and leq(BOT, TOP)
     assert leq(sq, sq) and leq(sq, TOP)
     assert leq(TOP, TOP)
