@@ -20,8 +20,16 @@ is what makes broken release points observable at runtime.
 
 The configuration indexes its linear part by channel (who offers it, who
 uses it, which aliases stand for it), so neither step enumeration nor the
-monitor scans for a provider or a client. Each linear process memoizes its
-enabled step, keyed by what it reads.
+monitor scans for a provider or a client. The order and the enabled steps
+are kept by what each step changes. Entries are ranked along the list, and
+every change that makes a use records it. Where every use points right,
+the leftmost entry still to place is always ready, so the list is its own
+order: if each use a step made points right, the step keeps the list as
+it is, and only otherwise does a full pass re-sort it (see _retopo). Each
+linear process memoizes its enabled step, keyed by what it reads; a change
+to a template or to a channel's client marks dirty the processes whose
+memos read it, and an enumeration revalidates only those, or every one
+after a forward.
 
 No step rebuilds a term. A process holds a closure in the manner of
 explicit substitutions (Abadi, Cardelli, Curien & Levy) and of the CEK
@@ -41,8 +49,10 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import count
+from operator import attrgetter
 
 from .types import (
     UpLL, SessionType, TypeDefEnv, ConstraintType, SharedC, BOT, TOP, unfold,
@@ -147,9 +157,10 @@ class Proc:
 
     ``term`` forces the closure for a trace, the monitor's forced check
     and other readers, and keeps it while the template and the number of
-    forwards stay the same."""
+    forwards stay the same. ``rank`` is its place in the linear part
+    (see Config)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "step_memo", "term_memo")
+                 "shared", "step_memo", "term_memo", "rank")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -162,6 +173,7 @@ class Proc:
         # [tmpl, forwards, chan, subject, client, client's chan, client's
         # tmpl, client's subject, step] of the last enumeration
         self.step_memo = self.term_memo = None
+        self.rank = 0
 
     def name(self, x: str) -> str:
         """What the template's name x stands for now."""
@@ -181,10 +193,14 @@ class Proc:
                f"{self.uses!r}, {self.shared!r})"
 
 
-@dataclass
+@dataclass(eq=False)
 class Connect:
     chan: str
     target: str
+    rank: int = field(default=0, init=False, repr=False)
+
+
+_rank = attrgetter("rank")
 
 
 def _unindex(m: dict[str, list], k: str, e) -> None:
@@ -212,6 +228,20 @@ class Config:
     offered: dict[str, list] = field(default_factory=dict)
     client: dict[str, list[Proc]] = field(default_factory=dict)
     aliases: dict[str, list[Connect]] = field(default_factory=dict)
+    # ranks rise along theta, and add gives a new entry top: no two
+    # entries, live or dropped since the last re-sort, share one.
+    # ordered: every use pointed right after the last re-sort, so theta
+    # is its own order unless one of the (user, channel) uses in edges,
+    # made since, does not (see _retopo)
+    top: int = 0
+    ordered: bool = False
+    edges: list[tuple] = field(default_factory=list)
+    # the linear processes with a step or an acquire pending, in order; it
+    # and the step memos of processes not in dirty hold at forward count
+    # memo_n, -1 when every memo is to be revalidated
+    active: list[Proc] = field(default_factory=list)
+    dirty: set[Proc] = field(default_factory=set)
+    memo_n: int = -1
 
     def fresh(self) -> str:
         name = f"%g{self.counter}"
@@ -219,10 +249,15 @@ class Config:
         return name
 
     def _first(self, es: list):
-        """Of two or more entries es, the first in the linear part, as a
-        scan would find it; a well-formed configuration has only one."""
-        ids = {id(e) for e in es}
-        return next(e for e in self.theta if id(e) in ids)
+        """Of two or more entries es, the first in the linear part: the
+        lowest-ranked; a well-formed configuration has only one."""
+        return min(es, key=_rank)
+
+    def mark_providers(self, c: str) -> None:
+        """Mark the providers of c dirty: a step memo reads the client."""
+        es = self.offered.get(c)
+        if es is not None:
+            self.dirty.update(es)
 
     def provider(self, chan: str) -> Proc | Connect | None:
         es = self.offered.get(chan)
@@ -237,29 +272,40 @@ class Config:
         return es[0] if len(es) == 1 else self._first(es)
 
     def add(self, e: Proc | Connect) -> None:
-        """Append e to the linear part."""
+        """Append e to the linear part, ranked after every entry there."""
         self.theta.append(e)
+        e.rank = self.top
+        self.top += 1
         self.offered.setdefault(e.chan, []).append(e)
         if isinstance(e, Connect):
             self.aliases.setdefault(e.target, []).append(e)
+            self.edges.append((e, e.target))
         else:
+            self.dirty.add(e)
             for c in e.uses:
                 self.client.setdefault(c, []).append(e)
+                self.edges.append((e, c))
+                self.mark_providers(c)
 
     def drop(self, e: Proc | Connect) -> None:
-        """Take e out of the linear part."""
+        """Take e out of the linear part; a dirty process that is in no
+        offered list leaves active at the next enumeration."""
         e = self.theta.pop(self.theta.index(e))
         _unindex(self.offered, e.chan, e)
         if isinstance(e, Connect):
             _unindex(self.aliases, e.target, e)
         else:
+            self.dirty.add(e)
             for c in e.uses:
                 _unindex(self.client, c, e)
+                self.mark_providers(c)
 
     def use(self, p: Proc, c: str, ty: SessionType) -> None:
         """p uses c at view ty; a shared session is nobody's client."""
         if c not in p.uses and not p.shared:
             self.client.setdefault(c, []).append(p)
+            self.edges.append((p, c))
+            self.mark_providers(c)
         p.uses[c] = ty
 
     def unuse(self, p: Proc, c: str) -> None:
@@ -268,6 +314,7 @@ class Config:
             del p.uses[c]
             if not p.shared:
                 _unindex(self.client, c, p)
+                self.mark_providers(c)
 
     def unf(self, t: SessionType) -> SessionType:
         return unfold(self.env, t)
@@ -402,32 +449,68 @@ def initial_config(prog: Program) -> Config:
 def _retopo(cfg: Config) -> None:
     """Stable re-sort of the linear part so each entry uses only channels
     offered to its right: place, again and again, the leftmost entry that
-    no entry still to place uses (Kahn's algorithm, ready entries taken by
-    position). An entry using its own channel is always ready."""
+    no entry still to place uses. An entry using its own channel is always
+    ready.
+
+    Where every use points right (its channel's one provider ranks above
+    its user), the leftmost entry still to place is always ready, so the
+    order is the list itself. If that held after the last re-sort, only a
+    use made since can break it; when each of those points right too, the
+    list stays as it is. Otherwise, and for a bare namespace holding a
+    theta alone, _kahn re-sorts it."""
+    if getattr(cfg, "ordered", False):
+        offered = cfg.offered
+        for u, c in cfg.edges:
+            es = offered.get(c)
+            if es is not None and (len(es) > 1 or es[0].rank <= u.rank):
+                break
+        else:
+            cfg.edges.clear()
+            return
+    _kahn(cfg)
+
+
+def _kahn(cfg: Config) -> None:
+    """The full re-sort by Kahn's algorithm, ready entries taken by
+    position; it ranks the entries anew. Where two entries offer one
+    channel, both wait for its users, and once either is placed the
+    channel is out of the order: the other is ready."""
     theta = cfg.theta
-    pos = {e.chan: i for i, e in enumerate(theta)}
-    uses = [[pos[c] for c in ((e.target,) if isinstance(e, Connect)
-                              else e.uses) if c in pos] for e in theta]
-    # an entry using its own channel is always ready: none waits on it
-    free = {i for i, us in enumerate(uses) if i in us}
-    if free:
-        uses = [[j for j in us if j not in free] for us in uses]
-    users = [0] * len(theta)  # per entry, its users still to place
+    offers: dict[str, list[int]] = {}  # channels still to place
+    for i, e in enumerate(theta):
+        offers.setdefault(e.chan, []).append(i)
+    uses = [[c for c in ((e.target,) if isinstance(e, Connect) else e.uses)
+             if c in offers] for e in theta]
+    users = dict.fromkeys(offers, 0)  # per channel, its users to place
     for us in uses:
-        for j in us:
-            users[j] += 1
-    ready = [i for i, n in enumerate(users) if n == 0]
-    out = []
+        for c in us:
+            users[c] += 1
+    # an entry using its own channel is always ready
+    ready = [i for i, e in enumerate(theta)
+             if users[e.chan] == 0 or e.chan in uses[i]]
+    queued, out = set(ready), []
     while ready:
         i = heappop(ready)
         out.append(theta[i])
-        for j in uses[i]:
-            users[j] -= 1
-            if users[j] == 0:
-                heappush(ready, j)
-    # defensive: a usage cycle cannot arise from well-typed steps
-    out += [e for i, e in enumerate(theta) if users[i]]
-    cfg.theta = out
+        done = [theta[i].chan]  # channels whose providers are now ready
+        for c in uses[i]:
+            users[c] -= 1
+            if users[c] == 0:
+                done.append(c)
+        for c in done:
+            for j in offers.pop(c, ()):
+                if j not in queued:
+                    queued.add(j)
+                    heappush(ready, j)
+    # every use points right unless a self-use, two providers of one
+    # channel or a usage cycle (never from well-typed steps) remains
+    cfg.ordered = len(users) == len(out) == len(theta) and not any(
+        e.chan in us for e, us in zip(theta, uses))
+    out += [e for i, e in enumerate(theta) if i not in queued]
+    for i, e in enumerate(out):
+        e.rank = i
+    cfg.theta, cfg.top, cfg.edges = out, len(out), []
+    cfg.memo_n = -1  # active and user_of follow the order
 
 
 # --------------------------------------------------------------------------- #
@@ -522,16 +605,42 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
     return step
 
 
+def _pending(cfg: Config, e: Proc) -> bool:
+    """Whether e has an enabled step or an acquire pending."""
+    return _enabled(cfg, e) is not None or isinstance(e.tmpl,
+                                                      (Acquire, AcquireL))
+
+
 def enumerate_steps(cfg: Config) -> list[Step]:
+    """The enabled steps in canonical order. Only the dirty processes are
+    revalidated and moved into or out of cfg.active; after a forward or a
+    re-sort every process is."""
+    n, active = cfg.names.n, cfg.active
+    if cfg.memo_n != n:
+        active[:] = [e for e in cfg.theta
+                     if isinstance(e, Proc) and _pending(cfg, e)]
+    else:
+        for e in cfg.dirty:
+            if isinstance(e, Connect):
+                continue
+            i = bisect_left(active, e.rank, key=_rank)
+            here = i < len(active) and active[i] is e
+            # a process dropped or in the shared part is in no offered list
+            if here != (e in cfg.offered.get(e.chan, ())
+                         and _pending(cfg, e)):
+                if here:
+                    del active[i]
+                else:
+                    active.insert(i, e)
+    cfg.dirty.clear()
+    cfg.memo_n = n
     steps: list[Step] = []
     acquirers: list[tuple[Proc, Step | None]] = []
-    for e in cfg.theta:
-        if isinstance(e, Proc):
-            step = _enabled(cfg, e)
-            if isinstance(e.tmpl, (Acquire, AcquireL)):
-                acquirers.append((e, step))
-            elif step is not None:
-                steps.append(step)
+    for e in active:
+        if isinstance(e.tmpl, (Acquire, AcquireL)):
+            acquirers.append((e, e.step_memo[8]))
+        else:
+            steps.append(e.step_memo[8])
     for a in sorted(cfg.lam):
         p = cfg.lam[a]
         match p.tmpl:
@@ -569,6 +678,9 @@ def _rename_all(cfg: Config, old: str, new: str) -> None:
         if new not in e.uses:
             cfg.client.setdefault(new, []).append(e)
         e.uses[new] = e.uses.pop(old)
+    # every use of new may now meet another provider
+    cfg.edges += [(e, new) for m in (cfg.client, cfg.aliases)
+                  for e in m.get(new, ())]
     if old in cfg.lam:
         p = cfg.lam[new] = cfg.lam.pop(old)
         p.chan = new
@@ -584,7 +696,12 @@ def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
     branch of label msg, skipping the binders of the branches before it;
     an action with a binder (a spawn too) binds it to msg. The renaming
     drops the names the continuation does not have free, so it does not
-    grow with the names a long body is done with."""
+    grow with the names a long body is done with. The step memos of p and
+    of the providers it is the client of read p's template: all are
+    marked dirty."""
+    cfg.dirty.add(p)
+    for c in p.uses:
+        cfg.mark_providers(c)
     s = cfg.sig.steps[id(p.tmpl)]
     if type(s) is dict:
         s = s[msg]

@@ -315,6 +315,103 @@ def test_retopo_matches_reference_order(monkeypatch):
         assert [id(e) for e in cfg.theta] == [id(e) for e in want]
 
 
+def test_order_and_steps_are_kept_by_deltas(monkeypatch):
+    # a step whose new uses all point right leaves the order as it is, and
+    # only the processes a step marked dirty recompute their step. The
+    # wide program under fifo never re-sorts after its initial
+    # configuration, and makes 535 calls to _enabled in 126 steps, where
+    # revalidating every process at every step made 1840. On the corpus
+    # the order does move, so the full pass still runs where it must.
+    from sill import runtime
+    calls = dict.fromkeys(("_kahn", "_enabled"), 0)
+    for name in calls:
+        def counted(*args, fn=getattr(runtime, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(runtime, name, counted)
+    prog = check_program(parse_program(wide_source()))[1]
+    steps = sum(1 for _ in drive(prog, lambda steps: steps[0]))
+    assert steps == 126 and calls["_kahn"] == 1
+    assert calls["_enabled"] < 5 * steps
+    calls["_kahn"] = runs = 0
+    for stem in sorted(EXPECTED_STATUS):
+        for seed in (1, 2, 3):
+            run(by_stem(stem), seed=seed, max_steps=300, monitor=False)
+            runs += 1
+    assert calls["_kahn"] > 2 * runs
+
+
+def test_retopo_matches_reference_order_where_ill_formed(monkeypatch):
+    # the check of the uses made since a re-sort defers to the full pass
+    # where it cannot decide: at two providers of one channel, a self-use,
+    # a cycle and a self-use taken away. Checked after every step of each
+    # ill-typed corpus mutant, run as --no-static would run it, and after
+    # random changes made through Config's own methods, which reach those
+    # shapes where the mutants do not
+    import random
+    from sill import runtime
+    from sill.procast import ProcSignature
+    from sill.types import TypeDefEnv
+    from test_typecheck import _mutants
+    fast = runtime._retopo
+    seen = []
+
+    def checked_retopo(cfg):
+        want = reference_order(cfg.theta)
+        fast(cfg)
+        assert [id(e) for e in cfg.theta] == [id(e) for e in want]
+        seen.append(cfg.ordered)
+
+    monkeypatch.setattr(runtime, "_retopo", checked_retopo)
+    passes = []
+    monkeypatch.setattr(runtime, "_kahn", lambda cfg, kahn=runtime._kahn:
+                        passes.append(kahn(cfg)))
+    runs = 0
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if not diags or mutant.system is None:
+                continue
+            for n, _ in enumerate(drive(elab, random.Random(0).choice)):
+                if n == 59:
+                    break
+            runs += 1
+    assert runs > 1500
+    rng, seen, skipped, recovered = random.Random(0), [], 0, 0
+    for _ in range(300):
+        cfg = runtime.Config(TypeDefEnv(), ProcSignature(()), [], {}, {})
+        chans = [f"c{i}" for i in range(rng.randrange(2, 10))]
+        for _ in range(30):
+            for _ in range(rng.randrange(1, 4)):
+                procs = [e for e in cfg.theta if isinstance(e, Proc)]
+                op = rng.randrange(5) if cfg.theta else 0
+                if op == 0:
+                    cfg.add(Connect(rng.choice(chans), rng.choice(chans))
+                            if rng.random() < 0.2 else
+                            Proc(rng.choice(chans), None, None, dict.fromkeys(
+                                rng.sample(chans, rng.randrange(3))), False))
+                elif op == 1:
+                    cfg.drop(rng.choice(cfg.theta))
+                elif op == 2 and procs:
+                    cfg.use(rng.choice(procs), rng.choice(chans), None)
+                elif op == 3 and procs:
+                    p = rng.choice(procs)
+                    cfg.unuse(p, rng.choice(list(p.uses) or chans))
+                elif op == 4:
+                    old, new = rng.sample(chans, 2)
+                    runtime._rename_all(cfg, old, new)
+                    # old is gone; a new channel keeps the pool's size
+                    chans.remove(old)
+                    chans.append(f"c{len(cfg.names.map) + 10}")
+            was, n = cfg.ordered, len(passes)
+            runtime._retopo(cfg)
+            skipped += len(passes) == n
+            recovered += cfg.ordered and not was
+    # of 9000 re-sorts, 5331 leave an ill-formed order, 2729 skip the
+    # full pass and 787 find the list well formed again
+    assert seen.count(False) > 2000 and skipped > 1000 and recovered > 300
+
+
 def _gamma_tracked(prog, choose, max_steps):
     """Step prog, checking after every step that Γ holds exactly the
     shared channels (those of the system block and of shared spawns,
@@ -792,6 +889,44 @@ def test_indexes_steps_and_monitor_match_references():
         for _, choose in _choosers():
             for monitor in (True, False):
                 differential(prog, choose, 300, monitor, True)
+
+
+def test_steps_follow_client_changes_made_by_hand():
+    # each Config method that changes a channel's client marks the
+    # channel's providers dirty itself, whatever calls it: at an exchange
+    # step, take its client off the channel, then give the channel a new
+    # client with the old one's template, and the enabled steps match the
+    # one-pass reference after each change
+    import random
+    from sill.runtime import Step, _exchange, _HANDLERS
+    progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
+    progs.append(check_program(parse_program(wide_source()))[1])
+    checked = 0
+    for prog in progs:
+        for seed in range(12):
+            rng = random.Random(seed)
+            cfg, k = initial_config(prog), rng.randrange(40)
+            while steps := enumerate_steps(cfg):
+                pairs = [s for s in steps if _HANDLERS[s.rule] is _exchange]
+                if pairs and k <= 0:
+                    break
+                apply_step(cfg, rng.choice(steps))
+                k -= 1
+            else:
+                continue
+            s = rng.choice(pairs)
+            u = cfg.provider(s.user)
+            view = u.uses[s.provider]
+            cfg.unuse(u, s.provider)
+            assert s not in enumerate_steps(cfg)
+            assert enumerate_steps(cfg) == reference_steps(cfg)
+            twin = Proc(cfg.fresh(), u.tmpl, u.offer, {s.provider: view},
+                        False, cfg.names, u.env, u.base)
+            cfg.add(twin)
+            assert Step(s.rule, s.provider, twin.chan) in enumerate_steps(cfg)
+            assert enumerate_steps(cfg) == reference_steps(cfg)
+            checked += 1
+    assert checked > 50  # 59: some runs end before an exchange
 
 
 # Fw forwards z to the shared b. Under these choosers the forward comes
