@@ -260,7 +260,8 @@ class ProcSignature:
         """Every node of every body, by identity, to how its step moves a
         closure on: (continuation, binders skipped, binder or None, names
         dropped from a renaming: free in the node or its binder, not in the
-        continuation); for a case, per label, the first branch winning."""
+        continuation, the name the continuation's action is on or None);
+        for a case, per label, the first branch winning."""
         return self._scopes[1]
 
     @cached_property
@@ -303,6 +304,13 @@ FIELDS = {cls: tuple((f.name, _ROLES.get(f.name)) for f in fields(cls))
 # action -> the field naming the channel it synchronizes on
 SUBJECT = {cls: f for cls, roles in FIELDS.items() for f, _ in roles
            if f in ("on", "chan")}
+
+
+def _on(t: ProcessTerm | None) -> str | None:
+    """The name the action of t synchronizes on; None for a spawn, a
+    forward or no term."""
+    f = SUBJECT.get(type(t))
+    return None if f is None else getattr(t, f)
 
 
 def _rename(t: ProcessTerm, ren: dict[str, str],
@@ -400,10 +408,11 @@ def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None,
             # a tuple of strings, unlike a set, the collector stops tracking
             out[id(t)] = tuple(free)
         if steps is not None:
-            steps[id(t)] = {l: (b, k, None, tuple(free - f))
+            cont = getattr(t, "cont", None)
+            steps[id(t)] = {l: (b, k, None, tuple(free - f), _on(b))
                             for l, (b, k, f) in arms.items()} if arms else (
-                getattr(t, "cont", None), skip, binder,
-                tuple(free.union({binder}) - after - {None}))
+                cont, skip, binder,
+                tuple(free.union({binder}) - after - {None}), _on(cont))
     return n, free
 
 

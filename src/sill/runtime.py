@@ -29,7 +29,10 @@ it is, and only otherwise does a full pass re-sort it (see _retopo). Each
 linear process memoizes its enabled step, keyed by what it reads; a change
 to a template or to a channel's client marks dirty the processes whose
 memos read it, and an enumeration revalidates only those, or every one
-after a forward.
+after a forward. A provider's step reads its client only where the client
+acts on the provider's channel, so a resume marks the providers at the
+process's subject before and after the move, not those of every channel
+it uses (see _resume and _enabled).
 
 No step rebuilds a term. A process holds a closure in the manner of
 explicit substitutions (Abadi, Cardelli, Curien & Levy) and of the CEK
@@ -38,7 +41,11 @@ definition's body and a renaming of the template's free names. A step
 moves the template on and binds its binder; a forward records its
 renaming once, in a union-find map every name resolves through. The
 monitor rechecks the template in its own names, and a suffix that passed
-under the same context before is a lookup (see _passes). The concrete
+under the same context before is a lookup. A process whose context is the
+one its last passed recheck read, compared by identity and by content,
+passes again without resolving a name, so a step costs the monitor what
+it changed, not how many names a touched process holds (see _passes).
+The concrete
 term is forced only for a trace record, the monitor's forced check and a
 reader of ``Proc.term``.
 """
@@ -160,7 +167,7 @@ class Proc:
     forwards stay the same. ``rank`` is its place in the linear part
     (see Config)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "step_memo", "term_memo", "rank")
+                 "shared", "step_memo", "term_memo", "stamp", "rank")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -173,6 +180,8 @@ class Proc:
         # [tmpl, forwards, chan, subject, client, client's chan, client's
         # tmpl, client's subject, step] of the last enumeration
         self.step_memo = self.term_memo = None
+        # what the last passed recheck read (see _passes)
+        self.stamp = None
         self.rank = 0
 
     def name(self, x: str) -> str:
@@ -290,7 +299,9 @@ class Config:
     def drop(self, e: Proc | Connect) -> None:
         """Take e out of the linear part; a dirty process that is in no
         offered list leaves active at the next enumeration."""
-        e = self.theta.pop(self.theta.index(e))
+        i = bisect_left(self.theta, e.rank, key=_rank)
+        assert self.theta[i] is e
+        del self.theta[i]
         _unindex(self.offered, e.chan, e)
         if isinstance(e, Connect):
             _unindex(self.aliases, e.target, e)
@@ -566,22 +577,30 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
     accepts. Memoized on e while e's template and channel, its client and
     the client's channel and template are the same as before (a renaming
     changes only as its template moves on); after a forward, while the
-    two subjects still resolve to the same channels."""
+    two subjects still resolve to the same channels.
+
+    The step reads the client only where the client acts on e's channel a.
+    So where the client's template moved on but neither its subject then
+    nor its subject now is a, the memo holds: it takes the client's
+    template and subject in place, and _resume need mark only the
+    providers at a process's subject before and after its move."""
     a, t, n = e.chan, e.tmpl, cfg.names.n
     m = e.step_memo
     same = m is not None and m[0] is t and m[2] == a
     c = m[3] if same and m[1] == n else _subject(e)[0]
     u = cfg.user_of(a) if c == a else None
-    if same and m[3] == c and m[4] is u and (u is None or m[5] == u.chan
-                                             and m[6] is u.tmpl):
-        if m[1] == n:
-            return m[8]
-        if u is None or _subject(u)[0] == m[7]:
-            m[1] = n
-            return m[8]
+    kept = same and m[3] == c and m[4] is u
+    if kept and (u is None or m[1] == n and m[5] == u.chan
+                 and m[6] is u.tmpl):
+        m[1] = n
+        return m[8]
     uc = ut = None
     if u is not None:
         uc, ut = _subject(u)
+        if kept and m[5] == u.chan and (uc == m[7] if m[6] is ut
+                                        else uc != a != m[7]):
+            m[1], m[6], m[7] = n, ut, uc
+            return m[8]
     step = None
     if c is None:
         match t:
@@ -696,21 +715,31 @@ def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
     branch of label msg, skipping the binders of the branches before it;
     an action with a binder (a spawn too) binds it to msg. The renaming
     drops the names the continuation does not have free, so it does not
-    grow with the names a long body is done with. The step memos of p and
-    of the providers it is the client of read p's template: all are
-    marked dirty."""
+    grow with the names a long body is done with.
+
+    p's step memo reads p's template, and so is marked dirty. A provider's
+    memo reads its client's template only where the client acts on the
+    provider's channel (see _enabled), so the providers at p's subject
+    before the move and after it are marked, not those of every channel p
+    uses: exact, whatever calls it. The subject before is the one p's
+    memo holds where that memo is current, and the one after is read
+    through the step table; a shared process is nobody's client."""
     cfg.dirty.add(p)
-    for c in p.uses:
-        cfg.mark_providers(c)
+    if not p.shared:
+        m = p.step_memo
+        cfg.mark_providers(m[3] if m is not None and m[0] is p.tmpl
+                           and m[1] == cfg.names.n else _subject(p)[0])
     s = cfg.sig.steps[id(p.tmpl)]
     if type(s) is dict:
         s = s[msg]
-    p.tmpl, n, b, drop = s
+    p.tmpl, n, b, drop, on = s
     p.base += n
     if b is not None or drop:
         p.env = env = {**p.env, b: msg} if b is not None else p.env.copy()
         for y in drop:
             env.pop(y, None)
+    if on is not None and not p.shared:
+        cfg.mark_providers(p.name(on))
 
 
 def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
@@ -889,8 +918,23 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     check to decide and word the violation, where that check fails or the
     context does not translate one to one: two free names stand for the
     offer or one linear channel, none for the offer, or a use for none. Γ
-    is only read and extended, so two may stand for one shared channel."""
+    is only read and extended, so two may stand for one shared channel.
+
+    A pass stamps p with what the decision read: the template, the offer
+    and the type env by identity, the number of forwards, p's channel, and
+    copies of p's uses and of Γ (p's renaming changes only as its template
+    moves on). A recheck in an equal context, compared by content, passes
+    without resolving a free name: the key path would build the same key,
+    and the memo keeps every key it holds. So a process whose context a
+    step left alone, such as a client whose provider stepped, is
+    rechecked at a cost independent of how many names its template holds.
+    A failing recheck is not stamped."""
     t, chan, gamma, free = p.tmpl, p.chan, cfg.gamma, cfg.sig.free
+    s = p.stamp
+    if s is not None and s[0] is t and s[1] is p.offer \
+            and s[2] is cfg.env and s[3] == p.names.n and s[4] == chan \
+            and s[5] == p.uses and s[6] == gamma:
+        return True
     uses = {} if p.shared else p.uses  # the shared judgment has no Δ
     # a free name's class: its constraint, or for the offer and a use
     # (whether it is the offer, its view, its constraint)
@@ -912,19 +956,20 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     if x is None or not lin.issuperset(uses):
         return False
     memo = cfg.sig.memo.setdefault(id(cfg.env), (cfg.env, set()))[1]
-    if (id(t), p.shared, p.offer, tuple(cls)) in memo:
-        return True
-    out = []
+    if (id(t), p.shared, p.offer, tuple(cls)) not in memo:
+        out = []
 
-    def record(node, gamma, delta, x, a, shared):
-        out.append((id(node), shared, a, tuple(
-            (y == x, delta.get(y), gamma.get(y)) if y == x or y in delta
-            else gamma.get(y) for y in free[id(node)])))
+        def record(node, gamma, delta, x, a, shared):
+            out.append((id(node), shared, a, tuple(
+                (y == x, delta.get(y), gamma.get(y)) if y == x or y in delta
+                else gamma.get(y) for y in free[id(node)])))
 
-    if (ck.shared(gam, {}, t, x, p.offer, record) if p.shared else
-            ck.linear(gam, delta, {}, t, x, p.offer, record)) is None:
-        return False
-    memo.update(out)
+        if (ck.shared(gam, {}, t, x, p.offer, record) if p.shared else
+                ck.linear(gam, delta, {}, t, x, p.offer, record)) is None:
+            return False
+        memo.update(out)
+    p.stamp = (t, p.offer, cfg.env, p.names.n, chan, dict(p.uses),
+               dict(gamma))
     return True
 
 

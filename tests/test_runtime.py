@@ -1365,3 +1365,198 @@ system {
     # 3x leaves a margin for a busy host; a map copied at each forward
     # would grow the last chunks' time with the 7000 entries before them
     assert max(chunks[-2:]) < 3 * min(chunks[:2])
+
+
+# --------------------------------------------------------------------------- #
+# Monitored steps that cost what they change
+# --------------------------------------------------------------------------- #
+
+def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
+    # a step of a Batch leaves Main's context as it was, so Main's recheck
+    # is a stamp hit that resolves none of its free names; and a resume
+    # marks dirty only the providers at the resumed process's subject
+    # before and after it, not those of every channel it uses. Under fifo
+    # the monitored wide program makes 244 calls to _enabled in 126 steps
+    # (535 when a resume marked every use), and 220 of its 317 rechecks
+    # resolve a template's free names (all 317 without the stamp).
+    from sill import runtime
+    calls = dict.fromkeys(("_enabled", "rechecks", "walks", "names"), 0)
+    enabled, passes, name = runtime._enabled, runtime._passes, Proc.name
+    inside = []
+
+    def counted_enabled(*args):
+        calls["_enabled"] += 1
+        return enabled(*args)
+
+    def counted_name(self, x):
+        calls["names"] += bool(inside)
+        return name(self, x)
+
+    def counted_passes(cfg, ck, p):
+        calls["rechecks"] += 1
+        before = calls["names"]
+        inside.append(p)
+        ok = passes(cfg, ck, p)
+        inside.pop()
+        calls["walks"] += calls["names"] > before
+        return ok
+
+    monkeypatch.setattr(runtime, "_enabled", counted_enabled)
+    monkeypatch.setattr(runtime, "_passes", counted_passes)
+    monkeypatch.setattr(Proc, "name", counted_name)
+    prog = check_program(parse_program(wide_source()))[1]
+    r = run(prog, policy="fifo", max_steps=1000)
+    assert r.status == RunStatus.ALL_POISED and r.steps == 126
+    assert calls["_enabled"] < 2.5 * r.steps
+    assert calls["rechecks"] > 2 * r.steps
+    assert calls["walks"] < 2 * r.steps
+
+
+def stamp_differential(prog, choose, max_steps):
+    """Step prog under the monitor, checking after every step that the
+    touched check gives the same verdict and message with every process's
+    recheck stamp kept as with every one cleared; the stamps are then put
+    back, so they age as in a run. Ends at the first violation. Returns the
+    verdicts."""
+    cfg = initial_config(prog)
+    if monitor_check(cfg, None) is not None:
+        return []
+    verdicts = []
+    for _ in range(max_steps):
+        steps = enumerate_steps(cfg)
+        if not steps:
+            break
+        rec = apply_step(cfg, choose(steps))
+        procs = [e for e in cfg.theta if isinstance(e, Proc)]
+        procs += cfg.lam.values()
+        kept = monitor_check(cfg, rec.touched)
+        stamps = [p.stamp for p in procs]
+        for p in procs:
+            p.stamp = None
+        assert monitor_check(cfg, rec.touched) == kept
+        for p, s in zip(procs, stamps):
+            p.stamp = s
+        verdicts.append(kept)
+        if kept is not None:
+            break
+    return verdicts
+
+
+def test_recheck_stamps_keep_every_verdict(monkeypatch):
+    # the corpus at five seeds, the wide program under fifo and at random,
+    # and every ill-typed corpus mutant for as many steps as its pinned
+    # outcome: a recheck stamp decides only what the key path would
+    import random
+    from sill import runtime
+    from test_typecheck import _mutants
+    hits = [0]
+    passes = runtime._passes
+
+    def counted_passes(cfg, ck, p):
+        s = p.stamp
+        ok = passes(cfg, ck, p)
+        hits[0] += ok and s is not None and p.stamp is s
+        return ok
+
+    monkeypatch.setattr(runtime, "_passes", counted_passes)
+    verdicts = []
+    for stem in sorted(EXPECTED_STATUS):
+        for seed in range(5):
+            verdicts += stamp_differential(
+                by_stem(stem), random.Random(seed).choice, 300)
+    wide = check_program(parse_program(wide_source()))[1]
+    for choose in (lambda steps: steps[0], random.Random(0).choice):
+        verdicts += stamp_differential(wide, choose, 300)
+    assert verdicts and not any(verdicts) and hits[0] > 1000
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if diags and mutant.system is not None:
+                verdicts += stamp_differential(
+                    elab, random.Random(0).choice, 60)
+    assert sum(v is not None for v in verdicts) > 700
+
+
+# Main is the client of both cells and acts on c0 alone before c1
+TWO_CELLS = (
+    "type cell = !int. 1\n"
+    "proc Cell : () |- c: cell = put c 1; close c\n"
+    "proc Main : () |- x: 1 = c0 <- spawn Cell(); c1 <- spawn Cell(); "
+    "v0 <- get c0; wait c0; v1 <- get c1; wait c1; close x\n"
+    "system { main Main(); }\n"
+)
+
+
+def test_provider_keeps_its_step_memo_while_its_client_acts_elsewhere():
+    # c1's step reads Main only where Main acts on c1: while Main gets from
+    # and waits on c0, c1 is not marked dirty and keeps its memo object;
+    # once Main's next action names c1, c1's step is recomputed
+    diags, prog = check_program(parse_program(TWO_CELLS))
+    assert diags == []
+    cfg = initial_config(prog)
+    for _ in range(2):
+        apply_step(cfg, enumerate_steps(cfg)[0])
+    main = cfg.theta[0]
+    c0, c1 = main.uses
+    cell = cfg.provider(c1)
+    assert enumerate_steps(cfg) == reference_steps(cfg)
+    memo = cell.step_memo
+    assert memo[8] is None
+    for rule in ("val_out", "one"):
+        steps = enumerate_steps(cfg)
+        assert [(s.rule, s.provider) for s in steps] == [(rule, c0)]
+        apply_step(cfg, steps[0])
+        assert (cell not in cfg.dirty) == (rule == "val_out")
+        assert enumerate_steps(cfg) == reference_steps(cfg)
+        assert (cell.step_memo is memo) == (rule == "val_out")
+    assert [(s.rule, s.provider) for s in enumerate_steps(cfg)] == [
+        ("val_out", c1)]
+
+
+def test_steps_follow_a_resume_made_by_hand():
+    # _resume marks dirty the providers at the process's subject before
+    # its move and after it, whatever calls it: at an exchange step, move
+    # its client alone on by hand, and the enabled steps match the
+    # one-pass reference
+    import random
+    from sill.runtime import _exchange, _HANDLERS, _resume
+    progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
+    progs.append(check_program(parse_program(wide_source()))[1])
+    checked = 0
+    for prog in progs:
+        for seed in range(12):
+            rng = random.Random(seed)
+            cfg, k = initial_config(prog), rng.randrange(40)
+            while steps := enumerate_steps(cfg):
+                pairs = [s for s in steps if _HANDLERS[s.rule] is _exchange]
+                if pairs and k <= 0:
+                    break
+                apply_step(cfg, rng.choice(steps))
+                k -= 1
+            else:
+                continue
+            u = cfg.provider(rng.choice(pairs).user)
+            move = cfg.sig.steps[id(u.tmpl)]
+            _resume(cfg, u, rng.choice(sorted(move)) if type(move) is dict
+                    else cfg.fresh())
+            assert enumerate_steps(cfg) == reference_steps(cfg)
+            checked += 1
+    assert checked > 50
+
+
+def test_recheck_stamp_sees_the_channel():
+    # besides what the signature's memo keys on, the stamp holds the
+    # process's channel: Main's recheck passes and stamps it, and Main
+    # moved to another channel is rechecked and flagged at once
+    prog = check_program(parse_program(wide_source()))[1]
+    cfg = initial_config(prog)
+    for _ in range(2):
+        rec = apply_step(cfg, enumerate_steps(cfg)[0])
+    main = cfg.theta[0]
+    assert monitor_check(cfg, rec.touched) is None
+    assert main.stamp is not None
+    chan = main.chan
+    main.chan = "elsewhere"
+    assert monitor_check(cfg, rec.touched) is not None
+    main.chan = chan
+    assert monitor_check(cfg, rec.touched) is None
