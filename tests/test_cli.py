@@ -208,6 +208,35 @@ def test_too_deep_program_exits_2(tmp_path, capsys):
         assert err == f"{deep}: program too deep to process\n"
 
 
+def test_too_deep_type_exits_2(tmp_path, capsys):
+    # a type nested past the recursion limit ends each command that reads
+    # the file in one line and exit 2
+    deep = tmp_path / "deep.sill"
+    deep.write_text("type t = " + "+{a: " * 3000 + "1" + "}" * 3000 + "\n")
+    for argv in (["check"], ["fmt"], ["sub", "t", "t"]):
+        assert main([argv[0], str(deep)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"{deep}: program too deep to process\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sub", Q, "+{a 1}", "producer"], "line 1: expected ':', got '1'"),
+    (["sub", Q, "1 *\n\n", "producer"], "line 3: expected a type, got ''"),
+    (["sub", Q, "(producer", "producer"], "line 1: expected ')', got ''"),
+    (["sub", Q, "é½", "producer"], "undefined type name: é½"),
+    (["ssync", Q, "shared_queue", "producer producer"],
+     "line 1: expected 'eof', got 'producer'"),
+    (["ssync", Q, "shared_queue", "producer", "--constraint", "up_s #"],
+     "line 1: unexpected character '#'"),
+], ids=["colon", "eof_line_3", "paren", "undefined", "eof", "character"])
+def test_bad_type_argument_exits_2(argv, message, capsys):
+    # parse_type reads each type argument; a malformed one ends the command
+    # with its parse error on one line
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_straight_line_10k_actions(tmp_path, capsys):
     # a step moves Main's closure on without rebuilding its term, so the
     # line runs to the end: a spawn, a get and a wait for each cell.
