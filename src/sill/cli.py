@@ -14,7 +14,9 @@ import argparse
 import sys
 from typing import Callable
 
-from .types import TOP, BOT, SharedC, TypeDefEnv, validate_env
+from .types import (
+    TOP, BOT, SHARED, SharedC, TypeDefEnv, modality, validate_env,
+)
 from .parser import parse_program, parse_type, ParseError, Program, SystemDecl
 from .printer import format_program, format_type
 from .subtype import is_subtype
@@ -86,7 +88,12 @@ def cmd_ssync(args, env: TypeDefEnv) -> int:
     elif args.constraint == "bot":
         d = BOT
     else:
-        d = SharedC(parse_type(args.constraint, env))
+        c = parse_type(args.constraint, env)
+        if modality(env, c) != SHARED:
+            print(f"--constraint {format_type(c)}: not top, bot or a shared "
+                  f"type", file=sys.stderr)
+            return 2
+        d = SharedC(c)
     try:
         ok = is_ssync(env, a, b, d)
     except SsyncPreconditionError:

@@ -24,15 +24,23 @@ monitor scans for a provider or a client. The order and the enabled steps
 are kept by what each step changes. Entries are ranked along the list, and
 every change that makes a use records it. Where every use points right,
 the leftmost entry still to place is always ready, so the list is its own
-order: if each use a step made points right, the step keeps the list as
-it is, and only otherwise does a full pass re-sort it (see _retopo). Each
+order: if each use a step made points right, the step keeps the list as it
+is, and only otherwise does a full pass re-sort it (see _retopo). Each
 linear process memoizes its enabled step, keyed by what it reads; a change
 to a template or to a channel's client marks dirty the processes whose
 memos read it, and an enumeration revalidates only those, or every one
-after a forward. A provider's step reads its client only where the client
-acts on the provider's channel, so a resume marks the providers at the
-process's subject before and after the move, not those of every channel
-it uses (see _resume and _enabled).
+after a forward or a re-sort. A provider's step reads its client only
+where the client acts on the provider's channel, so a resume marks the
+providers at the process's subject before and after the move, not those of
+every channel it uses (see _resume and _enabled). The step list is kept
+the same way: the linear part's steps, with their processes, in one list
+in its order, and the processes waiting to acquire in another; a marker on
+each process says which list holds it, so a revalidation moves a process
+in or out without a scan. The shared part's steps (forwards, spawns and
+each acquire of an accepting session) are cached as a tail, rebuilt only
+where the shared part, an alias, an acquirer or the forwards changed. An
+enumeration returns the kept steps followed by the tail, so a step costs
+what it changed, not how many processes wait (see enumerate_steps).
 
 No step rebuilds a term. A process holds a closure in the manner of
 explicit substitutions (Abadi, Cardelli, Curien & Levy) and of the CEK
@@ -165,9 +173,9 @@ class Proc:
     ``term`` forces the closure for a trace, the monitor's forced check
     and other readers, and keeps it while the template and the number of
     forwards stay the same. ``rank`` is its place in the linear part
-    (see Config)."""
+    and ``kept`` where the last enumeration keeps it (see Config)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "step_memo", "term_memo", "stamp", "rank")
+                 "shared", "step_memo", "term_memo", "stamp", "rank", "kept")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -183,6 +191,7 @@ class Proc:
         # what the last passed recheck read (see _passes)
         self.stamp = None
         self.rank = 0
+        self.kept = None
 
     def name(self, x: str) -> str:
         """What the template's name x stands for now."""
@@ -245,12 +254,20 @@ class Config:
     top: int = 0
     ordered: bool = False
     edges: list[tuple] = field(default_factory=list)
-    # the linear processes with a step or an acquire pending, in order; it
-    # and the step memos of processes not in dirty hold at forward count
-    # memo_n, -1 when every memo is to be revalidated
-    active: list[Proc] = field(default_factory=list)
+    # the linear processes with a step pending, in order, with their steps
+    # in the parallel list steps, and those with an acquire pending, in
+    # order. A process's kept is its step where it is in stepping, its
+    # template where it is in acquiring, None where in neither. These and
+    # the step memos of the processes not in dirty hold at forward count
+    # memo_n, -1 when every process is to be revalidated; a shared process
+    # is dirty where it joined, left or moved on in the shared part.
+    # tail: the shared part's steps (see _tail), None when to be rebuilt
+    stepping: list[Proc] = field(default_factory=list)
+    steps: list[Step] = field(default_factory=list)
+    acquiring: list[Proc] = field(default_factory=list)
     dirty: set[Proc] = field(default_factory=set)
     memo_n: int = -1
+    tail: list[Step] | None = None
 
     def fresh(self) -> str:
         name = f"%g{self.counter}"
@@ -289,6 +306,7 @@ class Config:
         if isinstance(e, Connect):
             self.aliases.setdefault(e.target, []).append(e)
             self.edges.append((e, e.target))
+            self.tail = None  # an acquire through an alias reads it
         else:
             self.dirty.add(e)
             for c in e.uses:
@@ -298,10 +316,12 @@ class Config:
 
     def drop(self, e: Proc | Connect) -> None:
         """Take e out of the linear part; a dirty process that is in no
-        offered list leaves active at the next enumeration."""
+        offered list leaves the kept lists at the next enumeration."""
         i = bisect_left(self.theta, e.rank, key=_rank)
         assert self.theta[i] is e
         del self.theta[i]
+        if isinstance(e, Connect) or len(self.offered[e.chan]) > 1:
+            self.tail = None  # the channel's provider may change
         _unindex(self.offered, e.chan, e)
         if isinstance(e, Connect):
             _unindex(self.aliases, e.target, e)
@@ -430,6 +450,7 @@ def _spawn_shared(cfg: Config, d: ProcDef, chan: str,
     p = _instance(cfg, d, chan, actuals, {}, True)
     cfg.lam[chan] = p
     cfg.gamma[chan] = SharedC(d.offer_ty)
+    cfg.dirty.add(p)
     rec.produced.append(_record(p))
 
 
@@ -521,7 +542,7 @@ def _kahn(cfg: Config) -> None:
     for i, e in enumerate(out):
         e.rank = i
     cfg.theta, cfg.top, cfg.edges = out, len(out), []
-    cfg.memo_n = -1  # active and user_of follow the order
+    cfg.memo_n = -1  # the kept lists and user_of follow the order
 
 
 # --------------------------------------------------------------------------- #
@@ -624,54 +645,30 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
     return step
 
 
-def _pending(cfg: Config, e: Proc) -> bool:
-    """Whether e has an enabled step or an acquire pending."""
-    return _enabled(cfg, e) is not None or isinstance(e.tmpl,
-                                                      (Acquire, AcquireL))
+def _kept(cfg: Config, e: Proc) -> Step | ProcessTerm | None:
+    """What the live linear process e is kept with: its template where it
+    waits to acquire (its step memo then holds a direct acquire's step),
+    else its enabled step, if any."""
+    step = _enabled(cfg, e)
+    return e.tmpl if isinstance(e.tmpl, (Acquire, AcquireL)) else step
 
 
-def enumerate_steps(cfg: Config) -> list[Step]:
-    """The enabled steps in canonical order. Only the dirty processes are
-    revalidated and moved into or out of cfg.active; after a forward or a
-    re-sort every process is."""
-    n, active = cfg.names.n, cfg.active
-    if cfg.memo_n != n:
-        active[:] = [e for e in cfg.theta
-                     if isinstance(e, Proc) and _pending(cfg, e)]
-    else:
-        for e in cfg.dirty:
-            if isinstance(e, Connect):
-                continue
-            i = bisect_left(active, e.rank, key=_rank)
-            here = i < len(active) and active[i] is e
-            # a process dropped or in the shared part is in no offered list
-            if here != (e in cfg.offered.get(e.chan, ())
-                         and _pending(cfg, e)):
-                if here:
-                    del active[i]
-                else:
-                    active.insert(i, e)
-    cfg.dirty.clear()
-    cfg.memo_n = n
+def _tail(cfg: Config) -> list[Step]:
+    """The steps of the shared part, by channel: a forward, a spawn, or
+    for a session that accepts, each pending acquire of it, direct or
+    through a linear alias, in the order of the linear part."""
     steps: list[Step] = []
-    acquirers: list[tuple[Proc, Step | None]] = []
-    for e in active:
-        if isinstance(e.tmpl, (Acquire, AcquireL)):
-            acquirers.append((e, e.step_memo[8]))
-        else:
-            steps.append(e.step_memo[8])
     for a in sorted(cfg.lam):
         p = cfg.lam[a]
         match p.tmpl:
             case FwdSS(_, _):
                 steps.append(Step("fwd_ss", a))
-                continue
             case Spawn(_, _, _, _, _) if _spawnable(cfg, p.tmpl):
                 steps.append(Step("spawn_ss", a))
-                continue
             case Accept(_, c, _) if p.name(c) == a:
                 # every pending acquirer of this session is a separate step
-                for e, step in acquirers:
+                for e in cfg.acquiring:
+                    step = e.step_memo[8]
                     if step is not None:
                         if step.provider == a:
                             steps.append(step)
@@ -680,6 +677,64 @@ def enumerate_steps(cfg: Config) -> list[Step]:
                     if isinstance(tgt, Connect) and tgt.target == a:
                         steps.append(Step("up_sl2", a, e.chan))
     return steps
+
+
+def enumerate_steps(cfg: Config) -> list[Step]:
+    """The enabled steps in canonical order, as a new list: the linear
+    part's, kept in cfg.steps, then the shared part's, kept in cfg.tail.
+    Only the dirty processes are revalidated, each moved into or out of
+    the kept lists by its marker; after a forward or a re-sort every
+    process is. The tail is rebuilt only where the shared part, an alias,
+    an acquirer or the forwards changed."""
+    n = cfg.names.n
+    if cfg.memo_n != n:
+        for e in cfg.stepping + cfg.acquiring:
+            e.kept = None
+        cfg.stepping, cfg.steps, cfg.acquiring = [], [], []
+        for e in cfg.theta:
+            if isinstance(e, Proc):
+                k = e.kept = _kept(cfg, e)
+                if type(k) is Step:
+                    cfg.stepping.append(e)
+                    cfg.steps.append(k)
+                elif k is not None:
+                    cfg.acquiring.append(e)
+        cfg.tail = None
+    else:
+        stepping, steps, acquiring = cfg.stepping, cfg.steps, cfg.acquiring
+        for e in cfg.dirty:
+            if isinstance(e, Connect):
+                continue
+            if e.shared:  # joined, left or moved on in the shared part
+                cfg.tail = None
+                continue
+            old = e.kept
+            # a dropped process is in no offered list
+            new = _kept(cfg, e) if e in cfg.offered.get(e.chan, ()) else None
+            if new is old:
+                continue
+            e.kept = new
+            if type(old) is Step:
+                i = bisect_left(stepping, e.rank, key=_rank)
+                if type(new) is Step:
+                    steps[i] = new
+                    continue
+                del stepping[i], steps[i]
+            elif old is not None:
+                del acquiring[bisect_left(acquiring, e.rank, key=_rank)]
+                cfg.tail = None
+            if type(new) is Step:
+                i = bisect_left(stepping, e.rank, key=_rank)
+                stepping.insert(i, e)
+                steps.insert(i, new)
+            elif new is not None:
+                acquiring.insert(bisect_left(acquiring, e.rank, key=_rank), e)
+                cfg.tail = None
+    cfg.dirty.clear()
+    cfg.memo_n = n
+    if cfg.tail is None:
+        cfg.tail = _tail(cfg)
+    return cfg.steps + cfg.tail
 
 
 # --------------------------------------------------------------------------- #
@@ -717,7 +772,8 @@ def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
     drops the names the continuation does not have free, so it does not
     grow with the names a long body is done with.
 
-    p's step memo reads p's template, and so is marked dirty. A provider's
+    p's step memo reads p's template, and so is marked dirty; a shared p
+    is too, as the shared part's steps read its template. A provider's
     memo reads its client's template only where the client acts on the
     provider's channel (see _enabled), so the providers at p's subject
     before the move and after it are marked, not those of every channel p
@@ -751,6 +807,7 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     rec.touched |= {a, b}
     if p.shared:
         del cfg.lam[a]
+        cfg.dirty.add(p)
     else:
         cfg.drop(p)
     if isinstance(t, FwdLS):
@@ -871,6 +928,7 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base)
     cfg.lam[c] = newp
     cfg.gamma[c] = SharedC(shared_ty)
+    cfg.dirty.add(newp)
     rec.produced.append(_record(newp))
     cfg.unuse(u, c)
     name = c

@@ -229,10 +229,16 @@ def test_too_deep_type_exits_2(tmp_path, capsys):
      "line 1: expected 'eof', got 'producer'"),
     (["ssync", Q, "shared_queue", "producer", "--constraint", "up_s #"],
      "line 1: unexpected character '#'"),
-], ids=["colon", "eof_line_3", "paren", "undefined", "eof", "character"])
+    (["ssync", Q, "1", "1", "--constraint", "1"],
+     "--constraint 1: not top, bot or a shared type"),
+    (["ssync", Q, "queue", "queue", "--constraint", "queue"],
+     "--constraint queue: not top, bot or a shared type"),
+], ids=["colon", "eof_line_3", "paren", "undefined", "eof", "character",
+        "linear_constraint", "linear_named_constraint"])
 def test_bad_type_argument_exits_2(argv, message, capsys):
     # parse_type reads each type argument; a malformed one ends the command
-    # with its parse error on one line
+    # with its parse error on one line, and so does a constraint that is
+    # a linear type, which the judgment has no place for
     assert main(argv) == 2
     assert capsys.readouterr().err == message + "\n"
 

@@ -319,7 +319,7 @@ def test_order_and_steps_are_kept_by_deltas(monkeypatch):
     # a step whose new uses all point right leaves the order as it is, and
     # only the processes a step marked dirty recompute their step. The
     # wide program under fifo never re-sorts after its initial
-    # configuration, and makes 535 calls to _enabled in 126 steps, where
+    # configuration, and makes 244 calls to _enabled in 126 steps, where
     # revalidating every process at every step made 1840. On the corpus
     # the order does move, so the full pass still runs where it must.
     from sill import runtime
@@ -339,6 +339,52 @@ def test_order_and_steps_are_kept_by_deltas(monkeypatch):
             run(by_stem(stem), seed=seed, max_steps=300, monitor=False)
             runs += 1
     assert calls["_kahn"] > 2 * runs
+
+
+def shared_view(cfg):
+    """What the shared part's steps read, as objects compared by identity:
+    each shared session and its template, each alias, and each process
+    waiting to acquire and its template."""
+    from sill.procast import Acquire, AcquireL
+    view = [x for a in sorted(cfg.lam) for x in (cfg.lam[a], cfg.lam[a].tmpl)]
+    for e in cfg.theta:
+        if isinstance(e, Connect):
+            view.append(e)
+        elif isinstance(e.tmpl, (Acquire, AcquireL)):
+            view += [e, e.tmpl]
+    return view
+
+
+def test_shared_tail_is_rebuilt_only_where_it_changed(monkeypatch):
+    # the shared part's steps are kept across enumerations: the wide
+    # program under fifo rebuilds them 31 times in its 127 enumerations,
+    # where every enumeration rebuilt them before, and never after a step
+    # that left the shared part, the aliases, the acquirers and the
+    # forwards alone (96 of its 126 steps)
+    from sill import runtime
+    rebuilds, tail = [0], runtime._tail
+
+    def counted(cfg):
+        rebuilds[0] += 1
+        return tail(cfg)
+
+    monkeypatch.setattr(runtime, "_tail", counted)
+    prog = check_program(parse_program(wide_source()))[1]
+    cfg = initial_config(prog)
+    enumerations = quiet = 0
+    while steps := enumerate_steps(cfg):
+        enumerations += 1
+        view, n = shared_view(cfg), cfg.names.n
+        apply_step(cfg, steps[0])
+        before = rebuilds[0]
+        enumerate_steps(cfg)
+        after = shared_view(cfg)
+        if n == cfg.names.n and len(view) == len(after) and all(
+                x is y for x, y in zip(view, after)):
+            assert rebuilds[0] == before
+            quiet += 1
+    enumerations += 1
+    assert enumerations == 127 and rebuilds[0] < 40 and quiet > 80
 
 
 def test_retopo_matches_reference_order_where_ill_formed(monkeypatch):
@@ -962,6 +1008,125 @@ def test_forward_moves_the_client_of_a_held_channel():
                     assert old not in cfg.client and e in cfg.client[new]
                     moved += 1
         assert moved == 1 and classify(cfg) == RunStatus.ALL_POISED
+
+
+# one session with clients waiting to acquire it, directly and through
+# linear aliases, while it accepts, forwards itself (fwd_ss) to the
+# instance it respawns (spawn_ss) and takes the next acquire. Loop at v
+# waits on an alias that AsLinear makes only when it forwards (fwd_ls),
+# and M spawns the session f, whose first step is a spawn of its own
+BUSY_SHARED = (
+    "type srv = up_s down_s srv\n"
+    "type srv_ll = up_l down_l srv_ll\n"
+    "proc Srv : () |- s: srv = l <- accept s; s2 <- detach l; "
+    "n <- spawn Srv(); fwd s2 n\n"
+    "proc Fresh : () |- s: srv = n <- spawn Srv(); fwd s n\n"
+    "proc AsLinear : (sh b: srv) |- v: srv_ll = fwd v b\n"
+    "proc Direct : (sh b: srv) |- x: 1 = l <- acquire b; "
+    "b2 <- release l; close x\n"
+    "proc Loop : (q: srv_ll) |- x: 1 = l <- acquire q; r <- release l; "
+    "k <- spawn Loop(r); fwd x k\n"
+    "proc M : (sh b: srv) |- x: 1 = v <- spawn AsLinear(b); "
+    "a0 <- spawn Loop(v); d0 <- spawn Direct(b); d1 <- spawn Direct(b); "
+    "f <- spawn Fresh(); d2 <- spawn Direct(f); a1 <- spawn Loop(b); "
+    "wait d0; wait d1; wait d2; wait a1; fwd x a0\n"
+    "system { b <- spawn Srv(); main M(b); }\n"
+)
+
+
+def test_kept_steps_match_reference_where_the_shared_part_is_busy():
+    # the kept steps and the cached shared tail against the one-pass
+    # reference after every step, where acquirers wait on a session that
+    # forwards and respawns itself; and a list enumerate_steps returned
+    # stays as it was through every later step and enumeration
+    from sill.procast import Acquire, AcquireL
+    progs = {name: check_program(parse_program(src))
+             for name, src in (("busy", BUSY_SHARED), ("held", HELD_FWD),
+                               ("spawn_ls", SPAWN_LS))}
+    assert all(diags == [] for diags, _ in progs.values())
+    rules, busy = set(), 0
+    for _, prog in progs.values():
+        for monitor in (True, False):
+            for _, choose in _choosers():
+                held = []
+
+                def keep(steps, choose=choose):
+                    held.append((steps, list(steps)))
+                    step = choose(steps)
+                    rules.add(step.rule)
+                    return step
+
+                differential(prog, keep, 300, monitor, True)
+                assert all(steps == copy for steps, copy in held)
+    # several acquirers wait while the session forwards or respawns
+    cfg = initial_config(progs["busy"][1])
+    for _ in range(300):
+        steps = enumerate_steps(cfg)
+        waiting = sum(isinstance(e.term, (Acquire, AcquireL))
+                      for e in cfg.theta if isinstance(e, Proc))
+        busy += waiting >= 2 and any(s.rule in ("fwd_ss", "spawn_ss")
+                                     for s in steps)
+        apply_step(cfg, steps[0])
+    assert busy > 50
+    assert {"fwd_ss", "fwd_ls", "spawn_ss", "spawn_ls", "up_sl",
+            "up_sl2"} <= rules
+
+
+# Two waits to acquire b, then c; Loop waits on v, which AsLinear offers
+# until it forwards v to b
+WAITERS = BUSY_SHARED.split("proc Direct")[0] + (
+    "proc Loop : (q: srv_ll) |- x: 1 = l <- acquire q; r <- release l; "
+    "k <- spawn Loop(r); fwd x k\n"
+    "proc Two : (sh b: srv, sh c: srv) |- x: 1 = l <- acquire b; "
+    "m <- acquire c; b2 <- release l; c2 <- release m; close x\n"
+    "proc M : (sh b: srv, sh c: srv) |- x: 1 = v <- spawn AsLinear(b); "
+    "a <- spawn Loop(v); t <- spawn Two(b, c); wait t; wait a; close x\n"
+    "system { b <- spawn Srv(); c <- spawn Srv(); main M(b, c); }\n"
+)
+
+
+def test_shared_steps_follow_changes_made_by_hand():
+    # the shared part's steps read each acquirer's template and, for an
+    # acquire through an alias, the provider of the alias channel: the
+    # first entry offering it. Each change below is made by hand, without
+    # a step, and the enabled steps match the one-pass reference after it
+    from sill.runtime import Step, _kahn, _resume
+    diags, prog = check_program(parse_program(WAITERS))
+    assert diags == []
+    cfg = initial_config(prog)
+    for _ in range(3):  # M spawns AsLinear, Loop and Two
+        apply_step(cfg, enumerate_steps(cfg)[0])
+    loop, two = (cfg.provider(c) for c in cfg.theta[0].uses)
+    (v,) = loop.uses
+    as_linear = cfg.provider(v)
+
+    def steps():
+        got = enumerate_steps(cfg)
+        assert got == reference_steps(cfg)
+        return got
+
+    assert Step("up_sl", "b", two.chan) in steps()
+    # an alias of b becomes v's second provider: AsLinear still provides v
+    cfg.add(Connect(v, "b"))
+    assert Step("up_sl2", "b", loop.chan) not in steps()
+    # AsLinear leaves: the alias provides v, so Loop can acquire b
+    # through it
+    cfg.drop(as_linear)
+    assert Step("up_sl2", "b", loop.chan) in steps()
+    # AsLinear comes back as v's second provider, kept with its step; it
+    # leaves again just before a re-sort, and comes back once more
+    cfg.add(as_linear)
+    assert Step("fwd_ls", v) in steps()
+    cfg.drop(as_linear)
+    _kahn(cfg)
+    assert Step("fwd_ls", v) not in steps()
+    cfg.add(as_linear)
+    assert Step("fwd_ls", v) in steps()
+    # Two moves on to acquire c, then past its acquires
+    _resume(cfg, two, cfg.fresh())
+    assert Step("up_sl", "c", two.chan) in steps()
+    _resume(cfg, two, cfg.fresh())
+    assert not any(s.user == two.chan for s in steps())
 
 
 def test_indexes_steps_and_monitor_match_references_on_mutants():
