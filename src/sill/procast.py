@@ -231,14 +231,6 @@ class ProcDef:
     params: tuple[Param, ...]
     body: ProcessTerm
 
-    @cached_property
-    def slots(self) -> tuple[int, frozenset[str]]:
-        """The number of binders in the body, and the names free in it
-        other than the offered channel and the parameters (none once the
-        definition typechecks)."""
-        n, free = scope(self.body)
-        return n, free - {self.offer, *(p.chan for p in self.params)}
-
 
 @dataclass(frozen=True)
 class ProcSignature:
@@ -265,12 +257,21 @@ class ProcSignature:
         return self._scopes[1]
 
     @cached_property
-    def _scopes(self) -> tuple[dict, dict]:
+    def slots(self) -> dict[int, tuple[int, frozenset[str]]]:
+        """Every definition, by identity, to the number of binders in its
+        body and the names free in it other than the offered channel and
+        the parameters (none once the definition typechecks)."""
+        return self._scopes[2]
+
+    @cached_property
+    def _scopes(self) -> tuple[dict, dict, dict]:
         free: dict[int, tuple[str, ...]] = {}
         steps: dict[int, tuple | dict[str, tuple]] = {}
+        slots: dict[int, tuple[int, frozenset[str]]] = {}
         for d in self.defs:
-            scope(d.body, free, steps)
-        return free, steps
+            n, names = scope(d.body, free, steps)
+            slots[id(d)] = n, names - {d.offer, *(p.chan for p in d.params)}
+        return free, steps, slots
 
     @cached_property
     def memo(self) -> dict[int, tuple[TypeDefEnv, set[tuple]]]:

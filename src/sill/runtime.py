@@ -410,7 +410,7 @@ def _instance(cfg: Config, d: ProcDef, chan: str, actuals: dict[str, str],
     actuals as its renaming: its binders take the next fresh names in
     preorder, and a free name of the body that is neither the offer nor a
     parameter stands for itself."""
-    n, others = d.slots
+    n, others = cfg.sig.slots[id(d)]
     env = {x: x for x in others} | actuals if others else actuals
     env[d.offer] = chan
     base = cfg.counter

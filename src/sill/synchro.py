@@ -34,24 +34,19 @@ class SsyncPreconditionError(Exception):
 def cleq(env: TypeDefEnv, c: ConstraintType, d: ConstraintType) -> bool:
     """Lattice order: Bot <= Shared(A) <= Top; shared constraints compare
     by subtyping."""
-    match (c, d):
-        case (Bot(), _) | (_, Top()):
-            return True
-        case (SharedC(a), SharedC(b)):
-            return is_subtype(env, a, b)
+    if c.__class__ is Bot or d.__class__ is Top:
+        return True
+    if c.__class__ is SharedC and d.__class__ is SharedC:
+        return is_subtype(env, c.ty, d.ty)
     return False
 
 
 def cleq_type(env: TypeDefEnv, c: ConstraintType, b: SessionType) -> bool:
     """Constraint against a concrete type, as used by release checks and
     by typing premises of the form `hat(B) <= A`."""
-    match c:
-        case Bot():
-            return True
-        case SharedC(a):
-            return is_subtype(env, a, b)
-        case Top():
-            return False
+    if c.__class__ is SharedC:
+        return is_subtype(env, c.ty, b)
+    return c.__class__ is Bot
 
 
 def _ssync(g: TypeGraph, a: int, b: int, d: int, assumed: set[tuple]) -> bool:
@@ -173,7 +168,8 @@ def _mt_struct(st: _MeetState, mode: str, a: SessionType,
             # payloads are contravariant, so the bound flips there
             return Lolli(_mt(st, dual, p1, p2), _mt(st, mode, c1, c2))
         case (EChoice(_), EChoice(_)) | (IChoice(_), IChoice(_)):
-            la, lb = a.labels(), b.labels()
+            # each label once, its first branch winning, as in branch()
+            la, lb = dict.fromkeys(a.labels()), dict.fromkeys(b.labels())
             if (mode == "meet") == isinstance(a, EChoice):
                 # union of labels; non-common branches carried over verbatim
                 branches = [(l, _mt(st, mode, a.branch(l), b.branch(l))

@@ -188,28 +188,36 @@ class TypeError_(Exception):
     """Raised for operations on malformed environments."""
 
 
+_UNARY = frozenset((UpSL, DownSL, UpLL, DownLL, ValIn, ValOut))
+
+
 def children(t: SessionType) -> tuple[SessionType, ...]:
     """Immediate structural subterms, payloads included."""
-    match t:
-        case Tensor(p, c) | Lolli(p, c):
-            return (p, c)
-        case IChoice(bs) | EChoice(bs):
-            return tuple(ty for _, ty in bs)
-        case UpSL(c) | DownSL(c) | UpLL(c) | DownLL(c) | ValIn(_, c) | ValOut(_, c):
-            return (c,)
-        case _:
-            return ()
+    cls = t.__class__
+    if cls is Tensor or cls is Lolli:
+        return (t.payload, t.cont)
+    if cls is IChoice or cls is EChoice:
+        return tuple([ty for _, ty in t.branches])
+    return (t.cont,) if cls in _UNARY else ()
 
 
 def type_names(t: SessionType) -> list[str]:
     """The type names t mentions, without unfolding them, in the order of a
     depth-first walk."""
     names, todo = [], [t]
+    pop, push = todo.pop, todo.append
     while todo:
-        t = todo.pop()
-        if isinstance(t, Ref):
+        t = pop()
+        cls = t.__class__
+        if cls is Ref:
             names.append(t.name)
-        todo.extend(children(t))
+        elif cls is Tensor or cls is Lolli:
+            push(t.payload)
+            push(t.cont)
+        elif cls is IChoice or cls is EChoice:
+            todo.extend([ty for _, ty in t.branches])
+        elif cls in _UNARY:
+            push(t.cont)
     return names
 
 
@@ -331,24 +339,32 @@ def validate_env(env: TypeDefEnv) -> list[str]:
     """Check closure, contractivity, stratification, and label distinctness.
 
     Returns one diagnostic string per violation; an empty list means the
-    environment is well formed.
+    environment is well formed. Closure failures (and duplicate
+    definitions) are reported alone; otherwise contractivity, then the
+    stratification and label diagnostics of each definition in order, then
+    modality mismatches. One walk per definition body gathers both its
+    undefined names and its stratification diagnostics.
     """
-    diags: list[str] = []
+    defs = env.defs
+    dups: list[str] = []
     names = set()
-    for d in env.defs:
+    for d in defs:
         if d.name in names:
-            diags.append(f"duplicate definition: {d.name}")
+            dups.append(f"duplicate definition: {d.name}")
         names.add(d.name)
 
-    # closure
-    for d in env.defs:
-        for n in sorted(set(type_names(d.body)) - names):
-            diags.append(f"undefined reference: {n} in {d.name}")
-    if diags:
-        return diags
-
-    # contractivity: name-to-name chains must not cycle
-    chain = {d.name: d.body.name for d in env.defs if isinstance(d.body, Ref)}
+    # contractivity: name-to-name chains must not cycle. Each name's
+    # structural modality, fixed here once: None where its chain cycles
+    # (or reaches an undefined name, which closure reports)
+    mods = {}
+    chain = {}
+    for d in defs:
+        cls = d.body.__class__
+        if cls is Ref:
+            chain[d.name] = d.body.name
+        else:
+            mods[d.name] = SHARED if cls is UpSL else LINEAR
+    diags: list[str] = []
     for start in chain:
         slow = start
         path = []
@@ -358,76 +374,76 @@ def validate_env(env: TypeDefEnv) -> list[str]:
                 break
             path.append(slow)
             slow = chain[slow]
-
-    # stratification and label distinctness
-    def walk(t: SessionType, defname: str, where: str, top_shared: bool) -> None:
-        match t:
-            case UpSL(c):
-                if not top_shared:
-                    diags.append(
-                        f"stratification: up-shift not at the top of a shared "
-                        f"definition ({defname}, {where})")
-                walk(c, defname, where + "/up_s", False)
-            case DownSL(c):
-                # the continuation must land back in the shared layer
-                try:
-                    if modality(env, c) != SHARED:
-                        diags.append(
-                            f"stratification: down-shift to a non-shared type "
-                            f"({defname}, {where})")
-                except (KeyError, TypeError_):
-                    pass
-                walk(c, defname, where + "/down_s", True)
-            case IChoice(bs) | EChoice(bs):
-                seen_labels = set()
-                for l, ty in bs:
-                    if l in seen_labels:
-                        diags.append(f"duplicate label {l} ({defname}, {where})")
-                    seen_labels.add(l)
-                    walk(ty, defname, f"{where}/{l}", False)
-                if not bs:
-                    diags.append(f"empty choice ({defname}, {where})")
-            case Tensor(p, c) | Lolli(p, c):
-                walk(p, defname, where + "/payload", True)
-                walk(c, defname, where + "/cont", False)
-            case UpLL(c) | DownLL(c) | ValIn(_, c) | ValOut(_, c):
-                try:
-                    if modality(env, c) != LINEAR:
-                        diags.append(
-                            f"stratification: linear constructor with shared "
-                            f"continuation ({defname}, {where})")
-                except (KeyError, TypeError_):
-                    pass
-                walk(c, defname, where + "/cont", False)
-            case _:
-                pass
-
-    for d in env.defs:
-        if d.modality == SHARED:
-            if not isinstance(d.body, UpSL):
-                if isinstance(d.body, Ref):
-                    try:
-                        if modality(env, d.body) != SHARED:
-                            diags.append(
-                                f"stratification: shared definition {d.name} "
-                                f"does not unfold to an up-shift")
-                    except (KeyError, TypeError_):
-                        pass
-                else:
-                    diags.append(
-                        f"stratification: shared definition {d.name} must be "
-                        f"an up-shift")
-            if isinstance(d.body, UpSL):
-                walk(d.body.cont, d.name, "body", False)
         else:
-            walk(d.body, d.name, "body", False)
+            mods[start] = mods.get(slow)
+
+    # closure, stratification and label distinctness, in one walk of each
+    # body: it adds the body's undefined names to missing and its
+    # diagnostics to out, in the order met
+    def walk(t: SessionType, where: str, top: bool) -> None:
+        cls = t.__class__
+        if cls is Ref:
+            if t.name not in names:
+                missing.add(t.name)
+        elif cls is One:
+            pass
+        elif cls is IChoice or cls is EChoice:
+            seen = set()
+            for l, ty in t.branches:
+                if l in seen:
+                    out.append(f"duplicate label {l} ({defname}, {where})")
+                seen.add(l)
+                walk(ty, f"{where}/{l}", False)
+            if not t.branches:
+                out.append(f"empty choice ({defname}, {where})")
+        elif cls is Tensor or cls is Lolli:
+            walk(t.payload, where + "/payload", True)
+            walk(t.cont, where + "/cont", False)
+        elif cls is DownSL:
+            # the continuation must land back in the shared layer
+            c = t.cont
+            if (mods.get(c.name) is LINEAR if c.__class__ is Ref
+                    else c.__class__ is not UpSL):
+                out.append(f"stratification: down-shift to a non-shared "
+                           f"type ({defname}, {where})")
+            walk(c, where + "/down_s", True)
+        elif cls is UpSL:
+            if not top:
+                out.append(f"stratification: up-shift not at the top of a "
+                           f"shared definition ({defname}, {where})")
+            walk(t.cont, where + "/up_s", False)
+        elif cls in _UNARY:
+            c = t.cont
+            if (mods.get(c.name) is SHARED if c.__class__ is Ref
+                    else c.__class__ is UpSL):
+                out.append(f"stratification: linear constructor with "
+                           f"shared continuation ({defname}, {where})")
+            walk(c, where + "/cont", False)
+
+    undefined: list[str] = []
+    for d in defs:
+        body, defname, missing, out = d.body, d.name, set(), diags
+        if d.modality == SHARED and body.__class__ is not UpSL:
+            if body.__class__ is not Ref:
+                diags.append(
+                    f"stratification: shared definition {d.name} must be "
+                    f"an up-shift")
+            elif mods.get(body.name) is LINEAR:
+                diags.append(
+                    f"stratification: shared definition {d.name} "
+                    f"does not unfold to an up-shift")
+            out = []  # such a body is walked for its names alone
+        elif d.modality == SHARED:
+            body = body.cont
+        walk(body, "body", False)
+        undefined += [f"undefined reference: {n} in {d.name}"
+                      for n in sorted(missing)]
+    if dups or undefined:
+        return dups + undefined
 
     # declared modality must agree with the structural one
-    for d in env.defs:
-        try:
-            if modality(env, Ref(d.name)) != d.modality:
-                diags.append(
-                    f"modality mismatch: {d.name} declared {d.modality}")
-        except (KeyError, TypeError_):
-            pass
+    for d in defs:
+        m = mods.get(d.name)
+        if m is not None and m != d.modality:
+            diags.append(f"modality mismatch: {d.name} declared {d.modality}")
     return diags

@@ -75,6 +75,17 @@ def test_meet(capsys):
     assert out.strip()
 
 
+@pytest.mark.parametrize("a, b, want", [
+    ("+{a: 1, a: !int. 1}", "+{a: 1}", "+{a: 1}"),
+    ("&{a: 1, a: !int. 1}", "&{b: 1, b: 1 * 1}", "&{a: 1, b: 1}"),
+], ids=["intersection", "union"])
+def test_meet_keeps_each_label_once(a, b, want, capsys):
+    # a repeated label's first branch wins, as everywhere else, so the meet
+    # is a type the environment's validation would accept
+    assert main(["meet", Q, a, b]) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
 def test_fmt_round_trip(tmp_path, capsys):
     assert main(["fmt", Q]) == 0
     out = capsys.readouterr().out
