@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, get_args
 
-from .types import SessionType, TypeDefEnv
+from .types import SessionType, TypeDefEnv, TypeGraph
 
 
 # --------------------------------------------------------------------------- #
@@ -274,10 +274,17 @@ class ProcSignature:
         return free, steps, slots
 
     @cached_property
-    def memo(self) -> dict[int, tuple[TypeDefEnv, set[tuple]]]:
+    def memo(self) -> dict[int, tuple[TypeDefEnv, set[tuple], TypeGraph]]:
         """Per type env, by identity (the env held alongside), the nodes of
         the bodies, by identity, each with a context its suffix passed
-        under."""
+        under, in the ids of the env's graph, held third."""
+        return {}
+
+    @cached_property
+    def views(self) -> dict[int, SessionType]:
+        """Per linear body of a shared type, by identity, the one view
+        ``UpLL(body)`` that a client keeps of a session it released to a
+        linear alias; the view holds the body alive."""
         return {}
 
     def __contains__(self, name: str) -> bool:

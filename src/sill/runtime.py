@@ -48,14 +48,22 @@ machine (Felleisen & Friedman): an immutable template from its
 definition's body and a renaming of the template's free names. A step
 moves the template on and binds its binder; a forward records its
 renaming once, in a union-find map every name resolves through. The
-monitor rechecks the template in its own names, and a suffix that passed
-under the same context before is a lookup. A process whose context is the
-one its last passed recheck read, compared by identity and by content,
-passes again without resolving a name, so a step costs the monitor what
-it changed, not how many names a touched process holds (see _passes).
-The concrete
-term is forced only for a trace record, the monitor's forced check and a
-reader of ``Proc.term``.
+concrete term is forced only for a trace record, the monitor's forced
+check and a reader of ``Proc.term``.
+
+The monitor decides on the ids of the type env's graph (hash-consing in
+the manner of Filliâtre & Conchon). The first time it judges under an
+env, it pins the signature's offer and parameter types in the graph, so
+every type it reads is found by identity; only a type the run built
+(down_sl2's view, a meet's result) is interned. Its judgments read the
+graph's verdict memo first and decide on a miss; a passed judgment
+stamps its entry with its inputs, by identity, and the same inputs pass
+again without a lookup. It rechecks a template in its own names, and a
+suffix that passed under the same context before is a lookup in a memo
+keyed by tuples of ints. A process whose context is the one its last
+passed recheck read, compared by identity and by content, passes again
+without resolving a name, so a step costs the monitor what it changed,
+not how many names a touched process holds (see _passes).
 """
 
 from __future__ import annotations
@@ -70,10 +78,13 @@ from itertools import count
 from operator import attrgetter
 
 from .types import (
-    UpLL, SessionType, TypeDefEnv, ConstraintType, SharedC, BOT, TOP, unfold,
+    UpLL, SessionType, TypeDefEnv, TypeGraph, TypeError_, ConstraintType,
+    SharedC, Top, BOT, TOP, unfold,
 )
 from .subtype import is_subtype
-from .synchro import is_ssync, meet, cleq, SsyncPreconditionError
+from .synchro import (
+    is_ssync, meet, cleq, SsyncPreconditionError, TOP_ID, BOT_ID,
+)
 from .procast import (
     FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
@@ -175,7 +186,8 @@ class Proc:
     forwards stay the same. ``rank`` is its place in the linear part
     and ``kept`` where the last enumeration keeps it (see Config)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "step_memo", "term_memo", "stamp", "rank", "kept")
+                 "shared", "step_memo", "term_memo", "stamp", "judged", "rank",
+                 "kept")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -188,8 +200,9 @@ class Proc:
         # [tmpl, forwards, chan, subject, client, client's chan, client's
         # tmpl, client's subject, step] of the last enumeration
         self.step_memo = self.term_memo = None
-        # what the last passed recheck read (see _passes)
-        self.stamp = None
+        # what the last passed recheck and judgment read (see _passes and
+        # _synchronizes)
+        self.stamp = self.judged = None
         self.rank = 0
         self.kept = None
 
@@ -216,6 +229,8 @@ class Connect:
     chan: str
     target: str
     rank: int = field(default=0, init=False, repr=False)
+    # what the alias check last passed with (see _linear_fault)
+    judged: tuple | None = field(default=None, init=False, repr=False)
 
 
 _rank = attrgetter("rank")
@@ -268,6 +283,8 @@ class Config:
     dirty: set[Proc] = field(default_factory=set)
     memo_n: int = -1
     tail: list[Step] | None = None
+    # the monitor's checker of env (see _checker)
+    ck: _Ck | None = field(default=None, repr=False)
 
     def fresh(self) -> str:
         name = f"%g{self.counter}"
@@ -624,14 +641,14 @@ def _enabled(cfg: Config, e: Proc) -> Step | None:
             return m[8]
     step = None
     if c is None:
-        match t:
-            case FwdLL(_, _):
-                step = Step("fwd_ll", a)
-            case FwdLS(_, _):
-                step = Step("fwd_ls", a)
-            case Spawn(_, _, _, _, _) if _spawnable(cfg, t):
-                d = cfg.sig.lookup(t.proc)
-                step = Step("spawn_ls" if d.offer_shared else "spawn_ll", a)
+        k = t.__class__
+        if k is FwdLL:
+            step = Step("fwd_ll", a)
+        elif k is FwdLS:
+            step = Step("fwd_ls", a)
+        elif k is Spawn and _spawnable(cfg, t):
+            d = cfg.sig.lookup(t.proc)
+            step = Step("spawn_ls" if d.offer_shared else "spawn_ll", a)
     elif isinstance(t, Acquire):
         step = Step("up_sl", c, a)
     elif u is not None:
@@ -660,22 +677,23 @@ def _tail(cfg: Config) -> list[Step]:
     steps: list[Step] = []
     for a in sorted(cfg.lam):
         p = cfg.lam[a]
-        match p.tmpl:
-            case FwdSS(_, _):
-                steps.append(Step("fwd_ss", a))
-            case Spawn(_, _, _, _, _) if _spawnable(cfg, p.tmpl):
-                steps.append(Step("spawn_ss", a))
-            case Accept(_, c, _) if p.name(c) == a:
-                # every pending acquirer of this session is a separate step
-                for e in cfg.acquiring:
-                    step = e.step_memo[8]
-                    if step is not None:
-                        if step.provider == a:
-                            steps.append(step)
-                        continue
-                    tgt = cfg.provider(e.name(e.tmpl.chan))
-                    if isinstance(tgt, Connect) and tgt.target == a:
-                        steps.append(Step("up_sl2", a, e.chan))
+        t = p.tmpl
+        k = t.__class__
+        if k is FwdSS:
+            steps.append(Step("fwd_ss", a))
+        elif k is Spawn and _spawnable(cfg, t):
+            steps.append(Step("spawn_ss", a))
+        elif k is Accept and p.name(t.chan) == a:
+            # every pending acquirer of this session is a separate step
+            for e in cfg.acquiring:
+                step = e.step_memo[8]
+                if step is not None:
+                    if step.provider == a:
+                        steps.append(step)
+                    continue
+                tgt = cfg.provider(e.name(e.tmpl.chan))
+                if isinstance(tgt, Connect) and tgt.target == a:
+                    steps.append(Step("up_sl2", a, e.chan))
     return steps
 
 
@@ -867,23 +885,23 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     s, r, rty = (u, p, offer) if isinstance(u.tmpl, _SENDS) \
         else (p, u, view)
     st = s.tmpl
-    match st:
-        case SendChan(_, y, _) | SendChanS(_, y, _):
-            y = s.name(y)
-            if isinstance(st, SendChan):
-                cfg.unuse(s, y)
-                msg = y
-            else:
-                msg = _alias(cfg, y, rec)
-            cfg.use(r, msg, rty.payload)
-            rec.touched.add(y)
-        case SendLabel(_, msg, _):
-            pass
-        case SendVal(_, v, _):
-            msg = s.name(v)
-        case _:
-            msg = a  # linear shifts: both sides bind a itself
-    if isinstance(st, SendLabel):
+    k = st.__class__
+    if k is SendChan or k is SendChanS:
+        y = s.name(st.payload)
+        if k is SendChan:
+            cfg.unuse(s, y)
+            msg = y
+        else:
+            msg = _alias(cfg, y, rec)
+        cfg.use(r, msg, rty.payload)
+        rec.touched.add(y)
+    elif k is SendVal:
+        msg = s.name(st.value)
+    elif k is SendLabel:
+        msg = st.label
+    else:
+        msg = a  # linear shifts: both sides bind a itself
+    if k is SendLabel:
         p.offer, u.uses[a] = offer.branch(msg), view.branch(msg)
     else:
         p.offer, u.uses[a] = offer.cont, view.cont
@@ -934,7 +952,11 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     name = c
     if isinstance(u.tmpl, ReleaseL):
         name = _alias(cfg, c, rec)
-        cfg.use(u, name, UpLL(cfg.unf(shared_ty).cont))
+        body = cfg.unf(shared_ty).cont
+        view = cfg.sig.views.get(id(body))
+        if view is None:
+            view = cfg.sig.views[id(body)] = UpLL(body)
+        cfg.use(u, name, view)
     _resume(cfg, u, name)
     rec.produced.append(_record(u))
     rec.touched |= {c, name, u.chan}
@@ -957,7 +979,8 @@ def apply_step(cfg: Config, step: Step) -> StepRecord:
     user = None if step.user is None else cfg.provider(step.user)
     _HANDLERS[step.rule](cfg, rec, prov, user)
     _retopo(cfg)
-    rec.touched |= set(rec.renames) | set(rec.renames.values())
+    if rec.renames:
+        rec.touched.update(rec.renames, rec.renames.values())
     return rec
 
 
@@ -965,18 +988,65 @@ def apply_step(cfg: Config, step: Step) -> StepRecord:
 # Monitor
 # --------------------------------------------------------------------------- #
 
+def _tid(g: TypeGraph, t: SessionType) -> int:
+    """t's id in g: by identity where t is a pinned type or a subterm of
+    one or of a body. Else t is a type the run built: a client's view
+    after down_sl2, one per body (ProcSignature.views), which is pinned at
+    its first judgment, or a meet's result, which is interned each time."""
+    i = g.ident.get(id(t))
+    if i is None:
+        return g.pin(t) if t.__class__ is UpLL else g.intern(t)
+    return i
+
+
+def _cid(g: TypeGraph, c: ConstraintType) -> int:
+    """A constraint's id: TOP_ID, BOT_ID or its shared type's."""
+    cls = c.__class__
+    if cls is SharedC:
+        return _tid(g, c.ty)
+    return TOP_ID if cls is Top else BOT_ID
+
+
+def _checker(cfg: Config) -> _Ck:
+    """cfg's checker, built anew only where cfg.env changed. The first
+    time the monitor meets a (signature, env) pair, it pins the
+    signature's offer and parameter types in env's graph and starts the
+    pair's recheck memo, so a run that is not monitored builds no graph.
+    The memo's keys are the graph's ids, so a graph the env dropped (see
+    TypeGraph.intern) takes the memo with it."""
+    ck, env = cfg.ck, cfg.env
+    g = env.graph
+    m = cfg.sig.memo.get(id(env))
+    if m is None or m[2] is not g:
+        try:
+            for d in cfg.sig.defs:
+                g.pin(d.offer_ty)
+                for prm in d.params:
+                    g.pin(prm.ty)
+        except (KeyError, TypeError_):
+            pass  # a malformed type: the judgment posing it raises
+        cfg.sig.memo[id(env)] = (env, set(), g)
+    if ck is None or ck.env is not env:
+        ck = cfg.ck = _Ck(env, cfg.sig)
+    return ck
+
+
 def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     """Whether p passes its recheck, decided in its template's names: each
     free name takes every place of the channel it stands for, as the offer,
     in Δ (p's uses) and in Γ, and the template checks as the forced term
     does. A context the suffix from p's node passed under before is a
-    lookup in the signature's memo; a miss checks the template and on a
-    pass records the context at every node of its spine, so after a
-    well-typed step the next recheck is a lookup. False, for the forced
-    check to decide and word the violation, where that check fails or the
-    context does not translate one to one: two free names stand for the
-    offer or one linear channel, none for the offer, or a use for none. Γ
-    is only read and extended, so two may stand for one shared channel.
+    lookup in the signature's memo, keyed by graph ids: (node, shared,
+    offer, the class of each free name: its constraint, or for the offer
+    and a use (whether it is the offer, its view, its constraint)), a
+    constraint being TOP_ID, BOT_ID or a shared type's id. A miss checks
+    the template and on a pass records the context at every node of its
+    spine, so after a well-typed step the next recheck is a lookup. False,
+    for the forced check to decide and word the violation, where that
+    check fails or the context does not translate one to one: two free
+    names stand for the offer or one linear channel, none for the offer,
+    or a use for none. Γ is only read and extended, so two may stand for
+    one shared channel.
 
     A pass stamps p with what the decision read: the template, the offer
     and the type env by identity, the number of forwards, p's channel, and
@@ -987,47 +1057,54 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     step left alone, such as a client whose provider stepped, is
     rechecked at a cost independent of how many names its template holds.
     A failing recheck is not stamped."""
-    t, chan, gamma, free = p.tmpl, p.chan, cfg.gamma, cfg.sig.free
+    t, chan, gamma, env = p.tmpl, p.chan, cfg.gamma, cfg.env
     s = p.stamp
     if s is not None and s[0] is t and s[1] is p.offer \
-            and s[2] is cfg.env and s[3] == p.names.n and s[4] == chan \
+            and s[2] is env and s[3] == p.names.n and s[4] == chan \
             and s[5] == p.uses and s[6] == gamma:
         return True
+    g, free = env.graph, cfg.sig.free
     uses = {} if p.shared else p.uses  # the shared judgment has no Δ
-    # a free name's class: its constraint, or for the offer and a use
-    # (whether it is the offer, its view, its constraint)
+    ren, m = p.env, p.names.map
     x, delta, gam, cls, lin = None, {}, {}, [], set()
     for y in free[id(t)]:
-        r = p.name(y)
-        d, g = uses.get(r), gamma.get(r)
-        if g is not None:
-            gam[y] = g
+        r = ren.get(y, y)
+        if r in m:
+            r = _find(m, r)
+        d, c = uses.get(r), gamma.get(r)
+        if c is not None:
+            gam[y] = c
+            c = _cid(g, c)
         if r == chan or d is not None:
             if r in lin:
                 return False
             lin.add(r)
-            x = y if r == chan else x
+            if r == chan:
+                x = y
             if d is not None:
                 delta[y] = d
-            g = (r == chan, d, g)
-        cls.append(g)
+                d = _tid(g, d)
+            c = (r == chan, d, c)
+        cls.append(c)
     if x is None or not lin.issuperset(uses):
         return False
-    memo = cfg.sig.memo.setdefault(id(cfg.env), (cfg.env, set()))[1]
-    if (id(t), p.shared, p.offer, tuple(cls)) not in memo:
+    memo = cfg.sig.memo[id(env)][1]
+    if (id(t), p.shared, _tid(g, p.offer), tuple(cls)) not in memo:
         out = []
 
         def record(node, gamma, delta, x, a, shared):
-            out.append((id(node), shared, a, tuple(
-                (y == x, delta.get(y), gamma.get(y)) if y == x or y in delta
-                else gamma.get(y) for y in free[id(node)])))
+            out.append((id(node), shared, _tid(g, a), tuple(
+                (y == x, _tid(g, delta[y]) if y in delta else None,
+                 _cid(g, gamma[y]) if y in gamma else None)
+                if y == x or y in delta else
+                _cid(g, gamma[y]) if y in gamma else None
+                for y in free[id(node)])))
 
         if (ck.shared(gam, {}, t, x, p.offer, record) if p.shared else
                 ck.linear(gam, delta, {}, t, x, p.offer, record)) is None:
             return False
         memo.update(out)
-    p.stamp = (t, p.offer, cfg.env, p.names.n, chan, dict(p.uses),
-               dict(gamma))
+    p.stamp = (t, p.offer, env, p.names.n, chan, dict(p.uses), dict(gamma))
     return True
 
 
@@ -1044,24 +1121,54 @@ def _recheck(cfg: Config, ck: _Ck, p: Proc) -> str | None:
     return None
 
 
+def _synchronizes(cfg: Config, e: Proc, a: SessionType, b: SessionType,
+                  d: ConstraintType) -> bool:
+    """Whether (a, b, d) subsynchronizes, a <= b being the judgment's
+    precondition, for the entry e. The graph's verdict memo at (a, b, d)
+    holds only final verdicts (a True only from a decision that checked
+    the precondition), so a hit decides. A pass stamps e with the inputs by
+    identity, with the type env, and the same inputs pass again with no
+    lookup."""
+    env = cfg.env
+    s = e.judged
+    if s is not None and s[0] is a and s[1] is b and s[2] is d \
+            and s[3] is env:
+        return True
+    g = env.graph
+    ok = g.memo.get((_tid(g, a), _tid(g, b), _cid(g, d)))
+    if ok is None:
+        try:
+            ok = is_ssync(env, a, b, d)
+        except SsyncPreconditionError:
+            ok = False
+    if ok:
+        e.judged = (a, b, d, env)
+    return ok
+
+
 def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
     """The violation at one entry of the linear part, if any."""
-    env = cfg.env
     u = cfg.user_of(e.chan)
-    if isinstance(e, Connect):
-        con = cfg.gamma.get(e.target)
-        if u is None or isinstance(con, SharedC) and \
-                is_subtype(env, con.ty, u.uses[e.chan]):
+    if e.__class__ is Connect:
+        if u is None:
             return None
+        con, view, env = cfg.gamma.get(e.target), u.uses[e.chan], cfg.env
+        s = e.judged
+        if s is not None and s[0] is con and s[1] is view and s[2] is env:
+            return None
+        if con.__class__ is SharedC:
+            # the subtyping memo, like ssync's, holds only final verdicts
+            g = env.graph
+            ok = g.memo.get((_tid(g, con.ty), _tid(g, view)))
+            if ok is None:
+                ok = is_subtype(env, con.ty, view)
+            if ok:
+                e.judged = (con, view, env)
+                return None
         return (f"alias {e.chan} -> {e.target}: shared constraint "
                 f"does not refine the client view")
     view = u.uses[e.chan] if u is not None else e.offer
-    try:
-        # the judgment decides its own precondition, the offer <= the view
-        ok = is_ssync(env, e.offer, view, cfg.gamma.get(e.chan, BOT))
-    except SsyncPreconditionError:
-        ok = False
-    if not ok:
+    if not _synchronizes(cfg, e, e.offer, view, cfg.gamma.get(e.chan, BOT)):
         return (f"linear {e.chan}: offer type no longer synchronizes "
                 f"with the client view under its release obligation")
     return _recheck(cfg, ck, e)
@@ -1092,7 +1199,7 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
            if len(cfg.offered.get(c, ())) + (c in cfg.lam) > 1]
     if dup:
         return f"well-formedness: multiple providers for {sorted(dup)}"
-    ck = _Ck(cfg.env, cfg.sig)
+    ck = _checker(cfg)
     relevant, linear = _relevant(cfg, touched), ()
     for e in relevant.values():
         if _linear_fault(cfg, ck, e) is not None:
@@ -1107,11 +1214,7 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
         con = cfg.gamma.get(a)
         if not isinstance(con, SharedC):
             return f"shared {a}: no shared constraint recorded"
-        try:
-            ok = is_ssync(cfg.env, p.offer, con.ty, TOP)
-        except SsyncPreconditionError:
-            ok = False
-        if not ok:
+        if not _synchronizes(cfg, p, p.offer, con.ty, TOP):
             return (f"shared {a}: offer type does not equi-synchronize "
                     f"with its recorded constraint")
         if (v := _recheck(cfg, ck, p)) is not None:
@@ -1133,14 +1236,15 @@ def _poised(cfg: Config, p: Proc) -> bool:
 
 
 def _acquire_blocked(cfg: Config, p: Proc) -> bool:
-    match p.tmpl:
-        case Acquire(_, b, _):
-            return p.name(b) not in cfg.lam
-        case AcquireL(_, b, _):
-            tgt = cfg.provider(p.name(b))
-            if isinstance(tgt, Connect):
-                return tgt.target not in cfg.lam
-            return tgt is None
+    t = p.tmpl
+    k = t.__class__
+    if k is Acquire:
+        return p.name(t.chan) not in cfg.lam
+    if k is AcquireL:
+        tgt = cfg.provider(p.name(t.chan))
+        if isinstance(tgt, Connect):
+            return tgt.target not in cfg.lam
+        return tgt is None
     return False
 
 

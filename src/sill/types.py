@@ -241,10 +241,11 @@ class TypeGraph:
     (constructor, children's ids, a choice's label -> id dict or a value
     type's base type). A name has its body's id, so Ref(n) and n's body are
     one node; other nodes are hash-consed (Filliâtre & Conchon, 2006). A
-    resolved body's subterms, alive as long as the env, are found by
-    identity; a type from elsewhere adds its nodes."""
+    resolved body's subterms, alive as long as the env, and a pinned type's,
+    which the graph keeps alive, are found by identity; a type from
+    elsewhere adds its nodes."""
 
-    __slots__ = ("env", "nodes", "index", "names", "ident", "memo")
+    __slots__ = ("env", "nodes", "index", "names", "ident", "memo", "pinned")
 
     def __init__(self, env: TypeDefEnv):
         self.env = weakref.ref(env)  # the env owns the graph
@@ -254,9 +255,18 @@ class TypeGraph:
         self.ident: dict[int, int] = {}  # id() of a body's subterm -> id
         # verdicts: subtyping keyed by (a, b), subsynchronization by (a, b, d)
         self.memo: dict[tuple, bool] = {}
+        self.pinned: list[SessionType] = []
+
+    def pin(self, t: SessionType) -> int:
+        """The id of t, interned by identity with its subterms and kept
+        alive by the graph, so that ident stays valid for it."""
+        i = self.intern(t, True)
+        self.pinned.append(t)
+        return i
 
     def intern(self, t: SessionType, body: bool = False) -> int:
-        """The id of t, which with body is a subterm of a definition body."""
+        """The id of t, which with body is a subterm of a definition body
+        or of a pinned type."""
         i = self.ident.get(id(t))
         if i is not None:
             return i

@@ -1546,16 +1546,18 @@ def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
     # resolve a template's free names (all 317 without the stamp).
     from sill import runtime
     calls = dict.fromkeys(("_enabled", "rechecks", "walks", "names"), 0)
-    enabled, passes, name = runtime._enabled, runtime._passes, Proc.name
+    enabled, passes = runtime._enabled, runtime._passes
     inside = []
 
     def counted_enabled(*args):
         calls["_enabled"] += 1
         return enabled(*args)
 
-    def counted_name(self, x):
-        calls["names"] += bool(inside)
-        return name(self, x)
+    class CountedFree(dict):
+        # a recheck reads a template's free names from this table
+        def __getitem__(self, node):
+            calls["names"] += bool(inside)
+            return dict.__getitem__(self, node)
 
     def counted_passes(cfg, ck, p):
         calls["rechecks"] += 1
@@ -1568,8 +1570,8 @@ def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
 
     monkeypatch.setattr(runtime, "_enabled", counted_enabled)
     monkeypatch.setattr(runtime, "_passes", counted_passes)
-    monkeypatch.setattr(Proc, "name", counted_name)
     prog = check_program(parse_program(wide_source()))[1]
+    prog.procs.__dict__["free"] = CountedFree(prog.procs.free)
     r = run(prog, policy="fifo", max_steps=1000)
     assert r.status == RunStatus.ALL_POISED and r.steps == 126
     assert calls["_enabled"] < 2.5 * r.steps
@@ -1725,3 +1727,261 @@ def test_recheck_stamp_sees_the_channel():
     assert monitor_check(cfg, rec.touched) is not None
     main.chan = chan
     assert monitor_check(cfg, rec.touched) is None
+
+
+# --------------------------------------------------------------------------- #
+# The monitor decides on graph ids
+# --------------------------------------------------------------------------- #
+
+def reference_passes(cfg, ck, p, memo):
+    """_passes with types in its memo keys and no stamp: each key is
+    (node, shared, offer type, the class of each free name: its
+    constraint, or (whether it is the offer, its view, its constraint)),
+    kept in the set memo, one per type env."""
+    t, chan, gamma, free = p.tmpl, p.chan, cfg.gamma, cfg.sig.free
+    uses = {} if p.shared else p.uses
+    x, delta, gam, cls, lin = None, {}, {}, [], set()
+    for y in free[id(t)]:
+        r = p.name(y)
+        d, g = uses.get(r), gamma.get(r)
+        if g is not None:
+            gam[y] = g
+        if r == chan or d is not None:
+            if r in lin:
+                return False
+            lin.add(r)
+            x = y if r == chan else x
+            if d is not None:
+                delta[y] = d
+            g = (r == chan, d, g)
+        cls.append(g)
+    if x is None or not lin.issuperset(uses):
+        return False
+    if (id(t), p.shared, p.offer, tuple(cls)) not in memo:
+        out = []
+
+        def record(node, gamma, delta, x, a, shared):
+            out.append((id(node), shared, a, tuple(
+                (y == x, delta.get(y), gamma.get(y)) if y == x or y in delta
+                else gamma.get(y) for y in free[id(node)])))
+
+        if (ck.shared(gam, {}, t, x, p.offer, record) if p.shared else
+                ck.linear(gam, delta, {}, t, x, p.offer, record)) is None:
+            return False
+        memo.update(out)
+    return True
+
+
+def audit_judgment_stamps(cfg, fresh):
+    """Every judgment stamp a live entry holds records a judgment that
+    holds, decided again on a fresh graph of the stamp's env (fresh
+    keeps one per env)."""
+    from sill.subtype import is_subtype
+    from sill.synchro import is_ssync
+    from sill.types import TypeDefEnv
+    for e in [*cfg.theta, *cfg.lam.values()]:
+        s = e.judged
+        if s is None:
+            continue
+        env = fresh.setdefault(id(s[-1]), (s[-1], TypeDefEnv(s[-1].defs)))[1]
+        if isinstance(e, Connect):
+            con, view, _ = s
+            assert is_subtype(env, con.ty, view)
+        else:
+            a, b, d, _ = s
+            assert is_subtype(env, a, b) and is_ssync(env, a, b, d)
+
+
+def ids_differential(prog, choose, max_steps):
+    """A monitored run of prog that checks, at the initial configuration
+    and after every step, that _passes (graph ids, stamps) and
+    reference_passes (types) agree on every linear and shared process,
+    and that every judgment stamp holds. Ends at the first violation, as
+    a monitored run does. Returns the verdicts of _passes."""
+    from sill.runtime import _checker, _passes
+    cfg, memos, fresh, verdicts = initial_config(prog), {}, {}, []
+    v = monitor_check(cfg, None)
+    for n in range(max_steps + 1):
+        ck = _checker(cfg)
+        memo = memos.setdefault(id(cfg.env), (cfg.env, set()))[1]
+        for p in [*(e for e in cfg.theta if isinstance(e, Proc)),
+                  *cfg.lam.values()]:
+            want = reference_passes(cfg, ck, p, memo)
+            assert _passes(cfg, ck, p) == want
+            verdicts.append(want)
+        audit_judgment_stamps(cfg, fresh)
+        if v is not None or n == max_steps:
+            break
+        steps = enumerate_steps(cfg)
+        if not steps:
+            break
+        v = monitor_check(cfg, apply_step(cfg, choose(steps)).touched)
+    return verdicts
+
+
+def test_id_keyed_recheck_matches_the_type_keyed_reference():
+    # the 7 corpus programs at 4 seeds, the bench's wide program under
+    # fifo, and every ill-typed corpus mutant for as many steps as its
+    # pinned outcome
+    import random
+    import sys
+    from test_typecheck import _mutants
+    sys.path.insert(0, str(CORPUS.parent / "bench"))
+    from workloads import wide_source as bench_wide_source
+    verdicts = []
+    for stem in sorted(EXPECTED_STATUS):
+        for seed in range(4):
+            verdicts += ids_differential(by_stem(stem),
+                                         random.Random(seed).choice, 300)
+    wide = check_program(parse_program(
+        bench_wide_source(random.Random("wide:0"), 16, 10, 32)))[1]
+    verdicts += ids_differential(wide, lambda steps: steps[0], 1000)
+    assert verdicts.count(True) > 10000
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if diags and mutant.system is not None:
+                verdicts += ids_differential(elab, random.Random(0).choice,
+                                             60)
+    assert verdicts.count(False) > 700
+
+
+def test_a_name_and_its_body_are_one_memo_key(monkeypatch):
+    # a context that holds Ref(n) and one that holds n's body are one
+    # graph node: after a process passes with a view or an offer that is a
+    # name, the same process with that name's body in its place passes by
+    # the memo's lookup, where the type-keyed reference checks it again
+    # and gives the same verdict
+    from itertools import islice
+    from sill.runtime import _checker, _passes
+    from sill.typecheck import _Ck
+    from sill.types import unfold
+    checks = []
+    check = _Ck.check
+    monkeypatch.setattr(_Ck, "check",
+                        lambda self, *a: checks.append(a) or check(self, *a))
+    swapped = 0
+    for stem in ("auction", "dd", "handoff", "queue"):
+        prog = by_stem(stem)
+        for cfg in islice(drive(prog, lambda steps: steps[0]), 100):
+            ck = _checker(cfg)
+            for p in [e for e in cfg.theta if isinstance(e, Proc)]:
+                places = [(p.uses, c) for c, ty in p.uses.items()
+                          if isinstance(ty, Ref)]
+                if isinstance(p.offer, Ref):
+                    places.append((p, "offer"))
+                for obj, key in places:
+                    get, put = (dict.get, dict.__setitem__) \
+                        if isinstance(obj, dict) else (getattr, setattr)
+                    name, memo = get(obj, key), set()
+                    p.stamp = None
+                    assert _passes(cfg, ck, p)
+                    assert reference_passes(cfg, ck, p, memo)
+                    put(obj, key, unfold(cfg.env, name))
+                    p.stamp = None
+                    del checks[:]
+                    assert _passes(cfg, ck, p) and checks == []
+                    assert reference_passes(cfg, ck, p, memo) and checks
+                    put(obj, key, name)
+                    swapped += 1
+    assert swapped > 40
+
+
+def test_monitor_interns_only_types_the_run_built(monkeypatch):
+    # on monitored corpus runs, monitor_check makes no TypeGraph._node
+    # call on a step other than down_sl2 (the client's linear view of the
+    # session it released, pinned once per body) or a meet that mints,
+    # which starts a new graph: every other type it judges is a pinned
+    # signature type or a body's subterm, found by identity
+    from sill import runtime
+    from sill.types import TypeGraph
+    node, check, apply = TypeGraph._node, runtime.monitor_check, \
+        runtime.apply_step
+    state = {"rule": None, "in": False, "calls": 0}
+    hit = []
+
+    def counted_node(self, t, body):
+        state["calls"] += state["in"]
+        return node(self, t, body)
+
+    def noted_apply(cfg, step):
+        env = cfg.env
+        rec = apply(cfg, step)
+        state["rule"] = step.rule if cfg.env is env else "mint"
+        return rec
+
+    def counted_check(cfg, touched=None):
+        state["in"], state["calls"] = True, 0
+        try:
+            return check(cfg, touched)
+        finally:
+            state["in"] = False
+            if touched is not None and state["calls"]:
+                hit.append(state["rule"])
+
+    monkeypatch.setattr(TypeGraph, "_node", counted_node)
+    monkeypatch.setattr(runtime, "apply_step", noted_apply)
+    monkeypatch.setattr(runtime, "monitor_check", counted_check)
+    steps = 0
+    for stem in sorted(EXPECTED_STATUS):
+        prog = by_stem(stem)
+        for seed in range(4):
+            r = run(prog, seed=seed, max_steps=300)
+            assert r.violation is None
+            steps += r.steps
+    assert steps > 3000 and set(hit) <= {"down_sl2", "mint"}
+    assert len(hit) <= 7  # once per view's body
+
+
+def test_an_unmonitored_run_builds_no_type_graph():
+    # the signature's types are pinned the first time the monitor judges
+    # under an env: a run with the monitor off leaves the env without a
+    # graph, and a monitored one pins every offer and parameter type
+    from sill.types import unfold
+    for stem in sorted(EXPECTED_STATUS):
+        prog = by_stem(stem)
+        prog.types.__dict__.pop("graph")  # built by the static check
+        run(prog, monitor=False, max_steps=300)
+        assert "graph" not in prog.types.__dict__
+        run(prog, max_steps=300)
+        g = prog.types.graph
+        for d in prog.procs.defs:
+            for t in (d.offer_ty, *(prm.ty for prm in d.params)):
+                assert id(t) in g.ident and any(x is t for x in g.pinned)
+                if isinstance(t, Ref):
+                    assert g.ident[id(t)] == g.intern(unfold(prog.types, t))
+
+
+def test_judgment_stamps_see_a_view_swapped_by_hand():
+    # between two steps, replace the view a client holds of a linear
+    # entry, or of an alias, by a type that fails its judgment: the
+    # entry's judgment stamp no longer matches, so the entry's own check
+    # fails, and the touched check reports what the reference monitor does
+    import random
+    from itertools import islice
+    from sill.runtime import _checker, _linear_fault
+    from sill.types import unfold
+    swapped = {Proc: 0, Connect: 0}
+    for stem in sorted(EXPECTED_STATUS):
+        for seed in range(2):
+            prog = by_stem(stem)
+            for cfg in islice(drive(prog, random.Random(seed).choice), 100):
+                assert monitor_check(cfg, None) is None
+                for e in list(cfg.theta):
+                    u = cfg.user_of(e.chan)
+                    if u is None or e.judged is None:
+                        continue
+                    view = u.uses[e.chan]
+                    bad = One() if isinstance(e, Connect) or not isinstance(
+                        unfold(cfg.env, e.offer), One) else Tensor(One(), One())
+                    u.uses[e.chan] = bad
+                    assert _linear_fault(cfg, _checker(cfg), e).startswith(
+                        "alias" if isinstance(e, Connect) else "linear")
+                    touched = {e.chan}
+                    got = monitor_check(cfg, touched)
+                    assert got is not None
+                    assert got == reference_monitor(cfg, touched)
+                    u.uses[e.chan] = view
+                    assert monitor_check(cfg, touched) is None
+                    swapped[type(e)] += 1
+    assert swapped[Proc] > 200 and swapped[Connect] > 20
