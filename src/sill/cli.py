@@ -157,6 +157,13 @@ def cmd_run(args) -> int:
     return 1 if res.status is RunStatus.MONITOR_VIOLATION else 0
 
 
+def _count(s: str) -> int:
+    """A step bound: a whole number, 0 or more."""
+    if not s.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected 0 or more, got {s!r}")
+    return int(s)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sill")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run this process (no arguments) instead of the "
                         "manifest main")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_count, default=1000)
     p.add_argument("--monitor", action=argparse.BooleanOptionalAction,
                    default=True)
     p.add_argument("--policy", choices=("random", "fifo"), default="random")

@@ -321,66 +321,6 @@ def _on(t: ProcessTerm | None) -> str | None:
     return None if f is None else getattr(t, f)
 
 
-def _rename(t: ProcessTerm, ren: dict[str, str],
-            gen: Callable[[], str] | None) -> ProcessTerm:
-    """Rename the free names of t by ren. With gen None a binder shadows
-    (its name leaves ren below it); otherwise each binder gets gen(), in
-    preorder. Recurses only into case branches, not along the spine, and
-    copies ren at most once per call, as a binder's scope is the rest of
-    the spine. A node that renames to itself is returned as it is."""
-    spine, own = [], False
-    while gen is not None or ren:
-        vals, bound, k, same = [], None, None, True
-        for f, role in FIELDS[type(t)]:
-            v = getattr(t, f)
-            if role is NAME:
-                w = ren.get(v, v)
-                if w is not v:
-                    v, same = w, False
-            elif role is NAMES:
-                w = tuple([ren.get(x, x) for x in v])
-                if w != v:
-                    v, same = w, False
-            elif role is BINDER:
-                bound = v
-                if gen is not None:
-                    v = fresh = gen()
-                    same = False
-            elif role is BRANCHES:
-                bs = []
-                for l, b in v:
-                    w = _rename(b, ren, gen)
-                    if w is not b:
-                        same = False
-                    bs.append((l, w))
-                if not same:
-                    v = tuple(bs)
-            elif role is CONT:
-                k = len(vals)
-            vals.append(v)
-        if k is None:
-            if not same:
-                t = type(t)(*vals)
-            break
-        # the binder scopes over the continuation only, not a spawn's args
-        if bound is not None and (gen is not None or bound in ren):
-            if not own:
-                ren, own = dict(ren), True
-            if gen is not None:
-                ren[bound] = fresh
-            else:
-                del ren[bound]
-        spine.append((t, vals, k, same))
-        t = vals[k]
-    for node, vals, k, same in reversed(spine):
-        if not same or t is not vals[k]:
-            vals[k] = t
-            t = type(node)(*vals)
-        else:
-            t = node
-    return t
-
-
 def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None,
           steps: dict[int, tuple | dict] | None = None
           ) -> tuple[int, frozenset[str]]:
@@ -424,15 +364,58 @@ def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None,
     return n, free
 
 
-def substitute(p: ProcessTerm, renaming: dict[str, str]) -> ProcessTerm:
-    """Simultaneous renaming of free channel and value names. Binders
-    shadow: a renaming for a name rebound below does not cross it."""
-    return _rename(p, renaming, None)
-
-
 def freshen(p: ProcessTerm, gen: Callable[[], str],
             renaming: dict[str, str] | None = None) -> ProcessTerm:
     """Rename every binder to gen(), in preorder, and the free names by
     renaming, which maps no name gen() returns. Instantiating a body so,
-    no actual channel name is captured by a binder spelt the same."""
-    return _rename(p, renaming or {}, gen)
+    no actual channel name is captured by a binder spelt the same.
+    Recurses only into case branches, not along the spine, and copies
+    renaming at most once per call, as a binder's scope is the rest of the
+    spine. A node that renames to itself is returned as it is."""
+    t, spine = p, []
+    ren, own = (renaming, False) if renaming else ({}, True)
+    while True:
+        vals, bound, k, same = [], None, None, True
+        for f, role in FIELDS[type(t)]:
+            v = getattr(t, f)
+            if role is NAME:
+                w = ren.get(v, v)
+                if w is not v:
+                    v, same = w, False
+            elif role is NAMES:
+                w = tuple([ren.get(x, x) for x in v])
+                if w != v:
+                    v, same = w, False
+            elif role is BINDER:
+                bound, fresh = v, gen()
+                v, same = fresh, False
+            elif role is BRANCHES:
+                bs = []
+                for l, b in v:
+                    w = freshen(b, gen, ren)
+                    if w is not b:
+                        same = False
+                    bs.append((l, w))
+                if not same:
+                    v = tuple(bs)
+            elif role is CONT:
+                k = len(vals)
+            vals.append(v)
+        if k is None:
+            if not same:
+                t = type(t)(*vals)
+            break
+        # the binder scopes over the continuation only, not a spawn's args
+        if bound is not None:
+            if not own:
+                ren, own = dict(ren), True
+            ren[bound] = fresh
+        spine.append((t, vals, k, same))
+        t = vals[k]
+    for node, vals, k, same in reversed(spine):
+        if not same or t is not vals[k]:
+            vals[k] = t
+            t = type(node)(*vals)
+        else:
+            t = node
+    return t

@@ -25,22 +25,21 @@ are kept by what each step changes. Entries are ranked along the list, and
 every change that makes a use records it. Where every use points right,
 the leftmost entry still to place is always ready, so the list is its own
 order: if each use a step made points right, the step keeps the list as it
-is, and only otherwise does a full pass re-sort it (see _retopo). Each
-linear process memoizes its enabled step, keyed by what it reads; a change
-to a template or to a channel's client marks dirty the processes whose
-memos read it, and an enumeration revalidates only those, or every one
-after a forward or a re-sort. A provider's step reads its client only
-where the client acts on the provider's channel, so a resume marks the
-providers at the process's subject before and after the move, not those of
-every channel it uses (see _resume and _enabled). The step list is kept
-the same way: the linear part's steps, with their processes, in one list
-in its order, and the processes waiting to acquire in another; a marker on
-each process says which list holds it, so a revalidation moves a process
-in or out without a scan. The shared part's steps (forwards, spawns and
-each acquire of an accepting session) are cached as a tail, rebuilt only
-where the shared part, an alias, an acquirer or the forwards changed. An
-enumeration returns the kept steps followed by the tail, so a step costs
-what it changed, not how many processes wait (see enumerate_steps).
+is, and only otherwise does a full pass re-sort it (see _retopo). A linear
+process's enabled step is a pure function of its template, channel and
+subject and, where that subject is its channel, of its client's channel,
+template and subject. A change to one of these marks dirty exactly the
+processes whose step reads it, and an enumeration recomputes only those,
+or every one after a re-sort (see _resume and _rename_all). The step list
+is kept the same way: the linear part's steps, with their processes, in
+one list in its order, and the processes waiting to acquire in another; a
+marker on each process says which list holds it, so a recomputation moves
+a process in or out without a scan. The shared part's steps (forwards,
+spawns and each acquire of an accepting session) are cached as a tail,
+rebuilt only where the shared part, an alias, an acquirer or a name
+changed. An enumeration returns the kept steps followed by the tail, so a
+step costs what it changed, not how many processes wait (see
+enumerate_steps).
 
 No step rebuilds a term. A process holds a closure in the manner of
 explicit substitutions (Abadi, Cardelli, Curien & Levy) and of the CEK
@@ -183,11 +182,12 @@ class Proc:
 
     ``term`` forces the closure for a trace, the monitor's forced check
     and other readers, and keeps it while the template and the number of
-    forwards stay the same. ``rank`` is its place in the linear part
-    and ``kept`` where the last enumeration keeps it (see Config)."""
+    forwards stay the same. ``rank`` is its place in the linear part,
+    ``kept`` where the last enumeration keeps it (see Config) and ``up``
+    the last direct acquire step built for it (see _tail)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "step_memo", "term_memo", "stamp", "judged", "rank",
-                 "kept")
+                 "shared", "term_memo", "stamp", "judged", "rank", "kept",
+                 "up")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -197,14 +197,11 @@ class Proc:
             chan, offer, uses, shared
         self.names = Names() if names is None else names
         self.tmpl, self.env, self.base = tmpl, {} if env is None else env, base
-        # [tmpl, forwards, chan, subject, client, client's chan, client's
-        # tmpl, client's subject, step] of the last enumeration
-        self.step_memo = self.term_memo = None
-        # what the last passed recheck and judgment read (see _passes and
-        # _synchronizes)
-        self.stamp = self.judged = None
+        # the forced term, and what the last passed recheck and judgment
+        # read (see term, _passes and _synchronizes)
+        self.term_memo = self.stamp = self.judged = None
         self.rank = 0
-        self.kept = None
+        self.kept = self.up = None
 
     def name(self, x: str) -> str:
         """What the template's name x stands for now."""
@@ -272,16 +269,16 @@ class Config:
     # the linear processes with a step pending, in order, with their steps
     # in the parallel list steps, and those with an acquire pending, in
     # order. A process's kept is its step where it is in stepping, its
-    # template where it is in acquiring, None where in neither. These and
-    # the step memos of the processes not in dirty hold at forward count
-    # memo_n, -1 when every process is to be revalidated; a shared process
-    # is dirty where it joined, left or moved on in the shared part.
+    # template where it is in acquiring, None where in neither. These hold
+    # for every process not in dirty, unless stale (every process is to be
+    # recomputed, as after a re-sort); a shared process is dirty where it
+    # joined, left or moved on in the shared part.
     # tail: the shared part's steps (see _tail), None when to be rebuilt
     stepping: list[Proc] = field(default_factory=list)
     steps: list[Step] = field(default_factory=list)
     acquiring: list[Proc] = field(default_factory=list)
     dirty: set[Proc] = field(default_factory=set)
-    memo_n: int = -1
+    stale: bool = True
     tail: list[Step] | None = None
     # the monitor's checker of env (see _checker)
     ck: _Ck | None = field(default=None, repr=False)
@@ -297,7 +294,7 @@ class Config:
         return min(es, key=_rank)
 
     def mark_providers(self, c: str) -> None:
-        """Mark the providers of c dirty: a step memo reads the client."""
+        """Mark the providers of c dirty: a step reads the client."""
         es = self.offered.get(c)
         if es is not None:
             self.dirty.update(es)
@@ -559,7 +556,7 @@ def _kahn(cfg: Config) -> None:
     for i, e in enumerate(out):
         e.rank = i
     cfg.theta, cfg.top, cfg.edges = out, len(out), []
-    cfg.memo_n = -1  # the kept lists and user_of follow the order
+    cfg.stale = True  # the kept lists and user_of follow the order
 
 
 # --------------------------------------------------------------------------- #
@@ -609,72 +606,52 @@ def _spawnable(cfg: Config, t: Spawn) -> bool:
 
 
 def _enabled(cfg: Config, e: Proc) -> Step | None:
-    """The step the linear process e drives: a forward or a spawn of its
-    own, or its action on its own channel with the matching one of its
-    client there; for a direct acquire, the step it takes once the session
-    accepts. Memoized on e while e's template and channel, its client and
-    the client's channel and template are the same as before (a renaming
-    changes only as its template moves on); after a forward, while the
-    two subjects still resolve to the same channels.
-
-    The step reads the client only where the client acts on e's channel a.
-    So where the client's template moved on but neither its subject then
-    nor its subject now is a, the memo holds: it takes the client's
-    template and subject in place, and _resume need mark only the
-    providers at a process's subject before and after its move."""
-    a, t, n = e.chan, e.tmpl, cfg.names.n
-    m = e.step_memo
-    same = m is not None and m[0] is t and m[2] == a
-    c = m[3] if same and m[1] == n else _subject(e)[0]
-    u = cfg.user_of(a) if c == a else None
-    kept = same and m[3] == c and m[4] is u
-    if kept and (u is None or m[1] == n and m[5] == u.chan
-                 and m[6] is u.tmpl):
-        m[1] = n
-        return m[8]
-    uc = ut = None
-    if u is not None:
-        uc, ut = _subject(u)
-        if kept and m[5] == u.chan and (uc == m[7] if m[6] is ut
-                                        else uc != a != m[7]):
-            m[1], m[6], m[7] = n, ut, uc
-            return m[8]
-    step = None
+    """The step the linear process e drives where it does not wait to
+    acquire (see _kept): a forward or a spawn of its own, or its action on
+    its own channel with the matching one of its client there. It reads
+    e's template, channel and subject, and where that subject is e's
+    channel, the client's channel, template and subject; whatever changes
+    one of these marks e dirty."""
+    a, t = e.chan, e.tmpl
+    c = _subject(e)[0]
     if c is None:
         k = t.__class__
         if k is FwdLL:
-            step = Step("fwd_ll", a)
-        elif k is FwdLS:
-            step = Step("fwd_ls", a)
-        elif k is Spawn and _spawnable(cfg, t):
+            return Step("fwd_ll", a)
+        if k is FwdLS:
+            return Step("fwd_ls", a)
+        if k is Spawn and _spawnable(cfg, t):
             d = cfg.sig.lookup(t.proc)
-            step = Step("spawn_ls" if d.offer_shared else "spawn_ll", a)
-    elif isinstance(t, Acquire):
-        step = Step("up_sl", c, a)
-    elif u is not None:
-        rule = _PAIRS.get((type(t), type(ut))) if uc == a else None
-        # a case needs a branch for the sent label
-        if rule is not None and not (
-                rule == "plus" and t.label not in ut.labels()
-                or rule == "with" and ut.label not in t.labels()):
-            step = Step(rule, a, u.chan)
-    e.step_memo = [t, n, a, c, u, u and u.chan, ut, uc, step]
-    return step
+            return Step("spawn_ls" if d.offer_shared else "spawn_ll", a)
+        return None
+    if c != a or (u := cfg.user_of(a)) is None:
+        return None
+    uc, ut = _subject(u)
+    rule = _PAIRS.get((type(t), type(ut))) if uc == a else None
+    # a case needs a branch for the sent label
+    if rule is None or rule == "plus" and t.label not in ut.labels() \
+            or rule == "with" and ut.label not in t.labels():
+        return None
+    return Step(rule, a, u.chan)
 
 
 def _kept(cfg: Config, e: Proc) -> Step | ProcessTerm | None:
     """What the live linear process e is kept with: its template where it
-    waits to acquire (its step memo then holds a direct acquire's step),
-    else its enabled step, if any."""
-    step = _enabled(cfg, e)
-    return e.tmpl if isinstance(e.tmpl, (Acquire, AcquireL)) else step
+    waits to acquire (the shared part's steps read it), else its enabled
+    step, if any."""
+    t = e.tmpl
+    k = t.__class__
+    return t if k is Acquire or k is AcquireL else _enabled(cfg, e)
 
 
 def _tail(cfg: Config) -> list[Step]:
     """The steps of the shared part, by channel: a forward, a spawn, or
     for a session that accepts, each pending acquire of it, direct or
-    through a linear alias, in the order of the linear part."""
+    through a linear alias, in the order of the linear part. A direct
+    acquirer's step is kept on it and built anew only where its session or
+    its channel changed."""
     steps: list[Step] = []
+    m = cfg.names.map
     for a in sorted(cfg.lam):
         p = cfg.lam[a]
         t = p.tmpl
@@ -686,12 +663,19 @@ def _tail(cfg: Config) -> list[Step]:
         elif k is Accept and p.name(t.chan) == a:
             # every pending acquirer of this session is a separate step
             for e in cfg.acquiring:
-                step = e.step_memo[8]
-                if step is not None:
-                    if step.provider == a:
-                        steps.append(step)
+                # e.name inlined: this runs for every waiter at a rebuild
+                w = e.tmpl
+                x = e.env.get(w.chan, w.chan)
+                if x in m:
+                    x = _find(m, x)
+                if w.__class__ is Acquire:
+                    if x == a:
+                        s = e.up
+                        if s is None or s.provider != a or s.user != e.chan:
+                            s = e.up = Step("up_sl", a, e.chan)
+                        steps.append(s)
                     continue
-                tgt = cfg.provider(e.name(e.tmpl.chan))
+                tgt = cfg.provider(x)
                 if isinstance(tgt, Connect) and tgt.target == a:
                     steps.append(Step("up_sl2", a, e.chan))
     return steps
@@ -700,12 +684,11 @@ def _tail(cfg: Config) -> list[Step]:
 def enumerate_steps(cfg: Config) -> list[Step]:
     """The enabled steps in canonical order, as a new list: the linear
     part's, kept in cfg.steps, then the shared part's, kept in cfg.tail.
-    Only the dirty processes are revalidated, each moved into or out of
-    the kept lists by its marker; after a forward or a re-sort every
-    process is. The tail is rebuilt only where the shared part, an alias,
-    an acquirer or the forwards changed."""
-    n = cfg.names.n
-    if cfg.memo_n != n:
+    Only the dirty processes are recomputed, each moved into or out of the
+    kept lists by its marker; after a re-sort every process is. The tail
+    is rebuilt only where the shared part, an alias, an acquirer or a name
+    changed."""
+    if cfg.stale:
         for e in cfg.stepping + cfg.acquiring:
             e.kept = None
         cfg.stepping, cfg.steps, cfg.acquiring = [], [], []
@@ -717,7 +700,7 @@ def enumerate_steps(cfg: Config) -> list[Step]:
                     cfg.steps.append(k)
                 elif k is not None:
                     cfg.acquiring.append(e)
-        cfg.tail = None
+        cfg.stale, cfg.tail = False, None
     else:
         stepping, steps, acquiring = cfg.stepping, cfg.steps, cfg.acquiring
         for e in cfg.dirty:
@@ -749,7 +732,6 @@ def enumerate_steps(cfg: Config) -> list[Step]:
                 acquiring.insert(bisect_left(acquiring, e.rank, key=_rank), e)
                 cfg.tail = None
     cfg.dirty.clear()
-    cfg.memo_n = n
     if cfg.tail is None:
         cfg.tail = _tail(cfg)
     return cfg.steps + cfg.tail
@@ -777,6 +759,15 @@ def _rename_all(cfg: Config, old: str, new: str) -> None:
         p = cfg.lam[new] = cfg.lam.pop(old)
         p.chan = new
     cfg.names.union(old, new)
+    # the steps that read a name the renaming moved: those of the
+    # processes at new, and those of the providers at the subject of one,
+    # which read its channel. A client of new needs no mark: its step
+    # reads its subject only where that is its own channel
+    for e in cfg.offered.get(new, ()):
+        if e.__class__ is Proc:
+            cfg.dirty.add(e)
+            cfg.mark_providers(_subject(e)[0])
+    cfg.tail = None
     if old in cfg.gamma or new in cfg.gamma:
         # a name with no entry is linear: never available
         cfg.gamma[new], cfg.env = meet(cfg.env, cfg.gamma.get(new, BOT),
@@ -790,19 +781,16 @@ def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
     drops the names the continuation does not have free, so it does not
     grow with the names a long body is done with.
 
-    p's step memo reads p's template, and so is marked dirty; a shared p
-    is too, as the shared part's steps read its template. A provider's
-    memo reads its client's template only where the client acts on the
+    p's step reads p's template, and so p is marked dirty; a shared p is
+    too, as the shared part's steps read its template. A provider's step
+    reads its client's template only where the client acts on the
     provider's channel (see _enabled), so the providers at p's subject
     before the move and after it are marked, not those of every channel p
-    uses: exact, whatever calls it. The subject before is the one p's
-    memo holds where that memo is current, and the one after is read
-    through the step table; a shared process is nobody's client."""
+    uses: exact, whatever calls it. The subject after is read through the
+    step table; a shared process is nobody's client."""
     cfg.dirty.add(p)
     if not p.shared:
-        m = p.step_memo
-        cfg.mark_providers(m[3] if m is not None and m[0] is p.tmpl
-                           and m[1] == cfg.names.n else _subject(p)[0])
+        cfg.mark_providers(_subject(p)[0])
     s = cfg.sig.steps[id(p.tmpl)]
     if type(s) is dict:
         s = s[msg]

@@ -180,6 +180,29 @@ def test_usage_errors_exit_2(capsys):
     assert main(["check", "/nonexistent/file.sill"]) == 2
 
 
+@pytest.mark.parametrize("steps", ["-5", "-1", "many"])
+def test_run_rejects_a_step_bound_that_is_not_a_count(steps, capsys):
+    assert main(["run", Q, "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--steps" in captured.err and "Traceback" not in captured.err
+    assert main(["run", Q, "--steps", "0"]) == 0
+    assert capsys.readouterr().out == "max_steps after 0 steps\n"
+
+
+def test_readme_examples_exit_0(monkeypatch, capsys):
+    # the seven commands of the README's CLI section, which CI also runs
+    # through the installed console script
+    import shlex
+    monkeypatch.chdir(ROOT)
+    lines = [line.split("#")[0] for line in
+             (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("sill ")]
+    assert len(lines) == 7
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+
+
 def test_syntax_error_exit_2(tmp_path, capsys):
     f = tmp_path / "syn.sill"
     f.write_text("type t = +{\n")

@@ -15,7 +15,7 @@ from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
 from sill.printer import format_proc
 
 from conftest import CORPUS, CORPUS_FILES
-from test_procast import TERMS, NAMES
+from test_procast import TERMS, NAMES, reference_substitute
 
 
 def checked(path):
@@ -319,8 +319,8 @@ def test_order_and_steps_are_kept_by_deltas(monkeypatch):
     # a step whose new uses all point right leaves the order as it is, and
     # only the processes a step marked dirty recompute their step. The
     # wide program under fifo never re-sorts after its initial
-    # configuration, and makes 244 calls to _enabled in 126 steps, where
-    # revalidating every process at every step made 1840. On the corpus
+    # configuration, and makes 211 calls to _enabled in 126 steps, where
+    # recomputing every process at every step made 1840. On the corpus
     # the order does move, so the full pass still runs where it must.
     from sill import runtime
     calls = dict.fromkeys(("_kahn", "_enabled"), 0)
@@ -888,11 +888,72 @@ def reference_indexes(cfg):
     return offered, client, aliases
 
 
+def audit(cfg):
+    """What the runtime keeps for step enumeration, recomputed in one pass
+    over theta and lam just after an enumeration: ranks rise along theta;
+    each live linear process's kept marker is its template where it waits
+    to acquire, else its step, if any, from its forced term and its
+    client's; stepping and steps hold the processes with a step and the
+    steps, acquiring those waiting, in theta's order; a shared process
+    is kept nowhere; the tail is the shared part's steps of the one-pass
+    reference, and each direct acquire step in it is its acquirer's
+    slot."""
+    from sill.procast import Acquire, AcquireL, FwdLL, FwdLS, Spawn
+    from sill.runtime import Step, _PAIRS, _spawnable, SUBJECT
+
+    def subject(t):
+        f = SUBJECT.get(type(t))
+        return None if f is None else getattr(t, f)
+
+    assert not cfg.dirty and not cfg.stale
+    users, stepping, steps, acquiring, rank = {}, [], [], [], -1
+    for e in reversed(cfg.theta):  # the first user in theta wins
+        if isinstance(e, Proc):
+            users.update(dict.fromkeys(e.uses, e))
+    for e in cfg.theta:
+        assert e.rank > rank
+        rank = e.rank
+        if isinstance(e, Connect):
+            continue
+        a, t = e.chan, e.term
+        if isinstance(t, (Acquire, AcquireL)):
+            assert e.kept is e.tmpl
+            acquiring.append(e)
+            continue
+        step, u = None, users.get(a)
+        if subject(t) is None:
+            if isinstance(t, (FwdLL, FwdLS)):
+                step = Step("fwd_ll" if isinstance(t, FwdLL) else "fwd_ls", a)
+            elif isinstance(t, Spawn) and _spawnable(cfg, t):
+                step = Step("spawn_ls" if cfg.sig.lookup(t.proc).offer_shared
+                            else "spawn_ll", a)
+        elif subject(t) == a and u is not None and subject(u.term) == a:
+            rule = _PAIRS.get((type(t), type(u.term)))
+            if rule is not None and not (
+                    rule == "plus" and t.label not in u.term.labels()
+                    or rule == "with" and u.term.label not in t.labels()):
+                step = Step(rule, a, u.chan)
+        assert e.kept == step
+        if step is not None:
+            stepping.append(e)
+            steps.append(step)
+    assert [id(e) for e in cfg.stepping] == [id(e) for e in stepping]
+    assert cfg.steps == steps
+    assert [id(e) for e in cfg.acquiring] == [id(e) for e in acquiring]
+    assert all(p.kept is None for p in cfg.lam.values())
+    if cfg.tail is not None:
+        assert cfg.tail == reference_steps(cfg)[len(steps):]
+        for s in cfg.tail:
+            if s.rule == "up_sl":
+                assert cfg.provider(s.user).up is s
+
+
 def differential(prog, choose, max_steps, monitor, well_typed):
     """Step prog, checking after every step that the maintained indexes,
-    the enabled steps, the entries the touched monitor rechecks and its
-    verdict agree with the one-pass references; a monitored run ends at
-    its first violation. Returns the number of steps taken."""
+    the enabled steps, what enumeration keeps (see audit), the entries the
+    touched monitor rechecks and its verdict agree with the one-pass
+    references; a monitored run ends at its first violation. Returns the
+    number of steps taken."""
     from sill.runtime import _check_gamma_monotone, _relevant
     cfg = initial_config(prog)
     if monitor and monitor_check(cfg, None) is not None:
@@ -903,6 +964,7 @@ def differential(prog, choose, max_steps, monitor, well_typed):
             == reference_indexes(cfg)
         steps = enumerate_steps(cfg)
         assert steps == reference_steps(cfg)
+        audit(cfg)
         if not steps:
             return n
         before = dict(cfg.gamma)
@@ -1008,6 +1070,37 @@ def test_forward_moves_the_client_of_a_held_channel():
                     assert old not in cfg.client and e in cfg.client[new]
                     moved += 1
         assert moved == 1 and classify(cfg) == RunStatus.ALL_POISED
+
+
+# as HELD_FWD, but the session M holds spawns before it detaches: where Fw
+# forwards z to b while M holds b, b's provider is at its spawn, and its
+# kept step names the channel the forward renames
+HELD_SPAWN = HELD_FWD.replace(
+    "l <- accept s; s2", "l <- accept s; k <- spawn Unit(); wait k; s2"
+) + "proc Unit : () |- u: 1 = close u\n"
+
+
+def test_forward_marks_the_held_session_it_renames():
+    # the forward renames the channel of a process at a spawn, whose kept
+    # step names that channel: the step is recomputed, as the differential
+    # checks after every step
+    import random
+    from sill.procast import Spawn
+    diags, prog = check_program(parse_program(HELD_SPAWN))
+    assert diags == []
+    renamed = 0
+    for seed in range(40):
+        for monitor in (True, False):
+            differential(prog, random.Random(seed).choice, 300, monitor, True)
+        cfg, rng = initial_config(prog), random.Random(seed)
+        while steps := enumerate_steps(cfg):
+            step = rng.choice(steps)
+            if step.rule == "fwd_ss":
+                p = cfg.lam[step.provider]
+                held = cfg.provider(p.name(p.tmpl.used))
+                renamed += not held.shared and isinstance(held.tmpl, Spawn)
+            apply_step(cfg, step)
+    assert renamed > 5
 
 
 # one session with clients waiting to acquire it, directly and through
@@ -1145,6 +1238,50 @@ def test_indexes_steps_and_monitor_match_references_on_mutants():
                              False)
                 runs += 1
     assert runs > 3000
+
+
+def contention_prog(k):
+    """The bench's wide program with k clients of the corpus queue, each a
+    Writer or a Reader, and no batches: one shared service and k processes
+    waiting to acquire it."""
+    import random
+    import sys
+    bench = str(CORPUS.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import wide_source as bench_wide_source
+    diags, prog = check_program(parse_program(
+        bench_wide_source(random.Random(k), 0, 0, k)))
+    assert diags == []
+    return prog
+
+
+def test_indexes_steps_and_monitor_match_references_under_contention():
+    # sixty clients wait on one queue that forwards itself to a new
+    # instance once per client: fifo and at random, monitored and not
+    import random
+    prog = contention_prog(60)
+    for choose in (lambda steps: steps[0], random.Random(3).choice):
+        for monitor in (True, False):
+            assert differential(prog, choose, 2000, monitor, True) < 2000
+
+
+def test_enabled_calls_per_step_do_not_grow_with_waiting_clients(
+        monkeypatch):
+    # a forward of the queue marks dirty only the processes it concerns,
+    # and a waiting acquirer's step is the shared part's: so the steps
+    # recomputed per step stay flat from 50 to 400 waiting clients, where
+    # revalidating every process after each forward made them grow with k
+    from sill import runtime
+    calls = [0]
+    monkeypatch.setattr(runtime, "_enabled", lambda cfg, e, f=runtime._enabled:
+                        calls.__setitem__(0, calls[0] + 1) or f(cfg, e))
+    for k in (50, 400):
+        calls[0] = 0
+        r = run(contention_prog(k), policy="fifo", monitor=False,
+                max_steps=100 * k)
+        assert r.status == RunStatus.ALL_POISED
+        assert calls[0] <= 1.5 * r.steps, (k, calls[0] / r.steps)
 
 
 def test_full_monitor_walk_matches_reference():
@@ -1366,12 +1503,12 @@ def eager_resume(t, msg):
     the runtime computed it by substitution: a case takes the branch of
     label msg, an action with a binder binds it to msg."""
     from sill.procast import CaseRecv, Wait, SendChan, SendChanS, \
-        SendLabel, SendVal, substitute
+        SendLabel, SendVal
     if isinstance(t, CaseRecv):
         return t.branch(msg)
     if isinstance(t, (Wait, SendChan, SendChanS, SendLabel, SendVal)):
         return t.cont
-    return substitute(t.cont, {t.binder: msg})
+    return reference_substitute(t.cont, {t.binder: msg})
 
 
 @settings(max_examples=300, deadline=None)
@@ -1386,7 +1523,7 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
     from itertools import count
     from sill.procast import (
         CaseRecv, Wait, SendChan, SendChanS, SendLabel, SendVal,
-        FIELDS, BINDER, ProcDef, ProcSignature, freshen, substitute, scope,
+        FIELDS, BINDER, ProcDef, ProcSignature, freshen, scope,
     )
     from sill.runtime import Config, _instance, _record, _resume, \
         _trace_pred
@@ -1416,7 +1553,7 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
             if a is None:
                 continue
             cfg.names.union(b, a)
-            eager = substitute(eager, {b: a})
+            eager = reference_substitute(eager, {b: a})
         elif isinstance(eager, CaseRecv):
             msg = data.draw(st.sampled_from(eager.labels()))
             _resume(cfg, p, msg)
@@ -1436,16 +1573,21 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
         assert _trace_pred(r)["term"] == want
 
 
-def test_forward_keeps_other_templates_and_step_memos():
+def test_forward_keeps_other_templates_and_kept_steps(monkeypatch):
     # a forward renames one channel through the name-resolution map, so an
     # entry that mentions it nowhere, and whose client does not either,
-    # keeps its template object and its step memo, unrecomputed
+    # keeps its template object and what it is kept with, and its step is
+    # not recomputed: the forward marks dirty only the entries it concerns
     import random
+    from sill import runtime
     from sill.procast import scope
     prog = check_program(parse_program(wide_source()))[1]
     cfg = initial_config(prog)
     choose = random.Random(0).choice
     forwards = kept = 0
+    seen = set()
+    monkeypatch.setattr(runtime, "_enabled", lambda cfg, e, f=runtime._enabled:
+                        seen.add(id(e)) or f(cfg, e))
 
     def mentions(e, b):
         return e is not None and (e.chan == b or b in e.uses
@@ -1461,15 +1603,16 @@ def test_forward_keeps_other_templates_and_step_memos():
             continue
         p = cfg.provider(step.provider)
         b = p.name(p.tmpl.used)
-        before = [(e, e.tmpl, e.step_memo) for e in cfg.theta
+        before = [(e, e.tmpl, e.kept) for e in cfg.theta
                   if isinstance(e, Proc) and e is not p
-                  and e.step_memo is not None and not mentions(e, b)
+                  and not mentions(e, b)
                   and not mentions(cfg.user_of(e.chan), b)]
         rec = apply_step(cfg, step)
         assert b in rec.renames
+        seen.clear()
         enumerate_steps(cfg)
-        for e, tmpl, memo in before:
-            assert e.tmpl is tmpl and e.step_memo is memo
+        for e, tmpl, k in before:
+            assert e.tmpl is tmpl and e.kept is k and id(e) not in seen
         forwards += 1
         kept += len(before)
     assert forwards > 0 and kept > 10 * forwards
@@ -1541,7 +1684,7 @@ def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
     # is a stamp hit that resolves none of its free names; and a resume
     # marks dirty only the providers at the resumed process's subject
     # before and after it, not those of every channel it uses. Under fifo
-    # the monitored wide program makes 244 calls to _enabled in 126 steps
+    # the monitored wide program makes 211 calls to _enabled in 126 steps
     # (535 when a resume marked every use), and 220 of its 317 rechecks
     # resolve a template's free names (all 317 without the stamp).
     from sill import runtime
@@ -1654,10 +1797,14 @@ TWO_CELLS = (
 )
 
 
-def test_provider_keeps_its_step_memo_while_its_client_acts_elsewhere():
+def test_provider_keeps_its_step_while_its_client_acts_elsewhere(
+        monkeypatch):
     # c1's step reads Main only where Main acts on c1: while Main gets from
-    # and waits on c0, c1 is not marked dirty and keeps its memo object;
-    # once Main's next action names c1, c1's step is recomputed
+    # and waits on c0, c1 is not marked dirty, its step is not recomputed
+    # and it stays kept with none; once Main's next action names c1, c1's
+    # step is recomputed and kept
+    from sill import runtime
+    from sill.runtime import Step
     diags, prog = check_program(parse_program(TWO_CELLS))
     assert diags == []
     cfg = initial_config(prog)
@@ -1667,15 +1814,20 @@ def test_provider_keeps_its_step_memo_while_its_client_acts_elsewhere():
     c0, c1 = main.uses
     cell = cfg.provider(c1)
     assert enumerate_steps(cfg) == reference_steps(cfg)
-    memo = cell.step_memo
-    assert memo[8] is None
+    assert cell.kept is None
+    seen = []
+    monkeypatch.setattr(runtime, "_enabled", lambda cfg, e, f=runtime._enabled:
+                        seen.append(e) or f(cfg, e))
     for rule in ("val_out", "one"):
         steps = enumerate_steps(cfg)
         assert [(s.rule, s.provider) for s in steps] == [(rule, c0)]
         apply_step(cfg, steps[0])
         assert (cell not in cfg.dirty) == (rule == "val_out")
+        seen.clear()
         assert enumerate_steps(cfg) == reference_steps(cfg)
-        assert (cell.step_memo is memo) == (rule == "val_out")
+        assert (cell in seen) == (rule == "one")
+        assert cell.kept == (None if rule == "val_out"
+                             else Step("val_out", c1, main.chan))
     assert [(s.rule, s.provider) for s in enumerate_steps(cfg)] == [
         ("val_out", c1)]
 
