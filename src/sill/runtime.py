@@ -59,10 +59,10 @@ graph's verdict memo first and decide on a miss; a passed judgment
 stamps its entry with its inputs, by identity, and the same inputs pass
 again without a lookup. It rechecks a template in its own names, and a
 suffix that passed under the same context before is a lookup in a memo
-keyed by tuples of ints. A process whose context is the one its last
-passed recheck read, compared by identity and by content, passes again
-without resolving a name, so a step costs the monitor what it changed,
-not how many names a touched process holds (see _passes).
+keyed by tuples of ints. It rechecks only the entries a step changed: a
+step's touched channels name every record it changed and every provider
+whose client's view it changed, so no client of a touched channel is
+rechecked for its provider's step (see _relevant).
 """
 
 from __future__ import annotations
@@ -186,8 +186,7 @@ class Proc:
     ``kept`` where the last enumeration keeps it (see Config) and ``up``
     the last direct acquire step built for it (see _tail)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "term_memo", "stamp", "judged", "rank", "kept",
-                 "up")
+                 "shared", "term_memo", "judged", "rank", "kept", "up")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -197,9 +196,9 @@ class Proc:
             chan, offer, uses, shared
         self.names = Names() if names is None else names
         self.tmpl, self.env, self.base = tmpl, {} if env is None else env, base
-        # the forced term, and what the last passed recheck and judgment
-        # read (see term, _passes and _synchronizes)
-        self.term_memo = self.stamp = self.judged = None
+        # the forced term, and what the last passed judgment read (see
+        # term and _synchronizes)
+        self.term_memo = self.judged = None
         self.rank = 0
         self.kept = self.up = None
 
@@ -1034,23 +1033,8 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     check fails or the context does not translate one to one: two free
     names stand for the offer or one linear channel, none for the offer,
     or a use for none. Γ is only read and extended, so two may stand for
-    one shared channel.
-
-    A pass stamps p with what the decision read: the template, the offer
-    and the type env by identity, the number of forwards, p's channel, and
-    copies of p's uses and of Γ (p's renaming changes only as its template
-    moves on). A recheck in an equal context, compared by content, passes
-    without resolving a free name: the key path would build the same key,
-    and the memo keeps every key it holds. So a process whose context a
-    step left alone, such as a client whose provider stepped, is
-    rechecked at a cost independent of how many names its template holds.
-    A failing recheck is not stamped."""
+    one shared channel."""
     t, chan, gamma, env = p.tmpl, p.chan, cfg.gamma, cfg.env
-    s = p.stamp
-    if s is not None and s[0] is t and s[1] is p.offer \
-            and s[2] is env and s[3] == p.names.n and s[4] == chan \
-            and s[5] == p.uses and s[6] == gamma:
-        return True
     g, free = env.graph, cfg.sig.free
     uses = {} if p.shared else p.uses  # the shared judgment has no Δ
     ren, m = p.env, p.names.map
@@ -1092,7 +1076,6 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
                 ck.linear(gam, delta, {}, t, x, p.offer, record)) is None:
             return False
         memo.update(out)
-    p.stamp = (t, p.offer, env, p.names.n, chan, dict(p.uses), dict(gamma))
     return True
 
 
@@ -1163,19 +1146,23 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
 
 
 def _relevant(cfg: Config, touched: set[str]) -> dict[int, Proc | Connect]:
-    """The entries of the linear part that offer or use a touched channel
-    or are an alias of one, by id."""
+    """The entries of the linear part that offer a touched channel or are
+    an alias of one, by id. An entry's check reads its own record, its
+    client's view of its channel and Γ. Every handler touches the channel
+    of each process whose record it changes and of each provider whose
+    client's view it changes, and a forward renames consistently, so a
+    client of a touched channel, whose record its provider's step left
+    alone, passes as before and is not rechecked."""
     return {id(e): e for c in touched
-            for m in (cfg.offered, cfg.client, cfg.aliases)
-            for e in m.get(c, ())}
+            for m in (cfg.offered, cfg.aliases) for e in m.get(c, ())}
 
 
 def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
     """Recheck the typing records of the touched channels (every channel
     when touched is None). Returns a violation message or None.
 
-    The entries to recheck come from the indexes: the entries offering or
-    using a touched channel and the aliases of one. They are checked in
+    The entries to recheck come from the indexes: those offering a touched
+    channel and the aliases of one (see _relevant). They are checked in
     any order first; only if one fails are they walked again in the order
     of the linear part, so the first failing entry names the violation,
     as a walk of the whole linear part would. A step can make a second

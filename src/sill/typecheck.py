@@ -418,9 +418,9 @@ def check_procdef(env: TypeDefEnv, sig: ProcSignature,
             delta[prm.chan] = prm.ty
     if d.offer_shared:
         if delta:
-            ck.fail("shared", f"{d.name}: a shared session may not hold "
-                              f"linear parameters")
-            return ck.diags, None
+            ck.fail("shared", "a shared session may not hold linear "
+                              "parameters")
+            return [f"{d.name}: {m}" for m in ck.diags], None
         body = ck.shared(gamma, {}, d.body, d.offer, d.offer_ty)
     else:
         body = ck.linear(gamma, delta, {}, d.body, d.offer, d.offer_ty)

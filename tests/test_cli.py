@@ -75,6 +75,39 @@ def test_meet(capsys):
     assert out.strip()
 
 
+def test_ssync_under_a_bot_or_shared_constraint(capsys):
+    assert main(["ssync", Q, "1", "1", "--constraint", "bot"]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    a = "down_s producer"
+    assert main(["ssync", Q, a, a, "--constraint", "producer"]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    assert main(["ssync", Q, a, a, "--constraint", "consumer"]) == 1
+    assert capsys.readouterr().out == "no\n"
+
+
+# branch a of pp and qq meets p2 with q2 inside the meet of p and q, which
+# then fails at p3 and q3, so the branch is dropped; branch b meets p2
+# with q2 again under a new name
+MEET_DROPS = (
+    "type p2 = !int. 1\ntype p3 = !int. 1\n"
+    "type q2 = !int. 1\ntype q3 = !bool. 1\n"
+    "type p = p2 * p3\ntype q = q2 * q3\n"
+    "type pp = +{a: p, b: p2}\ntype qq = +{a: q, b: q2}\n"
+    "type u = 1\ntype w = 1\n"
+)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ("pp", "qq", "type Meet0 = +{b: Meet4}\ntype Meet4 = !int. 1\nMeet0\n"),
+    ("u", "w", "type Meet0 = 1\nMeet0\n"),
+], ids=["dropped_branch", "units"])
+def test_meet_prints_the_definitions_it_mints(a, b, want, tmp_path, capsys):
+    f = tmp_path / "meet.sill"
+    f.write_text(MEET_DROPS)
+    assert main(["meet", str(f), a, b]) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("a, b, want", [
     ("+{a: 1, a: !int. 1}", "+{a: 1}", "+{a: 1}"),
     ("&{a: 1, a: !int. 1}", "&{b: 1, b: 1 * 1}", "&{a: 1, b: 1}"),
@@ -203,6 +236,15 @@ def test_readme_examples_exit_0(monkeypatch, capsys):
         assert main(shlex.split(line)[1:]) == 0, line
 
 
+def test_run_without_a_system_block_exits_2(tmp_path, capsys):
+    f = tmp_path / "types.sill"
+    f.write_text("type cell = !int. 1\n")
+    assert main(["run", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "program has no system block\n"
+
+
 def test_syntax_error_exit_2(tmp_path, capsys):
     f = tmp_path / "syn.sill"
     f.write_text("type t = +{\n")
@@ -252,6 +294,20 @@ def test_too_deep_type_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err == f"{deep}: program too deep to process\n"
+
+
+def test_too_deep_shift_exits_2(tmp_path, capsys):
+    # 3000 nested linear shifts as a type argument of a judgment, and as a
+    # type definition, end each command in one line and exit 2
+    deep = "up_l " * 3000 + "1"
+    f = tmp_path / "deep.sill"
+    f.write_text(f"type t = {deep}\n")
+    for argv in (["sub", Q, deep, deep], ["esync", Q, deep],
+                 ["fmt", str(f)], ["check", str(f)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"{argv[1]}: program too deep to process\n"
 
 
 @pytest.mark.parametrize("argv, message", [

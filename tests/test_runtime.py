@@ -888,16 +888,19 @@ def reference_indexes(cfg):
     return offered, client, aliases
 
 
-def audit(cfg):
-    """What the runtime keeps for step enumeration, recomputed in one pass
-    over theta and lam just after an enumeration: ranks rise along theta;
-    each live linear process's kept marker is its template where it waits
-    to acquire, else its step, if any, from its forced term and its
-    client's; stepping and steps hold the processes with a step and the
-    steps, acquiring those waiting, in theta's order; a shared process
-    is kept nowhere; the tail is the shared part's steps of the one-pass
-    reference, and each direct acquire step in it is its acquirer's
-    slot."""
+def audit(cfg, fresh):
+    """What the runtime keeps, recomputed in one pass over theta and lam
+    just after an enumeration: ranks rise along theta; where ordered is
+    set, every use and every alias target is offered to the entry's right
+    or outside the linear part; each live linear process's kept marker is
+    its template where it waits to acquire, else its step, if any, from
+    its forced term and its client's; stepping and steps hold the
+    processes with a step and the steps, acquiring those waiting, in
+    theta's order; a shared process is kept nowhere; the tail is the
+    shared part's steps of the one-pass reference, and each direct
+    acquire step in it is its acquirer's slot; and every judgment stamp
+    holds (see audit_judgment_stamps, which keeps its fresh envs in
+    fresh)."""
     from sill.procast import Acquire, AcquireL, FwdLL, FwdLS, Spawn
     from sill.runtime import Step, _PAIRS, _spawnable, SUBJECT
 
@@ -913,6 +916,10 @@ def audit(cfg):
     for e in cfg.theta:
         assert e.rank > rank
         rank = e.rank
+        if cfg.ordered:
+            for c in (e.target,) if isinstance(e, Connect) else e.uses:
+                es = cfg.offered.get(c)
+                assert es is None or len(es) == 1 and es[0].rank > rank
         if isinstance(e, Connect):
             continue
         a, t = e.chan, e.term
@@ -946,6 +953,7 @@ def audit(cfg):
         for s in cfg.tail:
             if s.rule == "up_sl":
                 assert cfg.provider(s.user).up is s
+    audit_judgment_stamps(cfg, fresh)
 
 
 def differential(prog, choose, max_steps, monitor, well_typed):
@@ -955,7 +963,7 @@ def differential(prog, choose, max_steps, monitor, well_typed):
     references; a monitored run ends at its first violation. Returns the
     number of steps taken."""
     from sill.runtime import _check_gamma_monotone, _relevant
-    cfg = initial_config(prog)
+    cfg, fresh = initial_config(prog), {}
     if monitor and monitor_check(cfg, None) is not None:
         return 0
     for n in range(max_steps):
@@ -964,13 +972,14 @@ def differential(prog, choose, max_steps, monitor, well_typed):
             == reference_indexes(cfg)
         steps = enumerate_steps(cfg)
         assert steps == reference_steps(cfg)
-        audit(cfg)
+        audit(cfg, fresh)
         if not steps:
             return n
         before = dict(cfg.gamma)
         rec = apply_step(cfg, choose(steps))
         assert sorted(_relevant(cfg, rec.touched)) == sorted(
-            id(e) for e in cfg.theta if reference_relevant(e, rec.touched))
+            id(e) for e in cfg.theta if e.chan in rec.touched
+            or isinstance(e, Connect) and e.target in rec.touched)
         if not monitor:
             continue
         want = reference_monitor(cfg, rec.touched)
@@ -1680,13 +1689,13 @@ system {
 # --------------------------------------------------------------------------- #
 
 def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
-    # a step of a Batch leaves Main's context as it was, so Main's recheck
-    # is a stamp hit that resolves none of its free names; and a resume
-    # marks dirty only the providers at the resumed process's subject
-    # before and after it, not those of every channel it uses. Under fifo
-    # the monitored wide program makes 211 calls to _enabled in 126 steps
-    # (535 when a resume marked every use), and 220 of its 317 rechecks
-    # resolve a template's free names (all 317 without the stamp).
+    # a step of a Batch leaves Main's record as it was, so Main, a client
+    # of the Batch, is not rechecked; and a resume marks dirty only the
+    # providers at the resumed process's subject before and after it, not
+    # those of every channel it uses. Under fifo the monitored wide program
+    # makes 211 calls to _enabled in 126 steps (535 when a resume marked
+    # every use) and 221 rechecks, each resolving a template's free names
+    # (317 when the clients of every touched channel were rechecked too).
     from sill import runtime
     calls = dict.fromkeys(("_enabled", "rechecks", "walks", "names"), 0)
     enabled, passes = runtime._enabled, runtime._passes
@@ -1718,73 +1727,82 @@ def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
     r = run(prog, policy="fifo", max_steps=1000)
     assert r.status == RunStatus.ALL_POISED and r.steps == 126
     assert calls["_enabled"] < 2.5 * r.steps
-    assert calls["rechecks"] > 2 * r.steps
+    assert calls["rechecks"] < 2 * r.steps
     assert calls["walks"] < 2 * r.steps
 
 
-def stamp_differential(prog, choose, max_steps):
-    """Step prog under the monitor, checking after every step that the
-    touched check gives the same verdict and message with every process's
-    recheck stamp kept as with every one cleared; the stamps are then put
-    back, so they age as in a run. Ends at the first violation. Returns the
-    verdicts."""
-    cfg = initial_config(prog)
-    if monitor_check(cfg, None) is not None:
-        return []
-    verdicts = []
-    for _ in range(max_steps):
-        steps = enumerate_steps(cfg)
-        if not steps:
-            break
-        rec = apply_step(cfg, choose(steps))
-        procs = [e for e in cfg.theta if isinstance(e, Proc)]
-        procs += cfg.lam.values()
-        kept = monitor_check(cfg, rec.touched)
-        stamps = [p.stamp for p in procs]
-        for p in procs:
-            p.stamp = None
-        assert monitor_check(cfg, rec.touched) == kept
-        for p, s in zip(procs, stamps):
-            p.stamp = s
-        verdicts.append(kept)
-        if kept is not None:
-            break
-    return verdicts
+def records(cfg):
+    """Per linear entry, by id: the entry and what its monitor check reads
+    besides Γ: its channel, its template, offer and uses or its alias
+    target, and its client's view of its channel."""
+    out = {}
+    for e in cfg.theta:
+        u = cfg.user_of(e.chan)
+        own = (e.target,) if isinstance(e, Connect) \
+            else (e.tmpl, e.offer, dict(e.uses))
+        out[id(e)] = (e, e.chan, own, None if u is None else u.uses[e.chan])
+    return out
 
 
-def test_recheck_stamps_keep_every_verdict(monkeypatch):
-    # the corpus at five seeds, the wide program under fifo and at random,
-    # and every ill-typed corpus mutant for as many steps as its pinned
-    # outcome: a recheck stamp decides only what the key path would
+def same_record(old, new, renames):
+    """Whether the record new is old with its channels renamed: names
+    compared by value, templates and types by identity."""
+    def rn(c):
+        return renames.get(c, c)
+    (_, chan, own, view), (_, chan2, own2, view2) = old, new
+    if rn(chan) != chan2 or view is not view2 or len(own) != len(own2):
+        return False
+    if len(own) == 1:
+        return rn(own[0]) == own2[0]
+    uses = {rn(c): t for c, t in own[2].items()}
+    return own[0] is own2[0] and own[1] is own2[1] and \
+        uses.keys() == own2[2].keys() and \
+        all(uses[c] is own2[2][c] for c in uses)
+
+
+def test_each_step_touches_every_record_it_changes():
+    # the monitor rechecks only the entries offering a touched channel and
+    # the aliases of one. That is exact where every entry a step makes, or
+    # whose record or client's view it changes, is among them, a forward's
+    # renaming aside: after every step of monitored runs of the corpus, the
+    # wide program, the contention shape, the held forwards and every
+    # ill-typed mutant, up to the first violation, it is. (Past one it
+    # need not be: a process that closes its channel while it still holds
+    # another drops the only client of that one.)
     import random
-    from sill import runtime
+    from sill.runtime import _check_gamma_monotone, _relevant
     from test_typecheck import _mutants
-    hits = [0]
-    passes = runtime._passes
-
-    def counted_passes(cfg, ck, p):
-        s = p.stamp
-        ok = passes(cfg, ck, p)
-        hits[0] += ok and s is not None and p.stamp is s
-        return ok
-
-    monkeypatch.setattr(runtime, "_passes", counted_passes)
-    verdicts = []
-    for stem in sorted(EXPECTED_STATUS):
-        for seed in range(5):
-            verdicts += stamp_differential(
-                by_stem(stem), random.Random(seed).choice, 300)
-    wide = check_program(parse_program(wide_source()))[1]
-    for choose in (lambda steps: steps[0], random.Random(0).choice):
-        verdicts += stamp_differential(wide, choose, 300)
-    assert verdicts and not any(verdicts) and hits[0] > 1000
+    progs = [(by_stem(stem), 300) for stem in sorted(EXPECTED_STATUS)]
+    progs += [(check_program(parse_program(src))[1], 300) for src in (
+        wide_source(), HELD_FWD, HELD_SPAWN, SPAWN_LS, CLOSE_SHARED)]
+    progs.append((contention_prog(40), 400))
     for path in CORPUS_FILES:
         for mutant in _mutants(parse_program(path.read_text())):
             diags, elab = check_program(mutant)
             if diags and mutant.system is not None:
-                verdicts += stamp_differential(
-                    elab, random.Random(0).choice, 60)
-    assert sum(v is not None for v in verdicts) > 700
+                progs.append((elab, 60))
+    changed = 0
+    for prog, max_steps in progs:
+        for seed in range(2):
+            cfg, rng = initial_config(prog), random.Random(seed)
+            if monitor_check(cfg, None) is not None:
+                continue
+            for _ in range(max_steps):
+                steps = enumerate_steps(cfg)
+                if not steps:
+                    break
+                before, gamma = records(cfg), dict(cfg.gamma)
+                rec = apply_step(cfg, rng.choice(steps))
+                relevant = _relevant(cfg, rec.touched)
+                for k, r in records(cfg).items():
+                    if k not in before or not same_record(before[k], r,
+                                                          rec.renames):
+                        assert k in relevant, (rec.rule, r)
+                        changed += 1
+                if _check_gamma_monotone(cfg, gamma, rec) is not None or \
+                        monitor_check(cfg, rec.touched) is not None:
+                    break
+    assert changed > 10000
 
 
 # Main is the client of both cells and acts on c0 alone before c1
@@ -1864,16 +1882,15 @@ def test_steps_follow_a_resume_made_by_hand():
 
 
 def test_recheck_stamp_sees_the_channel():
-    # besides what the signature's memo keys on, the stamp holds the
-    # process's channel: Main's recheck passes and stamps it, and Main
-    # moved to another channel is rechecked and flagged at once
+    # besides what the signature's memo keys on, a recheck reads the
+    # process's channel: Main's recheck passes, and Main moved to another
+    # channel is rechecked and flagged at once
     prog = check_program(parse_program(wide_source()))[1]
     cfg = initial_config(prog)
     for _ in range(2):
         rec = apply_step(cfg, enumerate_steps(cfg)[0])
     main = cfg.theta[0]
     assert monitor_check(cfg, rec.touched) is None
-    assert main.stamp is not None
     chan = main.chan
     main.chan = "elsewhere"
     assert monitor_check(cfg, rec.touched) is not None
@@ -1946,7 +1963,7 @@ def audit_judgment_stamps(cfg, fresh):
 
 def ids_differential(prog, choose, max_steps):
     """A monitored run of prog that checks, at the initial configuration
-    and after every step, that _passes (graph ids, stamps) and
+    and after every step, that _passes (graph ids) and
     reference_passes (types) agree on every linear and shared process,
     and that every judgment stamp holds. Ends at the first violation, as
     a monitored run does. Returns the verdicts of _passes."""
@@ -2026,11 +2043,9 @@ def test_a_name_and_its_body_are_one_memo_key(monkeypatch):
                     get, put = (dict.get, dict.__setitem__) \
                         if isinstance(obj, dict) else (getattr, setattr)
                     name, memo = get(obj, key), set()
-                    p.stamp = None
                     assert _passes(cfg, ck, p)
                     assert reference_passes(cfg, ck, p, memo)
                     put(obj, key, unfold(cfg.env, name))
-                    p.stamp = None
                     del checks[:]
                     assert _passes(cfg, ck, p) and checks == []
                     assert reference_passes(cfg, ck, p, memo) and checks
@@ -2129,7 +2144,8 @@ def test_judgment_stamps_see_a_view_swapped_by_hand():
                     u.uses[e.chan] = bad
                     assert _linear_fault(cfg, _checker(cfg), e).startswith(
                         "alias" if isinstance(e, Connect) else "linear")
-                    touched = {e.chan}
+                    # what a real step that changes u's view touches
+                    touched = {e.chan, u.chan}
                     got = monitor_check(cfg, touched)
                     assert got is not None
                     assert got == reference_monitor(cfg, touched)

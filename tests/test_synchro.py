@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from sill.types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
     ValIn, ValOut, Ref, TypeDef, TypeDefEnv, SHARED, LINEAR,
-    BOT, TOP, SharedC, TypeError_, Top, Bot, unfold,
+    BOT, TOP, SharedC, TypeError_, Top, Bot, unfold, type_names,
+    validate_env,
 )
+from sill.parser import parse_program
 from sill.subtype import is_subtype
 from sill.synchro import (
     SsyncPreconditionError, cleq, cleq_type, is_ssync, is_esync,
@@ -171,6 +173,21 @@ def test_meet_failure_rolls_back_minted_definitions():
     assert m is None
     # nothing minted during the failed derivation leaks out
     assert env2 == env
+
+
+def test_meet_rolls_back_a_nested_mint_of_a_dropped_branch():
+    # branch a meets p with q, minting the meet of p2 and q2 inside it
+    # before p3 and q3 fail: the branch is dropped, and the nested name
+    # rolled back with it, so branch b mints the meet of p2 and q2 again
+    # and every name in the result is defined in the returned env
+    from test_cli import MEET_DROPS
+    env = parse_program(MEET_DROPS).types
+    m, env2 = meet_types(env, Ref("pp"), Ref("qq"))
+    new = env2.defs[len(env.defs):]
+    assert m == Ref("Meet0") and [d.name for d in new] == ["Meet0", "Meet4"]
+    assert all(n in env2 for d in new for n in type_names(d.body))
+    assert validate_env(env2) == []
+    assert is_subtype(env2, m, Ref("pp")) and is_subtype(env2, m, Ref("qq"))
 
 
 def test_meet_rejects_a_cycle_of_names():

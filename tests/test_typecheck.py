@@ -133,6 +133,26 @@ def test_diagnostics_name_the_rule():
 
 
 @pytest.mark.parametrize("src, want", [
+    # a process diagnostic reads Name: rule: message on every path
+    ("proc S : (c: cell) |- s: srv = l <- accept s; s2 <- detach l; "
+     "fwd s2 s2\n",
+     ["S: shared: a shared session may not hold linear parameters"]),
+    ("proc M : (sh a: srv) |- x: 1 = close x\n"
+     "system { a <- spawn Srv(); a <- spawn Srv(); main M(a); }\n",
+     ["system: duplicate channel a"]),
+    # a value received at one base is put where another is expected
+    ("type ib = ?int. !bool. 1\n"
+     "proc P : () |- x: ib = v <- get x; put x v; close x\n",
+     ["P: ∧R: v has base int, expected bool"]),
+], ids=["linear_parameter", "duplicate_channel", "base"])
+def test_diagnostics_pinned_off_the_corpus(src, want):
+    types = ("type cell = !int. 1\ntype srv = up_s down_s srv\n"
+             "proc Srv : () |- s: srv = l <- accept s; s2 <- detach l; "
+             "n <- spawn Srv(); fwd s2 n\n")
+    assert diags_of(types + src) == want
+
+
+@pytest.mark.parametrize("src, want", [
     # the received channel would hide the offer, then a parameter still
     # in use
     ("proc P : (c: cell * 1) |- x: cell = x <- recv c; wait c; fwd x x\n",
