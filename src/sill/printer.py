@@ -9,7 +9,9 @@ them to, so runtime snapshots remain valid source text.
 
 from __future__ import annotations
 
-from .types import One, Tensor, Lolli, Ref, SessionType
+from .types import (
+    One, Tensor, Lolli, Ref, IChoice, EChoice, ValIn, ValOut, SessionType,
+)
 from .procast import (
     Spawn, SendLabel, CaseRecv, ProcessTerm, FIELDS, NAME, GENERIC,
 )
@@ -31,27 +33,24 @@ _FORMS = {cls: _form(cls) for cls in FIELDS if GENERIC.get(cls, cls) in SYNTAX}
 
 
 def _fmt(t: SessionType, level: int) -> str:
-    match t:
-        case One():
-            s, mine = "1", _ATOM
-        case Ref(name):
-            s, mine = name, _ATOM
-        case Tensor(p, c):
-            s, mine = f"{_fmt(p, _PREFIX)} * {_fmt(c, _TENSOR)}", _TENSOR
-        case Lolli(p, c):
-            s, mine = f"{_fmt(p, _TENSOR)} -o {_fmt(c, _LOLLI)}", _LOLLI
-        case _:
-            word = SYNTAX[type(t)]
-            match type(t).__match_args__:
-                case ("branches",):
-                    inner = ", ".join(f"{l}: {_fmt(ty, _LOLLI)}"
-                                      for l, ty in t.branches)
-                    s, mine = word + "{" + inner + "}", _ATOM
-                case ("base", "cont"):
-                    s = f"{word}{t.base}. {_fmt(t.cont, _PREFIX)}"
-                    mine = _PREFIX
-                case _:
-                    s, mine = f"{word} {_fmt(t.cont, _PREFIX)}", _PREFIX
+    cls = t.__class__
+    if cls is One:
+        s, mine = "1", _ATOM
+    elif cls is Ref:
+        s, mine = t.name, _ATOM
+    elif cls is Tensor:
+        s = f"{_fmt(t.payload, _PREFIX)} * {_fmt(t.cont, _TENSOR)}"
+        mine = _TENSOR
+    elif cls is Lolli:
+        s = f"{_fmt(t.payload, _TENSOR)} -o {_fmt(t.cont, _LOLLI)}"
+        mine = _LOLLI
+    elif cls is IChoice or cls is EChoice:
+        inner = ", ".join(f"{l}: {_fmt(ty, _LOLLI)}" for l, ty in t.branches)
+        s, mine = SYNTAX[cls] + "{" + inner + "}", _ATOM
+    elif cls is ValIn or cls is ValOut:
+        s, mine = f"{SYNTAX[cls]}{t.base}. {_fmt(t.cont, _PREFIX)}", _PREFIX
+    else:
+        s, mine = f"{SYNTAX[cls]} {_fmt(t.cont, _PREFIX)}", _PREFIX
     return f"({s})" if mine < level else s
 
 

@@ -14,9 +14,10 @@ it uses) plus the shared context Gamma: one constraint per shared channel,
 recorded by a spawn or a release and carried by a forward. A linear
 channel's release obligation is its entry, or never-available without one.
 The monitor rechecks the touched records after each step, and every
-record of the initial configuration as if each channel were touched; any
-failure is reported as a violation instead of silently continuing, which
-is what makes broken release points observable at runtime.
+record of the initial configuration as if each channel were touched, and
+verifies the shared context only tightens at the entries the step wrote;
+any failure is reported as a violation instead of silently continuing,
+which is what makes broken release points observable at runtime.
 
 The configuration indexes its linear part by channel (who offers it, who
 uses it, which aliases stand for it), so neither step enumeration nor the
@@ -60,9 +61,10 @@ stamps its entry with its inputs, by identity, and the same inputs pass
 again without a lookup. It rechecks a template in its own names, and a
 suffix that passed under the same context before is a lookup in a memo
 keyed by tuples of ints. It rechecks only the entries a step changed: a
-step's touched channels name every record it changed and every provider
-whose client's view it changed, so no client of a touched channel is
-rechecked for its provider's step (see _relevant).
+step's touched channels name every record, client's view, alias and Γ
+entry it changed, and are read in one pass, so no client of a touched
+channel is rechecked for its provider's step (see _relevant); Γ is
+checked at the entries the step wrote (see _check_gamma_monotone).
 """
 
 from __future__ import annotations
@@ -379,6 +381,8 @@ class StepRecord:
     fresh: list[str]
     renames: dict[str, str]
     touched: set[str]
+    # Γ's entries the step wrote, as before it (None: none), in Γ's order
+    gamma: dict[str, ConstraintType | None]
 
 
 # --------------------------------------------------------------------------- #
@@ -408,12 +412,14 @@ def _trace_pred(r: tuple) -> dict:
 
 def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
     """Install a fresh linear name standing for the shared channel target:
-    the alias predicate, recorded with its unavailability marker."""
+    the alias predicate, recorded with its unavailability marker and
+    touched. The target's session and Γ entry stay as they were."""
     alias = cfg.fresh()
     rec.fresh.append(alias)
     conn = Connect(alias, target)
     cfg.add(conn)
     rec.produced += [_record(conn), ("unavail", alias, None)]
+    rec.touched.add(alias)
     return alias
 
 
@@ -446,6 +452,7 @@ def _spawn_linear(cfg: Config, spawner: Proc | None,
             cfg.unuse(spawner, arg)
             uses[arg] = prm.ty
             actuals[prm.chan] = arg
+            rec.touched.add(arg)  # its provider's client changed
         elif kind == "sl":
             alias = _alias(cfg, arg, rec)
             uses[alias] = prm.ty
@@ -462,6 +469,7 @@ def _spawn_shared(cfg: Config, d: ProcDef, chan: str,
     actuals = {prm.chan: arg for prm, arg in zip(d.params, args)}
     p = _instance(cfg, d, chan, actuals, {}, True)
     cfg.lam[chan] = p
+    rec.gamma.setdefault(chan, cfg.gamma.get(chan))
     cfg.gamma[chan] = SharedC(d.offer_ty)
     cfg.dirty.add(p)
     rec.produced.append(_record(p))
@@ -473,7 +481,7 @@ def initial_config(prog: Program) -> Config:
     if prog.system is None:
         raise ValueError("program has no system block")
     cfg = Config(prog.types, prog.procs, [], {}, {})
-    rec = StepRecord("init", [], [], [], {}, set())
+    rec = StepRecord("init", [], [], [], {}, set(), {})
     for binder, pname, args in prog.system.spawns:
         d = prog.procs.lookup(pname)
         _spawn_shared(cfg, d, binder, args, rec)
@@ -805,11 +813,12 @@ def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
 
 def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     """fwd_ll, fwd_ss: the forwarder at a leaves and b is renamed to a.
-    fwd_ls: a stays behind as a linear alias of the shared b."""
+    fwd_ls: a stays behind as a linear alias of the shared b, which is
+    left alone and not touched."""
     t = p.tmpl
     a, b = p.name(t.offer), p.name(t.used)
     rec.consumed.append(_record(p))
-    rec.touched |= {a, b}
+    rec.touched.add(a)
     if p.shared:
         del cfg.lam[a]
         cfg.dirty.add(p)
@@ -824,6 +833,11 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
         tgt = cfg.provider(b)
         if isinstance(tgt, Proc):
             rec.consumed.append(_record(tgt))
+    g = cfg.gamma
+    if a in g or b in g:  # the meet writes a, drops b: noted in Γ's order
+        first = next(k for k in g if k == a or k == b)
+        for k in (first, b if first == a else a):
+            rec.gamma.setdefault(k, g.get(k))
     _rename_all(cfg, b, a)
     rec.renames[b] = a
     tgt = cfg.provider(a)
@@ -833,7 +847,8 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
 
 def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
     """spawn_ll, spawn_ls, spawn_ss: s spawns a process at a fresh channel
-    and continues with its binder bound to it."""
+    and continues with its binder bound to it. A shared argument is only
+    read, so it is not touched."""
     rec.consumed.append(_record(s))
     sp: Spawn = s.tmpl
     args = tuple([s.name(x) for x in sp.args])
@@ -847,7 +862,7 @@ def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
         cfg.use(s, c, d.offer_ty)
     _resume(cfg, s, c)
     rec.produced.append(_record(s))
-    rec.touched |= {s.chan, c} | set(args)
+    rec.touched |= {s.chan, c}
 
 
 _SENDS = (SendChan, SendChanS, SendLabel, SendVal)
@@ -878,10 +893,10 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         if k is SendChan:
             cfg.unuse(s, y)
             msg = y
+            rec.touched.add(y)
         else:
-            msg = _alias(cfg, y, rec)
+            msg = _alias(cfg, y, rec)  # y's session is left alone
         cfg.use(r, msg, rty.payload)
-        rec.touched.add(y)
     elif k is SendVal:
         msg = s.name(st.value)
     elif k is SendLabel:
@@ -932,6 +947,7 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     _resume(cfg, p, c)
     newp = Proc(c, p.tmpl, shared_ty, {}, True, cfg.names, p.env, p.base)
     cfg.lam[c] = newp
+    rec.gamma.setdefault(c, cfg.gamma.get(c))
     cfg.gamma[c] = SharedC(shared_ty)
     cfg.dirty.add(newp)
     rec.produced.append(_record(newp))
@@ -946,7 +962,7 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         cfg.use(u, name, view)
     _resume(cfg, u, name)
     rec.produced.append(_record(u))
-    rec.touched |= {c, name, u.chan}
+    rec.touched |= {c, u.chan}
 
 
 _HANDLERS = {
@@ -961,7 +977,7 @@ _HANDLERS = {
 
 
 def apply_step(cfg: Config, step: Step) -> StepRecord:
-    rec = StepRecord(step.rule, [], [], [], {}, set())
+    rec = StepRecord(step.rule, [], [], [], {}, set(), {})
     prov = cfg.provider(step.provider)
     user = None if step.user is None else cfg.provider(step.user)
     _HANDLERS[step.rule](cfg, rec, prov, user)
@@ -1028,11 +1044,11 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     and a use (whether it is the offer, its view, its constraint)), a
     constraint being TOP_ID, BOT_ID or a shared type's id. A miss checks
     the template and on a pass records the context at every node of its
-    spine, so after a well-typed step the next recheck is a lookup. False,
-    for the forced check to decide and word the violation, where that
-    check fails or the context does not translate one to one: two free
-    names stand for the offer or one linear channel, none for the offer,
-    or a use for none. Γ is only read and extended, so two may stand for
+    spine (see _recorder), so after a well-typed step the next recheck is
+    a lookup. False, for the forced check to decide and word the
+    violation, where that check fails or the context does not translate
+    one to one: two free names stand for the offer or one linear channel,
+    none for the offer, or a use for none. Γ is only read and extended, so two may stand for
     one shared channel."""
     t, chan, gamma, env = p.tmpl, p.chan, cfg.gamma, cfg.env
     g, free = env.graph, cfg.sig.free
@@ -1062,21 +1078,33 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
         return False
     memo = cfg.sig.memo[id(env)][1]
     if (id(t), p.shared, _tid(g, p.offer), tuple(cls)) not in memo:
-        out = []
-
-        def record(node, gamma, delta, x, a, shared):
-            out.append((id(node), shared, _tid(g, a), tuple(
-                (y == x, _tid(g, delta[y]) if y in delta else None,
-                 _cid(g, gamma[y]) if y in gamma else None)
-                if y == x or y in delta else
-                _cid(g, gamma[y]) if y in gamma else None
-                for y in free[id(node)])))
-
+        record = _recorder(g, free, out := [])
         if (ck.shared(gam, {}, t, x, p.offer, record) if p.shared else
                 ck.linear(gam, delta, {}, t, x, p.offer, record)) is None:
             return False
         memo.update(out)
     return True
+
+
+def _recorder(g: TypeGraph, free: dict, out: list):
+    """The callback by which a recheck miss appends to out the memo key of
+    each node of its spine (see _passes and _Ck.check). A free name's class
+    is built once per (Δ entry, Γ entry, is-offer), compared by identity,
+    and reused along the spine. Built here, it leaves _passes no closure
+    cells, so _passes reads g and free as plain locals."""
+    seen: dict[str, tuple] = {}
+
+    def record(node, gamma, delta, x, a, shared):
+        ta, cls = _tid(g, a), []
+        for y in free[id(node)]:
+            d, c, o, s = delta.get(y), gamma.get(y), y == x, seen.get(y)
+            if s is None or s[0] is not d or s[1] is not c or s[2] is not o:
+                k = None if d is None else _tid(g, d)
+                i = None if c is None else _cid(g, c)
+                s = seen[y] = (d, c, o, (o, k, i) if o or k is not None else i)
+            cls.append(s[3])
+        out.append((id(node), shared, ta, tuple(cls)))
+    return record
 
 
 def _recheck(cfg: Config, ck: _Ck, p: Proc) -> str | None:
@@ -1145,46 +1173,48 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
     return _recheck(cfg, ck, e)
 
 
-def _relevant(cfg: Config, touched: set[str]) -> dict[int, Proc | Connect]:
-    """The entries of the linear part that offer a touched channel or are
-    an alias of one, by id. An entry's check reads its own record, its
-    client's view of its channel and Γ. Every handler touches the channel
-    of each process whose record it changes and of each provider whose
-    client's view it changes, and a forward renames consistently, so a
-    client of a touched channel, whose record its provider's step left
-    alone, passes as before and is not rechecked."""
-    return {id(e): e for c in touched
-            for m in (cfg.offered, cfg.aliases) for e in m.get(c, ())}
+def _relevant(cfg: Config, touched) -> tuple[dict, list[str], list[str]]:
+    """In one pass over the touched channels: the linear entries offering
+    one or an alias of one, by id; the shared sessions at one; and those
+    with two providers. An entry's check reads its record, its client's
+    view of its channel and Γ, and every handler touches the channel of
+    each record, client's view, alias and Γ entry it changes (a forward
+    renames consistently). So neither a client of a touched channel nor
+    the session an alias stands for, left alone, is rechecked."""
+    offered, aliases, lam = cfg.offered, cfg.aliases, cfg.lam
+    linear, shared, dup = {}, [], []
+    for c in touched:
+        es, up = offered.get(c, ()), c in lam
+        if len(es) + up > 1:
+            dup.append(c)
+        if up:
+            shared.append(c)
+        for e in (*es, *aliases.get(c, ())):
+            linear[id(e)] = e
+    return linear, shared, dup
 
 
 def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
     """Recheck the typing records of the touched channels (every channel
     when touched is None). Returns a violation message or None.
 
-    The entries to recheck come from the indexes: those offering a touched
-    channel and the aliases of one (see _relevant). They are checked in
-    any order first; only if one fails are they walked again in the order
-    of the linear part, so the first failing entry names the violation,
-    as a walk of the whole linear part would. A step can make a second
-    provider only at a channel it touches, so duplicates are looked for
-    there alone once the initial configuration has passed."""
+    One pass over the touched channels gives the entries, sessions and
+    duplicate providers to check (see _relevant); a step can make a second
+    provider only at a channel it touches. The linear entries are checked
+    in any order first; only if one fails are they walked again in the
+    order of the linear part (by rank), so the first failing entry names
+    the violation, as a walk of the whole linear part would."""
     if touched is None:
         touched = cfg.offered.keys() | cfg.lam.keys()
-    dup = [c for c in touched
-           if len(cfg.offered.get(c, ())) + (c in cfg.lam) > 1]
+    relevant, shared, dup = _relevant(cfg, touched)
     if dup:
         return f"well-formedness: multiple providers for {sorted(dup)}"
     ck = _checker(cfg)
-    relevant, linear = _relevant(cfg, touched), ()
     for e in relevant.values():
         if _linear_fault(cfg, ck, e) is not None:
-            linear = [e for e in cfg.theta if id(e) in relevant]
-            break
-    for e in linear:
-        v = _linear_fault(cfg, ck, e)
-        if v is not None:
-            return v
-    for a in sorted(cfg.lam.keys() & touched):
+            return next(v for e in sorted(relevant.values(), key=_rank)
+                        if (v := _linear_fault(cfg, ck, e)) is not None)
+    for a in sorted(shared):
         p = cfg.lam[a]
         con = cfg.gamma.get(a)
         if not isinstance(con, SharedC):
@@ -1247,12 +1277,15 @@ class RunResult:
     config: Config
 
 
-def _check_gamma_monotone(cfg: Config, before: dict[str, ConstraintType],
-                          rec: StepRecord) -> str | None:
+def _check_gamma_monotone(cfg: Config, rec: StepRecord) -> str | None:
     """Every constraint of Γ before the step is still there after it, at
-    or below where it was; one the step left alone is, as the order is
-    reflexive."""
-    for k, c in before.items():
+    or below where it was, checked at the entries the step wrote
+    (rec.gamma). An entry no handler wrote is the object it was, which
+    the order, being reflexive, keeps; so this reports what a walk of the
+    whole of Γ before the step would, in its order."""
+    for k, c in rec.gamma.items():
+        if c is None:
+            continue  # the step made this entry
         nk = rec.renames.get(k, k)
         d = cfg.gamma.get(nk)
         if d is None:
@@ -1285,7 +1318,6 @@ def run(prog: Program, *, seed: int = 0, max_steps: int = 1000,
         if not steps:
             return RunResult(classify(cfg), n, None, cfg)
         idx = 0 if policy == "fifo" else rng.randrange(len(steps))
-        before = dict(cfg.gamma) if monitor else None
         rec = apply_step(cfg, steps[idx])
         n += 1
         if trace is not None:
@@ -1297,7 +1329,7 @@ def run(prog: Program, *, seed: int = 0, max_steps: int = 1000,
                 "fresh": rec.fresh,
             }, sort_keys=True, separators=(",", ":")) + "\n")
         if monitor:
-            v = _check_gamma_monotone(cfg, before, rec)
+            v = _check_gamma_monotone(cfg, rec)
             if v is None:
                 v = monitor_check(cfg, rec.touched)
             if v is not None:

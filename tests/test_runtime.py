@@ -507,7 +507,27 @@ def test_gamma_only_tightens():
             _gamma_tracked(prog, random.Random(seed).choice, 300)
 
 
+def reference_gamma_monotone(cfg, before, rec):
+    """Γ's monotonicity by a walk of the whole of Γ before the step (the
+    copy before): every entry is still there, renamed as the step renamed
+    it, at or below where it was."""
+    from sill.synchro import cleq
+    for k, c in before.items():
+        nk = rec.renames.get(k, k)
+        d = cfg.gamma.get(nk)
+        if d is None:
+            return f"shared context: constraint for {k} disappeared"
+        if d is not c and not cleq(cfg.env, d, c):
+            return (f"shared context: constraint for {nk} evolved upward "
+                    f"instead of tightening")
+    return None
+
+
 def test_gamma_check_reports_lost_and_raised_entries():
+    # the check reads the entries the step wrote: a shared forward notes
+    # both names' entries, in Γ's order. Raising the entry noted for the
+    # renamed name, then dropping the surviving name's entry, is reported
+    # as the walk of the whole of Γ reports it
     from sill.runtime import _check_gamma_monotone
     cfg = initial_config(by_stem("auction"))
     for _ in range(150):
@@ -517,15 +537,22 @@ def test_gamma_check_reports_lost_and_raised_entries():
             break
     # a shared forward: the forwarder's entry moves onto the surviving name
     assert rec.rule == "fwd_ss"
-    assert _check_gamma_monotone(cfg, before, rec) is None
+    # %g20 is renamed to a, which comes first in Γ
+    assert rec.renames == {"%g20": "a"} and list(before) == ["a", "%g20"]
+    assert list(rec.gamma) == ["a", "%g20"]
+    assert all(rec.gamma[k] is before[k] for k in rec.gamma)
+    assert _check_gamma_monotone(cfg, rec) is None
     # an entry that rises is reported
-    old = next(iter(rec.renames))
-    v = _check_gamma_monotone(cfg, {**before, old: BOT}, rec)
-    assert v is not None and "evolved upward" in v
+    rec.gamma["%g20"] = before["%g20"] = BOT
+    v = _check_gamma_monotone(cfg, rec)
+    assert v == reference_gamma_monotone(cfg, before, rec)
+    assert v == ("shared context: constraint for a evolved upward instead "
+                 "of tightening")
     # a shared channel losing its constraint is reported
-    del cfg.gamma[rec.renames[old]]
-    v = _check_gamma_monotone(cfg, before, rec)
-    assert v is not None and "disappeared" in v
+    del cfg.gamma["a"]
+    v = _check_gamma_monotone(cfg, rec)
+    assert v == reference_gamma_monotone(cfg, before, rec)
+    assert v == "shared context: constraint for a disappeared"
 
 
 # an acquired shared session may end in `close`; its channel keeps the
@@ -977,16 +1004,29 @@ def differential(prog, choose, max_steps, monitor, well_typed):
             return n
         before = dict(cfg.gamma)
         rec = apply_step(cfg, choose(steps))
-        assert sorted(_relevant(cfg, rec.touched)) == sorted(
+        # every entry of Γ the step changed is noted, in Γ's order; the
+        # rest are the objects they were
+        assert all(k in rec.gamma or cfg.gamma.get(k) is c
+                   for k, c in before.items())
+        assert [k for k in rec.gamma if k in before] == \
+            [k for k in before if k in rec.gamma]
+        gamma_fault = _check_gamma_monotone(cfg, rec)
+        assert gamma_fault == reference_gamma_monotone(cfg, before, rec)
+        linear, shared, dup = _relevant(cfg, rec.touched)
+        assert sorted(linear) == sorted(
             id(e) for e in cfg.theta if e.chan in rec.touched
             or isinstance(e, Connect) and e.target in rec.touched)
+        assert sorted(shared) == sorted(cfg.lam.keys() & rec.touched)
+        chans = [e.chan for e in cfg.theta] + list(cfg.lam)
+        assert sorted(dup) == sorted(
+            c for c in rec.touched if chans.count(c) > 1)
         if not monitor:
             continue
         want = reference_monitor(cfg, rec.touched)
         assert monitor_check(cfg, rec.touched) == want
         if well_typed:
             assert want is None and monitor_check(cfg, None) is None
-        if want is not None or _check_gamma_monotone(cfg, before, rec):
+        if want is not None or gamma_fault:
             return n + 1
     return max_steps
 
@@ -1732,15 +1772,20 @@ def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
 
 
 def records(cfg):
-    """Per linear entry, by id: the entry and what its monitor check reads
-    besides Γ: its channel, its template, offer and uses or its alias
-    target, and its client's view of its channel."""
+    """Per linear entry and per shared session, by id: the entry and what
+    its monitor check reads besides the Γ entries of its template's other
+    free names: its channel, its template, offer and uses or its alias
+    target, its client's view of its channel, and Γ at its channel or, for
+    an alias, at its target."""
     out = {}
     for e in cfg.theta:
         u = cfg.user_of(e.chan)
         own = (e.target,) if isinstance(e, Connect) \
             else (e.tmpl, e.offer, dict(e.uses))
-        out[id(e)] = (e, e.chan, own, None if u is None else u.uses[e.chan])
+        out[id(e)] = (e, e.chan, own, None if u is None else u.uses[e.chan],
+                      cfg.gamma.get(own[0] if len(own) == 1 else e.chan))
+    for a, p in cfg.lam.items():
+        out[id(p)] = (p, a, (p.tmpl, p.offer, {}), None, cfg.gamma.get(a))
     return out
 
 
@@ -1749,8 +1794,9 @@ def same_record(old, new, renames):
     compared by value, templates and types by identity."""
     def rn(c):
         return renames.get(c, c)
-    (_, chan, own, view), (_, chan2, own2, view2) = old, new
-    if rn(chan) != chan2 or view is not view2 or len(own) != len(own2):
+    (_, chan, own, view, con), (_, chan2, own2, view2, con2) = old, new
+    if rn(chan) != chan2 or view is not view2 or con is not con2 or \
+            len(own) != len(own2):
         return False
     if len(own) == 1:
         return rn(own[0]) == own2[0]
@@ -1762,13 +1808,17 @@ def same_record(old, new, renames):
 
 def test_each_step_touches_every_record_it_changes():
     # the monitor rechecks only the entries offering a touched channel and
-    # the aliases of one. That is exact where every entry a step makes, or
-    # whose record or client's view it changes, is among them, a forward's
-    # renaming aside: after every step of monitored runs of the corpus, the
-    # wide program, the contention shape, the held forwards and every
-    # ill-typed mutant, up to the first violation, it is. (Past one it
-    # need not be: a process that closes its channel while it still holds
-    # another drops the only client of that one.)
+    # the aliases of one, and the shared sessions at a touched channel.
+    # That is exact where every entry or session a step makes, or whose
+    # record, client's view or Γ entry (at an alias, its target's) it
+    # changes, is among them, a forward's renaming aside: after every step
+    # of monitored runs of the corpus, the wide program, the contention
+    # shape, the held forwards and every ill-typed mutant, up to the first
+    # violation, it is, and every Γ entry the step wrote is at a touched
+    # channel. (Past a violation it need not be: a process that closes its
+    # channel while it still holds another drops the only client of that
+    # one.) Along the way, the check of Γ at the entries the step wrote
+    # agrees with the walk of the whole of Γ.
     import random
     from sill.runtime import _check_gamma_monotone, _relevant
     from test_typecheck import _mutants
@@ -1793,13 +1843,21 @@ def test_each_step_touches_every_record_it_changes():
                     break
                 before, gamma = records(cfg), dict(cfg.gamma)
                 rec = apply_step(cfg, rng.choice(steps))
-                relevant = _relevant(cfg, rec.touched)
+                linear, shared, _ = _relevant(cfg, rec.touched)
                 for k, r in records(cfg).items():
                     if k not in before or not same_record(before[k], r,
                                                           rec.renames):
-                        assert k in relevant, (rec.rule, r)
+                        e = r[0]
+                        if isinstance(e, Proc) and e.shared:
+                            assert e.chan in shared, (rec.rule, r)
+                        else:
+                            assert k in linear, (rec.rule, r)
                         changed += 1
-                if _check_gamma_monotone(cfg, gamma, rec) is not None or \
+                assert all(rec.renames.get(c, c) in rec.touched
+                           for c in rec.gamma), rec.rule
+                fault = _check_gamma_monotone(cfg, rec)
+                assert fault == reference_gamma_monotone(cfg, gamma, rec)
+                if fault is not None or \
                         monitor_check(cfg, rec.touched) is not None:
                     break
     assert changed > 10000
@@ -2013,6 +2071,62 @@ def test_id_keyed_recheck_matches_the_type_keyed_reference():
                 verdicts += ids_differential(elab, random.Random(0).choice,
                                              60)
     assert verdicts.count(False) > 700
+
+
+def reference_record(g, free, out):
+    """_recorder building each node's key anew: every free name's class is
+    worked out at every node of the spine."""
+    from sill.runtime import _cid, _tid
+
+    def record(node, gamma, delta, x, a, shared):
+        out.append((id(node), shared, _tid(g, a), tuple(
+            (y == x, _tid(g, delta[y]) if y in delta else None,
+             _cid(g, gamma[y]) if y in gamma else None)
+            if y == x or y in delta else
+            _cid(g, gamma[y]) if y in gamma else None
+            for y in free[id(node)])))
+
+    return record
+
+
+def test_recheck_misses_record_the_per_node_keys(monkeypatch):
+    # a recheck miss builds each free name's class once and reuses it along
+    # the spine: every monitored run of the corpus, the bench's wide
+    # program, the contention shape and every ill-typed corpus mutant
+    # leaves the signature's memo holding exactly the keys of the same run
+    # with each class built at every node
+    import random
+    import sys
+    from sill import runtime
+    from sill.runtime import ProgressError
+    from test_typecheck import _mutants
+    sys.path.insert(0, str(CORPUS.parent / "bench"))
+    from workloads import wide_source as bench_wide_source
+    wide = check_program(parse_program(
+        bench_wide_source(random.Random("wide:0"), 16, 10, 32)))[1]
+    runs = [(by_stem(stem), "random", seed, 300)
+            for stem in sorted(EXPECTED_STATUS) for seed in range(2)]
+    runs += [(wide, "fifo", 0, 1000), (contention_prog(40), "fifo", 0, 1000)]
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if diags and mutant.system is not None:
+                runs.append((elab, "random", 0, 60))
+    keys = 0
+    for prog, policy, seed, max_steps in runs:
+        memos = []
+        for recorder in (runtime._recorder, reference_record):
+            monkeypatch.setattr(runtime, "_recorder", recorder)
+            prog.procs.memo.clear()
+            try:
+                run(prog, seed=seed, policy=policy, max_steps=max_steps)
+            except ProgressError:  # an ill-typed mutant may halt so
+                pass
+            memos.append([m[1] for m in prog.procs.memo.values()])
+        monkeypatch.undo()
+        assert memos[0] == memos[1]
+        keys += sum(map(len, memos[0]))
+    assert len(runs) > 1500 and keys > 25000  # 1 567 runs, 27 697 keys
 
 
 def test_a_name_and_its_body_are_one_memo_key(monkeypatch):
