@@ -47,24 +47,26 @@ explicit substitutions (Abadi, Cardelli, Curien & Levy) and of the CEK
 machine (Felleisen & Friedman): an immutable template from its
 definition's body and a renaming of the template's free names. A step
 moves the template on and binds its binder; a forward records its
-renaming once, in a union-find map every name resolves through. The
-concrete term is forced only for a trace record, the monitor's forced
-check and a reader of ``Proc.term``.
+renaming once, as one key of a plain union-find map from the old channel
+to the new, which every name resolves through. The concrete term is
+forced only for a trace record (in the step that took it), the
+monitor's forced check and a reader of ``Proc.term``.
 
 The monitor decides on the ids of the type env's graph (hash-consing in
 the manner of Filliâtre & Conchon). The first time it judges under an
 env, it pins the signature's offer and parameter types in the graph, so
 every type it reads is found by identity; only a type the run built
-(down_sl2's view, a meet's result) is interned. Its judgments read the
-graph's verdict memo first and decide on a miss; a passed judgment
-stamps its entry with its inputs, by identity, and the same inputs pass
-again without a lookup. It rechecks a template in its own names, and a
-suffix that passed under the same context before is a lookup in a memo
-keyed by tuples of ints. It rechecks only the entries a step changed: a
-step's touched channels name every record, client's view, alias and Γ
-entry it changed, and are read in one pass, so no client of a touched
-channel is rechecked for its provider's step (see _relevant); Γ is
-checked at the entries the step wrote (see _check_gamma_monotone).
+(down_sl2's view, a meet's result) is interned. Its judgments are
+is_ssync and is_subtype, which read the graph's verdict memo themselves;
+a passed judgment stamps its entry with its inputs, by identity, and the
+same inputs pass again without a judgment. It rechecks a template in its
+own names, and a suffix that passed under the same context before is a
+lookup in a memo keyed by tuples of ints. It rechecks only the entries
+a step changed: a step's touched channels name every record, client's
+view, alias and Γ entry it changed, and are read in one pass, so no
+client of a touched channel is rechecked for its provider's step (see
+_relevant); Γ is checked at the entries the step wrote (see
+_check_gamma_monotone).
 """
 
 from __future__ import annotations
@@ -108,69 +110,29 @@ class RunStatus(str, Enum):
     MONITOR_VIOLATION = "monitor_violation"
 
 
-class Names:
-    """The forwards of a run as one union-find map, extended in place:
-    each channel a forward renamed maps to (the channel it was renamed
-    to, the number of that forward, the root that channel resolved to at
-    its last lookup, the number of the forward that made it the root).
-    ``n`` counts the forwards, so a trace snapshot or a memo keeps only
-    the count of its time: a snapshot resolves through the forwards
-    numbered up to it, and a memo holds while the count is unchanged. A
-    forward renames a root to a root, so the numbers rise along every
-    path, and a compressed hop is taken only by a snapshot that has every
-    forward it stands for."""
-    __slots__ = ("map", "n")
-
-    def __init__(self) -> None:
-        self.map: dict[str, tuple[str, int, str, int]] = {}
-        self.n = 0
-
-    def union(self, old: str, new: str) -> None:
-        if old != new:  # a channel forwarded to itself keeps its name
-            self.n += 1
-            self.map[old] = (new, self.n, new, self.n)
-
-
-def _find(m: dict[str, tuple], x: str) -> str:
-    """x resolved through all the forwards in m, compressing the path."""
-    e = m.get(x)
-    if e is None:
-        return x
-    root, k = e[2], e[3]
+def _find(m: dict[str, str], x: str) -> str:
+    """x resolved through the run's forwards m, compressing the path. m
+    maps each channel a forward renamed to the channel it was renamed to;
+    a forward adds one key and a renamed channel is never renamed again,
+    so len(m) counts the forwards."""
     path = []
-    while (f := m.get(root)) is not None:
-        path.append(root)
-        root, k = f[2], f[3]
-    if path:
-        for y in (x, *path):
-            e = m[y]
-            m[y] = (e[0], e[1], root, k)
-    return root
-
-
-def _find_at(m: dict[str, tuple], x: str, n: int) -> str:
-    """x resolved through the forwards in m numbered up to n."""
-    while (e := m.get(x)) is not None:
-        if e[3] <= n:
-            x = e[2]
-        elif e[1] <= n:
-            x = e[0]
-        else:
-            break
+    while (y := m.get(x)) is not None:
+        path.append(x)
+        x = y
+    for y in path[:-1]:
+        m[y] = x
     return x
 
 
 def _force(tmpl: ProcessTerm | None, env: dict[str, str], base: int,
-           m: dict[str, tuple], n: int | None = None) -> ProcessTerm | None:
-    """The concrete term of a closure under the forwards in m (those
-    numbered up to n, with n given): the template with its free names
-    renamed by env and resolved through m, and binder i (in preorder)
-    named %g{base+i}."""
+           m: dict[str, str]) -> ProcessTerm | None:
+    """The concrete term of a closure under the forwards m: the template
+    with its free names renamed by env and resolved through m, and binder
+    i (in preorder) named %g{base+i}."""
     if tmpl is None:
         return None
     if m:
-        env = {x: y if y not in m else _find(m, y) if n is None
-               else _find_at(m, y, n) for x, y in env.items()}
+        env = {x: y if y not in m else _find(m, y) for x, y in env.items()}
     return freshen(tmpl, map("%g{}".format, count(base)).__next__, env)
 
 
@@ -180,23 +142,24 @@ class Proc:
     the template's free names stand for (never changed in place; a name
     it lacks stands for itself); ``base``, the number of the fresh name
     the template's first binder takes; and ``names``, the run's forwards,
-    through which every name then resolves.
+    through which every name then resolves (see _find).
 
-    ``term`` forces the closure for a trace, the monitor's forced check
-    and other readers, and keeps it while the template and the number of
-    forwards stay the same. ``rank`` is its place in the linear part,
-    ``kept`` where the last enumeration keeps it (see Config) and ``up``
-    the last direct acquire step built for it (see _tail)."""
+    ``term`` forces the closure for the monitor's forced check and other
+    readers, and keeps it in ``term_memo`` while the template and the
+    number of forwards, len(names), stay the same. ``rank`` is its place
+    in the linear part, ``kept`` where the last enumeration keeps it (see
+    Config) and ``up`` the last direct acquire step built for it (see
+    _tail)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
                  "shared", "term_memo", "judged", "rank", "kept", "up")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
-                 shared: bool, names: Names | None = None,
+                 shared: bool, names: dict[str, str] | None = None,
                  env: dict[str, str] | None = None, base: int = 0) -> None:
         self.chan, self.offer, self.uses, self.shared = \
             chan, offer, uses, shared
-        self.names = Names() if names is None else names
+        self.names = {} if names is None else names
         self.tmpl, self.env, self.base = tmpl, {} if env is None else env, base
         # the forced term, and what the last passed judgment read (see
         # term and _synchronizes)
@@ -206,15 +169,15 @@ class Proc:
 
     def name(self, x: str) -> str:
         """What the template's name x stands for now."""
-        x, m = self.env.get(x, x), self.names.map
+        x, m = self.env.get(x, x), self.names
         return _find(m, x) if x in m else x
 
     @property
     def term(self) -> ProcessTerm | None:
-        m, n = self.term_memo, self.names.n
+        m, n = self.term_memo, len(self.names)
         if m is None or m[0] is not self.tmpl or m[1] != n:
             m = self.term_memo = (self.tmpl, n, _force(
-                self.tmpl, self.env, self.base, self.names.map))
+                self.tmpl, self.env, self.base, self.names))
         return m[2]
 
     def __repr__(self) -> str:
@@ -252,7 +215,7 @@ class Config:
     lam: dict[str, Proc]  # available shared sessions
     gamma: dict[str, ConstraintType]  # shared channels only
     counter: int = 0
-    names: Names = field(default_factory=Names)
+    names: dict[str, str] = field(default_factory=dict)
     # the linear part by channel: the entries offering it, the processes
     # using it and the aliases of it. Only the methods below and
     # _rename_all change the linear part, and they keep these in step.
@@ -389,14 +352,16 @@ class StepRecord:
 # Construction
 # --------------------------------------------------------------------------- #
 
-def _record(e: Proc | Connect) -> tuple:
+def _record(e: Proc | Connect, frozen: bool = False) -> tuple:
     """A snapshot of a process or alias predicate: kind, channel, and the
-    closure with the number of forwards so far or the alias target;
-    forced and formatted only for a trace."""
+    closure or the alias target; forced and formatted only for a trace,
+    in the step that took it. A forward takes its consumed snapshots
+    before it renames, so they are frozen: their names resolved now."""
     if isinstance(e, Connect):
         return ("connect", e.chan, e.target)
-    return ("procS" if e.shared else "procL", e.chan,
-            (e.tmpl, e.env, e.base, e.names.map, e.names.n))
+    x = (e.tmpl, {y: e.name(y) for y in e.env}, e.base, {}) if frozen \
+        else (e.tmpl, e.env, e.base, e.names)
+    return ("procS" if e.shared else "procL", e.chan, x)
 
 
 def _trace_pred(r: tuple) -> dict:
@@ -509,9 +474,8 @@ def _retopo(cfg: Config) -> None:
     its user), the leftmost entry still to place is always ready, so the
     order is the list itself. If that held after the last re-sort, only a
     use made since can break it; when each of those points right too, the
-    list stays as it is. Otherwise, and for a bare namespace holding a
-    theta alone, _kahn re-sorts it."""
-    if getattr(cfg, "ordered", False):
+    list stays as it is. Otherwise _kahn re-sorts it."""
+    if cfg.ordered:
         offered = cfg.offered
         for u, c in cfg.edges:
             es = offered.get(c)
@@ -579,7 +543,7 @@ def _subject(p: Proc):
     if f is None:
         return None, t
     x = getattr(t, f)
-    x, m = p.env.get(x, x), p.names.map
+    x, m = p.env.get(x, x), p.names
     return (_find(m, x) if x in m else x), t
 
 
@@ -658,7 +622,7 @@ def _tail(cfg: Config) -> list[Step]:
     acquirer's step is kept on it and built anew only where its session or
     its channel changed."""
     steps: list[Step] = []
-    m = cfg.names.map
+    m = cfg.names
     for a in sorted(cfg.lam):
         p = cfg.lam[a]
         t = p.tmpl
@@ -765,7 +729,8 @@ def _rename_all(cfg: Config, old: str, new: str) -> None:
     if old in cfg.lam:
         p = cfg.lam[new] = cfg.lam.pop(old)
         p.chan = new
-    cfg.names.union(old, new)
+    if old != new:  # a channel forwarded to itself keeps its name
+        cfg.names[old] = new
     # the steps that read a name the renaming moved: those of the
     # processes at new, and those of the providers at the subject of one,
     # which read its channel. A client of new needs no mark: its step
@@ -817,7 +782,7 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     left alone and not touched."""
     t = p.tmpl
     a, b = p.name(t.offer), p.name(t.used)
-    rec.consumed.append(_record(p))
+    rec.consumed.append(_record(p, True))
     rec.touched.add(a)
     if p.shared:
         del cfg.lam[a]
@@ -832,7 +797,7 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     if isinstance(t, FwdLL):
         tgt = cfg.provider(b)
         if isinstance(tgt, Proc):
-            rec.consumed.append(_record(tgt))
+            rec.consumed.append(_record(tgt, True))
     g = cfg.gamma
     if a in g or b in g:  # the meet writes a, drops b: noted in Γ's order
         first = next(k for k in g if k == a or k == b)
@@ -994,8 +959,9 @@ def apply_step(cfg: Config, step: Step) -> StepRecord:
 def _tid(g: TypeGraph, t: SessionType) -> int:
     """t's id in g: by identity where t is a pinned type or a subterm of
     one or of a body. Else t is a type the run built: a client's view
-    after down_sl2, one per body (ProcSignature.views), which is pinned at
-    its first judgment, or a meet's result, which is interned each time."""
+    after down_sl2, one per body (ProcSignature.views), which is pinned the
+    first time a recheck reads it, or a meet's result, which is interned
+    each time."""
     i = g.ident.get(id(t))
     if i is None:
         return g.pin(t) if t.__class__ is UpLL else g.intern(t)
@@ -1017,9 +983,9 @@ def _checker(cfg: Config) -> _Ck:
     pair's recheck memo, so a run that is not monitored builds no graph.
     The memo's keys are the graph's ids, so a graph the env dropped (see
     TypeGraph.intern) takes the memo with it."""
-    ck, env = cfg.ck, cfg.env
+    ck, env, memo = cfg.ck, cfg.env, cfg.sig.memo
     g = env.graph
-    m = cfg.sig.memo.get(id(env))
+    m = memo.get(id(env))
     if m is None or m[2] is not g:
         try:
             for d in cfg.sig.defs:
@@ -1028,7 +994,7 @@ def _checker(cfg: Config) -> _Ck:
                     g.pin(prm.ty)
         except (KeyError, TypeError_):
             pass  # a malformed type: the judgment posing it raises
-        cfg.sig.memo[id(env)] = (env, set(), g)
+        memo[id(env)] = (env, set(), g)
     if ck is None or ck.env is not env:
         ck = cfg.ck = _Ck(env, cfg.sig)
     return ck
@@ -1053,7 +1019,7 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     t, chan, gamma, env = p.tmpl, p.chan, cfg.gamma, cfg.env
     g, free = env.graph, cfg.sig.free
     uses = {} if p.shared else p.uses  # the shared judgment has no Δ
-    ren, m = p.env, p.names.map
+    ren, m = p.env, p.names
     x, delta, gam, cls, lin = None, {}, {}, [], set()
     for y in free[id(t)]:
         r = ren.get(y, y)
@@ -1123,23 +1089,18 @@ def _recheck(cfg: Config, ck: _Ck, p: Proc) -> str | None:
 def _synchronizes(cfg: Config, e: Proc, a: SessionType, b: SessionType,
                   d: ConstraintType) -> bool:
     """Whether (a, b, d) subsynchronizes, a <= b being the judgment's
-    precondition, for the entry e. The graph's verdict memo at (a, b, d)
-    holds only final verdicts (a True only from a decision that checked
-    the precondition), so a hit decides. A pass stamps e with the inputs by
-    identity, with the type env, and the same inputs pass again with no
-    lookup."""
+    precondition, for the entry e. is_ssync reads the graph's verdict memo
+    itself. A pass stamps e with the inputs by identity, with the type
+    env, and the same inputs pass again with no judgment."""
     env = cfg.env
     s = e.judged
     if s is not None and s[0] is a and s[1] is b and s[2] is d \
             and s[3] is env:
         return True
-    g = env.graph
-    ok = g.memo.get((_tid(g, a), _tid(g, b), _cid(g, d)))
-    if ok is None:
-        try:
-            ok = is_ssync(env, a, b, d)
-        except SsyncPreconditionError:
-            ok = False
+    try:
+        ok = is_ssync(env, a, b, d)
+    except SsyncPreconditionError:
+        ok = False
     if ok:
         e.judged = (a, b, d, env)
     return ok
@@ -1155,15 +1116,9 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
         s = e.judged
         if s is not None and s[0] is con and s[1] is view and s[2] is env:
             return None
-        if con.__class__ is SharedC:
-            # the subtyping memo, like ssync's, holds only final verdicts
-            g = env.graph
-            ok = g.memo.get((_tid(g, con.ty), _tid(g, view)))
-            if ok is None:
-                ok = is_subtype(env, con.ty, view)
-            if ok:
-                e.judged = (con, view, env)
-                return None
+        if con.__class__ is SharedC and is_subtype(env, con.ty, view):
+            e.judged = (con, view, env)
+            return None
         return (f"alias {e.chan} -> {e.target}: shared constraint "
                 f"does not refine the client view")
     view = u.uses[e.chan] if u is not None else e.offer

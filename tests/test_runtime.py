@@ -310,7 +310,7 @@ def test_retopo_matches_reference_order(monkeypatch):
                      rng.sample(chans + ["s"], rng.randrange(3))), False)
                  for c in chans]
         cfg = SimpleNamespace(theta=list(theta))
-        fast(cfg)
+        runtime._kahn(cfg)
         want = reference_order(theta)
         assert [id(e) for e in cfg.theta] == [id(e) for e in want]
 
@@ -374,12 +374,12 @@ def test_shared_tail_is_rebuilt_only_where_it_changed(monkeypatch):
     enumerations = quiet = 0
     while steps := enumerate_steps(cfg):
         enumerations += 1
-        view, n = shared_view(cfg), cfg.names.n
+        view, n = shared_view(cfg), len(cfg.names)
         apply_step(cfg, steps[0])
         before = rebuilds[0]
         enumerate_steps(cfg)
         after = shared_view(cfg)
-        if n == cfg.names.n and len(view) == len(after) and all(
+        if n == len(cfg.names) and len(view) == len(after) and all(
                 x is y for x, y in zip(view, after)):
             assert rebuilds[0] == before
             quiet += 1
@@ -448,7 +448,7 @@ def test_retopo_matches_reference_order_where_ill_formed(monkeypatch):
                     runtime._rename_all(cfg, old, new)
                     # old is gone; a new channel keeps the pool's size
                     chans.remove(old)
-                    chans.append(f"c{len(cfg.names.map) + 10}")
+                    chans.append(f"c{len(cfg.names) + 10}")
             was, n = cfg.ordered, len(passes)
             runtime._retopo(cfg)
             skipped += len(passes) == n
@@ -925,17 +925,31 @@ def audit(cfg, fresh):
     processes with a step and the steps, acquiring those waiting, in
     theta's order; a shared process is kept nowhere; the tail is the
     shared part's steps of the one-pass reference, and each direct
-    acquire step in it is its acquirer's slot; and every judgment stamp
-    holds (see audit_judgment_stamps, which keeps its fresh envs in
-    fresh)."""
+    acquire step in it is its acquirer's slot; every judgment stamp holds
+    (see audit_judgment_stamps, which keeps its fresh envs in fresh); the
+    three indexes are reference_indexes; no name a forward renamed is
+    offered, used, aliased, shared or in Γ; and a forced term kept for the
+    current template and number of forwards is the closure's, forced
+    afresh."""
     from sill.procast import Acquire, AcquireL, FwdLL, FwdLS, Spawn
-    from sill.runtime import Step, _PAIRS, _spawnable, SUBJECT
+    from sill.runtime import Step, _PAIRS, _spawnable, SUBJECT, _force
 
     def subject(t):
         f = SUBJECT.get(type(t))
         return None if f is None else getattr(t, f)
 
     assert not cfg.dirty and not cfg.stale
+    assert tuple({k: {id(e) for e in v} for k, v in m.items()}
+                 for m in (cfg.offered, cfg.client, cfg.aliases)) \
+        == reference_indexes(cfg)
+    shared_uses = {c for p in cfg.lam.values() for c in p.uses}
+    assert not cfg.names.keys() & (
+        cfg.offered.keys() | cfg.client.keys() | cfg.aliases.keys()
+        | cfg.lam.keys() | cfg.gamma.keys() | shared_uses)
+    for p in (*cfg.theta, *cfg.lam.values()):
+        m = p.term_memo if isinstance(p, Proc) else None
+        if m is not None and m[0] is p.tmpl and m[1] == len(cfg.names):
+            assert m[2] == _force(p.tmpl, p.env, p.base, cfg.names)
     users, stepping, steps, acquiring, rank = {}, [], [], [], -1
     for e in reversed(cfg.theta):  # the first user in theta wins
         if isinstance(e, Proc):
@@ -1464,7 +1478,7 @@ def test_recheck_forces_where_two_names_stand_for_one_linear_channel():
     main = cfg.theta[0]
     b0, b1 = main.uses
     assert monitor_check(cfg, rec.touched) is None
-    cfg.names.union(b1, b0)
+    cfg.names[b1] = b0
     cfg.unuse(main, b1)
     assert monitor_check(cfg, rec.touched).startswith(
         f"process at {main.chan} no longer typechecks")
@@ -1568,7 +1582,8 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
     # on by random resumes and renamed by random forwards, forces to the
     # term that freshening at instantiation and substituting at every step
     # and forward gives, and so do the trace snapshots taken on the way,
-    # each of its own time
+    # each formatted before the next forward, as a run formats a snapshot
+    # in the step that took it
     from itertools import count
     from sill.procast import (
         CaseRecv, Wait, SendChan, SendChanS, SendLabel, SendVal,
@@ -1586,12 +1601,18 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
     eager = freshen(body, map("%g{}".format, count(base)).__next__,
                     {**actuals, "o": "r"})
     snaps = []
+
+    def formatted():
+        for r, want in snaps:
+            assert _trace_pred(r)["term"] == want
+        snaps.clear()
+
     for _ in range(data.draw(st.integers(0, 8))):
         assert p.term == eager
         snaps.append((_record(p), " ".join(format_proc(eager).split())))
         # channels a forward or a message brings in: never a binder of
         # TERMS, which no runtime channel is either
-        dead = set(cfg.names.map)
+        dead = set(cfg.names)
         live = [x for x in "qrstuvw" if x not in dead]
         free = sorted(x for x in scope(eager)[1] if x not in dead)
         choice = data.draw(st.sampled_from(("resume", "forward")))
@@ -1601,7 +1622,8 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
                                           or [None]))
             if a is None:
                 continue
-            cfg.names.union(b, a)
+            formatted()
+            cfg.names[b] = a
             eager = reference_substitute(eager, {b: a})
         elif isinstance(eager, CaseRecv):
             msg = data.draw(st.sampled_from(eager.labels()))
@@ -1618,8 +1640,7 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
         else:
             break  # a close, a forward, or no channel left to bind
     assert p.term == eager
-    for r, want in snaps:
-        assert _trace_pred(r)["term"] == want
+    formatted()
 
 
 def test_forward_keeps_other_templates_and_kept_steps(monkeypatch):
@@ -1678,9 +1699,47 @@ def test_recheck_memo_sees_forwards():
     main = cfg.theta[0]
     assert "q" in main.env.values() and "q" not in main.uses
     assert monitor_check(cfg, rec.touched) is None
-    cfg.names.union("q", "elsewhere")
+    cfg.names["q"] = "elsewhere"
     assert "elsewhere" in format_proc(main.term)
     assert monitor_check(cfg, rec.touched) is not None
+
+
+def test_a_forwards_consumed_records_read_as_before_it_renames():
+    # a run formats a snapshot in the step that took it, but a forward
+    # takes its consumed records (the forwarder and, for fwd_ll, the
+    # provider of the channel it renames) before it renames: formatted
+    # after the step, each must read as its process's term just before it
+    import random
+    from sill.runtime import _trace_pred
+    prog = check_program(parse_program(wide_source()))[1]
+    runs = [(prog, lambda steps: steps[0])]
+    for stem in sorted(EXPECTED_STATUS):
+        for seed in range(4):
+            rng = random.Random(seed)
+            runs.append((by_stem(stem),
+                         lambda steps, r=rng: steps[r.randrange(len(steps))]))
+    seen = dict.fromkeys(("fwd_ll", "fwd_ss", "fwd_ls"), 0)
+    for prog, choose in runs:
+        cfg = initial_config(prog)
+        for _ in range(300):
+            steps = enumerate_steps(cfg)
+            if not steps:
+                break
+            step = choose(steps)
+            want = None
+            if step.rule in seen:
+                p = cfg.provider(step.provider)
+                procs = [p]
+                if step.rule == "fwd_ll":
+                    b = cfg.provider(p.name(p.tmpl.used))
+                    procs += [b] if isinstance(b, Proc) else []
+                want = [" ".join(format_proc(e.term).split()) for e in procs]
+            rec = apply_step(cfg, step)
+            if want is not None:
+                assert [_trace_pred(r)["term"] for r in rec.consumed] == want
+                seen[step.rule] += 1
+    # 417 fwd_ll, 434 fwd_ss and 4 fwd_ls steps
+    assert seen["fwd_ll"] > 300 and seen["fwd_ss"] > 300 and seen["fwd_ls"]
 
 
 def test_forwards_of_a_long_run_go_into_one_map_in_place():
@@ -1707,7 +1766,7 @@ system {
     diags, prog = check_program(parse_program(src))
     assert diags == []
     cfg = initial_config(prog)
-    m, forwards, chunks = cfg.names.map, 0, []
+    m, forwards, chunks = cfg.names, 0, []
     gc.collect()
     for _ in range(8):
         t = process_time()
@@ -1717,7 +1776,7 @@ system {
             apply_step(cfg, step)
         chunks.append(process_time() - t)
     assert forwards == 8000
-    assert cfg.names.map is m and len(m) == cfg.names.n == forwards
+    assert cfg.names is m and len(m) == forwards
     assert len(cfg.theta) + len(cfg.lam) <= 4
     # 3x leaves a margin for a busy host; a map copied at each forward
     # would grow the last chunks' time with the 7000 entries before them
