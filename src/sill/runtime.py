@@ -30,8 +30,8 @@ is, and only otherwise does a full pass re-sort it (see _retopo). A linear
 process's enabled step is a pure function of its template, channel and
 subject and, where that subject is its channel, of its client's channel,
 template and subject. A change to one of these marks dirty exactly the
-processes whose step reads it, and an enumeration recomputes only those,
-or every one after a re-sort (see _resume and _rename_all). The step list
+processes whose step reads it, and an enumeration recomputes only those;
+a re-sort marks every one (see _resume and _rename_all). The step list
 is kept the same way: the linear part's steps, with their processes, in
 one list in its order, and the processes waiting to acquire in another; a
 marker on each process says which list holds it, so a recomputation moves
@@ -100,7 +100,8 @@ from .typecheck import _Ck
 
 
 class ProgressError(Exception):
-    """A configuration that neither steps nor matches the terminal shapes."""
+    """A configuration that neither steps nor matches the terminal shapes,
+    or a process that closes while it still uses channels."""
 
 
 class RunStatus(str, Enum):
@@ -219,6 +220,7 @@ class Config:
     # the linear part by channel: the entries offering it, the processes
     # using it and the aliases of it. Only the methods below and
     # _rename_all change the linear part, and they keep these in step.
+    # Where two entries offer or use one channel, the lowest-ranked counts.
     offered: dict[str, list] = field(default_factory=dict)
     client: dict[str, list[Proc]] = field(default_factory=dict)
     aliases: dict[str, list[Connect]] = field(default_factory=dict)
@@ -252,11 +254,6 @@ class Config:
         self.counter += 1
         return name
 
-    def _first(self, es: list):
-        """Of two or more entries es, the first in the linear part: the
-        lowest-ranked; a well-formed configuration has only one."""
-        return min(es, key=_rank)
-
     def mark_providers(self, c: str) -> None:
         """Mark the providers of c dirty: a step reads the client."""
         es = self.offered.get(c)
@@ -267,13 +264,13 @@ class Config:
         es = self.offered.get(chan)
         if es is None:
             return self.lam.get(chan)
-        return es[0] if len(es) == 1 else self._first(es)
+        return es[0] if len(es) == 1 else min(es, key=_rank)
 
     def user_of(self, chan: str) -> Proc | None:
         es = self.client.get(chan)
         if es is None:
             return None
-        return es[0] if len(es) == 1 else self._first(es)
+        return es[0] if len(es) == 1 else min(es, key=_rank)
 
     def add(self, e: Proc | Connect) -> None:
         """Append e to the linear part, ranked after every entry there."""
@@ -294,7 +291,8 @@ class Config:
 
     def drop(self, e: Proc | Connect) -> None:
         """Take e out of the linear part; a dirty process that is in no
-        offered list leaves the kept lists at the next enumeration."""
+        offered list leaves the kept lists at the next enumeration. The
+        providers of its uses are marked: another client may now be first."""
         i = bisect_left(self.theta, e.rank, key=_rank)
         assert self.theta[i] is e
         del self.theta[i]
@@ -310,7 +308,8 @@ class Config:
                 self.mark_providers(c)
 
     def use(self, p: Proc, c: str, ty: SessionType) -> None:
-        """p uses c at view ty; a shared session is nobody's client."""
+        """p uses c at view ty; a shared session is nobody's client. c's
+        providers are marked: p may now be the first of two clients."""
         if c not in p.uses and not p.shared:
             self.client.setdefault(c, []).append(p)
             self.edges.append((p, c))
@@ -344,7 +343,8 @@ class StepRecord:
     fresh: list[str]
     renames: dict[str, str]
     touched: set[str]
-    # Γ's entries the step wrote, as before it (None: none), in Γ's order
+    # Γ's entries the step wrote, as before it (None: none), in Γ's order;
+    # a shared spawn's entry, at a fresh channel, has nothing before it
     gamma: dict[str, ConstraintType | None]
 
 
@@ -434,7 +434,6 @@ def _spawn_shared(cfg: Config, d: ProcDef, chan: str,
     actuals = {prm.chan: arg for prm, arg in zip(d.params, args)}
     p = _instance(cfg, d, chan, actuals, {}, True)
     cfg.lam[chan] = p
-    rec.gamma.setdefault(chan, cfg.gamma.get(chan))
     cfg.gamma[chan] = SharedC(d.offer_ty)
     cfg.dirty.add(p)
     rec.produced.append(_record(p))
@@ -656,52 +655,46 @@ def enumerate_steps(cfg: Config) -> list[Step]:
     """The enabled steps in canonical order, as a new list: the linear
     part's, kept in cfg.steps, then the shared part's, kept in cfg.tail.
     Only the dirty processes are recomputed, each moved into or out of the
-    kept lists by its marker; after a re-sort every process is. The tail
-    is rebuilt only where the shared part, an alias, an acquirer or a name
-    changed."""
-    if cfg.stale:
+    kept lists by its marker. After a re-sort the lists are emptied, every
+    live linear process is marked and the one loop places them (_kept is
+    pure, so in any order); the tail is rebuilt then, and otherwise only
+    where the shared part, an alias, an acquirer or a name changed."""
+    if cfg.stale:  # place every live linear process anew
         for e in cfg.stepping + cfg.acquiring:
             e.kept = None
         cfg.stepping, cfg.steps, cfg.acquiring = [], [], []
-        for e in cfg.theta:
-            if isinstance(e, Proc):
-                k = e.kept = _kept(cfg, e)
-                if type(k) is Step:
-                    cfg.stepping.append(e)
-                    cfg.steps.append(k)
-                elif k is not None:
-                    cfg.acquiring.append(e)
-        cfg.stale, cfg.tail = False, None
-    else:
-        stepping, steps, acquiring = cfg.stepping, cfg.steps, cfg.acquiring
-        for e in cfg.dirty:
-            if isinstance(e, Connect):
-                continue
-            if e.shared:  # joined, left or moved on in the shared part
-                cfg.tail = None
-                continue
-            old = e.kept
-            # a dropped process is in no offered list
-            new = _kept(cfg, e) if e in cfg.offered.get(e.chan, ()) else None
-            if new is old:
-                continue
-            e.kept = new
-            if type(old) is Step:
-                i = bisect_left(stepping, e.rank, key=_rank)
-                if type(new) is Step:
-                    steps[i] = new
-                    continue
-                del stepping[i], steps[i]
-            elif old is not None:
-                del acquiring[bisect_left(acquiring, e.rank, key=_rank)]
-                cfg.tail = None
+        cfg.dirty.update(e for e in cfg.theta if e.__class__ is Proc)
+        cfg.stale = False
+        cfg.tail = None
+    stepping, steps, acquiring = cfg.stepping, cfg.steps, cfg.acquiring
+    for e in cfg.dirty:
+        if isinstance(e, Connect):
+            continue
+        if e.shared:  # joined, left or moved on in the shared part
+            cfg.tail = None
+            continue
+        old = e.kept
+        # a dropped process is in no offered list
+        new = _kept(cfg, e) if e in cfg.offered.get(e.chan, ()) else None
+        if new is old:
+            continue
+        e.kept = new
+        if type(old) is Step:
+            i = bisect_left(stepping, e.rank, key=_rank)
             if type(new) is Step:
-                i = bisect_left(stepping, e.rank, key=_rank)
-                stepping.insert(i, e)
-                steps.insert(i, new)
-            elif new is not None:
-                acquiring.insert(bisect_left(acquiring, e.rank, key=_rank), e)
-                cfg.tail = None
+                steps[i] = new
+                continue
+            del stepping[i], steps[i]
+        elif old is not None:
+            del acquiring[bisect_left(acquiring, e.rank, key=_rank)]
+            cfg.tail = None
+        if type(new) is Step:
+            i = bisect_left(stepping, e.rank, key=_rank)
+            stepping.insert(i, e)
+            steps.insert(i, new)
+        elif new is not None:
+            acquiring.insert(bisect_left(acquiring, e.rank, key=_rank), e)
+            cfg.tail = None
     cfg.dirty.clear()
     if cfg.tail is None:
         cfg.tail = _tail(cfg)
@@ -779,14 +772,15 @@ def _resume(cfg: Config, p: Proc, msg: str | None) -> None:
 def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     """fwd_ll, fwd_ss: the forwarder at a leaves and b is renamed to a.
     fwd_ls: a stays behind as a linear alias of the shared b, which is
-    left alone and not touched."""
+    left alone and not touched. A shared forwarder needs no dirty mark:
+    the rename, or the alias's add, drops the tail. b is not touched:
+    the rename leaves nothing offered, used, shared or in Γ at it."""
     t = p.tmpl
     a, b = p.name(t.offer), p.name(t.used)
     rec.consumed.append(_record(p, True))
     rec.touched.add(a)
     if p.shared:
         del cfg.lam[a]
-        cfg.dirty.add(p)
     else:
         cfg.drop(p)
     if isinstance(t, FwdLS):
@@ -842,6 +836,9 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     rec.consumed += [_record(p), _record(u)]
     rec.touched |= {a, u.chan}
     if isinstance(p.tmpl, Close):
+        if p.uses:  # their providers would be left with no client
+            raise ProgressError(f"process at {a} closes while it still "
+                                f"uses {', '.join(sorted(p.uses))}")
         cfg.drop(p)
         _resume(cfg, u, None)
         cfg.unuse(u, a)
@@ -879,8 +876,8 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
 
 def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     """up_sl, up_sl2: u acquires the available shared session p, directly
-    or through a linear alias (which the acquire consumes); the session
-    moves to the linear part at its unfolded type."""
+    or through a linear alias (consumed, not touched: nothing is left at
+    its name); the session moves to the linear part at its unfolded type."""
     b = p.chan
     rec.consumed += [_record(p), _record(u)]
     rec.touched |= {b, u.chan}
@@ -889,7 +886,6 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         rec.consumed.append(_record(alias))
         cfg.drop(alias)
         cfg.unuse(u, alias.chan)
-        rec.touched.add(alias.chan)
     del cfg.lam[b]
     body = cfg.unf(p.offer).cont
     _resume(cfg, p, b)
@@ -947,8 +943,6 @@ def apply_step(cfg: Config, step: Step) -> StepRecord:
     user = None if step.user is None else cfg.provider(step.user)
     _HANDLERS[step.rule](cfg, rec, prov, user)
     _retopo(cfg)
-    if rec.renames:
-        rec.touched.update(rec.renames, rec.renames.values())
     return rec
 
 
@@ -1155,20 +1149,18 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
 
     One pass over the touched channels gives the entries, sessions and
     duplicate providers to check (see _relevant); a step can make a second
-    provider only at a channel it touches. The linear entries are checked
-    in any order first; only if one fails are they walked again in the
-    order of the linear part (by rank), so the first failing entry names
-    the violation, as a walk of the whole linear part would."""
+    provider only at a channel it touches. The linear entries are walked
+    once, in the order of the linear part (by rank), so the first failing
+    entry names the violation, as a walk of the whole linear part would."""
     if touched is None:
         touched = cfg.offered.keys() | cfg.lam.keys()
     relevant, shared, dup = _relevant(cfg, touched)
     if dup:
         return f"well-formedness: multiple providers for {sorted(dup)}"
     ck = _checker(cfg)
-    for e in relevant.values():
-        if _linear_fault(cfg, ck, e) is not None:
-            return next(v for e in sorted(relevant.values(), key=_rank)
-                        if (v := _linear_fault(cfg, ck, e)) is not None)
+    for e in sorted(relevant.values(), key=_rank):
+        if (v := _linear_fault(cfg, ck, e)) is not None:
+            return v
     for a in sorted(shared):
         p = cfg.lam[a]
         con = cfg.gamma.get(a)
@@ -1235,9 +1227,10 @@ class RunResult:
 def _check_gamma_monotone(cfg: Config, rec: StepRecord) -> str | None:
     """Every constraint of Γ before the step is still there after it, at
     or below where it was, checked at the entries the step wrote
-    (rec.gamma). An entry no handler wrote is the object it was, which
-    the order, being reflexive, keeps; so this reports what a walk of the
-    whole of Γ before the step would, in its order."""
+    (rec.gamma), but for a shared spawn's, new at a fresh channel. An entry
+    no handler wrote is the object it was, which the order, being
+    reflexive, keeps; so this reports what a walk of the whole of Γ before
+    the step would, in its order."""
     for k, c in rec.gamma.items():
         if c is None:
             continue  # the step made this entry

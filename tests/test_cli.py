@@ -425,6 +425,21 @@ def test_run_no_static_unelaborated_spawn(extra, want, tmp_path, capsys):
     assert err.startswith(want) and len(err.splitlines()) == 1
 
 
+def test_run_no_monitor_halts_where_a_closer_still_uses_a_channel(
+        tmp_path, capsys):
+    # a corpus mutant whose Adder closes right after it receives a cell:
+    # unmonitored, the run halts without progress at the close, naming the
+    # closer and the cell, rather than dropping the closer and leaving the
+    # cell's provider with no client
+    f = tmp_path / "b.sill"
+    f.write_text((CORPUS / "basics.sill").read_text().replace(
+        "v <- get y;\n    wait y;\n    close a", "close a"))
+    assert main(["run", str(f), "--no-static", "--no-monitor"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "progress: process at %g14 closes while it still uses %g16\n"
+
+
 def test_run_no_static_linear_payload_halts_at_send(tmp_path, capsys):
     # a process sending its own offer: a linear name is never a shared
     # payload, so the monitor halts the run at the send itself, not at the

@@ -9,7 +9,7 @@ from sill.parser import parse_program
 from sill.typecheck import check_program
 from sill.runtime import (
     RunStatus, run, initial_config, enumerate_steps, apply_step,
-    monitor_check, classify, Connect, Proc,
+    monitor_check, classify, Connect, Proc, ProgressError,
 )
 from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
 from sill.printer import format_proc
@@ -205,11 +205,16 @@ def wide_source():
 
 
 def drive(prog, choose):
-    """Step a configuration to quiescence, choose(steps) picking each step;
-    yields the configuration after every step."""
+    """Step a configuration to quiescence, or to a step that halts without
+    progress (an ill-typed process closing while it still uses channels),
+    choose(steps) picking each step; yields the configuration after every
+    step."""
     cfg = initial_config(prog)
     while steps := enumerate_steps(cfg):
-        apply_step(cfg, choose(steps))
+        try:
+            apply_step(cfg, choose(steps))
+        except ProgressError:
+            return
         yield cfg
 
 
@@ -1001,8 +1006,9 @@ def differential(prog, choose, max_steps, monitor, well_typed):
     """Step prog, checking after every step that the maintained indexes,
     the enabled steps, what enumeration keeps (see audit), the entries the
     touched monitor rechecks and its verdict agree with the one-pass
-    references; a monitored run ends at its first violation. Returns the
-    number of steps taken."""
+    references; a monitored run ends at its first violation, and any run
+    at a step that halts without progress. Returns the number of steps
+    taken."""
     from sill.runtime import _check_gamma_monotone, _relevant
     cfg, fresh = initial_config(prog), {}
     if monitor and monitor_check(cfg, None) is not None:
@@ -1017,7 +1023,10 @@ def differential(prog, choose, max_steps, monitor, well_typed):
         if not steps:
             return n
         before = dict(cfg.gamma)
-        rec = apply_step(cfg, choose(steps))
+        try:
+            rec = apply_step(cfg, choose(steps))
+        except ProgressError:
+            return n
         # every entry of Γ the step changed is noted, in Γ's order; the
         # rest are the objects they were
         assert all(k in rec.gamma or cfg.gamma.get(k) is c
@@ -1098,6 +1107,64 @@ def test_steps_follow_client_changes_made_by_hand():
             assert enumerate_steps(cfg) == reference_steps(cfg)
             checked += 1
     assert checked > 50  # 59: some runs end before an exchange
+
+
+# Two clients of one channel x, which only an ill-typed send makes. In
+# SECOND_CLIENT, S sends x to R and then, no longer holding it, to R2,
+# which ranks below R: R2 becomes x's first client, so Q, which paired
+# with R's wait, pairs with nobody. In FIRST_CLIENT_LEAVES, C sends x to
+# the session it holds and then to R, which ranks above it; the session
+# leaves at its release still holding x, and R becomes x's first client
+SECOND_CLIENT = (
+    "type cell = !int. 1\n"
+    "proc Q : () |- x: 1 = close x\n"
+    "proc R : () |- r: 1 -o 1 = y <- recv r; wait y; close r\n"
+    "proc R2 : () |- r2: 1 -o cell = y <- recv r2; put r2 5; wait y; "
+    "close r2\n"
+    "proc S : (r: 1 -o 1, r2: 1 -o cell, x: 1) |- s: 1 = send r x; "
+    "send r2 x; wait r; v <- get r2; wait r2; close s\n"
+    "proc M : () |- m: 1 = x <- spawn Q(); r2 <- spawn R2(); "
+    "r <- spawn R(); s <- spawn S(r, r2, x); wait s; close m\n"
+    "system { main M(); }\n"
+)
+FIRST_CLIENT_LEAVES = (
+    "type srv = up_s (1 -o down_s srv)\n"
+    "proc Srv : () |- s: srv = l <- accept s; y <- recv l; "
+    "d <- detach l; n <- spawn Srv(); fwd d n\n"
+    "proc Q : () |- x: 1 = close x\n"
+    "proc R : () |- r: 1 -o 1 = y <- recv r; wait y; close r\n"
+    "proc C : (sh s: srv, x: 1) |- c: (1 -o 1) -o 1 = l <- acquire s; "
+    "rr <- recv c; send l x; send rr x; l2 <- release l; wait rr; close c\n"
+    "proc M : (sh s: srv) |- m: 1 = x <- spawn Q(); c <- spawn C(s, x); "
+    "r <- spawn R(); send c r; wait c; close m\n"
+    "system { s <- spawn Srv(); main M(s); }\n"
+)
+
+
+def test_steps_follow_a_channels_first_client_as_a_second_comes_and_goes():
+    # a provider's step reads the first of its channel's clients, so a use
+    # that makes a lower-ranked client (Config.use) and a drop of the first
+    # client (Config.drop) each mark the channel's providers; neither the
+    # resumes nor a rename of the step marks Q here
+    def sends_first(steps):
+        s = next((s for s in steps if s.rule in ("up_sl", "lolli")),
+                 next((s for s in steps if s.rule == "spawn_ll"), steps[0]))
+        rules.append(s.rule)
+        return s
+
+    for src, diag, n, want in (
+            (SECOND_CLIENT, ["S: ⊸L: unknown payload channel x"], 6,
+             ["spawn_ll"] * 4 + ["lolli"] * 2),
+            (FIRST_CLIENT_LEAVES,
+             ["Srv: ↓SL R: unused linear channels ['y']",
+              "C: ⊸L: unknown payload channel x"], 12,
+             ["spawn_ll"] * 2 + ["up_sl", "spawn_ll"] + ["lolli"] * 3
+             + ["down_sl"] + ["one"] * 3 + ["spawn_ss"])):
+        diags, prog = check_program(parse_program(src))
+        assert diags == diag
+        rules = []
+        assert differential(prog, sends_first, 100, False, False) == n
+        assert rules == want
 
 
 # Fw forwards z to the shared b. Under these choosers the forward comes
@@ -1283,6 +1350,26 @@ def test_shared_steps_follow_changes_made_by_hand():
     assert Step("up_sl", "c", two.chan) in steps()
     _resume(cfg, two, cfg.fresh())
     assert not any(s.user == two.chan for s in steps())
+
+
+def test_a_resort_rebuilds_the_shared_steps():
+    # a re-sort places every process anew and drops the shared part's
+    # steps: the last process waiting to acquire, dropped by hand just
+    # before a re-sort, leaves no acquire step behind
+    from sill.runtime import Step, _kahn
+    diags, prog = check_program(parse_program(WAITERS))
+    assert diags == []
+    cfg = initial_config(prog)
+    for _ in range(3):  # M spawns AsLinear, Loop and Two
+        apply_step(cfg, enumerate_steps(cfg)[0])
+    loop, two = (cfg.provider(c) for c in cfg.theta[0].uses)
+    cfg.drop(loop)
+    assert enumerate_steps(cfg) == reference_steps(cfg)
+    assert cfg.acquiring == [two] and Step("up_sl", "b", two.chan) in cfg.tail
+    cfg.drop(two)
+    _kahn(cfg)
+    assert enumerate_steps(cfg) == reference_steps(cfg)
+    assert cfg.acquiring == [] and cfg.tail == []
 
 
 def test_indexes_steps_and_monitor_match_references_on_mutants():
@@ -2326,3 +2413,29 @@ def test_judgment_stamps_see_a_view_swapped_by_hand():
                     assert monitor_check(cfg, touched) is None
                     swapped[type(e)] += 1
     assert swapped[Proc] > 200 and swapped[Connect] > 20
+
+
+def test_mutation_audit_finds_each_kind_of_bookkeeping():
+    # tests/mutate.py's finder: every kind of statement it mutates is found
+    # in runtime.py, each at the line and column that hold it; a mutant of
+    # one is that file with the statement alone replaced by pass. The
+    # killing runs take minutes and are left to CI
+    import mutate
+    source = (CORPUS.parent / mutate.RUNTIME).read_text()
+    lines = source.splitlines()
+    sites = mutate.find(source)
+    marks = {"mark_providers": ".mark_providers(", "dirty": ".dirty.",
+             "tail": ".tail = None", "touched": "rec.touched",
+             "gamma": "rec.gamma"}
+    assert {s.kind for s in sites} == set(mutate.KINDS) == set(marks)
+    for s in sites:
+        assert marks[s.kind] in s.text
+        assert lines[s.line - 1][s.col:].startswith(s.text.splitlines()[0])
+        cut = mutate.mutant(source, s).splitlines()
+        assert cut[s.line - 1] == lines[s.line - 1][:s.col] + "pass" \
+            + lines[s.end_line - 1][s.end_col:]
+        assert cut[:s.line - 1] == lines[:s.line - 1]
+        assert cut[s.line:] == lines[s.end_line:]
+    # a tail drop is found only as its own statement
+    with pytest.raises(ValueError, match="own statement"):
+        mutate.find("def f(cfg):\n    cfg.stale, cfg.tail = False, None\n")
