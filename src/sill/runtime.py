@@ -26,12 +26,14 @@ are kept by what each step changes. Entries are ranked along the list, and
 every change that makes a use records it. Where every use points right,
 the leftmost entry still to place is always ready, so the list is its own
 order: if each use a step made points right, the step keeps the list as it
-is, and only otherwise does a full pass re-sort it (see _retopo). A linear
+is; if only the newest entry's do not, as after a spawn that hands its new
+process the spawner's channels, the entries that wait on it move to just
+after it; only otherwise does a full pass re-sort it (see _retopo). A linear
 process's enabled step is a pure function of its template, channel and
 subject and, where that subject is its channel, of its client's channel,
 template and subject. A change to one of these marks dirty exactly the
 processes whose step reads it, and an enumeration recomputes only those;
-a re-sort marks every one (see _resume and _rename_all). The step list
+a full re-sort marks every one (see _resume and _rename_all). The step list
 is kept the same way: the linear part's steps, with their processes, in
 one list in its order, and the processes waiting to acquire in another; a
 marker on each process says which list holds it, so a recomputation moves
@@ -49,8 +51,9 @@ definition's body and a renaming of the template's free names. A step
 moves the template on and binds its binder; a forward records its
 renaming once, as one key of a plain union-find map from the old channel
 to the new, which every name resolves through. The concrete term is
-forced only for a trace record (in the step that took it), the
-monitor's forced check and a reader of ``Proc.term``.
+forced only for a trace record (in the step that took it, and taken only
+where a run writes a trace), the monitor's forced check and a reader of
+``Proc.term``.
 
 The monitor decides on the ids of the type env's graph (hash-consing in
 the manner of Filliâtre & Conchon). The first time it judges under an
@@ -101,7 +104,7 @@ from .typecheck import _Ck
 
 class ProgressError(Exception):
     """A configuration that neither steps nor matches the terminal shapes,
-    or a process that closes while it still uses channels."""
+    or a process that closes or detaches while it still uses channels."""
 
 
 class RunStatus(str, Enum):
@@ -237,7 +240,7 @@ class Config:
     # order. A process's kept is its step where it is in stepping, its
     # template where it is in acquiring, None where in neither. These hold
     # for every process not in dirty, unless stale (every process is to be
-    # recomputed, as after a re-sort); a shared process is dirty where it
+    # recomputed, as after a full re-sort); a shared process is dirty where it
     # joined, left or moved on in the shared part.
     # tail: the shared part's steps (see _tail), None when to be rebuilt
     stepping: list[Proc] = field(default_factory=list)
@@ -248,6 +251,9 @@ class Config:
     tail: list[Step] | None = None
     # the monitor's checker of env (see _checker)
     ck: _Ck | None = field(default=None, repr=False)
+    # whether a step's record takes the snapshots a trace writes (see
+    # StepRecord): a run takes them only where it writes a trace
+    snap: bool = True
 
     def fresh(self) -> str:
         name = f"%g{self.counter}"
@@ -346,6 +352,8 @@ class StepRecord:
     # Γ's entries the step wrote, as before it (None: none), in Γ's order;
     # a shared spawn's entry, at a fresh channel, has nothing before it
     gamma: dict[str, ConstraintType | None]
+    # whether consumed and produced take snapshots (see _record)
+    snap: bool = True
 
 
 # --------------------------------------------------------------------------- #
@@ -383,7 +391,8 @@ def _alias(cfg: Config, target: str, rec: StepRecord) -> str:
     rec.fresh.append(alias)
     conn = Connect(alias, target)
     cfg.add(conn)
-    rec.produced += [_record(conn), ("unavail", alias, None)]
+    if rec.snap:
+        rec.produced += [_record(conn), ("unavail", alias, None)]
     rec.touched.add(alias)
     return alias
 
@@ -426,7 +435,8 @@ def _spawn_linear(cfg: Config, spawner: Proc | None,
             actuals[prm.chan] = arg
     p = _instance(cfg, d, chan, actuals, uses, False)
     cfg.add(p)
-    rec.produced += [_record(p), ("unavail", chan, None)]
+    if rec.snap:
+        rec.produced += [_record(p), ("unavail", chan, None)]
 
 
 def _spawn_shared(cfg: Config, d: ProcDef, chan: str,
@@ -436,7 +446,8 @@ def _spawn_shared(cfg: Config, d: ProcDef, chan: str,
     cfg.lam[chan] = p
     cfg.gamma[chan] = SharedC(d.offer_ty)
     cfg.dirty.add(p)
-    rec.produced.append(_record(p))
+    if rec.snap:
+        rec.produced.append(_record(p))
 
 
 def initial_config(prog: Program) -> Config:
@@ -445,7 +456,7 @@ def initial_config(prog: Program) -> Config:
     if prog.system is None:
         raise ValueError("program has no system block")
     cfg = Config(prog.types, prog.procs, [], {}, {})
-    rec = StepRecord("init", [], [], [], {}, set(), {})
+    rec = StepRecord("init", [], [], [], {}, set(), {}, False)
     for binder, pname, args in prog.system.spawns:
         d = prog.procs.lookup(pname)
         _spawn_shared(cfg, d, binder, args, rec)
@@ -473,17 +484,71 @@ def _retopo(cfg: Config) -> None:
     its user), the leftmost entry still to place is always ready, so the
     order is the list itself. If that held after the last re-sort, only a
     use made since can break it; when each of those points right too, the
-    list stays as it is. Otherwise _kahn re-sorts it."""
+    list stays as it is. When the only ones that do not are the newest
+    entry's, as where a spawn's new process takes over its spawner's uses,
+    _sink moves what waits on it. Otherwise _kahn re-sorts it."""
     if cfg.ordered:
-        offered = cfg.offered
+        offered, p = cfg.offered, None
         for u, c in cfg.edges:
             es = offered.get(c)
             if es is not None and (len(es) > 1 or es[0].rank <= u.rank):
-                break
+                if u is not cfg.theta[-1]:  # c is offered: theta is not empty
+                    break
+                p = u
         else:
-            cfg.edges.clear()
-            return
+            if p is None or _sink(cfg, p):
+                cfg.edges.clear()
+                return
     _kahn(cfg)
+
+
+def _sink(cfg: Config, p: Proc | Connect) -> bool:
+    """Where every use points right but those of the newest entry p, move
+    the entries that wait on p (the providers of its uses, transitively)
+    to just after it, in their order, ranked on from top. This is _kahn's
+    order: it places every entry that does not wait on p first, in order,
+    then p, then those that do, in order. A moved process keeps what it is
+    kept with, at the end of its kept list, and the tail is rebuilt where
+    an acquirer moved; since no channel a moved entry uses has two clients,
+    user_of reads as before. False, for _kahn to decide, where the walk
+    meets two providers of one channel, a self-use, p (a cycle) or a
+    channel with two clients."""
+    offered, client = cfg.offered, cfg.client
+    moved, todo = set(), [p]
+    while todo:
+        e = todo.pop()
+        for c in (e.target,) if e.__class__ is Connect else e.uses:
+            es = offered.get(c)
+            if es is None:
+                continue
+            q = es[0]
+            if len(es) > 1 or q is p or q is e or len(client.get(c, ())) > 1:
+                return False
+            if q not in moved:
+                moved.add(q)
+                todo.append(q)
+    if not moved:  # p's edges are to channels it no longer uses
+        return True
+    ms = sorted(moved, key=_rank)
+    theta, stepping, steps = cfg.theta, cfg.stepping, cfg.steps
+    i = bisect_left(theta, ms[0].rank, key=_rank)
+    theta[i:] = [e for e in theta[i:] if e not in moved] + ms
+    # each kept process out at its old rank, in again at its new one; the
+    # next enumeration rebuilds stale lists anyway
+    for e in ms:
+        k = e.kept if e.__class__ is Proc and not cfg.stale else None
+        if type(k) is Step:
+            i = bisect_left(stepping, e.rank, key=_rank)
+            del stepping[i], steps[i]
+            stepping.append(e)
+            steps.append(k)
+        elif k is not None:
+            cfg.acquiring.remove(e)
+            cfg.acquiring.append(e)
+            cfg.tail = None
+        e.rank = cfg.top
+        cfg.top += 1
+    return True
 
 
 def _kahn(cfg: Config) -> None:
@@ -655,10 +720,11 @@ def enumerate_steps(cfg: Config) -> list[Step]:
     """The enabled steps in canonical order, as a new list: the linear
     part's, kept in cfg.steps, then the shared part's, kept in cfg.tail.
     Only the dirty processes are recomputed, each moved into or out of the
-    kept lists by its marker. After a re-sort the lists are emptied, every
-    live linear process is marked and the one loop places them (_kept is
-    pure, so in any order); the tail is rebuilt then, and otherwise only
-    where the shared part, an alias, an acquirer or a name changed."""
+    kept lists by its marker. After a full re-sort the lists are emptied,
+    every live linear process is marked and the one loop places them
+    (_kept is pure, so in any order); the tail is rebuilt then, and
+    otherwise only where the shared part, an alias, an acquirer or a name
+    changed."""
     if cfg.stale:  # place every live linear process anew
         for e in cfg.stepping + cfg.acquiring:
             e.kept = None
@@ -777,7 +843,8 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     the rename leaves nothing offered, used, shared or in Γ at it."""
     t = p.tmpl
     a, b = p.name(t.offer), p.name(t.used)
-    rec.consumed.append(_record(p, True))
+    if rec.snap:
+        rec.consumed.append(_record(p, True))
     rec.touched.add(a)
     if p.shared:
         del cfg.lam[a]
@@ -786,9 +853,10 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
     if isinstance(t, FwdLS):
         conn = Connect(a, b)
         cfg.add(conn)
-        rec.produced.append(_record(conn))
+        if rec.snap:
+            rec.produced.append(_record(conn))
         return
-    if isinstance(t, FwdLL):
+    if rec.snap and isinstance(t, FwdLL):
         tgt = cfg.provider(b)
         if isinstance(tgt, Proc):
             rec.consumed.append(_record(tgt, True))
@@ -799,8 +867,7 @@ def _forward(cfg: Config, rec: StepRecord, p: Proc, _u) -> None:
             rec.gamma.setdefault(k, g.get(k))
     _rename_all(cfg, b, a)
     rec.renames[b] = a
-    tgt = cfg.provider(a)
-    if tgt is not None:
+    if rec.snap and (tgt := cfg.provider(a)) is not None:
         rec.produced.append(_record(tgt))
 
 
@@ -808,7 +875,8 @@ def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
     """spawn_ll, spawn_ls, spawn_ss: s spawns a process at a fresh channel
     and continues with its binder bound to it. A shared argument is only
     read, so it is not touched."""
-    rec.consumed.append(_record(s))
+    if rec.snap:
+        rec.consumed.append(_record(s))
     sp: Spawn = s.tmpl
     args = tuple([s.name(x) for x in sp.args])
     d = cfg.sig.lookup(sp.proc)
@@ -820,7 +888,8 @@ def _spawn(cfg: Config, rec: StepRecord, s: Proc, _u) -> None:
         _spawn_linear(cfg, s, d, c, args, sp.kinds, rec)
         cfg.use(s, c, d.offer_ty)
     _resume(cfg, s, c)
-    rec.produced.append(_record(s))
+    if rec.snap:
+        rec.produced.append(_record(s))
     rec.touched |= {s.chan, c}
 
 
@@ -833,7 +902,8 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     channel, label or value, and the other side receives it. Both terms,
     the offer and the client's view of a advance together."""
     a = p.chan
-    rec.consumed += [_record(p), _record(u)]
+    if rec.snap:
+        rec.consumed += [_record(p), _record(u)]
     rec.touched |= {a, u.chan}
     if isinstance(p.tmpl, Close):
         if p.uses:  # their providers would be left with no client
@@ -842,7 +912,8 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         cfg.drop(p)
         _resume(cfg, u, None)
         cfg.unuse(u, a)
-        rec.produced.append(_record(u))
+        if rec.snap:
+            rec.produced.append(_record(u))
         return
     offer, view = cfg.unf(p.offer), cfg.unf(u.uses[a])
     # the sender, the receiver and the receiver's type of a
@@ -871,7 +942,8 @@ def _exchange(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
         p.offer, u.uses[a] = offer.cont, view.cont
     _resume(cfg, p, msg)
     _resume(cfg, u, msg)
-    rec.produced += [_record(p), _record(u)]
+    if rec.snap:
+        rec.produced += [_record(p), _record(u)]
 
 
 def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
@@ -879,11 +951,13 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     or through a linear alias (consumed, not touched: nothing is left at
     its name); the session moves to the linear part at its unfolded type."""
     b = p.chan
-    rec.consumed += [_record(p), _record(u)]
+    if rec.snap:
+        rec.consumed += [_record(p), _record(u)]
     rec.touched |= {b, u.chan}
     if isinstance(u.tmpl, AcquireL):
         alias = cfg.provider(u.name(u.tmpl.chan))
-        rec.consumed.append(_record(alias))
+        if rec.snap:
+            rec.consumed.append(_record(alias))
         cfg.drop(alias)
         cfg.unuse(u, alias.chan)
     del cfg.lam[b]
@@ -893,16 +967,21 @@ def _acquire(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     cfg.add(newp)
     _resume(cfg, u, b)
     cfg.use(u, b, body)
-    rec.produced += [_record(newp), ("unavail", b, None),
-                     _record(u)]
+    if rec.snap:
+        rec.produced += [_record(newp), ("unavail", b, None), _record(u)]
 
 
 def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     """down_sl, down_sl2: the session at c returns to the shared part and
     u lets go of it; a client releasing at a linear shift (down_sl2) keeps
-    a fresh linear alias of c."""
+    a fresh linear alias of c. A session that still uses channels halts
+    the run before anything changes, as a close does (see _exchange)."""
     c = p.chan
-    rec.consumed += [_record(p), _record(u), ("unavail", c, None)]
+    if p.uses:  # their providers would be left with no client
+        raise ProgressError(f"process at {c} detaches while it still "
+                            f"uses {', '.join(sorted(p.uses))}")
+    if rec.snap:
+        rec.consumed += [_record(p), _record(u), ("unavail", c, None)]
     cfg.drop(p)
     shared_ty = cfg.unf(p.offer).cont
     _resume(cfg, p, c)
@@ -911,7 +990,8 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     rec.gamma.setdefault(c, cfg.gamma.get(c))
     cfg.gamma[c] = SharedC(shared_ty)
     cfg.dirty.add(newp)
-    rec.produced.append(_record(newp))
+    if rec.snap:
+        rec.produced.append(_record(newp))
     cfg.unuse(u, c)
     name = c
     if isinstance(u.tmpl, ReleaseL):
@@ -922,7 +1002,8 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
             view = cfg.sig.views[id(body)] = UpLL(body)
         cfg.use(u, name, view)
     _resume(cfg, u, name)
-    rec.produced.append(_record(u))
+    if rec.snap:
+        rec.produced.append(_record(u))
     rec.touched |= {c, u.chan}
 
 
@@ -938,7 +1019,7 @@ _HANDLERS = {
 
 
 def apply_step(cfg: Config, step: Step) -> StepRecord:
-    rec = StepRecord(step.rule, [], [], [], {}, set(), {})
+    rec = StepRecord(step.rule, [], [], [], {}, set(), {}, cfg.snap)
     prov = cfg.provider(step.provider)
     user = None if step.user is None else cfg.provider(step.user)
     _HANDLERS[step.rule](cfg, rec, prov, user)
@@ -1255,6 +1336,7 @@ def run(prog: Program, *, seed: int = 0, max_steps: int = 1000,
     canonical order).
     """
     cfg = initial_config(prog)
+    cfg.snap = trace is not None
     if monitor:
         v = monitor_check(cfg, None)
         if v is not None:

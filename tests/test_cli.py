@@ -440,6 +440,31 @@ def test_run_no_monitor_halts_where_a_closer_still_uses_a_channel(
     assert err == "progress: process at %g14 closes while it still uses %g16\n"
 
 
+def test_run_no_monitor_halts_where_a_detacher_still_uses_a_channel(
+        tmp_path, capsys):
+    # the session receives x and detaches still holding it: unmonitored,
+    # the run halts without progress at the detach, naming the session and
+    # x, rather than returning the session to the shared part without x
+    # and leaving Q, x's provider, with no client
+    f = tmp_path / "d.sill"
+    f.write_text(
+        "type srv = up_s (1 -o down_s srv)\n"
+        "proc Srv : () |- s: srv = l <- accept s; y <- recv l; "
+        "d <- detach l; n <- spawn Srv(); fwd d n\n"
+        "proc Q : () |- x: 1 = close x\n"
+        "proc R : () |- r: 1 -o 1 = y <- recv r; wait y; close r\n"
+        "proc C : (sh s: srv, x: 1) |- c: (1 -o 1) -o 1 = "
+        "l <- acquire s; rr <- recv c; send l x; l2 <- release l; "
+        "wait rr; close c\n"
+        "proc M : (sh s: srv) |- m: 1 = x <- spawn Q(); "
+        "c <- spawn C(s, x); r <- spawn R(); send c r; wait c; close m\n"
+        "system { s <- spawn Srv(); main M(s); }\n")
+    assert main(["run", str(f), "--no-static", "--no-monitor"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "progress: process at s detaches while it still uses %g8\n"
+
+
 def test_run_no_static_linear_payload_halts_at_send(tmp_path, capsys):
     # a process sending its own offer: a linear name is never a shared
     # payload, so the monitor halts the run at the send itself, not at the

@@ -278,7 +278,7 @@ def test_retopo_matches_reference_order(monkeypatch):
     from types import SimpleNamespace
     from sill import runtime
     fast = runtime._retopo
-    sizes = []
+    sizes, sinks = [], []
 
     def checked_retopo(cfg):
         want = reference_order(cfg.theta)
@@ -287,6 +287,8 @@ def test_retopo_matches_reference_order(monkeypatch):
         sizes.append(len(want))
 
     monkeypatch.setattr(runtime, "_retopo", checked_retopo)
+    monkeypatch.setattr(runtime, "_sink", lambda cfg, p, sink=runtime._sink:
+                        sinks.append(sink(cfg, p)) or sinks[-1])
     progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
     progs += [check_program(parse_program(src))[1]
               for src in (SPAWN_LS, wide_source())]
@@ -304,7 +306,8 @@ def test_retopo_matches_reference_order(monkeypatch):
                     right.add(e.chan)
                 if n == 200:
                     break
-    assert max(sizes) > 25
+    # the sink moves what waits on a phase's new process: 220 times
+    assert max(sizes) > 25 and sinks.count(True) > 150
     # random usage graphs: entries using their own channel, channels no
     # entry offers, and cycles, which well-typed steps never produce
     rng = random.Random(0)
@@ -326,24 +329,27 @@ def test_order_and_steps_are_kept_by_deltas(monkeypatch):
     # wide program under fifo never re-sorts after its initial
     # configuration, and makes 211 calls to _enabled in 126 steps, where
     # recomputing every process at every step made 1840. On the corpus
-    # the order does move, so the full pass still runs where it must.
+    # the order does move, at each phase's spawn, and the sink moves what
+    # waits on the new process: 325 moves in 21 runs, and 22 full passes,
+    # one per initial configuration and one in handoff at seed 3
     from sill import runtime
-    calls = dict.fromkeys(("_kahn", "_enabled"), 0)
+    calls = dict.fromkeys(("_kahn", "_enabled", "_sink"), 0)
     for name in calls:
         def counted(*args, fn=getattr(runtime, name), name=name):
-            calls[name] += 1
-            return fn(*args)
+            r = fn(*args)
+            calls[name] += r is not False  # a sink that defers moves nothing
+            return r
         monkeypatch.setattr(runtime, name, counted)
     prog = check_program(parse_program(wide_source()))[1]
     steps = sum(1 for _ in drive(prog, lambda steps: steps[0]))
     assert steps == 126 and calls["_kahn"] == 1
     assert calls["_enabled"] < 5 * steps
-    calls["_kahn"] = runs = 0
+    calls["_kahn"] = calls["_sink"] = runs = 0
     for stem in sorted(EXPECTED_STATUS):
         for seed in (1, 2, 3):
             run(by_stem(stem), seed=seed, max_steps=300, monitor=False)
             runs += 1
-    assert calls["_kahn"] > 2 * runs
+    assert calls["_kahn"] <= runs + 2 and calls["_sink"] > 2 * runs
 
 
 def shared_view(cfg):
@@ -393,19 +399,19 @@ def test_shared_tail_is_rebuilt_only_where_it_changed(monkeypatch):
 
 
 def test_retopo_matches_reference_order_where_ill_formed(monkeypatch):
-    # the check of the uses made since a re-sort defers to the full pass
-    # where it cannot decide: at two providers of one channel, a self-use,
-    # a cycle and a self-use taken away. Checked after every step of each
-    # ill-typed corpus mutant, run as --no-static would run it, and after
-    # random changes made through Config's own methods, which reach those
-    # shapes where the mutants do not
+    # the check of the uses made since a re-sort, and the sink, defer to
+    # the full pass where they cannot decide: at two providers of one
+    # channel, a self-use, a cycle and a self-use taken away. Checked after
+    # every step of each ill-typed corpus mutant, run as --no-static would
+    # run it, and after random changes made through Config's own methods,
+    # which reach those shapes where the mutants do not
     import random
     from sill import runtime
     from sill.procast import ProcSignature
     from sill.types import TypeDefEnv
     from test_typecheck import _mutants
     fast = runtime._retopo
-    seen = []
+    seen, sinks = [], []
 
     def checked_retopo(cfg):
         want = reference_order(cfg.theta)
@@ -417,6 +423,8 @@ def test_retopo_matches_reference_order_where_ill_formed(monkeypatch):
     passes = []
     monkeypatch.setattr(runtime, "_kahn", lambda cfg, kahn=runtime._kahn:
                         passes.append(kahn(cfg)))
+    monkeypatch.setattr(runtime, "_sink", lambda cfg, p, sink=runtime._sink:
+                        sinks.append(sink(cfg, p)) or sinks[-1])
     runs = 0
     for path in CORPUS_FILES:
         for mutant in _mutants(parse_program(path.read_text())):
@@ -427,7 +435,9 @@ def test_retopo_matches_reference_order_where_ill_formed(monkeypatch):
                 if n == 59:
                     break
             runs += 1
-    assert runs > 1500
+    # 1788 sink moves on the mutants, checked as every re-sort is
+    assert runs > 1500 and sinks.count(True) > 1000
+    sinks.clear()
     rng, seen, skipped, recovered = random.Random(0), [], 0, 0
     for _ in range(300):
         cfg = runtime.Config(TypeDefEnv(), ProcSignature(()), [], {}, {})
@@ -461,6 +471,9 @@ def test_retopo_matches_reference_order_where_ill_formed(monkeypatch):
     # of 9000 re-sorts, 5331 leave an ill-formed order, 2729 skip the
     # full pass and 787 find the list well formed again
     assert seen.count(False) > 2000 and skipped > 1000 and recovered > 300
+    # and on the random changes 153 sink moves, and 481 walks that meet a
+    # shape the sink defers to the full pass for
+    assert sinks.count(True) > 100 and sinks.count(False) > 300
 
 
 def _gamma_tracked(prog, choose, max_steps):
@@ -1114,7 +1127,8 @@ def test_steps_follow_client_changes_made_by_hand():
 # which ranks below R: R2 becomes x's first client, so Q, which paired
 # with R's wait, pairs with nobody. In FIRST_CLIENT_LEAVES, C sends x to
 # the session it holds and then to R, which ranks above it; the session
-# leaves at its release still holding x, and R becomes x's first client
+# halts the run as it detaches still holding x, and where it is dropped
+# by hand R becomes x's first client
 SECOND_CLIENT = (
     "type cell = !int. 1\n"
     "proc Q : () |- x: 1 = close x\n"
@@ -1146,6 +1160,8 @@ def test_steps_follow_a_channels_first_client_as_a_second_comes_and_goes():
     # that makes a lower-ranked client (Config.use) and a drop of the first
     # client (Config.drop) each mark the channel's providers; neither the
     # resumes nor a rename of the step marks Q here
+    from sill.runtime import Step
+
     def sends_first(steps):
         s = next((s for s in steps if s.rule in ("up_sl", "lolli")),
                  next((s for s in steps if s.rule == "spawn_ll"), steps[0]))
@@ -1157,14 +1173,27 @@ def test_steps_follow_a_channels_first_client_as_a_second_comes_and_goes():
              ["spawn_ll"] * 4 + ["lolli"] * 2),
             (FIRST_CLIENT_LEAVES,
              ["Srv: ↓SL R: unused linear channels ['y']",
-              "C: ⊸L: unknown payload channel x"], 12,
+              "C: ⊸L: unknown payload channel x"], 7,
              ["spawn_ll"] * 2 + ["up_sl", "spawn_ll"] + ["lolli"] * 3
-             + ["down_sl"] + ["one"] * 3 + ["spawn_ss"])):
+             + ["down_sl"])):
         diags, prog = check_program(parse_program(src))
         assert diags == diag
         rules = []
         assert differential(prog, sends_first, 100, False, False) == n
         assert rules == want
+    # the session, x's first client, is dropped by hand where it would
+    # detach: R becomes the first, and Q's close pairs with R's wait
+    cfg = initial_config(prog)
+    for _ in range(n):
+        apply_step(cfg, sends_first(enumerate_steps(cfg)))
+    (x, clients), = ((c, es) for c, es in cfg.client.items() if len(es) > 1)
+    session, r = sorted(clients, key=lambda e: e.rank)
+    steps = enumerate_steps(cfg)
+    assert Step("one", x, r.chan) not in steps
+    assert "down_sl" in [s.rule for s in steps]
+    cfg.drop(session)
+    assert enumerate_steps(cfg) == reference_steps(cfg)
+    assert Step("one", x, r.chan) in enumerate_steps(cfg)
 
 
 # Fw forwards z to the shared b. Under these choosers the forward comes
@@ -1370,6 +1399,93 @@ def test_a_resort_rebuilds_the_shared_steps():
     _kahn(cfg)
     assert enumerate_steps(cfg) == reference_steps(cfg)
     assert cfg.acquiring == [] and cfg.tail == []
+
+
+def test_the_sink_moves_an_acquirer_and_its_alias(monkeypatch):
+    # a new entry that uses the channel of a process waiting to acquire
+    # through an alias: the sink moves both after it, with no full pass.
+    # The acquirer leaves its place in the acquiring list for the end, so
+    # the shared part's acquire steps change order and the tail is rebuilt
+    from sill import runtime
+    from sill.runtime import Step
+    diags, prog = check_program(parse_program(WAITERS))
+    assert diags == []
+    cfg = initial_config(prog)
+    for _ in range(3):  # M spawns AsLinear, Loop and Two
+        apply_step(cfg, enumerate_steps(cfg)[0])
+    main = cfg.theta[0]
+    loop, two = (cfg.provider(c) for c in main.uses)
+    (v,) = loop.uses
+    alias = Connect(v, "b")
+    cfg.add(alias)
+    cfg.drop(cfg.provider(v))  # AsLinear: the alias now provides v
+    runtime._retopo(cfg)
+    both = [Step("up_sl2", "b", loop.chan), Step("up_sl", "b", two.chan)]
+    assert enumerate_steps(cfg) == reference_steps(cfg)
+    assert [s for s in cfg.tail if s in both] == both
+    passes = []
+    monkeypatch.setattr(runtime, "_kahn", passes.append)
+    cfg.unuse(main, loop.chan)
+    n = Proc("n", None, One(), {}, False)
+    cfg.add(n)
+    cfg.use(n, loop.chan, One())
+    runtime._retopo(cfg)
+    assert passes == [] and cfg.theta[-3:] == [n, loop, alias]
+    assert cfg.theta == reference_order(cfg.theta)
+    assert enumerate_steps(cfg) == reference_steps(cfg)
+    assert [s for s in cfg.tail if s in both] == both[::-1]
+
+
+def test_a_session_that_detaches_while_it_still_uses_a_channel_halts():
+    # FIRST_CLIENT_LEAVES without C's second send: the session alone holds
+    # x as it detaches, and dropping it would leave Q, x's provider, with
+    # no client. Unmonitored, the step halts without progress before it
+    # changes anything; the monitor reports the session's record first
+    src = FIRST_CLIENT_LEAVES.replace("send rr x; ", "")
+    diags, prog = check_program(parse_program(src))
+    assert diags == ["Srv: ↓SL R: unused linear channels ['y']",
+                     "C: 1L: rr is not terminated"]
+    cfg = initial_config(prog)
+    while not (down := [s for s in enumerate_steps(cfg)
+                        if s.rule == "down_sl"]):
+        apply_step(cfg, enumerate_steps(cfg)[0])
+    (step,) = down
+    session = cfg.provider(step.provider)
+    (x,) = session.uses
+    before = (list(cfg.theta), dict(cfg.lam), {c: list(es) for c, es in
+                                               cfg.client.items()})
+    with pytest.raises(ProgressError, match=f"^process at {step.provider} "
+                       f"detaches while it still uses {x}$"):
+        apply_step(cfg, step)
+    assert (cfg.theta, cfg.lam, cfg.client) == before
+    assert cfg.user_of(x) is session
+    for seed in range(3):
+        with pytest.raises(ProgressError, match="detaches while"):
+            run(prog, seed=seed, monitor=False)
+        r = run(prog, seed=seed)
+        assert r.status == RunStatus.MONITOR_VIOLATION and r.steps == 0
+
+
+def test_an_untraced_run_takes_no_snapshots(monkeypatch):
+    # only a trace reads a step's consumed and produced snapshots, so a
+    # run with no trace takes none, monitored or not; a traced run takes
+    # them, and its bytes are pinned above
+    from sill import runtime
+
+    def refused(*args):
+        raise AssertionError("snapshot taken for no trace")
+
+    progs = [by_stem(stem) for stem in sorted(EXPECTED_STATUS)]
+    monkeypatch.setattr(runtime, "_record", refused)
+    steps = 0
+    for prog in progs:
+        for seed in range(3):
+            for monitor in (True, False):
+                steps += run(prog, seed=seed, max_steps=300,
+                             monitor=monitor).steps
+    assert steps > 4000
+    with pytest.raises(AssertionError, match="snapshot"):
+        run(progs[0], seed=0, trace=io.StringIO())
 
 
 def test_indexes_steps_and_monitor_match_references_on_mutants():
