@@ -7,6 +7,15 @@ premise is conjunctive, no backtracking is needed and the assumption is
 never retracted. It decides on the environment's type graph, so a goal is
 a pair of integer ids and no name is unfolded per goal.
 
+A pair of one id holds without a walk, and is neither walked nor stored.
+One id is one node of the graph and so one regular tree: a name has its
+body's id, and every other node is hash-consed by its constructor, its
+children's ids and its labels or base type. The identity relation is a
+simulation under every rule below (equal label sets, a contravariant
+payload paired with itself, equal value bases), so each such pair lies in
+the greatest fixed point; and no refutation rests on a reflexive goal, so
+no other verdict moves.
+
 ``bounded_oracle`` is an independent cross-check: plain rule application
 with unfolding cut off at a given depth, truncation counting as success.
 At depth ``exact_bound`` the two procedures agree exactly, because a
@@ -25,6 +34,8 @@ _CROSS = {(UpSL, UpLL), (DownSL, DownLL)}
 
 
 def _sub(g: TypeGraph, a: int, b: int, assumed: set[tuple]) -> bool:
+    if a == b:
+        return True
     key = (a, b)
     hit = g.memo.get(key)
     if hit is not None:
@@ -55,7 +66,11 @@ def _sub(g: TypeGraph, a: int, b: int, assumed: set[tuple]) -> bool:
 
 
 def sub_ids(g: TypeGraph, a: int, b: int) -> bool:
-    """Subtyping between two ids of g."""
+    """Subtyping between two ids of g. A pair of one id holds at once and
+    is not stored: one id is one regular tree, and the identity relation
+    is a simulation under every rule of ``_sub``."""
+    if a == b:
+        return True
     key = (a, b)
     hit = g.memo.get(key)
     if hit is None:
@@ -64,6 +79,9 @@ def sub_ids(g: TypeGraph, a: int, b: int) -> bool:
 
 
 def is_subtype(env: TypeDefEnv, a: SessionType, b: SessionType) -> bool:
+    """Whether a <= b in env, decided on env's type graph. Interning a
+    type raises KeyError at an undefined name and TypeError_ at a cycle of
+    names, so a malformed environment is refused even for a pair a, a."""
     g = env.graph
     return sub_ids(g, g.intern(a), g.intern(b))
 

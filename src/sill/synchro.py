@@ -20,7 +20,7 @@ from .types import (
     Bot, Top, SharedC, ConstraintType, BOT, TOP,
     unfold, SHARED, LINEAR,
 )
-from .subtype import is_subtype, sub_ids
+from .subtype import _CROSS, is_subtype, sub_ids
 
 
 # an obligation on the type graph: the id of a shared type, or one of these
@@ -105,6 +105,11 @@ def is_esync(env: TypeDefEnv, a: SessionType) -> bool:
 # Meet
 # --------------------------------------------------------------------------- #
 
+# a shared shift and the linear one above it, in either order: (their
+# meet, their join)
+_MIXED = {p: (s, l) for s, l in _CROSS for p in ((s, l), (l, s))}
+
+
 class _NoMeet(Exception):
     """Internal signal: the structural meet (or join) does not exist."""
 
@@ -158,52 +163,51 @@ def _mt(st: _MeetState, mode: str, a: SessionType, b: SessionType) -> SessionTyp
 
 def _mt_struct(st: _MeetState, mode: str, a: SessionType,
                b: SessionType) -> SessionType:
-    dual = "join" if mode == "meet" else "meet"
-    match (a, b):
-        case (One(), One()):
-            return One()
-        case (Tensor(p1, c1), Tensor(p2, c2)):
-            return Tensor(_mt(st, mode, p1, p2), _mt(st, mode, c1, c2))
-        case (Lolli(p1, c1), Lolli(p2, c2)):
-            # payloads are contravariant, so the bound flips there
-            return Lolli(_mt(st, dual, p1, p2), _mt(st, mode, c1, c2))
-        case (EChoice(_), EChoice(_)) | (IChoice(_), IChoice(_)):
-            # each label once, its first branch winning, as in branch()
-            la, lb = dict.fromkeys(a.labels()), dict.fromkeys(b.labels())
-            if (mode == "meet") == isinstance(a, EChoice):
-                # union of labels; non-common branches carried over verbatim
-                branches = [(l, _mt(st, mode, a.branch(l), b.branch(l))
-                             if l in lb else a.branch(l)) for l in la]
-                branches += [(l, b.branch(l)) for l in lb if l not in la]
-                return type(a)(tuple(branches))
-            # intersection; a branch whose continuations admit no common
-            # bound is dropped, and an empty result collapses
-            branches = []
-            for l in la:
-                if l in lb:
-                    try:
-                        branches.append(
-                            (l, _mt(st, mode, a.branch(l), b.branch(l))))
-                    except _NoMeet:
-                        pass
-            if not branches:
-                raise _NoMeet
-            return type(a)(tuple(branches))
-        case ((UpSL(c1), UpSL(c2)) | (UpLL(c1), UpLL(c2))
-              | (DownSL(c1), DownSL(c2)) | (DownLL(c1), DownLL(c2))):
-            return type(a)(_mt(st, mode, c1, c2))
-        case (UpSL(c1), UpLL(c2)) | (UpLL(c1), UpSL(c2)):
-            # the shared shift is below the linear one
-            inner = _mt(st, mode, c1, c2)
-            return UpSL(inner) if mode == "meet" else UpLL(inner)
-        case (DownSL(c1), DownLL(c2)) | (DownLL(c1), DownSL(c2)):
-            inner = _mt(st, mode, c1, c2)
-            return DownSL(inner) if mode == "meet" else DownLL(inner)
-        case ((ValIn(t1, c1), ValIn(t2, c2))
-              | (ValOut(t1, c1), ValOut(t2, c2))) if t1 == t2:
-            return type(a)(t1, _mt(st, mode, c1, c2))
-        case _:
+    ca = a.__class__
+    if ca is not b.__class__:
+        # the shared shift is below the linear one
+        bounds = _MIXED.get((ca, b.__class__))
+        if bounds is None:
             raise _NoMeet
+        return bounds[mode != "meet"](_mt(st, mode, a.cont, b.cont))
+    if ca is One:
+        return One()
+    if ca is Tensor:
+        return Tensor(_mt(st, mode, a.payload, b.payload),
+                      _mt(st, mode, a.cont, b.cont))
+    if ca is Lolli:
+        # payloads are contravariant, so the bound flips there
+        dual = "join" if mode == "meet" else "meet"
+        return Lolli(_mt(st, dual, a.payload, b.payload),
+                     _mt(st, mode, a.cont, b.cont))
+    if ca is EChoice or ca is IChoice:
+        # each label once, its first branch winning, as in branch()
+        la, lb = dict.fromkeys(a.labels()), dict.fromkeys(b.labels())
+        if (mode == "meet") == (ca is EChoice):
+            # union of labels; non-common branches carried over verbatim
+            branches = [(l, _mt(st, mode, a.branch(l), b.branch(l))
+                         if l in lb else a.branch(l)) for l in la]
+            branches += [(l, b.branch(l)) for l in lb if l not in la]
+            return ca(tuple(branches))
+        # intersection; a branch whose continuations admit no common
+        # bound is dropped, and an empty result collapses
+        branches = []
+        for l in la:
+            if l in lb:
+                try:
+                    branches.append(
+                        (l, _mt(st, mode, a.branch(l), b.branch(l))))
+                except _NoMeet:
+                    pass
+        if not branches:
+            raise _NoMeet
+        return ca(tuple(branches))
+    if ca is ValIn or ca is ValOut:
+        if a.base != b.base:
+            raise _NoMeet
+        return ca(a.base, _mt(st, mode, a.cont, b.cont))
+    # a shift of one kind
+    return ca(_mt(st, mode, a.cont, b.cont))
 
 
 def meet(env: TypeDefEnv, c: ConstraintType,

@@ -253,7 +253,8 @@ class TypeGraph:
         self.index: dict[tuple, int] = {self.nodes[0]: 0}
         self.names: dict[str, int] = {}
         self.ident: dict[int, int] = {}  # id() of a body's subterm -> id
-        # verdicts: subtyping keyed by (a, b), subsynchronization by (a, b, d)
+        # verdicts: subtyping keyed by (a, b), subsynchronization by (a, b, d);
+        # a subtyping pair of one id holds at once and is never stored
         self.memo: dict[tuple, bool] = {}
         self.pinned: list[SessionType] = []
 

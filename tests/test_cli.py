@@ -85,6 +85,15 @@ def test_ssync_under_a_bot_or_shared_constraint(capsys):
     assert capsys.readouterr().out == "no\n"
 
 
+def test_ssync_of_one_type_under_an_obligation_it_fails(tmp_path, capsys):
+    f = tmp_path / "st.sill"
+    f.write_text("type s = up_s !int. down_s s\n"
+                 "type t = up_s ?int. down_s t\n")
+    a = "down_s s"
+    assert main(["ssync", str(f), a, a, "--constraint", "t"]) == 1
+    assert capsys.readouterr().out == "no\n"
+
+
 # branch a of pp and qq meets p2 with q2 inside the meet of p and q, which
 # then fails at p3 and q3, so the branch is dropped; branch b meets p2
 # with q2 again under a new name

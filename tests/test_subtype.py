@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import random
@@ -181,6 +182,23 @@ def test_oracle_agreement(seed):
     b = gen_linear_type(rng, env)
     depth = exact_bound(env, a, b)
     assert is_subtype(env, a, b) == bounded_oracle(env, a, b, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_a_pair_of_one_id_holds_without_a_walk(seed):
+    # a type and a copy that shares no object with it mostly intern to one
+    # id; such a pair holds at once, as the oracle agrees, and no pair of
+    # one id is stored, walked or not
+    rng = random.Random(seed)
+    env = gen_env(rng)
+    for _ in range(4):
+        t = gen_linear_type(rng, env)
+        u = copy.deepcopy(t)
+        assert is_subtype(env, t, u)
+        assert is_subtype(env, t, u) == bounded_oracle(
+            env, t, u, exact_bound(env, t, u))
+    assert [k for k in env.graph.memo if len(k) == 2 and k[0] == k[1]] == []
 
 
 # --------------------------------------------------------------------------- #

@@ -46,6 +46,15 @@ def test_unit_ssync():
     assert is_ssync(TypeDefEnv(), One(), One(), BOT)
 
 
+def test_a_pair_of_one_id_still_answers_to_its_obligation():
+    # subtyping decides (A, A) at once, but ssync(A, A, D) depends on D
+    env = parse_program("type s = up_s !int. down_s s\n"
+                        "type t = up_s ?int. down_s t\n").types
+    a = DownSL(Ref("s"))
+    assert not is_ssync(env, a, a, SharedC(Ref("t")))
+    assert is_ssync(env, a, a, SharedC(Ref("s")))
+
+
 def test_acquire_needs_unconstrained_channel():
     sq = Ref("shared_queue")
     assert is_ssync(SQ, sq, sq, TOP)
