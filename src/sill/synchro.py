@@ -213,16 +213,19 @@ def _mt_struct(st: _MeetState, mode: str, a: SessionType,
 def meet(env: TypeDefEnv, c: ConstraintType,
          d: ConstraintType) -> tuple[ConstraintType, TypeDefEnv]:
     """Greatest lower bound of two constraints. May extend the environment
-    with fresh definitions that close recursion in the result."""
-    match (c, d):
-        case (Top(), x) | (x, Top()):
-            return x, env
-        case (Bot(), _) | (_, Bot()):
-            return BOT, env
-        case (SharedC(a), SharedC(b)):
-            t, env2 = meet_types(env, a, b)
-            return (BOT, env) if t is None else (SharedC(t), env2)
-    raise AssertionError("unreachable")
+    with fresh definitions that close recursion in the result; two equal
+    shared constraints meet at once, as c itself, minting nothing."""
+    cc, cd = c.__class__, d.__class__
+    if cc is Top:
+        return d, env
+    if cd is Top:
+        return c, env
+    if cc is Bot or cd is Bot:
+        return BOT, env
+    if c.ty == d.ty:
+        return c, env
+    t, env2 = meet_types(env, c.ty, d.ty)
+    return (BOT, env) if t is None else (SharedC(t), env2)
 
 
 def meet_types(env: TypeDefEnv, a: SessionType,

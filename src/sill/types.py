@@ -239,11 +239,11 @@ class TypeGraph:
     """One environment's types as a graph of integer ids, on which the
     judgments decide (Gay & Hole, Acta Informatica 2005). A node is a tuple
     (constructor, children's ids, a choice's label -> id dict or a value
-    type's base type). A name has its body's id, so Ref(n) and n's body are
-    one node; other nodes are hash-consed (Filliâtre & Conchon, 2006). A
-    resolved body's subterms, alive as long as the env, and a pinned type's,
-    which the graph keeps alive, are found by identity; a type from
-    elsewhere adds its nodes."""
+    type's base type). Nodes are hash-consed (Filliâtre & Conchon, 2006),
+    and a name has its body's id, so Ref(n) and n's body are one node.
+    ``_intern`` makes one call per node, reading identity at every node of
+    a resolved body, alive as long as the env, and of a pinned type, which
+    the graph keeps alive; of a type from elsewhere, at its root alone."""
 
     __slots__ = ("env", "nodes", "index", "names", "ident", "memo", "pinned")
 
@@ -261,64 +261,74 @@ class TypeGraph:
     def pin(self, t: SessionType) -> int:
         """The id of t, interned by identity with its subterms and kept
         alive by the graph, so that ident stays valid for it."""
-        i = self.intern(t, True)
+        i = _intern(self, t, True)
         self.pinned.append(t)
         return i
 
-    def intern(self, t: SessionType, body: bool = False) -> int:
-        """The id of t, which with body is a subterm of a definition body
-        or of a pinned type."""
+    def intern(self, t: SessionType) -> int:
+        """The id of t, by identity at its root, else by key at each node."""
         i = self.ident.get(id(t))
-        if i is not None:
-            return i
-        cls = t.__class__
-        if cls is One:
-            i = 0
-        elif cls is Ref:
-            i = self.names.get(t.name)
-            if i is None:
-                try:
-                    i = self.names[t.name] = self._resolve(t)
-                except (KeyError, TypeError_):
-                    # malformed: the next judgment starts a new graph
-                    self.env().__dict__.pop("graph", None)
-                    raise
-        else:
-            node, key = self._node(t, body)
-            i = self.index.get(key)
-            if i is None:
-                i = self.index[key] = len(self.nodes)
-                self.nodes.append(node)
-        if body:
-            self.ident[id(t)] = i
-        return i
+        return _intern(self, t, False) if i is None else i
 
     def _resolve(self, t: Ref) -> int:
-        """The id of t's body, fixed before its children, which may name it."""
-        u = unfold(self.env(), t)
-        i = self.ident.get(id(u))
-        if i is None:
-            i = self.ident[id(u)] = len(self.nodes)
-            self.nodes.append(None)
-            self.nodes[i], key = self._node(u, True)
-            self.index.setdefault(key, i)
+        """The id of t's body, numbered before its children, which may
+        name it; the number's slot holds None until the walk fills it."""
+        try:
+            u = unfold(self.env(), t)
+            i = self.ident.get(id(u))
+            if i is None:
+                i = self.ident[id(u)] = len(self.nodes)
+                self.nodes.append(None)
+                i = _intern(self, u, True, i)
+        except (KeyError, TypeError_, RecursionError):
+            # malformed or too deep: the next judgment starts a new graph
+            self.env().__dict__.pop("graph", None)
+            raise
+        self.names[t.name] = i
         return i
 
-    def _node(self, t: SessionType, body: bool) -> tuple[tuple, tuple]:
-        """t's node and its hash-consing key."""
-        cls, intern = t.__class__, self.intern
+
+def _intern(g: TypeGraph, t: SessionType, body: bool, at: int = -1) -> int:
+    """t's id in g, its node's key (constructor, children's ids, labels or
+    base type) looked up once. With body, t's id is read from and written
+    to g.ident. A body numbered at takes at, or the id of an earlier node
+    of its key, at then keeping that node for any child that named it."""
+    if body and at < 0:
+        i = g.ident.get(id(t))
+        if i is not None:
+            return i
+    cls = t.__class__
+    if cls is Ref:
+        i = g.names.get(t.name)
+        if i is None:
+            i = g._resolve(t)
+    elif cls is One:
+        i = 0
+    else:
         if cls is IChoice or cls is EChoice:
             # the first branch of a label wins, as in branch()
-            arms = {l: intern(c, body)
-                    for l, c in sorted(dict(reversed(t.branches)).items())}
+            arms = {}
+            for l, c in sorted(dict(reversed(t.branches)).items()):
+                arms[l] = _intern(g, c, body)
             kids = tuple(arms.values())
-            return (cls, kids, arms), (cls, kids, tuple(arms))
-        if cls is Tensor or cls is Lolli:
-            kids = intern(t.payload, body), intern(t.cont, body)
+            node, key = (cls, kids, arms), (cls, kids, tuple(arms))
+        elif cls is Tensor or cls is Lolli:
+            node = key = (cls, (_intern(g, t.payload, body),
+                                _intern(g, t.cont, body)), None)
         else:
-            kids = () if cls is One else (intern(t.cont, body),)
-        node = cls, kids, t.base if cls is ValIn or cls is ValOut else None
-        return node, node
+            node = key = (cls, (_intern(g, t.cont, body),),
+                          t.base if cls is ValIn or cls is ValOut else None)
+        i = g.index.get(key)
+        if at >= 0:
+            g.nodes[at] = node
+            if i is None:
+                i = g.index[key] = at
+        elif i is None:
+            i = g.index[key] = len(g.nodes)
+            g.nodes.append(node)
+    if body:
+        g.ident[id(t)] = i
+    return i
 
 
 def modality(env: TypeDefEnv, t: SessionType) -> str:

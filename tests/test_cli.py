@@ -319,6 +319,20 @@ def test_too_deep_shift_exits_2(tmp_path, capsys):
         assert err == f"{argv[1]}: program too deep to process\n"
 
 
+def test_a_deep_type_takes_one_frame_per_node(capsys):
+    # interning walks one frame per node of a type, so a chain of 900
+    # value outputs is decided; a far deeper one still ends in one line
+    # and exit 2
+    deep = "!int. " * 900 + "1"
+    assert main(["sub", Q, deep, deep]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    deeper = "!int. " * 20000 + "1"
+    assert main(["sub", Q, deeper, deeper]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"{Q}: program too deep to process\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sub", Q, "+{a 1}", "producer"], "line 1: expected ':', got '1'"),
     (["sub", Q, "1 *\n\n", "producer"], "line 3: expected a type, got ''"),

@@ -2431,21 +2431,21 @@ def test_a_name_and_its_body_are_one_memo_key(monkeypatch):
 
 
 def test_monitor_interns_only_types_the_run_built(monkeypatch):
-    # on monitored corpus runs, monitor_check makes no TypeGraph._node
-    # call on a step other than down_sl2 (the client's linear view of the
-    # session it released, pinned once per body) or a meet that mints,
-    # which starts a new graph: every other type it judges is a pinned
-    # signature type or a body's subterm, found by identity
-    from sill import runtime
-    from sill.types import TypeGraph
-    node, check, apply = TypeGraph._node, runtime.monitor_check, \
+    # on monitored corpus runs, monitor_check walks no type node by node
+    # (no types._intern call) on a step other than down_sl2 (the client's
+    # linear view of the session it released, pinned once per body) or a
+    # meet that mints, which starts a new graph: every other type it
+    # judges is a pinned signature type or a body's subterm, found by
+    # identity
+    from sill import runtime, types
+    walk, check, apply = types._intern, runtime.monitor_check, \
         runtime.apply_step
     state = {"rule": None, "in": False, "calls": 0}
     hit = []
 
-    def counted_node(self, t, body):
+    def counted_walk(g, t, body, at=-1):
         state["calls"] += state["in"]
-        return node(self, t, body)
+        return walk(g, t, body, at)
 
     def noted_apply(cfg, step):
         env = cfg.env
@@ -2462,7 +2462,7 @@ def test_monitor_interns_only_types_the_run_built(monkeypatch):
             if touched is not None and state["calls"]:
                 hit.append(state["rule"])
 
-    monkeypatch.setattr(TypeGraph, "_node", counted_node)
+    monkeypatch.setattr(types, "_intern", counted_walk)
     monkeypatch.setattr(runtime, "apply_step", noted_apply)
     monkeypatch.setattr(runtime, "monitor_check", counted_check)
     steps = 0

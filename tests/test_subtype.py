@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from sill.types import (
     One, Tensor, Lolli, IChoice, EChoice, UpSL, DownSL, UpLL, DownLL,
-    ValIn, ValOut, Ref, TypeDef, TypeDefEnv, LINEAR, TypeError_, unfold,
+    ValIn, ValOut, Ref, TypeDef, TypeDefEnv, SHARED, LINEAR, TypeError_,
+    children, unfold,
 )
 from sill.subtype import (
-    is_subtype, bounded_oracle, exact_bound,
+    is_subtype, bounded_oracle, exact_bound, sub_ids,
 )
 from sill.synchro import is_ssync, is_esync
 
@@ -199,6 +200,178 @@ def test_a_pair_of_one_id_holds_without_a_walk(seed):
         assert is_subtype(env, t, u) == bounded_oracle(
             env, t, u, exact_bound(env, t, u))
     assert [k for k in env.graph.memo if len(k) == 2 and k[0] == k[1]] == []
+
+
+# --------------------------------------------------------------------------- #
+# Interning
+# --------------------------------------------------------------------------- #
+
+def subterms(t):
+    """t and every subterm of it, payloads included, without unfolding."""
+    out = [t]
+    for c in children(t):
+        out += subterms(c)
+    return out
+
+
+def test_an_outside_type_reads_identity_only_at_its_root():
+    env = TypeDefEnv((
+        TypeDef("s", SHARED, UpSL(EChoice((
+            ("put", ValIn("int", DownSL(Ref("s")))),
+            ("get", ValOut("int", DownSL(Ref("s")))))))),
+        TypeDef("l", LINEAR, Tensor(Ref("s"), Lolli(One(), IChoice((
+            ("a", UpLL(Ref("l"))), ("b", DownLL(One()))))))),
+    ))
+    g = env.graph
+    g.intern(Ref("l"))
+    ident = dict(g.ident)
+    # fresh objects: found by key, node by node, and none recorded
+    t = Tensor(ValOut("int", Ref("l")), EChoice((
+        ("x", DownLL(One())), ("y", UpLL(Ref("l"))))))
+    i = g.intern(t)
+    assert g.ident == ident
+    n = len(g.nodes)
+    assert g.intern(t) == g.intern(copy_type(t)) == i and len(g.nodes) == n
+    # a body's subterm, passed by identity, is its recorded id
+    for u in subterms(env.lookup("l").body) + subterms(env.lookup("s").body):
+        assert g.intern(u) == ident[id(u)]
+    assert len(g.nodes) == n and g.ident == ident
+    # a copy of a body is its name's node
+    assert g.intern(copy_type(env.lookup("l").body)) == g.names["l"]
+    assert len(g.nodes) == n
+    # a pinned type records every subterm, and keeps it alive
+    p = Lolli(copy_type(t), IChoice((("a", Ref("l")),)))
+    j = g.pin(p)
+    assert all(id(u) in g.ident for u in subterms(p))
+    assert g.ident[id(p)] == j and g.pinned[-1] is p
+    assert g.ident[id(p.payload)] == i
+
+
+def test_a_recorded_subterm_is_not_walked_again(monkeypatch):
+    # in a pinned type, a subterm already recorded, a body's or one
+    # pinned before, is read by identity: one call, and none below it
+    import sill.types
+    env = TypeDefEnv((TypeDef("l", LINEAR, Tensor(Ref("l"), ValIn(
+        "int", IChoice((("a", One()), ("b", Ref("l"))))))),))
+    g = env.graph
+    g.intern(Ref("l"))
+    p = Lolli(env.lookup("l").body.cont, One())
+    walk, calls = sill.types._intern, []
+
+    def counted(g, t, body, at=-1):
+        calls.append(t)
+        return walk(g, t, body, at)
+
+    monkeypatch.setattr(sill.types, "_intern", counted)
+    i = g.pin(p)
+    assert calls == [p, p.payload, p.cont]
+    del calls[:]
+    assert g.pin(p) == i and calls == [p]
+
+
+def test_a_body_too_deep_to_intern_leaves_no_graph_behind():
+    # a resolution cut short by the recursion limit drops the graph, so
+    # no later judgment reads the half-numbered body
+    deep = One()
+    for _ in range(5000):
+        deep = ValOut("int", deep)
+    env = TypeDefEnv((TypeDef("d", LINEAR, deep),))
+    for _ in range(2):
+        with pytest.raises(RecursionError):
+            is_subtype(env, Ref("d"), One())
+        assert "graph" not in env.__dict__
+
+
+def test_a_name_takes_the_id_of_an_equal_node_interned_before_it():
+    # b's body names a, but not b: interned after an equal type, each
+    # name takes that type's id, so the type, a copy of b's body and b
+    # are one node
+    env = TypeDefEnv((TypeDef("a", LINEAR, ValOut("int", One())),
+                      TypeDef("b", LINEAR, UpLL(Ref("a")))))
+    g = env.graph
+    t = UpLL(ValOut("int", One()))
+    i = g.intern(t)
+    assert g.intern(Ref("b")) == i
+    assert g.intern(copy_type(env.lookup("b").body)) == i
+    assert g.intern(Ref("a")) == g.nodes[i][1][0]
+    assert g.intern(env.lookup("a").body) == g.nodes[i][1][0]
+
+
+def reference_intern(g, names, ident, t, body=False):
+    """t's id in g.nodes and g.index by the interning the one walk
+    replaced: identity read at every node of every type, with a second
+    call to build each node's key, and a name's body numbered before its
+    children, an equal node interned earlier keeping its own id. names and
+    ident are the reference's own, so no id comes from the walk's."""
+    i = ident.get(id(t))
+    if i is not None:
+        return i
+    cls = t.__class__
+    if cls is One:
+        i = 0
+    elif cls is Ref:
+        i = names.get(t.name)
+        if i is None:
+            u = unfold(g.env(), t)
+            i = ident.get(id(u))
+            if i is None:
+                i = ident[id(u)] = len(g.nodes)
+                g.nodes.append(None)
+                g.nodes[i], key = reference_node(g, names, ident, u, True)
+                g.index.setdefault(key, i)
+            names[t.name] = i
+    else:
+        node, key = reference_node(g, names, ident, t, body)
+        i = g.index.get(key)
+        if i is None:
+            i = g.index[key] = len(g.nodes)
+            g.nodes.append(node)
+    if body:
+        ident[id(t)] = i
+    return i
+
+
+def reference_node(g, names, ident, t, body):
+    cls = t.__class__
+
+    def intern(c):
+        return reference_intern(g, names, ident, c, body)
+
+    if cls is IChoice or cls is EChoice:
+        arms = {l: intern(c)
+                for l, c in sorted(dict(reversed(t.branches)).items())}
+        kids = tuple(arms.values())
+        return (cls, kids, arms), (cls, kids, tuple(arms))
+    if cls is Tensor or cls is Lolli:
+        kids = intern(t.payload), intern(t.cont)
+    else:
+        kids = () if cls is One else (intern(t.cont),)
+    node = cls, kids, t.base if cls is ValIn or cls is ValOut else None
+    return node, node
+
+
+def test_interning_matches_the_per_node_identity_reference():
+    # criterion 3's environments: each name, drawn type, copy and pinned
+    # type gets an id that is the same tree as the reference's, the two
+    # taking turns to resolve the names first
+    rng = random.Random(20260824)
+    for k in range(300):
+        env = gen_env(rng)
+        g = env.graph
+        names, ident = {}, {}
+        types = [Ref(d.name) for d in env.defs]
+        types += [gen_linear_type(rng, env) for _ in range(4)]
+        types += [copy_type(t) for t in types] + [d.body for d in env.defs]
+        if k % 2:
+            types.reverse()
+        for n, t in enumerate(types):
+            if k % 2:
+                j = reference_intern(g, names, ident, t)
+            i = g.pin(t) if n % 5 == 4 else g.intern(t)
+            if not k % 2:
+                j = reference_intern(g, names, ident, t)
+            assert sub_ids(g, i, j) and sub_ids(g, j, i), (env, t)
+        assert None not in [g.nodes[i] for i in g.names.values()]
 
 
 # --------------------------------------------------------------------------- #

@@ -121,6 +121,18 @@ def test_meet_equal_shared():
     assert meet(SQ, sq, sq)[1] is SQ
 
 
+def test_meet_of_equal_shared_constraints_returns_at_once(monkeypatch):
+    # two equal constraints that are distinct objects, as at the runtime's
+    # forwards, meet as the first of them, in the env as it was, with no
+    # structural meet
+    import sill.synchro
+    monkeypatch.setattr(sill.synchro, "meet_types",
+                        lambda *args: pytest.fail("a structural meet"))
+    for c in (SharedC(Ref("shared_queue")), SharedC(UpSL(Ref("queue")))):
+        m, env = meet(SQ, c, copy_type(c))
+        assert m is c and env is SQ
+
+
 def test_meet_echoice_union():
     a = EChoice((("a", One()),))
     b = EChoice((("b", One()),))
