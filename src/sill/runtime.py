@@ -60,9 +60,8 @@ the manner of Filliâtre & Conchon). The first time it judges under an
 env, it pins the signature's offer and parameter types in the graph, so
 every type it reads is found by identity; only a type the run built
 (down_sl2's view, a meet's result) is interned. Its judgments are
-is_ssync and is_subtype, which read the graph's verdict memo themselves;
-a passed judgment stamps its entry with its inputs, by identity, and the
-same inputs pass again without a judgment. It rechecks a template in its
+ssync_ids and sub_ids, posed on those ids, so a judgment decided before
+is a read of the graph's verdict memo. It rechecks a template in its
 own names, and a suffix that passed under the same context before is a
 lookup in a memo keyed by tuples of ints. It rechecks only the entries
 a step changed: a step's touched channels name every record, client's
@@ -85,12 +84,10 @@ from operator import attrgetter
 
 from .types import (
     UpLL, SessionType, TypeDefEnv, TypeGraph, TypeError_, ConstraintType,
-    SharedC, Top, BOT, TOP, unfold,
+    SharedC, Top, BOT, unfold,
 )
-from .subtype import is_subtype
-from .synchro import (
-    is_ssync, meet, cleq, SsyncPreconditionError, TOP_ID, BOT_ID,
-)
+from .subtype import sub_ids
+from .synchro import ssync_ids, meet, cleq, TOP_ID, BOT_ID
 from .procast import (
     FwdLL, FwdSS, FwdLS, Spawn, Close, Wait,
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
@@ -155,7 +152,7 @@ class Proc:
     Config) and ``up`` the last direct acquire step built for it (see
     _tail)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "term_memo", "judged", "rank", "kept", "up")
+                 "shared", "term_memo", "rank", "kept", "up")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -165,11 +162,8 @@ class Proc:
             chan, offer, uses, shared
         self.names = {} if names is None else names
         self.tmpl, self.env, self.base = tmpl, {} if env is None else env, base
-        # the forced term, and what the last passed judgment read (see
-        # term and _synchronizes)
-        self.term_memo = self.judged = None
+        self.term_memo = self.kept = self.up = None
         self.rank = 0
-        self.kept = self.up = None
 
     def name(self, x: str) -> str:
         """What the template's name x stands for now."""
@@ -194,8 +188,6 @@ class Connect:
     chan: str
     target: str
     rank: int = field(default=0, init=False, repr=False)
-    # what the alias check last passed with (see _linear_fault)
-    judged: tuple | None = field(default=None, init=False, repr=False)
 
 
 _rank = attrgetter("rank")
@@ -1035,7 +1027,7 @@ def _tid(g: TypeGraph, t: SessionType) -> int:
     """t's id in g: by identity where t is a pinned type or a subterm of
     one or of a body. Else t is a type the run built: a client's view
     after down_sl2, one per body (ProcSignature.views), which is pinned the
-    first time a recheck reads it, or a meet's result, which is interned
+    first time the monitor reads it, or a meet's result, which is interned
     each time."""
     i = g.ident.get(id(t))
     if i is None:
@@ -1161,43 +1153,23 @@ def _recheck(cfg: Config, ck: _Ck, p: Proc) -> str | None:
     return None
 
 
-def _synchronizes(cfg: Config, e: Proc, a: SessionType, b: SessionType,
-                  d: ConstraintType) -> bool:
-    """Whether (a, b, d) subsynchronizes, a <= b being the judgment's
-    precondition, for the entry e. is_ssync reads the graph's verdict memo
-    itself. A pass stamps e with the inputs by identity, with the type
-    env, and the same inputs pass again with no judgment."""
-    env = cfg.env
-    s = e.judged
-    if s is not None and s[0] is a and s[1] is b and s[2] is d \
-            and s[3] is env:
-        return True
-    try:
-        ok = is_ssync(env, a, b, d)
-    except SsyncPreconditionError:
-        ok = False
-    if ok:
-        e.judged = (a, b, d, env)
-    return ok
-
-
 def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
-    """The violation at one entry of the linear part, if any."""
-    u = cfg.user_of(e.chan)
+    """The violation at one entry of the linear part, if any: an alias's
+    constraint must refine its client's view, and a process's offer be a
+    subtype of its client's view (of itself, without one) and subsynchronize
+    with it under its obligation, judged on graph ids (see _tid)."""
+    u, g = cfg.user_of(e.chan), cfg.env.graph
     if e.__class__ is Connect:
-        if u is None:
-            return None
-        con, view, env = cfg.gamma.get(e.target), u.uses[e.chan], cfg.env
-        s = e.judged
-        if s is not None and s[0] is con and s[1] is view and s[2] is env:
-            return None
-        if con.__class__ is SharedC and is_subtype(env, con.ty, view):
-            e.judged = (con, view, env)
+        con = cfg.gamma.get(e.target)
+        if u is None or con.__class__ is SharedC and sub_ids(
+                g, _tid(g, con.ty), _tid(g, u.uses[e.chan])):
             return None
         return (f"alias {e.chan} -> {e.target}: shared constraint "
                 f"does not refine the client view")
-    view = u.uses[e.chan] if u is not None else e.offer
-    if not _synchronizes(cfg, e, e.offer, view, cfg.gamma.get(e.chan, BOT)):
+    a = _tid(g, e.offer)
+    b = a if u is None else _tid(g, u.uses[e.chan])
+    if not (sub_ids(g, a, b) and ssync_ids(
+            g, a, b, _cid(g, cfg.gamma.get(e.chan, BOT)))):
         return (f"linear {e.chan}: offer type no longer synchronizes "
                 f"with the client view under its release obligation")
     return _recheck(cfg, ck, e)
@@ -1238,7 +1210,7 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
     relevant, shared, dup = _relevant(cfg, touched)
     if dup:
         return f"well-formedness: multiple providers for {sorted(dup)}"
-    ck = _checker(cfg)
+    ck, g = _checker(cfg), cfg.env.graph
     for e in sorted(relevant.values(), key=_rank):
         if (v := _linear_fault(cfg, ck, e)) is not None:
             return v
@@ -1247,7 +1219,8 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
         con = cfg.gamma.get(a)
         if not isinstance(con, SharedC):
             return f"shared {a}: no shared constraint recorded"
-        if not _synchronizes(cfg, p, p.offer, con.ty, TOP):
+        o, c = _tid(g, p.offer), _tid(g, con.ty)
+        if not (sub_ids(g, o, c) and ssync_ids(g, o, c, TOP_ID)):
             return (f"shared {a}: offer type does not equi-synchronize "
                     f"with its recorded constraint")
         if (v := _recheck(cfg, ck, p)) is not None:

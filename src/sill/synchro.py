@@ -6,8 +6,9 @@ the obligation D under which the session may be released. An up-shift into
 the linear layer records the provider's shared type as the new obligation;
 a down-shift back to the shared layer checks the release point against the
 obligation and resets it. Choices only follow branches both sides can
-take, which is what lets provably dead branches be ignored. It decides on
-type graph ids; an obligation is ``TOP_ID``, ``BOT_ID`` or a shared type's.
+take, which is what lets provably dead branches be ignored. ``ssync_ids``
+decides on type graph ids, an obligation being ``TOP_ID``, ``BOT_ID`` or a
+shared type's id; ``is_ssync`` interns its types and calls it.
 """
 
 from __future__ import annotations
@@ -79,20 +80,27 @@ def _ssync(g: TypeGraph, a: int, b: int, d: int, assumed: set[tuple]) -> bool:
     return ok
 
 
+def ssync_ids(g: TypeGraph, a: int, b: int, d: int) -> bool:
+    """Subsynchronization of the ids a, b of g under the obligation d, read
+    from g's verdict memo at (a, b, d) or decided and stored there. Raises
+    SsyncPreconditionError where a <= b fails, which a stored (a, b, d)
+    cannot: the premises of a subtype pair are subtype pairs."""
+    hit = g.memo.get((a, b, d))
+    if hit is None:
+        if not sub_ids(g, a, b):
+            raise SsyncPreconditionError(
+                "subsynchronizing judgment posed for a pair that is not in "
+                "the subtyping relation")
+        hit = g.memo[a, b, d] = _ssync(g, a, b, d, set())
+    return hit
+
+
 def is_ssync(env: TypeDefEnv, a: SessionType, b: SessionType,
              d: ConstraintType = TOP) -> bool:
     g = env.graph
     a, b = g.intern(a), g.intern(b)
-    if not sub_ids(g, a, b):
-        raise SsyncPreconditionError(
-            "subsynchronizing judgment posed for a pair that is not in the "
-            "subtyping relation")
-    key = (a, b, g.intern(d.ty) if isinstance(d, SharedC)
-           else TOP_ID if isinstance(d, Top) else BOT_ID)
-    hit = g.memo.get(key)
-    if hit is None:
-        hit = g.memo[key] = _ssync(g, *key, set())
-    return hit
+    return ssync_ids(g, a, b, g.intern(d.ty) if isinstance(d, SharedC)
+                     else TOP_ID if isinstance(d, Top) else BOT_ID)
 
 
 def is_esync(env: TypeDefEnv, a: SessionType) -> bool:
@@ -108,6 +116,24 @@ def is_esync(env: TypeDefEnv, a: SessionType) -> bool:
 # a shared shift and the linear one above it, in either order: (their
 # meet, their join)
 _MIXED = {p: (s, l) for s, l in _CROSS for p in ((s, l), (l, s))}
+
+
+def _same(a: SessionType, b: SessionType) -> bool:
+    """a == b, the dataclasses' structural equality, on a stack rather than
+    two frames per level: names, labels and bases by value, a choice's
+    branches in order. Not graph ids, as a name and its body share one."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        cls = a.__class__
+        if cls is not b.__class__ or cls is Ref and a.name != b.name \
+                or cls is str and a != b or cls is tuple and len(a) != len(b):
+            return False
+        if a is not b and cls is not str and cls is not Ref:
+            # a choice's branches, each a (label, type) tuple, or the fields
+            todo += zip(a, b) if cls is tuple else [
+                (getattr(a, f), getattr(b, f)) for f in cls.__slots__]
+    return True
 
 
 class _NoMeet(Exception):
@@ -134,7 +160,7 @@ class _MeetState:
 def _mt(st: _MeetState, mode: str, a: SessionType, b: SessionType) -> SessionType:
     """Structural meet (or join, for contravariant positions) closing
     recursion by minting fresh named definitions."""
-    if a == b:
+    if _same(a, b):
         return a
     if isinstance(a, Ref) or isinstance(b, Ref):
         key = (mode, a, b)
@@ -222,7 +248,7 @@ def meet(env: TypeDefEnv, c: ConstraintType,
         return c, env
     if cc is Bot or cd is Bot:
         return BOT, env
-    if c.ty == d.ty:
+    if _same(c.ty, d.ty):
         return c, env
     t, env2 = meet_types(env, c.ty, d.ty)
     return (BOT, env) if t is None else (SharedC(t), env2)

@@ -333,6 +333,20 @@ def test_a_deep_type_takes_one_frame_per_node(capsys):
     assert err == f"{Q}: program too deep to process\n"
 
 
+def test_the_meet_of_a_deep_type_with_itself(capsys):
+    # the meet compares two types on a stack, not two frames per level, so
+    # a chain of 900 value outputs meets itself at once; a far deeper one
+    # still ends in one line and exit 2
+    deep = "!int. " * 900 + "1"
+    assert main(["meet", Q, deep, deep]) == 0
+    assert capsys.readouterr().out == deep + "\n"
+    deeper = "!int. " * 20000 + "1"
+    assert main(["meet", Q, deeper, deeper]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"{Q}: program too deep to process\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sub", Q, "+{a 1}", "producer"], "line 1: expected ':', got '1'"),
     (["sub", Q, "1 *\n\n", "producer"], "line 3: expected a type, got ''"),

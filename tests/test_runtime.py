@@ -863,8 +863,9 @@ def reference_monitor(cfg, touched):
     """The monitor that scans every entry for the touched ones: duplicate
     providers over the whole configuration, then each relevant linear
     entry in order, then each touched shared session by name."""
-    from sill.runtime import _Ck, is_subtype, is_ssync, \
-        SsyncPreconditionError
+    from sill.runtime import _Ck
+    from sill.subtype import is_subtype
+    from sill.synchro import is_ssync, SsyncPreconditionError
     chans = [e.chan for e in cfg.theta] + list(cfg.lam)
     if len(chans) != len(set(chans)):
         dup = sorted({c for c in chans if chans.count(c) > 1})
@@ -933,7 +934,7 @@ def reference_indexes(cfg):
     return offered, client, aliases
 
 
-def audit(cfg, fresh):
+def audit(cfg):
     """What the runtime keeps, recomputed in one pass over theta and lam
     just after an enumeration: ranks rise along theta; where ordered is
     set, every use and every alias target is offered to the entry's right
@@ -943,12 +944,10 @@ def audit(cfg, fresh):
     processes with a step and the steps, acquiring those waiting, in
     theta's order; a shared process is kept nowhere; the tail is the
     shared part's steps of the one-pass reference, and each direct
-    acquire step in it is its acquirer's slot; every judgment stamp holds
-    (see audit_judgment_stamps, which keeps its fresh envs in fresh); the
-    three indexes are reference_indexes; no name a forward renamed is
-    offered, used, aliased, shared or in Γ; and a forced term kept for the
-    current template and number of forwards is the closure's, forced
-    afresh."""
+    acquire step in it is its acquirer's slot; the three indexes are
+    reference_indexes; no name a forward renamed is offered, used,
+    aliased, shared or in Γ; and a forced term kept for the current
+    template and number of forwards is the closure's, forced afresh."""
     from sill.procast import Acquire, AcquireL, FwdLL, FwdLS, Spawn
     from sill.runtime import Step, _PAIRS, _spawnable, SUBJECT, _force
 
@@ -1012,7 +1011,6 @@ def audit(cfg, fresh):
         for s in cfg.tail:
             if s.rule == "up_sl":
                 assert cfg.provider(s.user).up is s
-    audit_judgment_stamps(cfg, fresh)
 
 
 def differential(prog, choose, max_steps, monitor, well_typed):
@@ -1023,7 +1021,7 @@ def differential(prog, choose, max_steps, monitor, well_typed):
     at a step that halts without progress. Returns the number of steps
     taken."""
     from sill.runtime import _check_gamma_monotone, _relevant
-    cfg, fresh = initial_config(prog), {}
+    cfg = initial_config(prog)
     if monitor and monitor_check(cfg, None) is not None:
         return 0
     for n in range(max_steps):
@@ -1032,7 +1030,7 @@ def differential(prog, choose, max_steps, monitor, well_typed):
             == reference_indexes(cfg)
         steps = enumerate_steps(cfg)
         assert steps == reference_steps(cfg)
-        audit(cfg, fresh)
+        audit(cfg)
         if not steps:
             return n
         before = dict(cfg.gamma)
@@ -2261,34 +2259,14 @@ def reference_passes(cfg, ck, p, memo):
     return True
 
 
-def audit_judgment_stamps(cfg, fresh):
-    """Every judgment stamp a live entry holds records a judgment that
-    holds, decided again on a fresh graph of the stamp's env (fresh
-    keeps one per env)."""
-    from sill.subtype import is_subtype
-    from sill.synchro import is_ssync
-    from sill.types import TypeDefEnv
-    for e in [*cfg.theta, *cfg.lam.values()]:
-        s = e.judged
-        if s is None:
-            continue
-        env = fresh.setdefault(id(s[-1]), (s[-1], TypeDefEnv(s[-1].defs)))[1]
-        if isinstance(e, Connect):
-            con, view, _ = s
-            assert is_subtype(env, con.ty, view)
-        else:
-            a, b, d, _ = s
-            assert is_subtype(env, a, b) and is_ssync(env, a, b, d)
-
-
 def ids_differential(prog, choose, max_steps):
     """A monitored run of prog that checks, at the initial configuration
     and after every step, that _passes (graph ids) and
-    reference_passes (types) agree on every linear and shared process,
-    and that every judgment stamp holds. Ends at the first violation, as
-    a monitored run does. Returns the verdicts of _passes."""
+    reference_passes (types) agree on every linear and shared process.
+    Ends at the first violation, as a monitored run does. Returns the
+    verdicts of _passes."""
     from sill.runtime import _checker, _passes
-    cfg, memos, fresh, verdicts = initial_config(prog), {}, {}, []
+    cfg, memos, verdicts = initial_config(prog), {}, []
     v = monitor_check(cfg, None)
     for n in range(max_steps + 1):
         ck = _checker(cfg)
@@ -2298,7 +2276,6 @@ def ids_differential(prog, choose, max_steps):
             want = reference_passes(cfg, ck, p, memo)
             assert _passes(cfg, ck, p) == want
             verdicts.append(want)
-        audit_judgment_stamps(cfg, fresh)
         if v is not None or n == max_steps:
             break
         steps = enumerate_steps(cfg)
@@ -2476,6 +2453,38 @@ def test_monitor_interns_only_types_the_run_built(monkeypatch):
     assert len(hit) <= 7  # once per view's body
 
 
+def test_monitor_judgments_read_the_graph_memo(monkeypatch):
+    # each corpus program run monitored twice on one Program: the second
+    # run poses the judgments the first decided, on the same graph ids, so
+    # the monitor judges every record through ssync_ids as often as in the
+    # first run, never through a judgment on types, and walks no pair
+    from sill import runtime, subtype, synchro
+    hooks = ((runtime, "is_ssync"), (runtime, "is_subtype"),
+             (runtime, "ssync_ids"), (synchro, "_ssync"), (subtype, "_sub"))
+    calls = {name: 0 for _, name in hooks}
+
+    def count(mod, name):
+        f = getattr(mod, name, None)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(mod, name, counted, raising=False)
+
+    for mod, name in hooks:
+        count(mod, name)
+    for stem in sorted(EXPECTED_STATUS):
+        prog, judged = by_stem(stem), []
+        for _ in range(2):
+            calls.update(dict.fromkeys(calls, 0))
+            r = run(prog, seed=3, max_steps=300)
+            assert r.status == EXPECTED_STATUS[stem], r.violation
+            judged.append(calls["ssync_ids"])
+        assert calls == {"is_ssync": 0, "is_subtype": 0, "_ssync": 0,
+                         "_sub": 0, "ssync_ids": judged[0]}, stem
+        assert judged[0] > 0
+
+
 def test_an_unmonitored_run_builds_no_type_graph():
     # the signature's types are pinned the first time the monitor judges
     # under an env: a run with the monitor off leaves the env without a
@@ -2495,11 +2504,12 @@ def test_an_unmonitored_run_builds_no_type_graph():
                     assert g.ident[id(t)] == g.intern(unfold(prog.types, t))
 
 
-def test_judgment_stamps_see_a_view_swapped_by_hand():
+def test_a_view_swapped_by_hand_fails_the_entrys_judgment():
     # between two steps, replace the view a client holds of a linear
     # entry, or of an alias, by a type that fails its judgment: the
-    # entry's judgment stamp no longer matches, so the entry's own check
-    # fails, and the touched check reports what the reference monitor does
+    # entry's own check fails, though the graph's verdict memo holds the
+    # entry's passed judgment, and the touched check reports what the
+    # reference monitor does
     import random
     from itertools import islice
     from sill.runtime import _checker, _linear_fault
@@ -2512,7 +2522,7 @@ def test_judgment_stamps_see_a_view_swapped_by_hand():
                 assert monitor_check(cfg, None) is None
                 for e in list(cfg.theta):
                     u = cfg.user_of(e.chan)
-                    if u is None or e.judged is None:
+                    if u is None:
                         continue
                     view = u.uses[e.chan]
                     bad = One() if isinstance(e, Connect) or not isinstance(

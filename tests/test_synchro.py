@@ -10,10 +10,10 @@ from sill.types import (
     validate_env,
 )
 from sill.parser import parse_program
-from sill.subtype import is_subtype
+from sill.subtype import is_subtype, sub_ids
 from sill.synchro import (
     SsyncPreconditionError, cleq, cleq_type, is_ssync, is_esync,
-    meet, meet_types,
+    meet, meet_types, ssync_ids, TOP_ID, BOT_ID,
 )
 
 from gen import gen_env, gen_constraint
@@ -131,6 +131,44 @@ def test_meet_of_equal_shared_constraints_returns_at_once(monkeypatch):
     for c in (SharedC(Ref("shared_queue")), SharedC(UpSL(Ref("queue")))):
         m, env = meet(SQ, c, copy_type(c))
         assert m is c and env is SQ
+
+
+@pytest.mark.parametrize("a, b", [
+    (Ref("x"), Ref("y")), (Ref("x"), One()),
+    (ValIn("int", One()), ValIn("bool", One())),
+    (ValIn("int", One()), ValOut("int", One())),
+    (UpSL(One()), UpLL(One())),
+    (Tensor(One(), Ref("x")), Tensor(Ref("x"), One())),
+    (IChoice((("a", One()), ("b", One()))), IChoice((("b", One()),
+                                                    ("a", One())))),
+    (IChoice((("a", One()),)), IChoice((("a", One()), ("a", One())))),
+    (IChoice((("a", One()),)), EChoice((("a", One()),))),
+    (EChoice((("a", Ref("x")),)), EChoice((("b", Ref("x")),))),
+])
+def test_the_meets_equality_tells_a_near_miss(a, b):
+    # _same, the meet's equality on a stack, is == on each near miss, and
+    # on a chain of each too deep for ==
+    from sill.synchro import _same
+    assert not _same(a, b) and not _same(b, a) and a != b
+    assert _same(a, copy_type(a)) and _same(b, b)
+    deep, twin, other = b, copy_type(b), a
+    for _ in range(5000):
+        deep, twin = ValOut("int", deep), ValOut("int", twin)
+        other = ValOut("int", other)
+    assert _same(deep, twin) and not _same(deep, other)
+
+
+def test_the_meets_equality_is_dataclass_equality():
+    # random types against their copies, their widenings and each other
+    from sill.synchro import _same
+    rng, seen = random.Random(20261021), set()
+    for _ in range(200):
+        env = with_aliases(rng, gen_env(rng))
+        for x, y in related_pairs(rng, env, 4):
+            for u, v in ((x, y), (x, copy_type(x)), (y, x)):
+                assert _same(u, v) == (u == v), (u, v)
+                seen.add(u == v)
+    assert seen == {True, False}
 
 
 def test_meet_echoice_union():
@@ -330,18 +368,29 @@ def outcome(judge, *args):
 
 
 def test_graph_ssync_matches_reference():
+    # is_ssync, and ssync_ids on the ids of a twin env's own graph, which
+    # decides each triple before is_ssync has; ssync_ids reads its memo
+    # before its precondition, as every triple stored is a subtype pair
     rng = random.Random(20261020)
     seen = set()
     for _ in range(300):
         env = with_aliases(rng, gen_env(rng))
-        memo = {}
+        twin, memo = TypeDefEnv(env.defs), {}
+        g = twin.graph  # the env owns its graph, so twin stays bound
         for a, b in related_pairs(rng, env, 6):
             for d in constraints(rng, env):
                 want = outcome(reference_ssync, env, a, b, d, memo)
+                ids = g.intern(a), g.intern(b), (
+                    g.intern(d.ty) if isinstance(d, SharedC)
+                    else TOP_ID if isinstance(d, Top) else BOT_ID)
+                assert outcome(ssync_ids, g, *ids) == want, (env, a, b, d)
                 got = outcome(is_ssync, env, a, b, d)
                 assert got == want, (env, a, b, d)
                 seen.add(want)
             for t in (a, b):
                 want = outcome(reference_ssync, env, t, t, TOP, memo)
                 assert outcome(is_esync, env, t) == want, (env, t)
+        for h in (g, env.graph):
+            triples = [k for k in h.memo if len(k) == 3]
+            assert all(sub_ids(h, a, b) for a, b, _ in triples)
     assert seen == {True, False, "precondition"}
