@@ -64,26 +64,25 @@ def format_proc(p: ProcessTerm, indent: int = 0) -> str:
     pad = "    " * indent
     lines = []
     while True:
-        form = _FORMS.get(type(p))
+        cls = p.__class__
+        form = _FORMS.get(cls)
         if form is not None:
             head = form.format_map(vars(p))
             if not hasattr(p, "cont"):
                 lines.append(pad + head)
                 break
+        elif cls is CaseRecv:
+            joined = f"\n{pad}|\n".join(
+                f"{pad}  {l} =>\n{format_proc(t, indent + 1)}"
+                for l, t in p.branches)
+            lines.append(f"{pad}case {p.on} {{\n{joined}\n{pad}}}")
+            break
+        elif cls is SendLabel:
+            head = f"{p.on}.{p.label}"
+        elif cls is Spawn:
+            head = f"{p.binder} <- spawn {p.proc}({', '.join(p.args)})"
         else:
-            match p:
-                case CaseRecv(a, bs):
-                    joined = f"\n{pad}|\n".join(
-                        f"{pad}  {l} =>\n{format_proc(t, indent + 1)}"
-                        for l, t in bs)
-                    lines.append(f"{pad}case {a} {{\n{joined}\n{pad}}}")
-                    break
-                case SendLabel(a, l, _):
-                    head = f"{a}.{l}"
-                case Spawn(proc, y, args, _, _):
-                    head = f"{y} <- spawn {proc}({', '.join(args)})"
-                case _:
-                    raise AssertionError(f"unprintable term {p!r}")
+            raise AssertionError(f"unprintable term {p!r}")
         lines.append(f"{pad}{head};")
         p = p.cont
     return "\n".join(lines)

@@ -63,7 +63,11 @@ every type it reads is found by identity; only a type the run built
 ssync_ids and sub_ids, posed on those ids, so a judgment decided before
 is a read of the graph's verdict memo. It rechecks a template in its
 own names, and a suffix that passed under the same context before is a
-lookup in a memo keyed by tuples of ints. It rechecks only the entries
+lookup in a memo keyed by tuples of ints. After an exchange or a spawn,
+a process whose recheck last passed at its node, or at the node before
+it, with no Γ overwrite or forward since, passes with no key built: the
+check that passed there recorded its node under the context the step
+gave it (see _recheck). It rechecks only the entries
 a step changed: a step's touched channels name every record, client's
 view, alias and Γ entry it changed, and are read in one pass, so no
 client of a touched channel is rechecked for its provider's step (see
@@ -150,9 +154,13 @@ class Proc:
     number of forwards, len(names), stay the same. ``rank`` is its place
     in the linear part, ``kept`` where the last enumeration keeps it (see
     Config) and ``up`` the last direct acquire step built for it (see
-    _tail)."""
+    _tail).
+
+    ``stamp`` is (node, Config.epoch) where its last recheck
+    passed without the forced term; None where the forced term decided
+    it, or before its first (see _recheck)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "term_memo", "rank", "kept", "up")
+                 "shared", "term_memo", "rank", "kept", "up", "stamp")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -163,6 +171,7 @@ class Proc:
         self.names = {} if names is None else names
         self.tmpl, self.env, self.base = tmpl, {} if env is None else env, base
         self.term_memo = self.kept = self.up = None
+        self.stamp = None
         self.rank = 0
 
     def name(self, x: str) -> str:
@@ -243,6 +252,12 @@ class Config:
     tail: list[Step] | None = None
     # the monitor's checker of env (see _checker)
     ck: _Ck | None = field(default=None, repr=False)
+    # the Γ overwrites (_release) and forwards (_rename_all) so far: each
+    # changes what a process's free names stand for, or their constraints,
+    # without moving it, so each makes every stamp stale (see _recheck).
+    # env changes only inside _rename_all, so a current stamp was taken
+    # under the present env
+    epoch: int = 0
     # whether a step's record takes the snapshots a trace writes (see
     # StepRecord): a run takes them only where it writes a trace
     snap: bool = True
@@ -766,6 +781,7 @@ def enumerate_steps(cfg: Config) -> list[Step]:
 def _rename_all(cfg: Config, old: str, new: str) -> None:
     """Rename the channel old to new in the indexes, the uses, the shared
     part and Gamma; terms read old as new through cfg.names."""
+    cfg.epoch += 1
     for m, f in ((cfg.offered, "chan"), (cfg.aliases, "target")):
         for e in m.pop(old, ()):
             setattr(e, f, new)
@@ -981,6 +997,7 @@ def _release(cfg: Config, rec: StepRecord, p: Proc, u: Proc) -> None:
     cfg.lam[c] = newp
     rec.gamma.setdefault(c, cfg.gamma.get(c))
     cfg.gamma[c] = SharedC(shared_ty)
+    cfg.epoch += 1
     cfg.dirty.add(newp)
     if rec.snap:
         rec.produced.append(_record(newp))
@@ -1008,6 +1025,10 @@ _HANDLERS = {
     **dict.fromkeys(("up_sl", "up_sl2"), _acquire),
     **dict.fromkeys(("down_sl", "down_sl2"), _release),
 }
+# the rules whose every moved process moves as the checker moves its
+# context, and which change no other process's context (see _recheck)
+_PREDICTED = frozenset(r for r, h in _HANDLERS.items()
+                       if h is _exchange or h is _spawn)
 
 
 def apply_step(cfg: Config, step: Step) -> StepRecord:
@@ -1078,11 +1099,12 @@ def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
     constraint being TOP_ID, BOT_ID or a shared type's id. A miss checks
     the template and on a pass records the context at every node of its
     spine (see _recorder), so after a well-typed step the next recheck is
-    a lookup. False, for the forced check to decide and word the
-    violation, where that check fails or the context does not translate
-    one to one: two free names stand for the offer or one linear channel,
-    none for the offer, or a use for none. Γ is only read and extended, so two may stand for
-    one shared channel."""
+    a lookup; after an exchange or a spawn, p's stamp may decide it
+    first (see _recheck). False, for the forced check to decide and word
+    the violation, where that check fails or the context does not
+    translate one to one: two free names stand for the offer or one
+    linear channel, none for the offer, or a use for none. Γ is only read
+    and extended, so two may stand for one shared channel."""
     t, chan, gamma, env = p.tmpl, p.chan, cfg.gamma, cfg.env
     g, free = env.graph, cfg.sig.free
     uses = {} if p.shared else p.uses  # the shared judgment has no Δ
@@ -1140,10 +1162,31 @@ def _recorder(g: TypeGraph, free: dict, out: list):
     return record
 
 
-def _recheck(cfg: Config, ck: _Ck, p: Proc) -> str | None:
-    """The violation of p's recheck, if any; where the template cannot
-    decide, p's forced term decides."""
-    if _passes(cfg, ck, p):
+def _recheck(cfg: Config, ck: _Ck, p: Proc,
+             predicted: bool = False) -> str | None:
+    """The violation of p's recheck, if any: p's stamp decides it where it
+    can, else _passes, and where the template cannot decide, p's forced
+    term.
+
+    After a predicted step (one of _PREDICTED), p passes with no key
+    built where its stamp is current (no Γ overwrite or forward since it
+    was taken) and p is at the stamped node or one step table edge past
+    it. This is exact. The memo holds a context for a node only where a
+    check passed through the node under it and went on, recording each
+    node after it under the context it moved to. A
+    predicted rule moves each process it moves as the checker does, so a
+    process one edge on is at a node recorded under its own context; one
+    it does not move keeps the context it passed under."""
+    t, s = p.tmpl, p.stamp
+    if predicted and s is not None and s[1] == cfg.epoch:
+        e = cfg.sig.steps[id(s[0])]
+        if s[0] is t or (e[0] is t if e.__class__ is tuple
+                         else any(b[0] is t for b in e.values())):
+            p.stamp = (t, s[1])
+            return None
+    ok = _passes(cfg, ck, p)
+    p.stamp = (t, cfg.epoch) if ok else None
+    if ok:
         return None
     ck.diags.clear()
     if (ck.shared(cfg.gamma, {}, p.term, p.chan, p.offer) if p.shared else
@@ -1153,11 +1196,13 @@ def _recheck(cfg: Config, ck: _Ck, p: Proc) -> str | None:
     return None
 
 
-def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
+def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,
+                  predicted: bool = False) -> str | None:
     """The violation at one entry of the linear part, if any: an alias's
     constraint must refine its client's view, and a process's offer be a
     subtype of its client's view (of itself, without one) and subsynchronize
-    with it under its obligation, judged on graph ids (see _tid)."""
+    with it under its obligation, judged on graph ids (see _tid); then a
+    process is rechecked (see _recheck)."""
     u, g = cfg.user_of(e.chan), cfg.env.graph
     if e.__class__ is Connect:
         con = cfg.gamma.get(e.target)
@@ -1172,7 +1217,7 @@ def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect) -> str | None:
             g, a, b, _cid(g, cfg.gamma.get(e.chan, BOT)))):
         return (f"linear {e.chan}: offer type no longer synchronizes "
                 f"with the client view under its release obligation")
-    return _recheck(cfg, ck, e)
+    return _recheck(cfg, ck, e, predicted)
 
 
 def _relevant(cfg: Config, touched) -> tuple[dict, list[str], list[str]]:
@@ -1196,9 +1241,13 @@ def _relevant(cfg: Config, touched) -> tuple[dict, list[str], list[str]]:
     return linear, shared, dup
 
 
-def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
+def monitor_check(cfg: Config, touched: set[str] | None = None,
+                  rule: str | None = None) -> str | None:
     """Recheck the typing records of the touched channels (every channel
-    when touched is None). Returns a violation message or None.
+    when touched is None). Returns a violation message or None. rule is
+    the step's, given where the monitor checked every step before it:
+    after a predicted rule, a recheck that a stamp decides builds no key
+    (see _recheck). Without it, every recheck is decided in full.
 
     One pass over the touched channels gives the entries, sessions and
     duplicate providers to check (see _relevant); a step can make a second
@@ -1207,12 +1256,13 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
     entry names the violation, as a walk of the whole linear part would."""
     if touched is None:
         touched = cfg.offered.keys() | cfg.lam.keys()
+    predicted = rule in _PREDICTED
     relevant, shared, dup = _relevant(cfg, touched)
     if dup:
         return f"well-formedness: multiple providers for {sorted(dup)}"
     ck, g = _checker(cfg), cfg.env.graph
     for e in sorted(relevant.values(), key=_rank):
-        if (v := _linear_fault(cfg, ck, e)) is not None:
+        if (v := _linear_fault(cfg, ck, e, predicted)) is not None:
             return v
     for a in sorted(shared):
         p = cfg.lam[a]
@@ -1223,7 +1273,7 @@ def monitor_check(cfg: Config, touched: set[str] | None = None) -> str | None:
         if not (sub_ids(g, o, c) and ssync_ids(g, o, c, TOP_ID)):
             return (f"shared {a}: offer type does not equi-synchronize "
                     f"with its recorded constraint")
-        if (v := _recheck(cfg, ck, p)) is not None:
+        if (v := _recheck(cfg, ck, p, predicted)) is not None:
             return v
     return None
 
@@ -1334,7 +1384,7 @@ def run(prog: Program, *, seed: int = 0, max_steps: int = 1000,
         if monitor:
             v = _check_gamma_monotone(cfg, rec)
             if v is None:
-                v = monitor_check(cfg, rec.touched)
+                v = monitor_check(cfg, rec.touched, rec.rule)
             if v is not None:
                 return RunResult(RunStatus.MONITOR_VIOLATION, n, v, cfg)
     return RunResult(RunStatus.MAX_STEPS, n, None, cfg)

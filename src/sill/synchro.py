@@ -51,6 +51,11 @@ def cleq_type(env: TypeDefEnv, c: ConstraintType, b: SessionType) -> bool:
 
 
 def _ssync(g: TypeGraph, a: int, b: int, d: int, assumed: set[tuple]) -> bool:
+    """Subsynchronization of the ids a, b under the obligation d, pairs
+    already assumed holding. Every walk starts at a subtype pair (see
+    ssync_ids), and every premise it follows is a subtype pair, so two
+    distinct constructors here are one of _CROSS's shift pairs, which the
+    first two branches take."""
     key = (a, b, d)
     hit = g.memo.get(key)
     if hit is not None:
@@ -68,8 +73,6 @@ def _ssync(g: TypeGraph, a: int, b: int, d: int, assumed: set[tuple]) -> bool:
         # the release point must satisfy the obligation, which then resets
         ok = (d == TOP_ID or d >= 0 and sub_ids(g, ka[0], d)) \
             and _ssync(g, ka[0], kb[0], TOP_ID, assumed)
-    elif ta is not tb:
-        ok = False
     elif ta is IChoice or ta is EChoice:
         ok = all(_ssync(g, xa[l], xb[l], d, assumed) for l in xa if l in xb)
     else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 # --------------------------------------------------------------------------- #
@@ -306,10 +307,12 @@ def _intern(g: TypeGraph, t: SessionType, body: bool, at: int = -1) -> int:
         i = 0
     else:
         if cls is IChoice or cls is EChoice:
-            # the first branch of a label wins, as in branch()
+            # the first branch of a label wins, as in branch(): a stable
+            # sort keeps a label's branches in order
             arms = {}
-            for l, c in sorted(dict(reversed(t.branches)).items()):
-                arms[l] = _intern(g, c, body)
+            for l, c in sorted(t.branches, key=itemgetter(0)):
+                if l not in arms:
+                    arms[l] = _intern(g, c, body)
             kids = tuple(arms.values())
             node, key = (cls, kids, arms), (cls, kids, tuple(arms))
         elif cls is Tensor or cls is Lolli:

@@ -6,7 +6,9 @@ The incremental runtime is fast because of the statements in
 src/sill/runtime.py that decide what the next enumeration and the next
 monitor pass read: the calls to ``mark_providers``, ``dirty.add`` and
 ``dirty.update``, the drops of the shared tail (``tail = None``, each its
-own statement) and the writes to ``rec.touched`` and ``rec.gamma``. Each
+own statement), the writes to ``rec.touched`` and ``rec.gamma``, the bumps
+of the count of Γ overwrites and forwards (``epoch += 1``) and the writes
+of a process's recheck stamp (``stamp = ...``, each its own statement). Each
 one is replaced by ``pass``, one at a time, in a copy of the checkout
 under a temporary directory, and tests/test_runtime.py and
 tests/test_acceptance.py run against the copy with -x. A statement whose
@@ -40,7 +42,8 @@ TESTS = ("tests/test_runtime.py", "tests/test_acceptance.py")
 # what those tests read: the package, the tests, the corpus, the bench's
 # program generator and pytest's settings
 COPIED = ("src/sill", "tests", "corpus", "bench", "pyproject.toml")
-KINDS = ("mark_providers", "dirty", "tail", "touched", "gamma")
+KINDS = ("mark_providers", "dirty", "tail", "touched", "gamma", "epoch",
+         "stamp")
 TIMEOUT = 1200  # seconds; a mutant that runs longer is killed
 
 
@@ -73,11 +76,22 @@ def _kind(s: ast.stmt) -> str | None:
             return "dirty"
         return _rec_field(f.value)
     if isinstance(s, ast.AugAssign):
-        return _rec_field(s.target)
+        t = s.target
+        if isinstance(t, ast.Attribute) and t.attr == "epoch":
+            return "epoch"
+        return _rec_field(t)
     if isinstance(s, ast.Assign):
         for t in s.targets:
             if isinstance(t, ast.Subscript) and _rec_field(t.value):
                 return _rec_field(t.value)
+        stamps = [e for t in s.targets for e in (t, *getattr(t, "elts", ()))
+                  if isinstance(e, ast.Attribute) and e.attr == "stamp"]
+        if stamps:
+            if len(s.targets) > 1 or stamps[0] is not s.targets[0]:
+                # pass in its place would also undo the other targets
+                raise ValueError(f"line {s.lineno}: write a stamp as its "
+                                 f"own statement")
+            return "stamp"
         t = s.targets[0]
         if isinstance(t, ast.Attribute) and t.attr == "tail" \
                 and isinstance(s.value, ast.Constant) \

@@ -12,6 +12,7 @@ from sill.runtime import (
     monitor_check, classify, Connect, Proc, ProgressError,
 )
 from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
+from sill.procast import CaseRecv
 from sill.printer import format_proc
 
 from conftest import CORPUS, CORPUS_FILES
@@ -1577,18 +1578,24 @@ def test_full_monitor_walk_matches_reference():
 
 
 def test_recheck_memo_hits_within_one_run(monkeypatch):
-    # from a cold memo, within one monitored run, the share of rechecks
-    # the signature's memo answers without checking a term: a miss checks
-    # the template and records the context of its whole spine, so after a
-    # well-typed step the next recheck is a lookup
+    # from a cold memo, within one monitored run, the share of keyed
+    # rechecks the signature's memo answers without checking a term: a
+    # miss checks the template and records the context of its whole
+    # spine, so after a well-typed step the next recheck is a lookup. A
+    # recheck a stamp decides builds no key and is counted only among the
+    # rechecks
     from sill import runtime
     from sill.typecheck import _Ck
-    checks, hits = [0], []
-    check, passes = _Ck.check, runtime._passes
+    checks, hits, rechecks = [0], [], [0]
+    check, recheck, passes = _Ck.check, runtime._recheck, runtime._passes
 
     def counted_check(self, *args):
         checks[0] += 1
         return check(self, *args)
+
+    def counted_recheck(*args):
+        rechecks[0] += 1
+        return recheck(*args)
 
     def counted_passes(cfg, ck, p):
         before = checks[0]
@@ -1597,11 +1604,13 @@ def test_recheck_memo_hits_within_one_run(monkeypatch):
         return ok
 
     monkeypatch.setattr(_Ck, "check", counted_check)
+    monkeypatch.setattr(runtime, "_recheck", counted_recheck)
     monkeypatch.setattr(runtime, "_passes", counted_passes)
     for stem in ("auction", "dd", "handoff"):
         hits.clear()
+        rechecks[0] = 0
         r = run(by_stem(stem), seed=0, max_steps=300)
-        assert r.status == RunStatus.MAX_STEPS and len(hits) > 500
+        assert r.status == RunStatus.MAX_STEPS and rechecks[0] > 500
         assert sum(hits) >= 0.9 * len(hits), (stem, sum(hits), len(hits))
 
 
@@ -1994,16 +2003,22 @@ def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
     # providers at the resumed process's subject before and after it, not
     # those of every channel it uses. Under fifo the monitored wide program
     # makes 211 calls to _enabled in 126 steps (535 when a resume marked
-    # every use) and 221 rechecks, each resolving a template's free names
-    # (317 when the clients of every touched channel were rechecked too).
+    # every use) and 215 rechecks (317 when the clients of every touched
+    # channel were rechecked too), of which the 77 that no stamp decides
+    # call _passes and resolve a template's free names.
     from sill import runtime
     calls = dict.fromkeys(("_enabled", "rechecks", "walks", "names"), 0)
-    enabled, passes = runtime._enabled, runtime._passes
+    enabled, recheck = runtime._enabled, runtime._recheck
+    passes = runtime._passes
     inside = []
 
     def counted_enabled(*args):
         calls["_enabled"] += 1
         return enabled(*args)
+
+    def counted_recheck(*args):
+        calls["rechecks"] += 1
+        return recheck(*args)
 
     class CountedFree(dict):
         # a recheck reads a template's free names from this table
@@ -2012,7 +2027,6 @@ def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
             return dict.__getitem__(self, node)
 
     def counted_passes(cfg, ck, p):
-        calls["rechecks"] += 1
         before = calls["names"]
         inside.append(p)
         ok = passes(cfg, ck, p)
@@ -2021,6 +2035,7 @@ def test_monitored_wide_steps_cost_what_they_change(monkeypatch):
         return ok
 
     monkeypatch.setattr(runtime, "_enabled", counted_enabled)
+    monkeypatch.setattr(runtime, "_recheck", counted_recheck)
     monkeypatch.setattr(runtime, "_passes", counted_passes)
     prog = check_program(parse_program(wide_source()))[1]
     prog.procs.__dict__["free"] = CountedFree(prog.procs.free)
@@ -2430,10 +2445,10 @@ def test_monitor_interns_only_types_the_run_built(monkeypatch):
         state["rule"] = step.rule if cfg.env is env else "mint"
         return rec
 
-    def counted_check(cfg, touched=None):
+    def counted_check(cfg, touched=None, rule=None):
         state["in"], state["calls"] = True, 0
         try:
-            return check(cfg, touched)
+            return check(cfg, touched, rule)
         finally:
             state["in"] = False
             if touched is not None and state["calls"]:
@@ -2541,6 +2556,202 @@ def test_a_view_swapped_by_hand_fails_the_entrys_judgment():
     assert swapped[Proc] > 200 and swapped[Connect] > 20
 
 
+# --------------------------------------------------------------------------- #
+# A predicted step needs no recheck
+# --------------------------------------------------------------------------- #
+
+# the exchange and spawn rules: each moves the processes it moves as the
+# checker moves their contexts, and changes no other process's context
+PREDICTED = {"one", "tensor", "tensor_s", "lolli", "lolli_s", "plus", "with",
+             "val_out", "val_in", "up_ll", "down_ll",
+             "spawn_ll", "spawn_ls", "spawn_ss"}
+# the rules that overwrite an entry of Γ (a release) or forward a channel
+# by renaming it
+REWRITES = {"down_sl", "down_sl2", "fwd_ll", "fwd_ss"}
+
+
+def _next_nodes(t):
+    """The nodes one step of a process at the template node t can reach."""
+    if isinstance(t, CaseRecv):
+        return [b for _, b in t.branches]
+    return [getattr(t, "cont", None)]
+
+
+def stamped_run(prog, **kw):
+    """run(prog, **kw), monitored, checking at every recheck that it reads
+    a template's free names exactly where the reference below says it
+    must: unless the step was an exchange or a spawn and the process's
+    recheck last passed at its node, or at the node before it, with no
+    release or forward since. Returns the run's result, its number of
+    rechecks and the number that read free names."""
+    from sill import runtime
+    recheck, passes, apply = runtime._recheck, runtime._passes, \
+        runtime.apply_step
+    state = {"rule": None, "rewrites": 0, "passed": None}
+    calls = dict.fromkeys(("rechecks", "names", "reads"), 0)
+    last, inside = {}, []  # per process: (node, rewrites)
+
+    class CountedFree(dict):
+        # a recheck reads a template's free names from this table
+        def __getitem__(self, node):
+            calls["names"] += bool(inside)
+            return dict.__getitem__(self, node)
+
+    def noted_apply(cfg, step):
+        state["rule"] = step.rule
+        state["rewrites"] += step.rule in REWRITES
+        return apply(cfg, step)
+
+    def noted_passes(cfg, ck, p):
+        state["passed"] = ok = passes(cfg, ck, p)
+        return ok
+
+    def checked_recheck(cfg, ck, p, *predicted):
+        had = last.get(p)
+        skip = state["rule"] in PREDICTED and had is not None \
+            and had[1] == state["rewrites"] \
+            and (p.tmpl is had[0] or any(
+                p.tmpl is n for n in _next_nodes(had[0])))
+        before, state["passed"] = calls["names"], None
+        inside.append(p)
+        v = recheck(cfg, ck, p, *predicted)
+        inside.pop()
+        read = calls["names"] > before
+        assert read != skip, (state["rule"], p.chan)
+        if skip or state["passed"]:
+            last[p] = (p.tmpl, state["rewrites"])
+        else:
+            last.pop(p, None)
+        calls["rechecks"] += 1
+        calls["reads"] += read
+        return v
+
+    prog.procs.__dict__["free"] = CountedFree(prog.procs.free)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "apply_step", noted_apply)
+        mp.setattr(runtime, "_passes", noted_passes)
+        mp.setattr(runtime, "_recheck", checked_recheck)
+        r = run(prog, **kw)
+    return r, calls["rechecks"], calls["reads"]
+
+
+# Relay forwards e to c while Main, the client of e, waits at its get:
+# Main's next recheck, after the put, reads its free names again
+RELAYED = (
+    "type t = !int. 1\n"
+    "proc Cell : () |- c: t = put c 1; close c\n"
+    "proc Relay : (d: t) |- e: t = fwd e d\n"
+    "proc Main : () |- x: 1 = c <- spawn Cell(); e <- spawn Relay(c); "
+    "v <- get e; wait e; close x\n"
+    "system { main Main(); }\n")
+
+
+def test_a_predicted_step_is_not_rechecked():
+    # after an exchange or a spawn, a process whose recheck last passed at
+    # its node or at the node before it, with no release or forward since,
+    # is not rechecked: its recheck reads no free names. Every other
+    # recheck reads them, as every recheck did before stamps. Under fifo
+    # the monitored wide program makes 215 rechecks in 126 steps, and 77
+    # of them read free names; sixty clients of a queue that forwards
+    # itself once per client make 842 in 480 steps, and 482 read them
+    prog = check_program(parse_program(wide_source()))[1]
+    r, rechecks, reads = stamped_run(prog, policy="fifo")
+    assert r.status == RunStatus.ALL_POISED and r.steps == 126
+    assert (rechecks, reads) == (215, 77)
+    r, rechecks, reads = stamped_run(contention_prog(60),
+                                     policy="fifo", max_steps=2000)
+    assert r.status == RunStatus.ALL_POISED and r.steps == 480
+    assert (rechecks, reads) == (842, 482)
+    diags, prog = check_program(parse_program(RELAYED))
+    assert diags == []
+    r, rechecks, reads = stamped_run(prog, policy="fifo")
+    assert r.status == RunStatus.ALL_POISED and r.steps == 5
+    assert (rechecks, reads) == (10, 5)
+
+
+def recheck_both_ways(prog, counts, **kw):
+    """run(prog, **kw), monitored, with every recheck after a predicted
+    step decided both ways: as the monitor decides it, where p's stamp may
+    decide, and in full, with the stamp set aside; the two verdicts must
+    be equal. A run that halts without progress ends there. counts takes
+    the rechecks decided both ways ("both"), those of them a stamp
+    decided ("stamped"), and those where a stamp passed a process that
+    _passes, deciding in full, left to the forced term ("forced")."""
+    from sill import runtime
+    recheck, passes = runtime._recheck, runtime._passes
+    full = []
+
+    def noted_passes(cfg, ck, p):
+        full.append(passes(cfg, ck, p))
+        return full[-1]
+
+    def both(cfg, ck, p, predicted=False):
+        if not predicted:
+            return recheck(cfg, ck, p)
+        stamp = p.stamp
+        full.clear()
+        want, left = recheck(cfg, ck, p), full == [False]
+        p.stamp = stamp
+        full.clear()
+        got = recheck(cfg, ck, p, True)
+        assert got == want, (p.chan, got, want)
+        counts["both"] += 1
+        if not full:
+            counts["stamped"] += 1
+            counts["forced"] += left
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "_passes", noted_passes)
+        mp.setattr(runtime, "_recheck", both)
+        try:
+            return run(prog, monitor=True, **kw)
+        except ProgressError:
+            return None
+
+
+# A value spelt like a channel: P sends its own channel's name as an int,
+# which Main then holds in v as a name for that channel. Decided in full,
+# Main's recheck at its put cannot translate v and a, two names for one
+# linear channel, and the forced term passes it; the stamp Main took at
+# its get passes it at once.
+VALUE_SPELT_AS_A_CHANNEL = (
+    "type t = !int. ?int. 1\n"
+    "proc P : () |- a: t = put a a; w <- get a; close a\n"
+    "proc Main : () |- x: 1 = a <- spawn P(); v <- get a; put a v; "
+    "wait a; close x\n"
+    "system { main Main(); }\n")
+
+
+def test_every_predicted_recheck_decides_as_in_full():
+    # the corpus at 6 seeds, the wide program under fifo and at random,
+    # sixty clients of one queue, a value spelt like a channel, and every
+    # ill-typed corpus mutant for as many steps as its pinned outcome
+    from test_typecheck import _mutants
+    counts = dict.fromkeys(("both", "stamped", "forced"), 0)
+    diags, prog = check_program(parse_program(VALUE_SPELT_AS_A_CHANNEL))
+    assert diags == []
+    recheck_both_ways(prog, counts, policy="fifo")
+    assert counts["forced"] == 1
+    for stem in sorted(EXPECTED_STATUS):
+        for seed in range(6):
+            recheck_both_ways(by_stem(stem), counts, seed=seed,
+                              max_steps=300)
+    for prog in (check_program(parse_program(wide_source()))[1],
+                 contention_prog(60)):
+        recheck_both_ways(prog, counts, policy="fifo", max_steps=2000)
+        recheck_both_ways(prog, counts, seed=1, max_steps=2000)
+    mutants = 0
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if diags and mutant.system is not None:
+                recheck_both_ways(elab, counts, seed=0, max_steps=60)
+                mutants += 1
+    assert mutants > 1500
+    assert counts["stamped"] > 0.5 * counts["both"] > 5000
+
+
 def test_mutation_audit_finds_each_kind_of_bookkeeping():
     # tests/mutate.py's finder: every kind of statement it mutates is found
     # in runtime.py, each at the line and column that hold it; a mutant of
@@ -2552,7 +2763,8 @@ def test_mutation_audit_finds_each_kind_of_bookkeeping():
     sites = mutate.find(source)
     marks = {"mark_providers": ".mark_providers(", "dirty": ".dirty.",
              "tail": ".tail = None", "touched": "rec.touched",
-             "gamma": "rec.gamma"}
+             "gamma": "rec.gamma", "epoch": ".epoch += 1",
+             "stamp": ".stamp = "}
     assert {s.kind for s in sites} == set(mutate.KINDS) == set(marks)
     for s in sites:
         assert marks[s.kind] in s.text
@@ -2565,3 +2777,7 @@ def test_mutation_audit_finds_each_kind_of_bookkeeping():
     # a tail drop is found only as its own statement
     with pytest.raises(ValueError, match="own statement"):
         mutate.find("def f(cfg):\n    cfg.stale, cfg.tail = False, None\n")
+    # and so is a stamp write
+    for chained in ("p.up = p.stamp = None", "p.up, p.stamp = None, None"):
+        with pytest.raises(ValueError, match="own statement"):
+            mutate.find(f"def f(p):\n    {chained}\n")

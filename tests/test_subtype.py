@@ -297,6 +297,24 @@ def test_a_name_takes_the_id_of_an_equal_node_interned_before_it():
     assert g.intern(env.lookup("a").body) == g.nodes[i][1][0]
 
 
+def test_a_choice_interns_the_first_branch_of_each_label_in_order():
+    # a choice with its labels out of order and one label twice takes the
+    # id of its sorted, first-wins form, by identity or by key, and the
+    # losing branch, a type interned nowhere else, adds no node
+    first, lose = ValOut("int", One()), ValOut("string", One())
+    for ctor in (IChoice, EChoice):
+        for pin in (False, True):
+            g = TypeDefEnv().graph
+            t = ctor((("c", One()), ("b", first), ("a", One()),
+                      ("b", lose)))
+            i = g.pin(t) if pin else g.intern(t)
+            assert len(g.nodes) == 3  # One, first and the choice
+            assert g.nodes[i] == (ctor, (0, 1, 0), {"a": 0, "b": 1, "c": 0})
+            assert g.intern(ctor((("a", One()), ("b", first),
+                                  ("c", One())))) == i
+            assert len(g.nodes) == 3
+
+
 def reference_intern(g, names, ident, t, body=False):
     """t's id in g.nodes and g.index by the interning the one walk
     replaced: identity read at every node of every type, with a second
