@@ -364,6 +364,36 @@ def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None,
     return n, free
 
 
+def rename(t: ProcessTerm, ren: dict[str, str], gen: Callable[[], str],
+           deep: bool = False) -> tuple[list, tuple | None, int | None, bool]:
+    """t's fields, free names renamed by ren, the binder named gen() and,
+    where deep, the branches freshened; with (binder, new name) or None,
+    the continuation's position or None, and whether all are t's own. The
+    one naming rule of freshen and of _Ck.check's closures."""
+    vals, bound, k, same = [], None, None, True
+    for f, role in FIELDS[type(t)]:
+        v = getattr(t, f)
+        if role is NAME:
+            w = ren.get(v, v)
+            if w is not v:
+                v, same = w, False
+        elif role is NAMES:
+            w = tuple([ren.get(x, x) for x in v])
+            if w != v:
+                v, same = w, False
+        elif role is BINDER:
+            bound = v, gen()
+            v, same = bound[1], False
+        elif role is BRANCHES and deep:
+            w = tuple([(l, freshen(b, gen, ren)) for l, b in v])
+            if any(x[1] is not y[1] for x, y in zip(w, v)):
+                v, same = w, False
+        elif role is CONT:
+            k = len(vals)
+        vals.append(v)
+    return vals, bound, k, same
+
+
 def freshen(p: ProcessTerm, gen: Callable[[], str],
             renaming: dict[str, str] | None = None) -> ProcessTerm:
     """Rename every binder to gen(), in preorder, and the free names by
@@ -375,32 +405,7 @@ def freshen(p: ProcessTerm, gen: Callable[[], str],
     t, spine = p, []
     ren, own = (renaming, False) if renaming else ({}, True)
     while True:
-        vals, bound, k, same = [], None, None, True
-        for f, role in FIELDS[type(t)]:
-            v = getattr(t, f)
-            if role is NAME:
-                w = ren.get(v, v)
-                if w is not v:
-                    v, same = w, False
-            elif role is NAMES:
-                w = tuple([ren.get(x, x) for x in v])
-                if w != v:
-                    v, same = w, False
-            elif role is BINDER:
-                bound, fresh = v, gen()
-                v, same = fresh, False
-            elif role is BRANCHES:
-                bs = []
-                for l, b in v:
-                    w = freshen(b, gen, ren)
-                    if w is not b:
-                        same = False
-                    bs.append((l, w))
-                if not same:
-                    v = tuple(bs)
-            elif role is CONT:
-                k = len(vals)
-            vals.append(v)
+        vals, bound, k, same = rename(t, ren, gen, True)
         if k is None:
             if not same:
                 t = type(t)(*vals)
@@ -409,7 +414,7 @@ def freshen(p: ProcessTerm, gen: Callable[[], str],
         if bound is not None:
             if not own:
                 ren, own = dict(ren), True
-            ren[bound] = fresh
+            ren[bound[0]] = bound[1]
         spine.append((t, vals, k, same))
         t = vals[k]
     for node, vals, k, same in reversed(spine):

@@ -52,8 +52,7 @@ moves the template on and binds its binder; a forward records its
 renaming once, as one key of a plain union-find map from the old channel
 to the new, which every name resolves through. The concrete term is
 forced only for a trace record (in the step that took it, and taken only
-where a run writes a trace), the monitor's forced check and a reader of
-``Proc.term``.
+where a run writes a trace) and a reader of ``Proc.term()``.
 
 The monitor decides on the ids of the type env's graph (hash-consing in
 the manner of Filliâtre & Conchon). The first time it judges under an
@@ -61,18 +60,18 @@ env, it pins the signature's offer and parameter types in the graph, so
 every type it reads is found by identity; only a type the run built
 (down_sl2's view, a meet's result) is interned. Its judgments are
 ssync_ids and sub_ids, posed on those ids, so a judgment decided before
-is a read of the graph's verdict memo. It rechecks a template in its
-own names, and a suffix that passed under the same context before is a
-lookup in a memo keyed by tuples of ints. After an exchange or a spawn,
-a process whose recheck last passed at its node, or at the node before
-it, with no Γ overwrite or forward since, passes with no key built: the
-check that passed there recorded its node under the context the step
-gave it (see _recheck). It rechecks only the entries
-a step changed: a step's touched channels name every record, client's
-view, alias and Γ entry it changed, and are read in one pass, so no
-client of a touched channel is rechecked for its provider's step (see
-_relevant); Γ is checked at the entries the step wrote (see
-_check_gamma_monotone).
+is a read of the graph's verdict memo. It rechecks a process by one
+check of its closure, each name read through the closure's renaming,
+which passes, fails and words a failure as the forced term would; where
+the names stand for the channels one to one, a suffix that passed under
+the same context before is a lookup in a memo keyed by tuples of ints.
+After an exchange or a spawn, a process whose recheck last passed at its
+node, or at the node before it, with no Γ overwrite or forward since,
+passes at once (see _recheck). It rechecks only the entries a step
+changed: a step's touched channels name every record, client's view,
+alias and Γ entry it changed, and are read in one pass, so no client of
+a touched channel is rechecked for its provider's step (see _relevant);
+Γ is checked at the entries the step wrote (see _check_gamma_monotone).
 """
 
 from __future__ import annotations
@@ -149,18 +148,13 @@ class Proc:
     the template's first binder takes; and ``names``, the run's forwards,
     through which every name then resolves (see _find).
 
-    ``term`` forces the closure for the monitor's forced check and other
-    readers, and keeps it in ``term_memo`` while the template and the
-    number of forwards, len(names), stay the same. ``rank`` is its place
-    in the linear part, ``kept`` where the last enumeration keeps it (see
-    Config) and ``up`` the last direct acquire step built for it (see
-    _tail).
-
-    ``stamp`` is (node, Config.epoch) where its last recheck
-    passed without the forced term; None where the forced term decided
-    it, or before its first (see _recheck)."""
+    ``term()`` forces the closure afresh, for a reader such as a test.
+    ``rank`` is its place in the linear part, ``kept`` where the last
+    enumeration keeps it (see Config), ``up`` the last direct acquire step
+    built for it (see _tail) and ``stamp`` (node, Config.epoch) where its
+    last recheck passed, else None (see _recheck)."""
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
-                 "shared", "term_memo", "rank", "kept", "up", "stamp")
+                 "shared", "rank", "kept", "up", "stamp")
 
     def __init__(self, chan: str, tmpl: ProcessTerm | None,
                  offer: SessionType, uses: dict[str, SessionType],
@@ -170,7 +164,7 @@ class Proc:
             chan, offer, uses, shared
         self.names = {} if names is None else names
         self.tmpl, self.env, self.base = tmpl, {} if env is None else env, base
-        self.term_memo = self.kept = self.up = None
+        self.kept = self.up = None
         self.stamp = None
         self.rank = 0
 
@@ -179,16 +173,11 @@ class Proc:
         x, m = self.env.get(x, x), self.names
         return _find(m, x) if x in m else x
 
-    @property
     def term(self) -> ProcessTerm | None:
-        m, n = self.term_memo, len(self.names)
-        if m is None or m[0] is not self.tmpl or m[1] != n:
-            m = self.term_memo = (self.tmpl, n, _force(
-                self.tmpl, self.env, self.base, self.names))
-        return m[2]
+        return _force(self.tmpl, self.env, self.base, self.names)
 
     def __repr__(self) -> str:
-        return f"Proc({self.chan!r}, {self.term!r}, {self.offer!r}, " \
+        return f"Proc({self.chan!r}, {self.term()!r}, {self.offer!r}, " \
                f"{self.uses!r}, {self.shared!r})"
 
 
@@ -1089,70 +1078,67 @@ def _checker(cfg: Config) -> _Ck:
 
 
 def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:
-    """Whether p passes its recheck, decided in its template's names: each
-    free name takes every place of the channel it stands for, as the offer,
-    in Δ (p's uses) and in Γ, and the template checks as the forced term
-    does. A context the suffix from p's node passed under before is a
-    lookup in the signature's memo, keyed by graph ids: (node, shared,
-    offer, the class of each free name: its constraint, or for the offer
-    and a use (whether it is the offer, its view, its constraint)), a
-    constraint being TOP_ID, BOT_ID or a shared type's id. A miss checks
-    the template and on a pass records the context at every node of its
-    spine (see _recorder), so after a well-typed step the next recheck is
-    a lookup; after an exchange or a spawn, p's stamp may decide it
-    first (see _recheck). False, for the forced check to decide and word
-    the violation, where that check fails or the context does not
-    translate one to one: two free names stand for the offer or one
-    linear channel, none for the offer, or a use for none. Γ is only read
-    and extended, so two may stand for one shared channel."""
+    """Whether p's template, read as a closure (see _Ck.check), checks
+    under Γ, p's uses and p's channel, as its forced term would; a failure
+    leaves ck.diags worded as that check words it. Where the free names
+    stand for distinct linear channels (Γ is only read and extended, so
+    two may stand for one shared channel), the offer and every use among
+    them, the verdict is a function of each name's class, so a context
+    the suffix from p's node passed under before is found in the
+    signature's memo: (node, shared, offer, per free name its constraint,
+    or for the offer and a use (is it the offer, its view, its
+    constraint)), in graph ids, a constraint being TOP_ID, BOT_ID or a
+    shared type's id. A miss records, on a pass, the context at every
+    node of its spine (see _recorder). Any other context has no key."""
     t, chan, gamma, env = p.tmpl, p.chan, cfg.gamma, cfg.env
     g, free = env.graph, cfg.sig.free
     uses = {} if p.shared else p.uses  # the shared judgment has no Δ
     ren, m = p.env, p.names
-    x, delta, gam, cls, lin = None, {}, {}, [], set()
+    cls, lin, dup = [], set(), False
     for y in free[id(t)]:
         r = ren.get(y, y)
         if r in m:
             r = _find(m, r)
         d, c = uses.get(r), gamma.get(r)
         if c is not None:
-            gam[y] = c
             c = _cid(g, c)
         if r == chan or d is not None:
-            if r in lin:
-                return False
+            dup = dup or r in lin
             lin.add(r)
-            if r == chan:
-                x = y
             if d is not None:
-                delta[y] = d
                 d = _tid(g, d)
             c = (r == chan, d, c)
         cls.append(c)
-    if x is None or not lin.issuperset(uses):
-        return False
-    memo = cfg.sig.memo[id(env)][1]
-    if (id(t), p.shared, _tid(g, p.offer), tuple(cls)) not in memo:
+    record = None
+    if not dup and chan in lin and lin.issuperset(uses):
+        memo = cfg.sig.memo[id(env)][1]
+        if (id(t), p.shared, _tid(g, p.offer), tuple(cls)) in memo:
+            return True
         record = _recorder(g, free, out := [])
-        if (ck.shared(gam, {}, t, x, p.offer, record) if p.shared else
-                ck.linear(gam, delta, {}, t, x, p.offer, record)) is None:
-            return False
+    ck.diags.clear()
+    names = {y: p.name(y) for y in free[id(t)]}
+    clo = names, map("%g{}".format, count(p.base)).__next__
+    el = (ck.shared(gamma, {}, t, chan, p.offer, record, clo) if p.shared
+          else ck.linear(gamma, uses, {}, t, chan, p.offer, record, clo))
+    if el is not None and record is not None:
         memo.update(out)
-    return True
+    return el is not None
 
 
 def _recorder(g: TypeGraph, free: dict, out: list):
     """The callback by which a recheck miss appends to out the memo key of
-    each node of its spine (see _passes and _Ck.check). A free name's class
-    is built once per (Δ entry, Γ entry, is-offer), compared by identity,
+    each node of its spine (see _passes and _Ck.check), reading each free
+    name y of the node as the channel names[y]. A free name's class is
+    built once per (Δ entry, Γ entry, is-offer), compared by identity,
     and reused along the spine. Built here, it leaves _passes no closure
     cells, so _passes reads g and free as plain locals."""
     seen: dict[str, tuple] = {}
 
-    def record(node, gamma, delta, x, a, shared):
+    def record(node, gamma, delta, x, a, shared, names):
         ta, cls = _tid(g, a), []
         for y in free[id(node)]:
-            d, c, o, s = delta.get(y), gamma.get(y), y == x, seen.get(y)
+            r = names[y]
+            d, c, o, s = delta.get(r), gamma.get(r), r == x, seen.get(y)
             if s is None or s[0] is not d or s[1] is not c or s[2] is not o:
                 k = None if d is None else _tid(g, d)
                 i = None if c is None else _cid(g, c)
@@ -1165,18 +1151,15 @@ def _recorder(g: TypeGraph, free: dict, out: list):
 def _recheck(cfg: Config, ck: _Ck, p: Proc,
              predicted: bool = False) -> str | None:
     """The violation of p's recheck, if any: p's stamp decides it where it
-    can, else _passes, and where the template cannot decide, p's forced
-    term.
-
-    After a predicted step (one of _PREDICTED), p passes with no key
-    built where its stamp is current (no Γ overwrite or forward since it
-    was taken) and p is at the stamped node or one step table edge past
-    it. This is exact. The memo holds a context for a node only where a
-    check passed through the node under it and went on, recording each
-    node after it under the context it moved to. A
-    predicted rule moves each process it moves as the checker does, so a
-    process one edge on is at a node recorded under its own context; one
-    it does not move keeps the context it passed under."""
+    can, else _passes. After a predicted step (one of _PREDICTED), p
+    passes at once where its stamp is current (no Γ overwrite or forward
+    since it was taken) and p is at the stamped node or one step table
+    edge past it. This is exact: the check that passed at the stamped node
+    went on to check the suffix from each node one edge on, under the
+    context it moved to, and a predicted rule moves each process it moves
+    as the checker does (its binder standing for what the step binds,
+    where the check named it afresh) and no other. That holds whether the
+    check was keyed or not, so every pass stamps."""
     t, s = p.tmpl, p.stamp
     if predicted and s is not None and s[1] == cfg.epoch:
         e = cfg.sig.steps[id(s[0])]
@@ -1186,14 +1169,8 @@ def _recheck(cfg: Config, ck: _Ck, p: Proc,
             return None
     ok = _passes(cfg, ck, p)
     p.stamp = (t, cfg.epoch) if ok else None
-    if ok:
-        return None
-    ck.diags.clear()
-    if (ck.shared(cfg.gamma, {}, p.term, p.chan, p.offer) if p.shared else
-            ck.linear(cfg.gamma, p.uses, {}, p.term, p.chan, p.offer)) is None:
-        return f"process at {p.chan} no longer typechecks: " \
-               + "; ".join(ck.diags)
-    return None
+    return None if ok else f"process at {p.chan} no longer typechecks: " \
+        + "; ".join(ck.diags)
 
 
 def _linear_fault(cfg: Config, ck: _Ck, e: Proc | Connect,

@@ -22,7 +22,9 @@ is Gamma, Delta, the value bases, the offer x : A and whether the judgment
 is shared, which ``accept`` and ``detach`` flip. Delta belongs to the call
 and is updated in place; Gamma and the value bases are copied when they
 grow. The loop recurses only into case arms and rebuilds the elaborated
-term from the spine. ``linear`` and ``shared`` are its two entry points.
+term from the spine. ``linear`` and ``shared`` are its two entry points;
+through them the runtime's monitor checks a closure, a template whose
+names are read through the closure's renaming, one node at a time.
 
 Checking elaborates the generic surface actions into modality-resolved
 variants as a side effect, so a checked program is ready to run.
@@ -46,7 +48,7 @@ from .procast import (
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
     SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, FIELDS, CONT,
-    BINDER, SUBJECT, GENERIC,
+    BINDER, SUBJECT, GENERIC, rename, scope,
 )
 from .parser import Program
 from .printer import format_proc, format_type
@@ -136,30 +138,44 @@ class _Ck:
     def linear(self, gamma: dict[str, ConstraintType],
                delta: dict[str, SessionType], vals: dict[str, str],
                p: ProcessTerm, x: str, a: SessionType,
-               rec: Callable | None = None) -> ProcessTerm | None:
+               rec: Callable | None = None, clo: tuple | None = None
+               ) -> ProcessTerm | None:
         """Gamma ; Delta |- p :: (x : a); the arguments stay unchanged."""
-        return self.check(gamma, dict(delta), vals, p, x, a, False, rec)
+        return self.check(gamma, dict(delta), vals, p, x, a, False, rec, clo)
 
     def shared(self, gamma: dict[str, ConstraintType], vals: dict[str, str],
                p: ProcessTerm, x: str, a: SessionType,
-               rec: Callable | None = None) -> ProcessTerm | None:
+               rec: Callable | None = None, clo: tuple | None = None
+               ) -> ProcessTerm | None:
         """Gamma |- p :: (x : a)."""
-        return self.check(gamma, {}, vals, p, x, a, True, rec)
+        return self.check(gamma, {}, vals, p, x, a, True, rec, clo)
 
     def check(self, gamma: dict[str, ConstraintType],
               delta: dict[str, SessionType], vals: dict[str, str],
-              p: ProcessTerm, x: str, a: SessionType,
-              shared: bool, rec: Callable | None = None
+              p: ProcessTerm, x: str, a: SessionType, shared: bool,
+              rec: Callable | None = None, clo: tuple | None = None
               ) -> ProcessTerm | None:
         """The elaborated p, or None after recording why it does not
-        check. Updates delta in place. With rec given, calls rec(node,
-        gamma, delta, x, a, shared) at each node, in case arms too, with
-        the context the suffix from that node checks under."""
+        check. Updates delta in place. With clo = (names, fresh), p is a
+        closure's template: each node is renamed as freshen renames it
+        (procast.rename), free name y to names[y], a dict the call owns and
+        extends, and each binder in preorder, a dead branch's too, to
+        fresh(); so p checks and fails as its forced term. With rec given,
+        calls rec(node, gamma, delta, x, a, shared, names) at each node, in
+        case arms too, with the context the suffix from that node checks."""
         env, spine = self.env, []
+        names, fresh = clo if clo is not None else (None, None)
         while True:
             if rec is not None:
-                rec(p, gamma, delta, x, a, shared)
+                rec(p, gamma, delta, x, a, shared, names)
             cls, ua = type(p), unfold(env, a)
+            if clo is None:
+                vs = list(_FIELDS[cls](p))
+            else:
+                vs, bound, _, _ = rename(p, names, fresh)
+                p = cls(*vs)
+                if bound is not None:
+                    names[bound[0]] = bound[1]
             if shared and cls not in _IN_SHARED:
                 self.fail("shared", "action not available in a shared "
                                     "judgment: " + _action(p))
@@ -169,7 +185,6 @@ class _Ck:
                 if p is None:
                     return None
                 break
-            vs = list(_FIELDS[cls](p))
             if cls is Spawn:
                 got = self.spawn(gamma, delta, p, shared)
                 if got is None:
@@ -268,9 +283,12 @@ class _Ck:
                         else:
                             d2[on] = ty.branch(l)
                         body = self.check(gamma, d2, vals, body, x, a2, False,
-                                          rec)
+                                          rec, clo and (dict(names), fresh))
                         if body is None:
                             return None
+                    elif clo is not None:
+                        for _ in range(scope(body)[0]):
+                            fresh()
                     arms.append((l, body))
                 p = CaseRecv(on, tuple(arms))
                 break

@@ -810,8 +810,8 @@ def reference_steps(cfg):
         if isinstance(e, Proc):
             for c in e.uses:
                 client.setdefault(c, e)
-            if isinstance(e.term, (Acquire, AcquireL)):
-                acquirers.append(e)
+            if isinstance(t := e.term(), (Acquire, AcquireL)):
+                acquirers.append((e, t))
     steps = []
     for e in cfg.theta:
         if isinstance(e, Connect):
@@ -838,17 +838,17 @@ def reference_steps(cfg):
             continue
         steps.append(Step(rule, a, u.chan))
     for a in sorted(cfg.lam):
-        t = cfg.lam[a].term
+        t = cfg.lam[a].term()
         if isinstance(t, FwdSS):
             steps.append(Step("fwd_ss", a))
         elif isinstance(t, Spawn) and _spawnable(cfg, t):
             steps.append(Step("spawn_ss", a))
         elif isinstance(t, Accept) and t.chan == a:
-            for e in acquirers:
-                if isinstance(e.term, Acquire) and e.term.chan == a:
+            for e, w in acquirers:
+                if isinstance(w, Acquire) and w.chan == a:
                     steps.append(Step("up_sl", a, e.chan))
-                elif isinstance(e.term, AcquireL):
-                    tgt = offered.get(e.term.chan)
+                elif isinstance(w, AcquireL):
+                    tgt = offered.get(w.chan)
                     if isinstance(tgt, Connect) and tgt.target == a:
                         steps.append(Step("up_sl2", a, e.chan))
     return steps
@@ -900,7 +900,8 @@ def reference_monitor(cfg, touched):
             return (f"linear {e.chan}: offer type no longer synchronizes "
                     f"with the client view under its release obligation")
         ck.diags.clear()
-        if ck.linear(cfg.gamma, e.uses, {}, e.term, e.chan, e.offer) is None:
+        if ck.linear(cfg.gamma, e.uses, {}, e.term(), e.chan,
+                     e.offer) is None:
             return f"process at {e.chan} no longer typechecks: " \
                    + "; ".join(ck.diags)
     for a in sorted(set(cfg.lam) & touched):
@@ -916,7 +917,7 @@ def reference_monitor(cfg, touched):
             return (f"shared {a}: offer type does not equi-synchronize "
                     f"with its recorded constraint")
         ck.diags.clear()
-        if ck.shared(cfg.gamma, {}, p.term, a, p.offer) is None:
+        if ck.shared(cfg.gamma, {}, p.term(), a, p.offer) is None:
             return f"process at {a} no longer typechecks: " \
                    + "; ".join(ck.diags)
     return None
@@ -946,11 +947,10 @@ def audit(cfg):
     theta's order; a shared process is kept nowhere; the tail is the
     shared part's steps of the one-pass reference, and each direct
     acquire step in it is its acquirer's slot; the three indexes are
-    reference_indexes; no name a forward renamed is offered, used,
-    aliased, shared or in Γ; and a forced term kept for the current
-    template and number of forwards is the closure's, forced afresh."""
+    reference_indexes; and no name a forward renamed is offered, used,
+    aliased, shared or in Γ."""
     from sill.procast import Acquire, AcquireL, FwdLL, FwdLS, Spawn
-    from sill.runtime import Step, _PAIRS, _spawnable, SUBJECT, _force
+    from sill.runtime import Step, _PAIRS, _spawnable, SUBJECT
 
     def subject(t):
         f = SUBJECT.get(type(t))
@@ -964,10 +964,6 @@ def audit(cfg):
     assert not cfg.names.keys() & (
         cfg.offered.keys() | cfg.client.keys() | cfg.aliases.keys()
         | cfg.lam.keys() | cfg.gamma.keys() | shared_uses)
-    for p in (*cfg.theta, *cfg.lam.values()):
-        m = p.term_memo if isinstance(p, Proc) else None
-        if m is not None and m[0] is p.tmpl and m[1] == len(cfg.names):
-            assert m[2] == _force(p.tmpl, p.env, p.base, cfg.names)
     users, stepping, steps, acquiring, rank = {}, [], [], [], -1
     for e in reversed(cfg.theta):  # the first user in theta wins
         if isinstance(e, Proc):
@@ -981,7 +977,7 @@ def audit(cfg):
                 assert es is None or len(es) == 1 and es[0].rank > rank
         if isinstance(e, Connect):
             continue
-        a, t = e.chan, e.term
+        a, t = e.chan, e.term()
         if isinstance(t, (Acquire, AcquireL)):
             assert e.kept is e.tmpl
             acquiring.append(e)
@@ -993,11 +989,12 @@ def audit(cfg):
             elif isinstance(t, Spawn) and _spawnable(cfg, t):
                 step = Step("spawn_ls" if cfg.sig.lookup(t.proc).offer_shared
                             else "spawn_ll", a)
-        elif subject(t) == a and u is not None and subject(u.term) == a:
-            rule = _PAIRS.get((type(t), type(u.term)))
+        elif subject(t) == a and u is not None and subject(
+                ut := u.term()) == a:
+            rule = _PAIRS.get((type(t), type(ut)))
             if rule is not None and not (
-                    rule == "plus" and t.label not in u.term.labels()
-                    or rule == "with" and u.term.label not in t.labels()):
+                    rule == "plus" and t.label not in ut.labels()
+                    or rule == "with" and ut.label not in t.labels()):
                 step = Step(rule, a, u.chan)
         assert e.kept == step
         if step is not None:
@@ -1313,7 +1310,7 @@ def test_kept_steps_match_reference_where_the_shared_part_is_busy():
     cfg = initial_config(progs["busy"][1])
     for _ in range(300):
         steps = enumerate_steps(cfg)
-        waiting = sum(isinstance(e.term, (Acquire, AcquireL))
+        waiting = sum(isinstance(e.term(), (Acquire, AcquireL))
                       for e in cfg.theta if isinstance(e, Proc))
         busy += waiting >= 2 and any(s.rule in ("fwd_ss", "spawn_ss")
                                      for s in steps)
@@ -1614,11 +1611,28 @@ def test_recheck_memo_hits_within_one_run(monkeypatch):
         assert sum(hits) >= 0.9 * len(hits), (stem, sum(hits), len(hits))
 
 
+def unkeyed_checks(monkeypatch):
+    """A list that takes the template of each check made with no memo key:
+    a check of a closure (see _Ck.check) with no recorder, which _passes
+    makes where the free names do not stand for the channels one to one."""
+    from sill.typecheck import _Ck
+    seen, check = [], _Ck.check
+
+    def noted_check(self, *args):
+        if len(args) > 8 and args[8] is not None and args[7] is None:
+            seen.append(args[3])
+        return check(self, *args)
+
+    monkeypatch.setattr(_Ck, "check", noted_check)
+    return seen
+
+
 # Programs in which free names of one template come to stand for one
 # channel: a shared channel passed to two shared parameters, and two
 # shared channels of which a forward renames one to the other. Either way,
 # once Twice holds the session it acquired through one name, its other
-# name stands for that session too, and the forced check decides.
+# name stands for that session too, and the recheck is decided with no
+# memo key.
 NAMES_MEET = tuple(
     "type lock = up_s &{ping: down_s lock}\n"
     "proc Lock : () |- k: lock = l <- accept k; case l { ping => "
@@ -1636,23 +1650,14 @@ NAMES_MEET = tuple(
 
 
 def test_monitor_matches_reference_where_names_meet(monkeypatch):
-    from sill import runtime
-    forced = []
-    passes = runtime._passes
-
-    def counted_passes(cfg, ck, p):
-        ok = passes(cfg, ck, p)
-        forced.append(not ok)
-        return ok
-
-    monkeypatch.setattr(runtime, "_passes", counted_passes)
+    unkeyed = unkeyed_checks(monkeypatch)
     for src in NAMES_MEET:
         diags, prog = check_program(parse_program(src))
         assert diags == []
-        forced.clear()
+        unkeyed.clear()
         for _, choose in _choosers():
             assert differential(prog, choose, 100, True, True) > 5
-        assert any(forced), src
+        assert unkeyed, src
 
 
 def test_recheck_memo_records_each_nodes_own_offer():
@@ -1680,7 +1685,8 @@ def test_recheck_forces_where_two_names_stand_for_one_linear_channel():
     # a forward makes two free names of Main stand for one linear channel,
     # which Main uses once: in its template's names Main would wait on two
     # channels, each once, where its term waits on one twice. So the
-    # context does not translate, and the forced check flags the term.
+    # recheck builds no memo key, and its check of the closure, reading
+    # both names as that one channel, flags the term.
     prog = check_program(parse_program(wide_source()))[1]
     cfg = initial_config(prog)
     for _ in range(2):
@@ -1818,7 +1824,7 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
         snaps.clear()
 
     for _ in range(data.draw(st.integers(0, 8))):
-        assert p.term == eager
+        assert p.term() == eager
         snaps.append((_record(p), " ".join(format_proc(eager).split())))
         # channels a forward or a message brings in: never a binder of
         # TERMS, which no runtime channel is either
@@ -1849,7 +1855,7 @@ def test_forcing_matches_eager_substitution(body, actuals, base, data):
             eager = eager_resume(eager, msg)
         else:
             break  # a close, a forward, or no channel left to bind
-    assert p.term == eager
+    assert p.term() == eager
     formatted()
 
 
@@ -1871,7 +1877,7 @@ def test_forward_keeps_other_templates_and_kept_steps(monkeypatch):
 
     def mentions(e, b):
         return e is not None and (e.chan == b or b in e.uses
-                                  or b in scope(e.term)[1])
+                                  or b in scope(e.term())[1])
 
     for _ in range(1000):
         steps = enumerate_steps(cfg)
@@ -1910,7 +1916,7 @@ def test_recheck_memo_sees_forwards():
     assert "q" in main.env.values() and "q" not in main.uses
     assert monitor_check(cfg, rec.touched) is None
     cfg.names["q"] = "elsewhere"
-    assert "elsewhere" in format_proc(main.term)
+    assert "elsewhere" in format_proc(main.term())
     assert monitor_check(cfg, rec.touched) is not None
 
 
@@ -1943,7 +1949,7 @@ def test_a_forwards_consumed_records_read_as_before_it_renames():
                 if step.rule == "fwd_ll":
                     b = cfg.provider(p.name(p.tmpl.used))
                     procs += [b] if isinstance(b, Proc) else []
-                want = [" ".join(format_proc(e.term).split()) for e in procs]
+                want = [" ".join(format_proc(e.term()).split()) for e in procs]
             rec = apply_step(cfg, step)
             if want is not None:
                 assert [_trace_pred(r)["term"] for r in rec.consumed] == want
@@ -2239,7 +2245,10 @@ def reference_passes(cfg, ck, p, memo):
     """_passes with types in its memo keys and no stamp: each key is
     (node, shared, offer type, the class of each free name: its
     constraint, or (whether it is the offer, its view, its constraint)),
-    kept in the set memo, one per type env."""
+    kept in the set memo, one per type env, and the template checked in
+    its own names. A context that does not translate one to one (two
+    free names for one linear channel, none for the offer, or a use no
+    free name stands for) is decided by checking the forced term."""
     t, chan, gamma, free = p.tmpl, p.chan, cfg.gamma, cfg.sig.free
     uses = {} if p.shared else p.uses
     x, delta, gam, cls, lin = None, {}, {}, [], set()
@@ -2250,7 +2259,8 @@ def reference_passes(cfg, ck, p, memo):
             gam[y] = g
         if r == chan or d is not None:
             if r in lin:
-                return False
+                x = None
+                break
             lin.add(r)
             x = y if r == chan else x
             if d is not None:
@@ -2258,11 +2268,13 @@ def reference_passes(cfg, ck, p, memo):
             g = (r == chan, d, g)
         cls.append(g)
     if x is None or not lin.issuperset(uses):
-        return False
+        return (ck.shared(gamma, {}, p.term(), chan, p.offer) if p.shared
+                else ck.linear(gamma, uses, {}, p.term(), chan, p.offer)) \
+            is not None
     if (id(t), p.shared, p.offer, tuple(cls)) not in memo:
         out = []
 
-        def record(node, gamma, delta, x, a, shared):
+        def record(node, gamma, delta, x, a, shared, names):
             out.append((id(node), shared, a, tuple(
                 (y == x, delta.get(y), gamma.get(y)) if y == x or y in delta
                 else gamma.get(y) for y in free[id(node)])))
@@ -2329,16 +2341,16 @@ def test_id_keyed_recheck_matches_the_type_keyed_reference():
 
 def reference_record(g, free, out):
     """_recorder building each node's key anew: every free name's class is
-    worked out at every node of the spine."""
+    worked out at every node of the spine, each name y read as names[y]."""
     from sill.runtime import _cid, _tid
 
-    def record(node, gamma, delta, x, a, shared):
+    def record(node, gamma, delta, x, a, shared, names):
         out.append((id(node), shared, _tid(g, a), tuple(
             (y == x, _tid(g, delta[y]) if y in delta else None,
              _cid(g, gamma[y]) if y in gamma else None)
             if y == x or y in delta else
             _cid(g, gamma[y]) if y in gamma else None
-            for y in free[id(node)])))
+            for y in map(names.__getitem__, free[id(node)]))))
 
     return record
 
@@ -2674,9 +2686,8 @@ def recheck_both_ways(prog, counts, **kw):
     step decided both ways: as the monitor decides it, where p's stamp may
     decide, and in full, with the stamp set aside; the two verdicts must
     be equal. A run that halts without progress ends there. counts takes
-    the rechecks decided both ways ("both"), those of them a stamp
-    decided ("stamped"), and those where a stamp passed a process that
-    _passes, deciding in full, left to the forced term ("forced")."""
+    the rechecks decided both ways ("both") and those of them a stamp
+    decided ("stamped")."""
     from sill import runtime
     recheck, passes = runtime._recheck, runtime._passes
     full = []
@@ -2690,15 +2701,13 @@ def recheck_both_ways(prog, counts, **kw):
             return recheck(cfg, ck, p)
         stamp = p.stamp
         full.clear()
-        want, left = recheck(cfg, ck, p), full == [False]
+        want = recheck(cfg, ck, p)
         p.stamp = stamp
         full.clear()
         got = recheck(cfg, ck, p, True)
         assert got == want, (p.chan, got, want)
         counts["both"] += 1
-        if not full:
-            counts["stamped"] += 1
-            counts["forced"] += left
+        counts["stamped"] += not full
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -2712,8 +2721,8 @@ def recheck_both_ways(prog, counts, **kw):
 
 # A value spelt like a channel: P sends its own channel's name as an int,
 # which Main then holds in v as a name for that channel. Decided in full,
-# Main's recheck at its put cannot translate v and a, two names for one
-# linear channel, and the forced term passes it; the stamp Main took at
+# Main's recheck at its put has two names, v and a, for one linear
+# channel, so it builds no memo key, and it passes; the stamp Main took at
 # its get passes it at once.
 VALUE_SPELT_AS_A_CHANNEL = (
     "type t = !int. ?int. 1\n"
@@ -2723,20 +2732,26 @@ VALUE_SPELT_AS_A_CHANNEL = (
     "system { main Main(); }\n")
 
 
-def test_every_predicted_recheck_decides_as_in_full():
+def test_every_predicted_recheck_decides_as_in_full(monkeypatch):
     # the corpus at 6 seeds, the wide program under fifo and at random,
     # sixty clients of one queue, a value spelt like a channel, and every
-    # ill-typed corpus mutant for as many steps as its pinned outcome
+    # ill-typed corpus mutant for as many steps as its pinned outcome. The
+    # value spelt like a channel, and stuck's second acquire through a
+    # name that its first binder's channel also stands for, reach rechecks
+    # decided with no memo key
     from test_typecheck import _mutants
-    counts = dict.fromkeys(("both", "stamped", "forced"), 0)
+    counts = dict.fromkeys(("both", "stamped"), 0)
+    unkeyed = unkeyed_checks(monkeypatch)
     diags, prog = check_program(parse_program(VALUE_SPELT_AS_A_CHANNEL))
     assert diags == []
     recheck_both_ways(prog, counts, policy="fifo")
-    assert counts["forced"] == 1
+    assert unkeyed
     for stem in sorted(EXPECTED_STATUS):
         for seed in range(6):
+            unkeyed.clear()
             recheck_both_ways(by_stem(stem), counts, seed=seed,
                               max_steps=300)
+            assert stem != "stuck" or unkeyed, seed
     for prog in (check_program(parse_program(wide_source()))[1],
                  contention_prog(60)):
         recheck_both_ways(prog, counts, policy="fifo", max_steps=2000)
@@ -2781,3 +2796,108 @@ def test_mutation_audit_finds_each_kind_of_bookkeeping():
     for chained in ("p.up = p.stamp = None", "p.up, p.stamp = None, None"):
         with pytest.raises(ValueError, match="own statement"):
             mutate.find(f"def f(p):\n    {chained}\n")
+
+
+# --------------------------------------------------------------------------- #
+# The monitor words a violation as the forced term's check does
+# --------------------------------------------------------------------------- #
+
+def forced_wording_run(prog, **kw):
+    """run(prog, **kw), monitored, with every violation a recheck reports
+    checked against the forced term: checking p.term() with ck.linear or
+    ck.shared must fail, worded exactly so. A run that halts without
+    progress ends there. Returns the violations so checked."""
+    from sill import runtime
+    from sill.typecheck import _Ck
+    recheck, seen = runtime._recheck, []
+
+    def checked(cfg, ck, p, *predicted):
+        v = recheck(cfg, ck, p, *predicted)
+        if v is not None:
+            ref = _Ck(cfg.env, cfg.sig)
+            assert (ref.shared(cfg.gamma, {}, p.term(), p.chan, p.offer)
+                    if p.shared else ref.linear(
+                        cfg.gamma, p.uses, {}, p.term(), p.chan, p.offer)) \
+                is None
+            assert v == f"process at {p.chan} no longer typechecks: " \
+                + "; ".join(ref.diags)
+            seen.append(v)
+        return v
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "_recheck", checked)
+        try:
+            run(prog, **kw)
+        except ProgressError:
+            pass
+    return seen
+
+
+# Ill-typed programs whose failing action names a binder of its closure,
+# where the check must number it in preorder as freshen does: in a case
+# arm after arms that bind names, after a dead arm that binds one, in the
+# losing arm of a repeated label, after accept or detach names the offer
+# afresh, and in a spawn's arguments after a binder. Each fails at its
+# initial recheck with the message given.
+_SRC = ("type t = +{a: !int. 1, b: !int. 1}\n"
+        "proc Src : () |- c: t = c.b; put c 1; close c\n")
+_LOCK = ("type lock = up_s &{ping: down_s lock}\n"
+         "proc Main : (sh k: lock) |- x: 1 = a <- acquire k; a.ping; "
+         "s <- release a; close x\n")
+MISNAMED = {
+    _SRC + "proc Main : () |- x: 1 = c <- spawn Src(); case c { "
+    "a => v <- get c; wait c; close x | b => w <- get c; wait w; close x }\n"
+    "system { main Main(); }\n":
+    "process at %g0 no longer typechecks: "
+    "1L: wait needs a used linear channel, got %g3",
+    "type t = +{b: !int. 1}\n"
+    "proc Src : () |- c: t = c.b; put c 1; close c\n"
+    "proc Main : () |- x: 1 = c <- spawn Src(); case c { "
+    "a => v <- get c; wait c; close x | b => w <- get c; wait w; close x }\n"
+    "system { main Main(); }\n":
+    "process at %g0 no longer typechecks: "
+    "1L: wait needs a used linear channel, got %g3",
+    _SRC + "proc Main : () |- x: 1 = c <- spawn Src(); case c { "
+    "a => v <- get c; wait c; close x | b => u <- get c; wait c; close x "
+    "| b => w <- get c; wait w; close x }\n"
+    "system { main Main(); }\n":
+    "process at %g0 no longer typechecks: "
+    "1L: wait needs a used linear channel, got %g4",
+    _LOCK + "proc Lock : () |- k: lock = l <- accept k; "
+    "case l { ping => close k }\n"
+    "system { k <- spawn Lock(); main Main(k); }\n":
+    "process at k no longer typechecks: "
+    "1R: close must act on the offer %g0",
+    _LOCK + "proc Lock : () |- k: lock = l <- accept k; "
+    "case l { ping => s <- detach l; close s }\n"
+    "system { k <- spawn Lock(); main Main(k); }\n":
+    "process at k no longer typechecks: "
+    "shared: action not available in a shared judgment: close %g1",
+    "type t = !int. 1\n"
+    "proc Src : () |- c: t = put c 1; close c\n"
+    "proc Sink : (d: t) |- e: 1 = v <- get d; wait d; close e\n"
+    "proc Main : () |- x: 1 = c <- spawn Src(); v <- get c; "
+    "e <- spawn Sink(v); wait c; wait e; close x\n"
+    "system { main Main(); }\n":
+    "process at %g0 no longer typechecks: "
+    "SP: unknown argument channel %g2",
+}
+
+
+def test_monitor_words_violations_as_the_forced_term():
+    # every violation a recheck reports, on every ill-typed corpus mutant
+    # at seeds 0-2 and on the programs above, is the forced term's failure
+    # word for word
+    from test_typecheck import _mutants
+    for src, want in MISNAMED.items():
+        diags, prog = check_program(parse_program(src))
+        assert diags and forced_wording_run(prog, seed=0) == [want]
+    flagged = 0
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if diags and mutant.system is not None:
+                for seed in range(3):
+                    flagged += len(forced_wording_run(elab, seed=seed,
+                                                      max_steps=60))
+    assert flagged > 4000  # 1 551 mutants, 4 623 violations
