@@ -364,36 +364,6 @@ def scope(t: ProcessTerm, out: dict[int, tuple[str, ...]] | None = None,
     return n, free
 
 
-def rename(t: ProcessTerm, ren: dict[str, str], gen: Callable[[], str],
-           deep: bool = False) -> tuple[list, tuple | None, int | None, bool]:
-    """t's fields, free names renamed by ren, the binder named gen() and,
-    where deep, the branches freshened; with (binder, new name) or None,
-    the continuation's position or None, and whether all are t's own. The
-    one naming rule of freshen and of _Ck.check's closures."""
-    vals, bound, k, same = [], None, None, True
-    for f, role in FIELDS[type(t)]:
-        v = getattr(t, f)
-        if role is NAME:
-            w = ren.get(v, v)
-            if w is not v:
-                v, same = w, False
-        elif role is NAMES:
-            w = tuple([ren.get(x, x) for x in v])
-            if w != v:
-                v, same = w, False
-        elif role is BINDER:
-            bound = v, gen()
-            v, same = bound[1], False
-        elif role is BRANCHES and deep:
-            w = tuple([(l, freshen(b, gen, ren)) for l, b in v])
-            if any(x[1] is not y[1] for x, y in zip(w, v)):
-                v, same = w, False
-        elif role is CONT:
-            k = len(vals)
-        vals.append(v)
-    return vals, bound, k, same
-
-
 def freshen(p: ProcessTerm, gen: Callable[[], str],
             renaming: dict[str, str] | None = None) -> ProcessTerm:
     """Rename every binder to gen(), in preorder, and the free names by
@@ -401,11 +371,32 @@ def freshen(p: ProcessTerm, gen: Callable[[], str],
     no actual channel name is captured by a binder spelt the same.
     Recurses only into case branches, not along the spine, and copies
     renaming at most once per call, as a binder's scope is the rest of the
-    spine. A node that renames to itself is returned as it is."""
+    spine. A node that renames to itself is returned as it is. A closure's
+    check (typecheck._Ck.check) names alike but builds no node."""
     t, spine = p, []
     ren, own = (renaming, False) if renaming else ({}, True)
     while True:
-        vals, bound, k, same = rename(t, ren, gen, True)
+        vals, bound, k, same = [], None, None, True
+        for f, role in FIELDS[type(t)]:
+            v = getattr(t, f)
+            if role is NAME:
+                w = ren.get(v, v)
+                if w is not v:
+                    v, same = w, False
+            elif role is NAMES:
+                w = tuple([ren.get(x, x) for x in v])
+                if w != v:
+                    v, same = w, False
+            elif role is BINDER:
+                bound = v, gen()
+                v, same = bound[1], False
+            elif role is BRANCHES:
+                w = tuple([(l, freshen(b, gen, ren)) for l, b in v])
+                if any(x[1] is not y[1] for x, y in zip(w, v)):
+                    v, same = w, False
+            elif role is CONT:
+                k = len(vals)
+            vals.append(v)
         if k is None:
             if not same:
                 t = type(t)(*vals)

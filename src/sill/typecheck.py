@@ -23,8 +23,8 @@ is shared, which ``accept`` and ``detach`` flip. Delta belongs to the call
 and is updated in place; Gamma and the value bases are copied when they
 grow. The loop recurses only into case arms and rebuilds the elaborated
 term from the spine. ``linear`` and ``shared`` are its two entry points;
-through them the runtime's monitor checks a closure, a template whose
-names are read through the closure's renaming, one node at a time.
+through them the runtime's monitor checks a closure: the template as it
+stands, each name read through the closure's renaming, and no term built.
 
 Checking elaborates the generic surface actions into modality-resolved
 variants as a side effect, so a checked program is ready to run.
@@ -48,7 +48,7 @@ from .procast import (
     SendChan, SendChanS, RecvChan, SendLabel, CaseRecv,
     Acquire, AcquireL, Accept, AcceptL, Release, ReleaseL, Detach, DetachL,
     SendVal, RecvVal, ProcessTerm, ProcDef, ProcSignature, FIELDS, CONT,
-    BINDER, SUBJECT, GENERIC, rename, scope,
+    BINDER, SUBJECT, GENERIC, freshen, scope,
 )
 from .parser import Program
 from .printer import format_proc, format_type
@@ -157,51 +157,61 @@ class _Ck:
               ) -> ProcessTerm | None:
         """The elaborated p, or None after recording why it does not
         check. Updates delta in place. With clo = (names, fresh), p is a
-        closure's template: each node is renamed as freshen renames it
-        (procast.rename), free name y to names[y], a dict the call owns and
-        extends, and each binder in preorder, a dead branch's too, to
-        fresh(); so p checks and fails as its forced term. With rec given,
-        calls rec(node, gamma, delta, x, a, shared, names) at each node, in
-        case arms too, with the context the suffix from that node checks."""
+        closure's template, checked as it stands and named as freshen
+        names it: a node's free name y reads as names[y], a dict the call
+        owns and extends, and once they are read its binder is named
+        fresh(), in preorder, a dead branch's too; so p checks and fails
+        as its forced term, but a pass builds no term and returns a node
+        of p. With rec given, calls rec(node, gamma, delta, x, a, shared,
+        names) at each node, in case arms too, with the context the suffix
+        from that node checks."""
         env, spine = self.env, []
         names, fresh = clo if clo is not None else (None, None)
         while True:
             if rec is not None:
                 rec(p, gamma, delta, x, a, shared, names)
             cls, ua = type(p), unfold(env, a)
-            if clo is None:
-                vs = list(_FIELDS[cls](p))
-            else:
-                vs, bound, _, _ = rename(p, names, fresh)
-                p = cls(*vs)
-                if bound is not None:
-                    names[bound[0]] = bound[1]
             if shared and cls not in _IN_SHARED:
+                # the one node built on a closure: the action printed
+                act = p if names is None else freshen(p, fresh, names)
                 self.fail("shared", "action not available in a shared "
-                                    "judgment: " + _action(p))
+                                    "judgment: " + _action(act))
                 return None
             if cls in _FORWARDS:
-                p = self.forward(gamma, delta, p, x, a, shared)
-                if p is None:
+                offer, used = p.offer, p.used
+                if names is not None:
+                    offer, used = names[offer], names[used]
+                el = self.forward(gamma, delta, offer, used, x, a, shared)
+                if el is None:
                     return None
+                if names is None:
+                    p = el(x, used)
                 break
             if cls is Spawn:
-                got = self.spawn(gamma, delta, p, shared)
+                args = p.args if names is None else tuple(
+                    [names[y] for y in p.args])
+                got = self.spawn(gamma, delta, p.proc, args, shared)
                 if got is None:
                     return None
-                d, vs[-1] = got
-                if _shadows(gamma, delta, x, p.binder):
-                    self.fail("SP", _SHADOWS.format(b=p.binder))
+                d, kinds = got
+                if names is None:
+                    b = p.binder
+                    spine.append((Spawn, [*_FIELDS[Spawn](p)[:-1], kinds]))
+                else:
+                    b = names[p.binder] = fresh()
+                if _shadows(gamma, delta, x, b):
+                    self.fail("SP", _SHADOWS.format(b=b))
                     return None
                 if d.offer_shared:
-                    gamma = {**gamma, p.binder: SharedC(d.offer_ty)}
+                    gamma = {**gamma, b: SharedC(d.offer_ty)}
                 else:
-                    delta[p.binder] = d.offer_ty
-                spine.append((Spawn, vs))
+                    delta[b] = d.offer_ty
                 p = p.cont
                 continue
             gen, right, left, subject, mis = _PLAN[cls]
             on = getattr(p, subject)
+            if names is not None:
+                on = names[on]
             if gen is Accept and not shared:
                 # only the linear twin accepts in a linear judgment
                 if on != x or not isinstance(ua, UpLL):
@@ -241,14 +251,19 @@ class _Ck:
                     return None
                 if gen is Close:
                     break
-            if cls in _BINDS and _shadows(gamma, delta, x, p.binder,
-                                          on if el in _CONTINUES else None):
-                self.fail(_rule(want, side), _SHADOWS.format(b=p.binder))
-                return None
+            if cls in _BINDS:
+                if names is None:
+                    b = p.binder
+                else:
+                    b = names[p.binder] = fresh()
+                if _shadows(gamma, delta, x, b,
+                            on if el in _CONTINUES else None):
+                    self.fail(_rule(want, side), _SHADOWS.format(b=b))
+                    return None
             if gen is Wait:
                 del delta[on]
             elif gen is SendChan:
-                pay = p.payload
+                pay = p.payload if names is None else names[p.payload]
                 if pay in delta and pay != on:
                     test, held = is_subtype, delta.pop(pay)
                 elif pay in gamma:
@@ -286,21 +301,22 @@ class _Ck:
                                           rec, clo and (dict(names), fresh))
                         if body is None:
                             return None
-                    elif clo is not None:
+                    elif names is not None:
                         for _ in range(scope(body)[0]):
                             fresh()
                     arms.append((l, body))
-                p = CaseRecv(on, tuple(arms))
+                if names is None:
+                    p = CaseRecv(on, tuple(arms))
                 break
             elif gen is SendVal:
                 # an unbound name is read as a literal of the expected base
-                if p.value in vals and vals[p.value] != ty.base:
+                v = p.value if names is None else names[p.value]
+                if v in vals and vals[v] != ty.base:
                     self.fail(_rule(want, side),
-                              f"{p.value} has base {vals[p.value]}, "
-                              f"expected {ty.base}")
+                              f"{v} has base {vals[v]}, expected {ty.base}")
                     return None
             elif gen is RecvVal:
-                vals = {**vals, p.binder: ty.base}
+                vals = {**vals, b: ty.base}
             elif gen is Acquire or gen is Release:
                 # the binder continues the used channel; a linear one is
                 # consumed, and a session released to the shared layer
@@ -308,21 +324,22 @@ class _Ck:
                 if el is not Acquire:
                     del delta[on]
                 if el is Release:
-                    gamma = {**gamma, p.binder: SharedC(k)}
+                    gamma = {**gamma, b: SharedC(k)}
                 else:
-                    delta[p.binder] = k
+                    delta[b] = k
                 k = None
             elif gen is Accept or gen is Detach:
                 # the binder names the offer from here
-                x, shared = p.binder, el is Detach
+                x, shared = b, el is Detach
             if k is not None:
                 if side == "R":
                     a = k
                 else:
                     delta[on] = k
             if gen is RecvChan:
-                delta[p.binder] = ty.payload
-            spine.append((el, vs))
+                delta[b] = ty.payload
+            if names is None:
+                spine.append((el, list(_FIELDS[cls](p))))
             p = p.cont
         for cls, vs in reversed(spine):
             vs[_CONT[cls]] = p
@@ -330,13 +347,13 @@ class _Ck:
         return p
 
     def forward(self, gamma: dict[str, ConstraintType],
-                delta: dict[str, SessionType], p: ProcessTerm, x: str,
-                a: SessionType, shared: bool) -> ProcessTerm | None:
-        """ID_L from a linear channel, ID_LS and ID_S from a shared one."""
-        used = p.used
-        if p.offer != x:
+                delta: dict[str, SessionType], offer: str, used: str, x: str,
+                a: SessionType, shared: bool) -> type | None:
+        """ID_L from a linear channel, ID_LS and ID_S from a shared one:
+        the elaborated forward's constructor."""
+        if offer != x:
             self.fail("ID_S" if shared else "ID",
-                      f"forward must offer {x}, not {p.offer}")
+                      f"forward must offer {x}, not {offer}")
             return None
         if used in delta:
             rule, el, test, held = "ID_L", FwdLL, is_subtype, delta[used]
@@ -354,7 +371,7 @@ class _Ck:
         if not test(self.env, held, a):
             self.fail(rule, f"{used} does not refine the offer")
             return None
-        return el(x, used)
+        return el
 
     # -- spawning ----------------------------------------------------------- #
 
@@ -398,15 +415,16 @@ class _Ck:
         return tuple(kinds)
 
     def spawn(self, gamma: dict[str, ConstraintType],
-              delta: dict[str, SessionType], p: Spawn, shared: bool
+              delta: dict[str, SessionType], proc: str,
+              args: tuple[str, ...], shared: bool
               ) -> tuple[ProcDef, tuple[str, ...]] | None:
         """The spawned definition and the argument kinds, the linear
         arguments taken out of delta."""
-        if p.proc not in self.sig:
-            self.fail("SP", f"undefined process {p.proc}")
+        if proc not in self.sig:
+            self.fail("SP", f"undefined process {proc}")
             return None
-        d = self.sig.lookup(p.proc)
-        kinds = self.spawn_args(gamma, delta, d, p.args)
+        d = self.sig.lookup(proc)
+        kinds = self.spawn_args(gamma, delta, d, args)
         if kinds is None:
             return None
         if shared and not d.offer_shared:

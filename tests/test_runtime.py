@@ -12,6 +12,7 @@ from sill.runtime import (
     monitor_check, classify, Connect, Proc, ProgressError,
 )
 from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
+from sill import procast
 from sill.procast import CaseRecv
 from sill.printer import format_proc
 
@@ -798,9 +799,30 @@ def test_duplicate_user_trace_pinned():
 # The configuration's indexes against one-pass references
 # --------------------------------------------------------------------------- #
 
+def head(p):
+    """The first node of p's forced term, from its template node alone: its
+    free names read through p.name and its binder, if any, named
+    %g{p.base}, the first fresh name in preorder. Its continuations stay
+    the template's, which have the forced term's labels."""
+    t, vals = p.tmpl, []
+    if t is None:
+        return None
+    for f, role in procast.FIELDS[type(t)]:
+        v = getattr(t, f)
+        if role is procast.NAME:
+            v = p.name(v)
+        elif role is procast.NAMES:
+            v = tuple(map(p.name, v))
+        elif role is procast.BINDER:
+            v = f"%g{p.base}"
+        vals.append(v)
+    return type(t)(*vals)
+
+
 def reference_steps(cfg):
     """The enabled steps by one pass over the configuration, the first
-    entry in the linear part winning where two offer or use a channel."""
+    entry in the linear part winning where two offer or use a channel,
+    read off each process's head (see head)."""
     from sill.procast import Acquire, AcquireL, Accept, FwdLL, FwdLS, \
         FwdSS, Spawn
     from sill.runtime import Step, _PAIRS, _spawnable, _subject
@@ -810,7 +832,7 @@ def reference_steps(cfg):
         if isinstance(e, Proc):
             for c in e.uses:
                 client.setdefault(c, e)
-            if isinstance(t := e.term(), (Acquire, AcquireL)):
+            if isinstance(t := head(e), (Acquire, AcquireL)):
                 acquirers.append((e, t))
     steps = []
     for e in cfg.theta:
@@ -838,7 +860,7 @@ def reference_steps(cfg):
             continue
         steps.append(Step(rule, a, u.chan))
     for a in sorted(cfg.lam):
-        t = cfg.lam[a].term()
+        t = head(cfg.lam[a])
         if isinstance(t, FwdSS):
             steps.append(Step("fwd_ss", a))
         elif isinstance(t, Spawn) and _spawnable(cfg, t):
@@ -942,13 +964,13 @@ def audit(cfg):
     set, every use and every alias target is offered to the entry's right
     or outside the linear part; each live linear process's kept marker is
     its template where it waits to acquire, else its step, if any, from
-    its forced term and its client's; stepping and steps hold the
-    processes with a step and the steps, acquiring those waiting, in
-    theta's order; a shared process is kept nowhere; the tail is the
-    shared part's steps of the one-pass reference, and each direct
-    acquire step in it is its acquirer's slot; the three indexes are
-    reference_indexes; and no name a forward renamed is offered, used,
-    aliased, shared or in Γ."""
+    the head of its forced term and its client's (see head); stepping
+    and steps hold the processes with a step and the steps, acquiring
+    those waiting, in theta's order; a shared process is kept nowhere;
+    the tail is the shared part's steps of the one-pass reference, and
+    each direct acquire step in it is its acquirer's slot; the three
+    indexes are reference_indexes; and no name a forward renamed is
+    offered, used, aliased, shared or in Γ."""
     from sill.procast import Acquire, AcquireL, FwdLL, FwdLS, Spawn
     from sill.runtime import Step, _PAIRS, _spawnable, SUBJECT
 
@@ -977,7 +999,7 @@ def audit(cfg):
                 assert es is None or len(es) == 1 and es[0].rank > rank
         if isinstance(e, Connect):
             continue
-        a, t = e.chan, e.term()
+        a, t = e.chan, head(e)
         if isinstance(t, (Acquire, AcquireL)):
             assert e.kept is e.tmpl
             acquiring.append(e)
@@ -990,7 +1012,7 @@ def audit(cfg):
                 step = Step("spawn_ls" if cfg.sig.lookup(t.proc).offer_shared
                             else "spawn_ll", a)
         elif subject(t) == a and u is not None and subject(
-                ut := u.term()) == a:
+                ut := head(u)) == a:
             rule = _PAIRS.get((type(t), type(ut)))
             if rule is not None and not (
                     rule == "plus" and t.label not in ut.labels()
@@ -2393,6 +2415,47 @@ def test_recheck_misses_record_the_per_node_keys(monkeypatch):
         assert memos[0] == memos[1]
         keys += sum(map(len, memos[0]))
     assert len(runs) > 1500 and keys > 25000  # 1 567 runs, 27 697 keys
+
+
+def test_a_recheck_miss_builds_no_term(monkeypatch):
+    # a recheck checks the closure's template as it stands: a miss that
+    # passes builds no term node, neither a renamed node per spine node nor
+    # the elaborated term. Monitored runs of the corpus at seeds 0-2 and of
+    # the wide program under fifo, each from a cold memo
+    from sill import runtime
+    from sill.typecheck import _Ck
+    counts = {"built": 0, "checks": 0}
+    inside = False
+    for cls in procast.FIELDS:
+        def counted(self, *a, _init=cls.__init__, **kw):
+            counts["built"] += inside
+            _init(self, *a, **kw)
+        monkeypatch.setattr(cls, "__init__", counted)
+    passes, check = runtime._passes, _Ck.check
+
+    def noted_passes(cfg, ck, p):
+        nonlocal inside
+        inside = True
+        try:
+            return passes(cfg, ck, p)
+        finally:
+            inside = False
+
+    def noted_check(self, *a):
+        counts["checks"] += inside
+        return check(self, *a)
+
+    monkeypatch.setattr(runtime, "_passes", noted_passes)
+    monkeypatch.setattr(_Ck, "check", noted_check)
+    runs = [(by_stem(stem), {"seed": seed, "max_steps": 300})
+            for stem in sorted(EXPECTED_STATUS) for seed in range(3)]
+    runs.append((check_program(parse_program(wide_source()))[1],
+                 {"policy": "fifo"}))
+    for prog, kw in runs:
+        prog.procs.memo.clear()
+        assert run(prog, monitor=True, **kw).violation is None
+    # 316 checks, case arms counted
+    assert counts["built"] == 0 and counts["checks"] > 300
 
 
 def test_a_name_and_its_body_are_one_memo_key(monkeypatch):
