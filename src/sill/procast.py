@@ -17,7 +17,7 @@ records these roles for renaming and for the runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, get_args
 
@@ -235,6 +235,12 @@ class ProcDef:
 @dataclass(frozen=True)
 class ProcSignature:
     defs: tuple[ProcDef, ...] = ()
+    # the definitions whose bodies passed the static check, each at its
+    # root under its declared types (see typecheck.check_program); the
+    # monitor seeds its recheck memo with them. Out of repr and eq, so a
+    # checked signature prints and compares as its definitions do
+    checked: tuple[ProcDef, ...] = field(default=(), repr=False,
+                                         compare=False)
 
     @cached_property
     def _table(self) -> dict[str, ProcDef]:
@@ -277,7 +283,9 @@ class ProcSignature:
     def memo(self) -> dict[int, tuple[TypeDefEnv, set[tuple], TypeGraph]]:
         """Per type env, by identity (the env held alongside), the nodes of
         the bodies, by identity, each with a context its suffix passed
-        under, in the ids of the env's graph, held third."""
+        under, in the ids of the env's graph, held third. Each starts with
+        the root of every body in checked under its declared context, and
+        each recheck miss that passes adds the contexts of its spine."""
         return {}
 
     @cached_property

@@ -65,13 +65,16 @@ check of its closure, each name read through the closure's renaming,
 which passes, fails and words a failure as the forced term would; where
 the names stand for the channels one to one, a suffix that passed under
 the same context before is a lookup in a memo keyed by tuples of ints.
-After an exchange or a spawn, a process whose recheck last passed at its
-node, or at the node before it, with no Γ overwrite or forward since,
-passes at once (see _recheck). It rechecks only the entries a step
-changed: a step's touched channels name every record, client's view,
-alias and Γ entry it changed, and are read in one pass, so no client of
-a touched channel is rechecked for its provider's step (see _relevant);
-Γ is checked at the entries the step wrote (see _check_gamma_monotone).
+The memo starts with the root of every definition the static check
+passed, under its declared context, so a new instance's first recheck is
+a lookup too (see _checker). After an exchange or a spawn, a process
+whose recheck last passed at its node, or at the node before it, with no
+Γ overwrite or forward since, passes at once (see _recheck). It
+rechecks only the entries a step changed: a step's touched channels name
+every record, client's view, alias and Γ entry it changed, and are read
+in one pass, so no client of a touched channel is rechecked for its
+provider's step (see _relevant); Γ is checked at the entries the step
+wrote (see _check_gamma_monotone).
 """
 
 from __future__ import annotations
@@ -128,13 +131,11 @@ def _find(m: dict[str, str], x: str) -> str:
     return x
 
 
-def _force(tmpl: ProcessTerm | None, env: dict[str, str], base: int,
-           m: dict[str, str]) -> ProcessTerm | None:
+def _force(tmpl: ProcessTerm, env: dict[str, str], base: int,
+           m: dict[str, str]) -> ProcessTerm:
     """The concrete term of a closure under the forwards m: the template
     with its free names renamed by env and resolved through m, and binder
     i (in preorder) named %g{base+i}."""
-    if tmpl is None:
-        return None
     if m:
         env = {x: y if y not in m else _find(m, y) for x, y in env.items()}
     return freshen(tmpl, map("%g{}".format, count(base)).__next__, env)
@@ -156,7 +157,7 @@ class Proc:
     __slots__ = ("chan", "tmpl", "env", "base", "names", "offer", "uses",
                  "shared", "rank", "kept", "up", "stamp")
 
-    def __init__(self, chan: str, tmpl: ProcessTerm | None,
+    def __init__(self, chan: str, tmpl: ProcessTerm,
                  offer: SessionType, uses: dict[str, SessionType],
                  shared: bool, names: dict[str, str] | None = None,
                  env: dict[str, str] | None = None, base: int = 0) -> None:
@@ -173,7 +174,7 @@ class Proc:
         x, m = self.env.get(x, x), self.names
         return _find(m, x) if x in m else x
 
-    def term(self) -> ProcessTerm | None:
+    def term(self) -> ProcessTerm:
         return _force(self.tmpl, self.env, self.base, self.names)
 
     def __repr__(self) -> str:
@@ -1059,22 +1060,62 @@ def _checker(cfg: Config) -> _Ck:
     signature's offer and parameter types in env's graph and starts the
     pair's recheck memo, so a run that is not monitored builds no graph.
     The memo's keys are the graph's ids, so a graph the env dropped (see
-    TypeGraph.intern) takes the memo with it."""
+    TypeGraph.intern) takes the memo with it.
+
+    The memo starts with the root of every body the static check passed
+    (ProcSignature.checked) under its declared context (see _root), so a
+    new instance's first recheck is a lookup. This is exact, in three
+    parts. (1) The memo's own argument (see _passes): where the free
+    names stand for the channels one to one, the verdict is a function of
+    each name's class, and the static check had exactly the classes of
+    the key: the offer with no view, each linear parameter at its
+    declared type, each shared parameter at its declared constraint, and
+    any other free name, a literal, unbound. It named each binder as the
+    template does and passed only where none shadows a name in scope, so
+    naming them afresh, as a closure does, changes no test. An env that a
+    meet extended (see _rename_all) only adds names, so a context of
+    declared types decides under it as under the program's env. (2) The
+    static check read the parsed body, and the key names the elaborated
+    one: each elaborated action checks as its generic action (_PLAN),
+    every forward as a forward, and a spawn's kinds are recomputed, never
+    read, so the two decide alike. (3) A shared instance also has its own
+    Γ entry, SharedC of its offer type (see _spawn_shared), which the
+    static context lacks, and the key holds it. A body that checked never
+    reads it: every rule that reads Γ at a name (an acquire, a shared
+    payload, a forward, a spawn's argument) fails statically at the
+    offer's name, which is in neither Γ nor Δ there, so no passing check
+    makes that read. Where the offer is an action's own subject (an
+    accept, a forward offering it), it is compared by name, not read in
+    Γ, and an accept binds the offer to a fresh name from then on."""
     ck, env, memo = cfg.ck, cfg.env, cfg.sig.memo
     g = env.graph
     m = memo.get(id(env))
     if m is None or m[2] is not g:
+        seeds: set[tuple] = set()
         try:
             for d in cfg.sig.defs:
                 g.pin(d.offer_ty)
                 for prm in d.params:
                     g.pin(prm.ty)
+            seeds.update(_root(g, cfg.sig.free, d) for d in cfg.sig.checked)
         except (KeyError, TypeError_):
             pass  # a malformed type: the judgment posing it raises
-        memo[id(env)] = (env, set(), g)
+        memo[id(env)] = (env, seeds, g)
     if ck is None or ck.env is not env:
         ck = cfg.ck = _Ck(env, cfg.sig)
     return ck
+
+
+def _root(g: TypeGraph, free: dict, d: ProcDef) -> tuple:
+    """The memo key (see _passes) of d's body at its root under its
+    declared context (see _checker)."""
+    a = _tid(g, d.offer_ty)
+    cls = {d.offer: (True, None, a if d.offer_shared else None)}
+    for prm in d.params:
+        t = _tid(g, prm.ty)
+        cls[prm.chan] = t if prm.shared else (False, t, None)
+    return (id(d.body), d.offer_shared, a,
+            tuple([cls.get(y) for y in free[id(d.body)]]))
 
 
 def _passes(cfg: Config, ck: _Ck, p: Proc) -> bool:

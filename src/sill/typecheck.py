@@ -490,7 +490,10 @@ def check_header(prog: Program) -> list[str]:
 def check_program(prog: Program) -> tuple[list[str], Program]:
     """Validate the type environment and the signatures, check every
     process, check the system block. Returns diagnostics and the
-    elaborated program."""
+    elaborated program, whose signature lists in ``checked`` the
+    definitions whose bodies passed, each at its root under its declared
+    types: the monitor starts its recheck memo from them (see
+    runtime._checker)."""
     diags = _check_types(prog)
     if diags:
         return diags, prog
@@ -500,12 +503,15 @@ def check_program(prog: Program) -> tuple[list[str], Program]:
         if d.name in seen:
             diags.append(f"duplicate process definition: {d.name}")
         seen.add(d.name)
-    out = []
+    out, passed = [], []
     for d in sig.defs:
         ds, body = check_procdef(prog.types, sig, d)
         diags.extend(ds)
         out.append(d if body is None else replace(d, body=body))
-    prog2 = Program(prog.types, ProcSignature(tuple(out)), prog.system)
+        if body is not None:
+            passed.append(out[-1])
+    prog2 = Program(prog.types, ProcSignature(tuple(out), tuple(passed)),
+                    prog.system)
     if prog.system is not None:
         diags.extend(check_system(prog2))
     return diags, prog2

@@ -7,14 +7,16 @@ src/sill/runtime.py that decide what the next enumeration and the next
 monitor pass read: the calls to ``mark_providers``, ``dirty.add`` and
 ``dirty.update``, the drops of the shared tail (``tail = None``, each its
 own statement), the writes to ``rec.touched`` and ``rec.gamma``, the bumps
-of the count of Γ overwrites and forwards (``epoch += 1``) and the writes
-of a process's recheck stamp (``stamp = ...``, each its own statement). Each
-one is replaced by ``pass``, one at a time, in a copy of the checkout
-under a temporary directory, and tests/test_runtime.py and
-tests/test_acceptance.py run against the copy with -x. A statement whose
-mutant passes them both survives: it is either redundant, and goes with
-a written argument, or a gap in the tests (DeMillo, Lipton & Sayward,
-"Hints on Test Data Selection", IEEE Computer 1978).
+of the count of Γ overwrites and forwards (``epoch += 1``), the writes
+of a process's recheck stamp (``stamp = ...``, each its own statement)
+and the seeding of a new recheck memo with the roots of the checked
+definitions (``seeds.update(...)``). Each one is replaced by ``pass``,
+one at a time, in a copy of the checkout under a temporary directory,
+and tests/test_runtime.py and tests/test_acceptance.py run against the
+copy with -x. A statement whose mutant passes them both survives: it is
+either redundant, and goes with a written argument, or a gap in the
+tests (DeMillo, Lipton & Sayward, "Hints on Test Data Selection", IEEE
+Computer 1978).
 
 Prints each statement with its verdict, then the survivors and a summary
 line. Exits 0 when every statement is killed, 1 when any survives, and 2
@@ -43,7 +45,7 @@ TESTS = ("tests/test_runtime.py", "tests/test_acceptance.py")
 # program generator and pytest's settings
 COPIED = ("src/sill", "tests", "corpus", "bench", "pyproject.toml")
 KINDS = ("mark_providers", "dirty", "tail", "touched", "gamma", "epoch",
-         "stamp")
+         "stamp", "seed")
 TIMEOUT = 1200  # seconds; a mutant that runs longer is killed
 
 
@@ -74,6 +76,9 @@ def _kind(s: ast.stmt) -> str | None:
         if f.attr in ("add", "update") and isinstance(f.value, ast.Attribute) \
                 and f.value.attr == "dirty":
             return "dirty"
+        if f.attr == "update" and isinstance(f.value, ast.Name) \
+                and f.value.id == "seeds":
+            return "seed"
         return _rec_field(f.value)
     if isinstance(s, ast.AugAssign):
         t = s.target

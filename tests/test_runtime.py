@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from sill.runtime import (
 )
 from sill.types import SharedC, BOT, TOP, Ref, One, Tensor
 from sill import procast
-from sill.procast import CaseRecv
+from sill.procast import CaseRecv, Close
 from sill.printer import format_proc
 
 from conftest import CORPUS, CORPUS_FILES
@@ -805,8 +806,6 @@ def head(p):
     %g{p.base}, the first fresh name in preorder. Its continuations stay
     the template's, which have the forced term's labels."""
     t, vals = p.tmpl, []
-    if t is None:
-        return None
     for f, role in procast.FIELDS[type(t)]:
         v = getattr(t, f)
         if role is procast.NAME:
@@ -1444,7 +1443,7 @@ def test_the_sink_moves_an_acquirer_and_its_alias(monkeypatch):
     passes = []
     monkeypatch.setattr(runtime, "_kahn", passes.append)
     cfg.unuse(main, loop.chan)
-    n = Proc("n", None, One(), {}, False)
+    n = Proc("n", Close("n"), One(), {}, False)
     cfg.add(n)
     cfg.use(n, loop.chan, One())
     runtime._retopo(cfg)
@@ -1597,8 +1596,9 @@ def test_full_monitor_walk_matches_reference():
 
 
 def test_recheck_memo_hits_within_one_run(monkeypatch):
-    # from a cold memo, within one monitored run, the share of keyed
-    # rechecks the signature's memo answers without checking a term: a
+    # from a new memo, which holds only the roots the static check seeded,
+    # within one monitored run, the share of keyed rechecks the
+    # signature's memo answers without checking a term: a
     # miss checks the template and records the context of its whole
     # spine, so after a well-typed step the next recheck is a lookup. A
     # recheck a stamp decides builds no key and is counted only among the
@@ -2380,9 +2380,9 @@ def reference_record(g, free, out):
 def test_recheck_misses_record_the_per_node_keys(monkeypatch):
     # a recheck miss builds each free name's class once and reuses it along
     # the spine: every monitored run of the corpus, the bench's wide
-    # program, the contention shape and every ill-typed corpus mutant
-    # leaves the signature's memo holding exactly the keys of the same run
-    # with each class built at every node
+    # program, the contention shape and every ill-typed corpus mutant, each
+    # on an unseeded signature, leaves the signature's memo holding exactly
+    # the keys of the same run with each class built at every node
     import random
     import sys
     from sill import runtime
@@ -2400,6 +2400,8 @@ def test_recheck_misses_record_the_per_node_keys(monkeypatch):
             diags, elab = check_program(mutant)
             if diags and mutant.system is not None:
                 runs.append((elab, "random", 0, 60))
+    # unseeded, so that the misses at the definitions' roots are made too
+    runs = [(unseeded(prog), *rest) for prog, *rest in runs]
     keys = 0
     for prog, policy, seed, max_steps in runs:
         memos = []
@@ -2414,14 +2416,14 @@ def test_recheck_misses_record_the_per_node_keys(monkeypatch):
         monkeypatch.undo()
         assert memos[0] == memos[1]
         keys += sum(map(len, memos[0]))
-    assert len(runs) > 1500 and keys > 25000  # 1 567 runs, 27 697 keys
+    assert len(runs) > 1500 and keys > 25000  # 1 567 runs, 27 693 keys
 
 
 def test_a_recheck_miss_builds_no_term(monkeypatch):
     # a recheck checks the closure's template as it stands: a miss that
     # passes builds no term node, neither a renamed node per spine node nor
     # the elaborated term. Monitored runs of the corpus at seeds 0-2 and of
-    # the wide program under fifo, each from a cold memo
+    # the wide program under fifo, each from a cold, unseeded memo
     from sill import runtime
     from sill.typecheck import _Ck
     counts = {"built": 0, "checks": 0}
@@ -2452,10 +2454,184 @@ def test_a_recheck_miss_builds_no_term(monkeypatch):
     runs.append((check_program(parse_program(wide_source()))[1],
                  {"policy": "fifo"}))
     for prog, kw in runs:
-        prog.procs.memo.clear()
-        assert run(prog, monitor=True, **kw).violation is None
+        assert run(unseeded(prog), monitor=True, **kw).violation is None
     # 316 checks, case arms counted
     assert counts["built"] == 0 and counts["checks"] > 300
+
+
+# --------------------------------------------------------------------------- #
+# The static check seeds the recheck memo
+# --------------------------------------------------------------------------- #
+
+def unseeded(prog):
+    """prog under a copy of its signature that lists no definition as
+    checked, so that its monitor's recheck memo starts empty."""
+    return dataclasses.replace(
+        prog, procs=procast.ProcSignature(prog.procs.defs))
+
+
+def reference_seeds(cfg):
+    """The keys the monitor's memo must start with, worked out from the
+    signature alone: for each definition whose body check_procdef passes,
+    the key of its root, each free name read in the context the static
+    check gives it (with the offer's own Γ entry where it is shared)."""
+    from sill.runtime import _cid, _tid
+    from sill.typecheck import check_procdef
+    g, sig, keys = cfg.env.graph, cfg.sig, set()
+    for d in sig.defs:
+        if check_procdef(cfg.env, sig, d)[1] is None:
+            continue
+        gamma = {prm.chan: SharedC(prm.ty) for prm in d.params if prm.shared}
+        delta = {prm.chan: prm.ty for prm in d.params if not prm.shared}
+        if d.offer_shared:
+            gamma[d.offer] = SharedC(d.offer_ty)
+        keys.add((id(d.body), d.offer_shared, _tid(g, d.offer_ty), tuple(
+            (y == d.offer, _tid(g, delta[y]) if y in delta else None,
+             _cid(g, gamma[y]) if y in gamma else None)
+            if y == d.offer or y in delta else
+            _cid(g, gamma[y]) if y in gamma else None
+            for y in sig.free[id(d.body)])))
+    return keys
+
+
+def seeded_run(prog, counts, **kw):
+    """run(prog, **kw), monitored and traced, on prog as checked and on
+    its unseeded copy: both must end alike, with the same trace bytes (a
+    run that halts without progress, with the same message). On prog, each
+    memo must start with reference_seeds' keys, and each recheck that a
+    seeded key decides, where no miss of the run has recorded that key, is
+    decided again in full with no key: on the closure and on the forced
+    term, each must pass with no diagnostic. On the copy, each memo must
+    start empty. counts takes the rechecks so decided ("seeded")."""
+    from itertools import count
+    from sill import runtime
+    from sill.typecheck import _Ck
+    checker, passes = runtime._checker, runtime._passes
+    state = {"seeded": False, "seeds": True}
+
+    class Noted(set):
+        # one memo: notes whether a lookup is answered by a seed alone
+        def __contains__(self, k):
+            hit = set.__contains__(self, k)
+            state["seeded"] = hit and k in self.seeds \
+                and k not in self.recorded
+            return hit
+
+        def update(self, keys):
+            keys = list(keys)
+            self.recorded.update(keys)
+            set.update(self, keys)
+
+    def noted_checker(cfg):
+        m = cfg.sig.memo.get(id(cfg.env))
+        ck = checker(cfg)
+        env, keys, g = cfg.sig.memo[id(cfg.env)]
+        if m is None or m[2] is not g:
+            assert keys == (reference_seeds(cfg) if state["seeds"] else set())
+            keys = Noted(keys)
+            keys.seeds, keys.recorded = set(keys), set()
+            cfg.sig.memo[id(cfg.env)] = (env, keys, g)
+        return ck
+
+    def noted_passes(cfg, ck, p):
+        state["seeded"] = False
+        ok = passes(cfg, ck, p)
+        if state["seeded"]:
+            names = {y: p.name(y) for y in cfg.sig.free[id(p.tmpl)]}
+            clo = names, map("%g{}".format, count(p.base)).__next__
+            for t, c in ((p.tmpl, clo), (p.term(), None)):
+                ref = _Ck(cfg.env, cfg.sig)
+                full = ref.shared(cfg.gamma, {}, t, p.chan, p.offer, None, c) \
+                    if p.shared else ref.linear(cfg.gamma, p.uses, {}, t,
+                                                p.chan, p.offer, None, c)
+                assert (ok, full is not None, ref.diags) == (True, True, [])
+            counts["seeded"] += 1
+        return ok
+
+    ends = []
+    for state["seeds"], q in ((True, prog), (False, unseeded(prog))):
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runtime, "_checker", noted_checker)
+            mp.setattr(runtime, "_passes", noted_passes)
+            try:
+                r = run(q, monitor=True, trace=out, **kw)
+                ends.append((r.status, r.steps, r.violation, out.getvalue()))
+            except ProgressError as e:
+                ends.append((str(e), out.getvalue()))
+    assert ends[0] == ends[1]
+
+
+def test_a_seeded_recheck_decides_as_in_full():
+    # the corpus at 6 seeds, the test's wide program under fifo, sixty
+    # clients of one queue, names that meet, a value spelt like a channel,
+    # and every ill-typed corpus mutant at seed 0 for as many steps as its
+    # pinned outcome: runs as checked and unseeded end alike, and every
+    # recheck a seed alone decides passes in full. A mutant's failed
+    # definition is not seeded (reference_seeds)
+    from test_typecheck import _mutants
+    counts = {"seeded": 0}
+    for stem in sorted(EXPECTED_STATUS):
+        for seed in range(6):
+            seeded_run(by_stem(stem), counts, seed=seed, max_steps=300)
+    for prog in (check_program(parse_program(wide_source()))[1],
+                 contention_prog(60)):
+        seeded_run(prog, counts, policy="fifo", max_steps=2000)
+    for src in (*NAMES_MEET, VALUE_SPELT_AS_A_CHANNEL):
+        diags, prog = check_program(parse_program(src))
+        assert diags == []
+        seeded_run(prog, counts, policy="fifo")
+        seeded_run(prog, counts, seed=0)
+    before, mutants = counts["seeded"], 0
+    for path in CORPUS_FILES:
+        for mutant in _mutants(parse_program(path.read_text())):
+            diags, elab = check_program(mutant)
+            if diags and mutant.system is not None:
+                seeded_run(elab, counts, seed=0, max_steps=60)
+                mutants += 1
+    assert mutants > 1500
+    assert counts["seeded"] - before > 3000 and before > 2000, counts
+
+
+def test_a_checked_definition_is_not_walked_again_at_its_root(monkeypatch):
+    # each definition the static check passed starts the memo at its root,
+    # so a cold-memo monitored run misses only below a root: after an
+    # acquire, a release or a forward, or at the root of a definition
+    # whose parameters are views of a session (queue's Writer and Reader).
+    # Nodes walked by misses over the corpus at seeds 0-3, each run on a
+    # freshly checked program, and over the bench's wide program under
+    # fifo; before the seeds they were 400, 140, 276, 220, 84, 208 and 64,
+    # and 177
+    import random
+    import sys
+    from sill import runtime
+    sys.path.insert(0, str(CORPUS.parent / "bench"))
+    from workloads import wide_source as bench_wide_source
+    recorder, made, walked = runtime._recorder, [0], [0]
+
+    def counted(g, free, out):
+        made[0] += 1
+        record = recorder(g, free, out)
+
+        def counted_record(*a):
+            walked[0] += 1
+            return record(*a)
+        return counted_record
+
+    monkeypatch.setattr(runtime, "_recorder", counted)
+    got = {}
+    for stem in sorted(EXPECTED_STATUS):
+        made[0] = walked[0] = 0
+        for seed in range(4):
+            run(by_stem(stem), seed=seed, max_steps=300)
+        got[stem] = walked[0]
+        assert stem != "basics" or made[0] == 0
+    walked[0] = 0
+    wide = bench_wide_source(random.Random("wide:0"), 16, 10, 32)
+    run(check_program(parse_program(wide))[1], policy="fifo", max_steps=2000)
+    got["wide"] = walked[0]
+    assert got == {"auction": 204, "basics": 0, "dd": 144, "handoff": 87,
+                   "ignore": 40, "queue": 156, "stuck": 16, "wide": 69}
 
 
 def test_a_name_and_its_body_are_one_memo_key(monkeypatch):
@@ -2842,7 +3018,7 @@ def test_mutation_audit_finds_each_kind_of_bookkeeping():
     marks = {"mark_providers": ".mark_providers(", "dirty": ".dirty.",
              "tail": ".tail = None", "touched": "rec.touched",
              "gamma": "rec.gamma", "epoch": ".epoch += 1",
-             "stamp": ".stamp = "}
+             "stamp": ".stamp = ", "seed": "seeds.update("}
     assert {s.kind for s in sites} == set(mutate.KINDS) == set(marks)
     for s in sites:
         assert marks[s.kind] in s.text
